@@ -8,7 +8,6 @@ randomness fans out from --seed through named streams.  Exit codes:
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,16 +46,8 @@ def _preprocess_config(args) -> PreprocessConfig:
                             vocabulary=load_vocabulary(vocab))
 
 
-def _tokens_for(records, config, workers):
-    def clean(record):
-        return record.id, preprocess(record.text, config).tokens
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(clean, records))
-    else:
-        pairs = [clean(r) for r in records]
-    return dict(pairs)
+def _tokens_for(records, config):
+    return {r.id: preprocess(r.text, config).tokens for r in records}
 
 
 def _corpus_features(records, tokens_by_id, kind, args):
@@ -70,7 +61,7 @@ def _corpus_features(records, tokens_by_id, kind, args):
                 mappings[name] = import_embeddings(path)
         return fused_from_imported(ids, kind, seed=args.seed, **mappings)
     space = build_feature_space(seed=args.seed)
-    return encode_corpus(ids, tokens_by_id, space, kind, workers=args.workers)
+    return encode_corpus(ids, tokens_by_id, space, kind)
 
 
 def cmd_ingest(args) -> int:
@@ -93,7 +84,7 @@ def cmd_preprocess(args) -> int:
     schema = _load_schema(args)
     records = load_dataset(_require(args.dataset, "dataset"), schema)
     config = _preprocess_config(args)
-    tokens_by_id = _tokens_for(records, config, args.workers)
+    tokens_by_id = _tokens_for(records, config)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         for rid in sorted(tokens_by_id):
@@ -107,7 +98,7 @@ def cmd_train(args) -> int:
     records = load_dataset(_require(args.dataset, "dataset"), schema)
     parts = split(records, SPLIT_RATIO, args.seed)
     config = _preprocess_config(args)
-    tokens_by_id = _tokens_for(parts.train, config, args.workers)
+    tokens_by_id = _tokens_for(parts.train, config)
     features = _corpus_features(parts.train, tokens_by_id, args.variant, args)
     labels = labels_from_records(parts.train)
     train_set = build_training_set(features, labels, k=args.k, seed=args.seed)
@@ -157,7 +148,7 @@ def cmd_eval(args) -> int:
     records = load_dataset(_require(args.dataset, "dataset"), schema)
     parts = split(records, SPLIT_RATIO, args.seed)
     config = _preprocess_config(args)
-    tokens_by_id = _tokens_for(parts.test, config, args.workers)
+    tokens_by_id = _tokens_for(parts.test, config)
     features = _corpus_features(parts.test, tokens_by_id, variant.kind, args)
     gold = labels_from_records(parts.test)
     probs = predict_proba(variant, features, params)
@@ -185,8 +176,6 @@ def _add_common(sub, *, dataset=True, textprep=False, encoding=False):
     if textprep:
         sub.add_argument("--lexicon", help="emoji lexicon TSV (default: bundled)")
         sub.add_argument("--vocab", help="vocabulary list (default: bundled)")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="parallel record-level workers")
     if encoding:
         sub.add_argument("--embeddings",
                          help="directory of exchange files replacing the toy encoders")

@@ -200,18 +200,6 @@ def load_dataset(path: str | Path, schema: Schema) -> list[MemeRecord]:
     return records
 
 
-def class_distribution(records: list[MemeRecord], task: str) -> ClassDistribution:
-    """Counts of the collapsed classes of one task over the records."""
-    if not records:
-        raise ValueError("class distribution of an empty record list is undefined")
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    counts = {cls: 0 for cls in TASK_CLASSES[task]}
-    for record in records:
-        counts[record.labels.get(task)] += 1
-    return ClassDistribution(task=task, counts=counts)
-
-
 def raw_distribution(path: str | Path, schema: Schema, task: str) -> ClassDistribution:
     """Counts of the raw source labels of one task, in schema order.
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnops
-from .nnops import attention  # noqa: F401  (canonical home for callers)
 from .seeds import rng_for
 
 SENTENCE_DIM = 768
@@ -84,10 +83,14 @@ def init_block_params(d_model: int, n_heads: int, rng: np.random.Generator,
     return p
 
 
-def transformer_block_forward(x: np.ndarray, params: dict, n_heads: int):
-    """Pre-norm block: x + attn(ln(x)), then h + ffn(ln(h))."""
+def transformer_block_forward(x: np.ndarray, params: dict, n_heads: int,
+                              mask: np.ndarray | None = None):
+    """Pre-norm block: x + attn(ln(x)), then h + ffn(ln(h)).
+
+    ``mask`` is added to the attention logits (the captioner's causal mask).
+    """
     n1, c_n1 = nnops.layernorm_forward(x, params["ln1.g"], params["ln1.b"])
-    a, c_a = nnops.mha_forward(n1, n1, nnops.sub_params(params, "attn"), n_heads)
+    a, c_a = nnops.mha_forward(n1, n1, nnops.sub_params(params, "attn"), n_heads, mask=mask)
     h = x + a
     n2, c_n2 = nnops.layernorm_forward(h, params["ln2.g"], params["ln2.b"])
     f1, c_f1 = nnops.linear_forward(n2, params["ffn.w1"], params["ffn.b1"])
@@ -114,11 +117,6 @@ def transformer_block_backward(d_y: np.ndarray, cache):
     }
     d_params.update({f"attn.{k}": v for k, v in d_attn.items()})
     return dx, d_params
-
-
-def transformer_block(x: np.ndarray, params: dict, n_heads: int = 2) -> np.ndarray:
-    y, _ = transformer_block_forward(x, params, n_heads)
-    return y
 
 
 def _stack_params(spec: EncoderSpec, rng: np.random.Generator, dtype) -> dict:
@@ -162,7 +160,7 @@ def init_text_encoder_params(spec: EncoderSpec, vocab_size: int = DEFAULT_VOCAB_
 
 def _run_blocks(x: np.ndarray, spec: EncoderSpec, params: dict) -> np.ndarray:
     for i in range(spec.n_layers):
-        x = transformer_block(x, nnops.sub_params(params, f"blocks.{i}"), spec.n_heads)
+        x, _ = transformer_block_forward(x, nnops.sub_params(params, f"blocks.{i}"), spec.n_heads)
     return x
 
 
@@ -273,23 +271,14 @@ def _decoder_step(x: np.ndarray, feats: np.ndarray, p: dict) -> np.ndarray:
     length = x.shape[0]
     causal = np.triu(np.full((length, length), -np.inf, dtype=x.dtype), k=1)
     for i in range(p["n_layers"]):
-        x = x + _masked_self_block(x, nnops.sub_params(p, f"self.{i}"), p["n_heads"], causal)
+        x, _ = transformer_block_forward(x, nnops.sub_params(p, f"self.{i}"), p["n_heads"],
+                                         mask=causal)
         cp = nnops.sub_params(p, f"cross.{i}")
         n, _ = nnops.layernorm_forward(x, cp["ln.g"], cp["ln.b"])
         a, _ = nnops.mha_forward(n, feats, cp, p["n_heads"])
         x = x + a
     logits = x[-1] @ p["out.w"] + p["out.b"]
     return logits
-
-
-def _masked_self_block(x: np.ndarray, bp: dict, n_heads: int, mask: np.ndarray) -> np.ndarray:
-    """Pre-norm self-attention + feed-forward, returned as the residual delta."""
-    n1, _ = nnops.layernorm_forward(x, bp["ln1.g"], bp["ln1.b"])
-    a, _ = nnops.mha_forward(n1, n1, nnops.sub_params(bp, "attn"), n_heads, mask=mask)
-    h = x + a
-    n2, _ = nnops.layernorm_forward(h, bp["ln2.g"], bp["ln2.b"])
-    f = nnops.gelu(n2 @ bp["ffn.w1"] + bp["ffn.b1"]) @ bp["ffn.w2"] + bp["ffn.b2"]
-    return a + f
 
 
 def generate_caption(image: np.ndarray, decoder_params: dict, max_len: int = 16) -> list[str]:
@@ -343,13 +332,27 @@ def export_embeddings(path, mapping: dict, kind: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _json_object(path, line: str, what: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {what} is not JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, got {obj!r}")
+    return obj
+
+
 def import_embeddings(path) -> dict:
-    """Read an embedding file back into {id: float32 array}; shapes validated."""
+    """Read an embedding file back into {id: float32 array}.
+
+    Shapes are validated and values must be finite; every defect raises
+    ValueError naming the file and the record.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty embedding file")
-    header = json.loads(lines[0])
+    header = _json_object(path, lines[0], "header")
     for field in ("kind", "d", "count"):
         if field not in header:
             raise ValueError(f"{path}: header missing {field!r}")
@@ -359,16 +362,30 @@ def import_embeddings(path) -> dict:
     if len(lines) - 1 != header["count"]:
         raise ValueError(f"{path}: header declares {header['count']} records, found {len(lines) - 1}")
     out: dict = {}
-    for ln in lines[1:]:
-        rec = json.loads(ln)
+    for index, ln in enumerate(lines[1:], start=1):
+        rec = _json_object(path, ln, f"record {index}")
+        for field in ("id", "shape", "values"):
+            if field not in rec:
+                raise ValueError(f"{path}: record {index} missing {field!r}")
         rid = rec["id"]
+        if not isinstance(rid, str):
+            raise ValueError(f"{path}: record {index} id {rid!r} is not a string")
         if rid in out:
             raise ValueError(f"{path}: duplicate id {rid!r}")
+        if not isinstance(rec["shape"], list) or not all(
+                isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in rec["shape"]):
+            raise ValueError(f"{path}: record {rid!r} shape {rec['shape']!r} is not a list "
+                             "of non-negative integers")
         shape = tuple(rec["shape"])
         if len(shape) != want_ndim or shape[-1] != header["d"]:
             raise ValueError(f"{path}: record {rid!r} shape {shape} conflicts with header d={header['d']}")
-        values = np.asarray(rec["values"], dtype=np.float32)
+        try:
+            values = np.asarray(rec["values"], dtype=np.float32)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: record {rid!r} values are not numbers ({exc})") from exc
         if values.size != int(np.prod(shape)):
             raise ValueError(f"{path}: record {rid!r} has {values.size} values for shape {shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: record {rid!r} holds non-finite values")
         out[rid] = values.reshape(shape)
     return out

@@ -32,10 +32,6 @@ class FusedRepresentation:
             if tag not in ROW_TAGS:
                 raise ValueError(f"unknown provenance tag {tag!r}")
 
-    @property
-    def sources(self) -> frozenset:
-        return frozenset(self.provenance)
-
 
 def fuse_first_axis(a: np.ndarray, b: np.ndarray, a_tag: str = "image",
                     b_tag: str = "text") -> FusedRepresentation:

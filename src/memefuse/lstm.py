@@ -1,8 +1,7 @@
 """LSTM cell and bidirectional sequence layer with explicit backward passes.
 
 Gate layout inside the packed 4H weight matrices is input, forget,
-candidate, output.  Sequence functions run batched over (B, L, d); the
-per-sample helpers promote a single L x d sequence to a batch of one.
+candidate, output.  Sequence functions run batched over (B, L, d).
 """
 
 from __future__ import annotations
@@ -35,12 +34,6 @@ def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: 
     tc = np.tanh(c)
     h = o * tc
     return h, c, (x, h_prev, c_prev, i, f, g, o, tc, p)
-
-
-def lstm_cell(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: dict):
-    """One LSTM step; returns (h, c)."""
-    h, c, _ = lstm_cell_forward(x, h_prev, c_prev, params)
-    return h, c
 
 
 def lstm_cell_backward(d_h: np.ndarray, d_c: np.ndarray, cache):
@@ -126,14 +119,6 @@ def bilstm_backward(d_out: np.ndarray, cache):
     d_params = {f"fwd.{k}": v for k, v in dp_f.items()}
     d_params.update({f"bwd.{k}": v for k, v in dp_b.items()})
     return dx, d_params
-
-
-def bilstm(x_seq: np.ndarray, fwd_params: dict, bwd_params: dict) -> np.ndarray:
-    """Single sequence L x d -> L x 2H."""
-    params = {f"fwd.{k}": v for k, v in fwd_params.items()}
-    params.update({f"bwd.{k}": v for k, v in bwd_params.items()})
-    out, _ = bilstm_forward(x_seq[None, :, :], params)
-    return out[0]
 
 
 def sequence_feature(out: np.ndarray) -> np.ndarray:

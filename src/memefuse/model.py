@@ -10,15 +10,14 @@ masks them out of that head's loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import TASKS, TASK_CLASSES
-from .fusion import FusedRepresentation, VARIANT_KINDS
-from .lstm import (bilstm, bilstm_backward, bilstm_forward,  # noqa: F401
-                   init_bilstm_params, lstm_cell, sequence_feature)
-from .nnops import softmax, sub_params
+from .fusion import VARIANT_KINDS
+from .lstm import bilstm_backward, bilstm_forward, init_bilstm_params, sequence_feature
+from .nnops import sub_params
 from .seeds import rng_for
 
 HEAD_ARITY = {task: len(classes) for task, classes in TASK_CLASSES.items()}
@@ -45,12 +44,6 @@ class ModelVariant:
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if min(self.bilstm_layers, self.hidden, self.head_hidden) < 1:
             raise ValueError("bilstm_layers, hidden, head_hidden must be >= 1")
-
-    @property
-    def required_sources(self) -> frozenset:
-        if self.kind == "capsen":
-            return frozenset({"caption", "text"})
-        return frozenset({"image", "text"})
 
 
 @dataclass(frozen=True)
@@ -81,26 +74,6 @@ class TrainConfig:
         base = {"epochs": DEFAULT_EPOCHS[kind], "learning_rate": DEFAULT_LR[kind]}
         base.update(overrides)
         return cls(**base)
-
-
-@dataclass(frozen=True)
-class TaskPredictions:
-    humor: np.ndarray
-    sarcasm: np.ndarray
-    motivation: np.ndarray
-    sentiment: np.ndarray
-
-    def __post_init__(self):
-        for task in TASKS:
-            got = len(getattr(self, task))
-            if got != HEAD_ARITY[task]:
-                raise ValueError(f"{task} head must emit {HEAD_ARITY[task]} probabilities, got {got}")
-
-    def task(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-    def as_dict(self) -> dict:
-        return {task: self.task(task) for task in TASKS}
 
 
 @dataclass
@@ -146,16 +119,6 @@ def init_classifier_params(variant: ModelVariant, d_in: int,
     return params
 
 
-def dense_softmax_head(features: np.ndarray, params: dict, n_classes: int) -> np.ndarray:
-    """Affine map then softmax; features may be a vector or a batch of rows."""
-    if n_classes not in (2, 3):
-        raise ValueError("n_classes must be 2 or 3")
-    w, b = params["w"], params["b"]
-    if w.shape[1] != n_classes:
-        raise ValueError(f"params emit {w.shape[1]} classes, wanted {n_classes}")
-    return softmax(features @ w + b, axis=-1)
-
-
 def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict):
     """x: (B, L, d) -> per-task probabilities and caches for backward."""
     layer_caches = []
@@ -174,20 +137,6 @@ def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict):
         probs[task] = np.exp(logp)
         heads[task] = (hidden, logp)
     return probs, (layer_caches, feat, heads, x.shape)
-
-
-def forward(variant: ModelVariant, fused, params: dict) -> TaskPredictions:
-    """Single fused sequence -> one probability vector per task head."""
-    if isinstance(fused, FusedRepresentation):
-        if fused.sources != variant.required_sources:
-            raise ValueError(
-                f"{variant.kind} expects rows from {sorted(variant.required_sources)}, "
-                f"fused input carries {sorted(fused.sources)}")
-        values = fused.values
-    else:
-        values = np.asarray(fused)
-    probs, _ = _batched_forward(values[None, :, :], variant, params)
-    return TaskPredictions(**{task: probs[task][0] for task in TASKS})
 
 
 def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> dict:
@@ -333,14 +282,60 @@ def save_checkpoint(path, variant: ModelVariant, params: dict, seed: int, epoch:
             fh.write(np.ascontiguousarray(params[k], dtype="<f4").tobytes())
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_header(path, header) -> None:
+    """Reject a malformed checkpoint header with a ValueError naming the field."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header must be a JSON object")
+    if header.get("format") != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    for name in ("variant", "seed", "epoch", "manifest"):
+        if name not in header:
+            raise ValueError(f"{path}: checkpoint header lacks field {name!r}")
+    for name in ("seed", "epoch"):
+        if not _is_int(header[name]):
+            raise ValueError(f"{path}: header field {name!r} must be an integer")
+    variant = header["variant"]
+    if not isinstance(variant, dict) or not isinstance(variant.get("kind"), str):
+        raise ValueError(f"{path}: header field 'variant' must be an object with a string 'kind'")
+    known = {f.name for f in fields(ModelVariant)}
+    for key, value in variant.items():
+        if key not in known:
+            raise ValueError(f"{path}: unknown header field 'variant.{key}'")
+        if key != "kind" and not _is_int(value):
+            raise ValueError(f"{path}: header field 'variant.{key}' must be an integer")
+    if not isinstance(header["manifest"], list):
+        raise ValueError(f"{path}: header field 'manifest' must be a list")
+    seen = set()
+    for entry in header["manifest"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)):
+            raise ValueError(f"{path}: manifest entry {entry!r} needs a string 'name' "
+                             "and a list 'shape'")
+        if entry["name"] in seen:
+            raise ValueError(f"{path}: manifest names {entry['name']!r} twice")
+        seen.add(entry["name"])
+        if not all(_is_int(n) and n >= 0 for n in entry["shape"]):
+            raise ValueError(f"{path}: manifest entry {entry['name']!r} has shape "
+                             f"{entry['shape']}; dims must be non-negative integers")
+
+
 def load_checkpoint(path):
-    """Returns (variant, params, meta) with meta = {"seed", "epoch"}."""
+    """Returns (variant, params, meta) with meta = {"seed", "epoch"}.
+
+    A malformed header raises ValueError naming the offending field.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint header is not JSON ({exc})") from exc
+    _check_header(path, header)
     variant = ModelVariant(**header["variant"])
     params = {}
     offset = 0

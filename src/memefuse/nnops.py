@@ -115,12 +115,6 @@ def attention_backward(d_out: np.ndarray, cache):
     return dq, dk, dv
 
 
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(q k^T / sqrt(dk)) v."""
-    out, _ = attention_forward(q, k, v)
-    return out
-
-
 def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """L x d -> n_heads x L x (d / n_heads)."""
     length, width = x.shape

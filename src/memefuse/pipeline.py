@@ -8,7 +8,6 @@ here, after encoding, on flattened fused sequences.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,18 +111,14 @@ def record_features(record_id: str, tokens: list[str], space: FeatureSpace,
 
 
 def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace, kind: str,
-                  workers: int = 1, images_by_id: dict | None = None) -> np.ndarray:
+                  images_by_id: dict | None = None) -> np.ndarray:
     """Encode records in id order -> (N, L, d) float32 tensor."""
 
     def one(rid):
         image = images_by_id.get(rid) if images_by_id else None
         return record_features(rid, tokens_by_id.get(rid, []), space, kind, image=image)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, ids))
-    else:
-        rows = [one(rid) for rid in ids]
+    rows = [one(rid) for rid in ids]
     if not rows:
         return np.zeros((0, space.fused_length(kind), space.fused_width(kind)),
                         dtype=np.float32)

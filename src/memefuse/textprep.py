@@ -41,21 +41,13 @@ def _is_emoji_char(ch: str) -> bool:
 class PreprocessConfig:
     emoji_lexicon: dict[str, str]
     vocabulary: set[str]
-    stemmer: str = "porter"
-    lowercase: bool = True
-    demojize: bool = True
-    strip_marks: bool = True
-    stem: bool = True
-    vocab_filter: bool = True
 
     def __post_init__(self):
-        if self.stemmer not in ("porter", "none"):
-            raise ValueError(f"unknown stemmer {self.stemmer!r}")
         for key, value in self.emoji_lexicon.items():
             if not _LEXICON_VALUE.match(value):
                 raise ValueError(f"lexicon value for {key!r} must be lowercase words, got {value!r}")
-        if self.vocab_filter and not self.vocabulary:
-            raise ValueError("vocabulary must be non-empty when the filter stage is enabled")
+        if not self.vocabulary:
+            raise ValueError("vocabulary must be non-empty")
 
     @cached_property
     def _filter_set(self) -> frozenset[str]:
@@ -140,28 +132,13 @@ def strip_handles_and_hashtags(text: str) -> str:
     return " ".join(kept)
 
 
-def stem(token: str, stemmer: str) -> str:
-    if stemmer == "none":
-        return token
-    if stemmer == "porter":
-        return porter_stem(token)
-    raise ValueError(f"unknown stemmer {stemmer!r}")
-
-
 def preprocess(raw: str, config: PreprocessConfig) -> CleanText:
     """Run the full pipeline on one raw inscription."""
-    text = raw
-    if config.lowercase:
-        text = text.lower()
-    if config.demojize:
-        text = _demojize_indexed(text, config.emoji_lexicon, config._lexicon_by_head)
-    if config.strip_marks:
-        text = strip_handles_and_hashtags(text)
-    tokens = _TOKEN.findall(text)
-    if config.stem:
-        tokens = [stem(t, config.stemmer) for t in tokens]
-    if config.vocab_filter:
-        tokens = [t for t in tokens if t in config._filter_set]
+    text = raw.lower()
+    text = _demojize_indexed(text, config.emoji_lexicon, config._lexicon_by_head)
+    text = strip_handles_and_hashtags(text)
+    tokens = [porter_stem(t) for t in _TOKEN.findall(text)]
+    tokens = [t for t in tokens if t in config._filter_set]
     return CleanText(tokens=tokens, original=raw)
 
 

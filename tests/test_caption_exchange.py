@@ -107,6 +107,30 @@ class TestEmbeddingExchange:
         with pytest.raises(ValueError, match="declares 2"):
             encode.import_embeddings(path)
 
+    @pytest.mark.parametrize("header, record, message", [
+        ('{"kind": "vector", "d": 2, "count": 1}', '{"shape": [2], "values": [0.0, 1.0]}',
+         "record 1 missing 'id'"),
+        ('{"kind": "vector", "d": 2, "count": 1}', '{"id": "x", "values": [0.0, 1.0]}',
+         "record 1 missing 'shape'"),
+        ('5', '{"id": "x", "shape": [2], "values": [0.0, 1.0]}',
+         "header must be a JSON object"),
+        ('{"kind": "vector", "d": 2, "count": 1}', '{"id": "x", "shape": [2], "values": [NaN, 1.0]}',
+         "record 'x' holds non-finite"),
+        ('{"kind": "vector", "d": 2, "count": 1}',
+         '{"id": "x", "shape": [2], "values": [Infinity, 1.0]}', "record 'x' holds non-finite"),
+        ('{"kind": "vector", "d": 2, "count": 1}', '["x", [2], [0.0, 1.0]]',
+         "record 1 must be a JSON object"),
+        ('{"kind": "vector", "d": 2, "count": 1}', '{"id": "x", "shape": [2], "values": ["a", 1]}',
+         "record 'x' values are not numbers"),
+    ], ids=["no-id", "no-shape", "scalar-header", "nan", "infinity", "list-record",
+            "text-values"])
+    def test_malformed_record_rejected(self, tmp_path, header, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n" + record + "\n")
+        with pytest.raises(ValueError, match=message) as exc:
+            encode.import_embeddings(path)
+        assert str(path) in str(exc.value)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         path.write_text('{"kind": "vector", "d": 1, "count": 2}\n'

@@ -92,14 +92,6 @@ class TestPreprocess:
         cli.main(["preprocess", "--dataset", str(small_csv), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_do_not_change_bytes(self, small_csv, tmp_path):
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        cli.main(["preprocess", "--dataset", str(small_csv), "--out", str(a)])
-        cli.main(["preprocess", "--dataset", str(small_csv), "--out", str(b),
-                  "--workers", "3"])
-        assert a.read_bytes() == b.read_bytes()
-
     def test_missing_lexicon_exits_2(self, small_csv, tmp_path, capsys):
         rc = cli.main(["preprocess", "--dataset", str(small_csv),
                        "--out", str(tmp_path / "x.jsonl"),
@@ -159,6 +151,12 @@ class TestTrain:
         assert len(records) == 1
         assert set(records[0]) >= {"epoch", "loss"}
 
+    def test_workers_flag_rejected(self, small_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--dataset", str(small_csv), "--variant", "imgsen",
+                      "--checkpoint", str(tmp_path / "x.ckpt"), "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_numeric_failure_exits_3(self, small_csv, tmp_path, capsys, monkeypatch):
         def explode(*a, **k):
             raise NumericError("non-finite gradient in head.humor.w1")
@@ -213,6 +211,27 @@ class TestEval:
                              "--checkpoint", str(trained)]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("defect, field", [
+        (lambda h: {**h, "variant": {**h["variant"], "bogus": 1}}, "variant.bogus"),
+        (lambda h: {k: v for k, v in h.items() if k != "manifest"}, "manifest"),
+        (lambda h: {**h, "variant": "imgsen"}, "variant"),
+        (lambda h: [h], "header"),
+        (lambda h: {**h, "manifest": [{**h["manifest"][0], "shape": [-1, 4]}]
+                    + h["manifest"][1:]}, "shape [-1, 4]"),
+    ], ids=["extra-variant-key", "no-manifest", "variant-string", "list-header",
+            "negative-shape"])
+    def test_malformed_checkpoint_header_exits_2(self, small_csv, trained, tmp_path,
+                                                 capsys, defect, field):
+        header_line, blob = trained.read_bytes().split(b"\n", 1)
+        header = defect(json.loads(header_line))
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        rc = cli.main(["eval", "--dataset", str(small_csv), "--checkpoint", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
 
 
 class TestEmbeddingsPath:

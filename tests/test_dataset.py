@@ -13,7 +13,6 @@ from memefuse.dataset import (
     RowError,
     Schema,
     SchemaError,
-    class_distribution,
     load_dataset,
     raw_distribution,
     split,
@@ -134,32 +133,31 @@ def _records(n, cls_of):
 
 
 class TestDistributions:
-    def test_even_synthetic_counts(self):
-        recs = _records(10, lambda i: (
-            "funny" if i < 5 else "not_funny", "sarcastic",
-            "motivational", "positive"))
-        dist = class_distribution(recs, "humor")
-        assert dist.counts == {"funny": 5, "not_funny": 5}
+    def test_even_synthetic_counts(self, tmp_path):
+        rows = [(f"{i}.jpg", "t", "funny" if i < 5 else "not_funny", "sarcastic",
+                 "motivational", "positive") for i in range(10)]
+        dist = raw_distribution(_write_csv(tmp_path / "a.csv", rows), _schema(), "humor")
+        assert dist.counts == {"funny": 5, "not_funny": 5, "very_funny": 0}
         assert dist.total == 10
 
-    def test_counts_sum_to_n(self):
+    def test_counts_sum_to_n(self, tmp_path):
         rng = np.random.default_rng(0)
         picks = rng.integers(0, 3, size=37)
         sent = ("positive", "neutral", "negative")
-        recs = _records(37, lambda i: ("funny", "sarcastic", "motivational",
-                                       sent[picks[i]]))
-        dist = class_distribution(recs, "sentiment")
+        rows = [(f"{i}.jpg", "t", "funny", "sarcastic", "motivational", sent[p])
+                for i, p in enumerate(picks)]
+        dist = raw_distribution(_write_csv(tmp_path / "a.csv", rows), _schema(), "sentiment")
         assert dist.total == 37
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            class_distribution([], "humor")
+    def test_empty_records_rejected(self, tmp_path):
+        path = _write_csv(tmp_path / "empty.csv", [])
+        with pytest.raises(ValueError, match="empty"):
+            raw_distribution(path, _schema(), "humor")
 
-    def test_unknown_task_rejected(self):
-        recs = _records(2, lambda i: ("funny", "sarcastic", "motivational",
-                                      "positive"))
-        with pytest.raises(ValueError):
-            class_distribution(recs, "offensiveness")
+    def test_unknown_task_rejected(self, tmp_path):
+        path = _write_csv(tmp_path / "a.csv", [GOOD_ROW])
+        with pytest.raises(ValueError, match="unknown task"):
+            raw_distribution(path, _schema(), "offensiveness")
 
     def test_raw_distribution_keeps_declared_levels(self, tmp_path):
         rows = [
@@ -233,8 +231,8 @@ class TestFixtureFile:
         path = tmp_path / "memotion.csv"
         write_annotation_fixture(path)
         records = load_dataset(path, _schema())
-        dist = class_distribution(records, "humor")
-        assert dist.counts == {"funny": 4160 + 2201, "not_funny": 631}
+        funny = sum(r.labels.humor == "funny" for r in records)
+        assert (funny, len(records) - funny) == (4160 + 2201, 631)
 
     def test_mismatched_tallies_rejected(self, tmp_path):
         bad = {"humour": (("funny", 2),), "sarcasm": (("sarcastic", 3),),

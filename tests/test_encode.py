@@ -47,7 +47,8 @@ class TestTransformerBlock:
         rng = np.random.default_rng(1)
         p = encode.init_block_params(8, 2, rng, dtype=np.float64)
         x = rng.normal(size=(5, 8))
-        assert encode.transformer_block(x, p, n_heads=2).shape == (5, 8)
+        y, _ = encode.transformer_block_forward(x, p, n_heads=2)
+        assert y.shape == (5, 8)
 
     def test_zero_projections_give_identity(self):
         # with attn.wo and ffn.w2 zeroed both residual branches vanish
@@ -56,20 +57,23 @@ class TestTransformerBlock:
         p["attn.wo"] = np.zeros_like(p["attn.wo"])
         p["ffn.w2"] = np.zeros_like(p["ffn.w2"])
         x = rng.normal(size=(4, 8))
-        np.testing.assert_allclose(encode.transformer_block(x, p, 2), x, atol=1e-12)
+        y, _ = encode.transformer_block_forward(x, p, 2)
+        np.testing.assert_allclose(y, x, atol=1e-12)
 
     def test_grads(self):
         rng = np.random.default_rng(3)
         p = encode.init_block_params(6, 2, rng, dtype=np.float64)
         x = rng.normal(size=(4, 6))
         d = rng.normal(size=(4, 6))
+        causal = np.triu(np.full((4, 4), -np.inf), k=1)
 
-        def loss():
-            y, cache = encode.transformer_block_forward(x, p, 2)
-            dx, dp = encode.transformer_block_backward(d, cache)
-            return float(np.sum(y * d)), {"x": dx, **dp}
+        for mask in (None, causal):
+            def loss():
+                y, cache = encode.transformer_block_forward(x, p, 2, mask=mask)
+                dx, dp = encode.transformer_block_backward(d, cache)
+                return float(np.sum(y * d)), {"x": dx, **dp}
 
-        check_grads(loss, {"x": x, **p})
+            check_grads(loss, {"x": x, **p})
 
 
 class TestSpecValidation:
@@ -137,7 +141,8 @@ class TestTextEncoder:
         assert seq.shape == (1, 16)
         # null token row 0 plus position 0, through the same blocks
         x = params["tok_emb"][[0]] + params["pos"][:1]
-        expect = encode.transformer_block(x, nnops.sub_params(params, "blocks.0"), spec.n_heads)
+        expect, _ = encode.transformer_block_forward(x, nnops.sub_params(params, "blocks.0"),
+                                                     spec.n_heads)
         np.testing.assert_allclose(seq, expect, atol=1e-6)
 
     def test_sentence_embedding_width(self):

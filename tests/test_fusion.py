@@ -44,10 +44,6 @@ class TestFusedRepresentation:
         with pytest.raises(ValueError):
             fusion.FusedRepresentation(np.zeros((1, 2)), ("audio",))
 
-    def test_sources(self):
-        fused = fusion.fuse_first_axis(np.zeros((2, 2)), np.zeros((1, 2)))
-        assert fused.sources == frozenset({"image", "text"})
-
 
 class TestProject:
     def test_identity(self):

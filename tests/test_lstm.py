@@ -15,7 +15,7 @@ def _params(rng, d_in, hidden):
 def test_cell_shapes_and_state_range():
     rng = np.random.default_rng(42)
     p = _params(rng, 5, 3)
-    h, c = lstm.lstm_cell(rng.normal(size=(2, 5)), np.zeros((2, 3)), np.zeros((2, 3)), p)
+    h, c, _ = lstm.lstm_cell_forward(rng.normal(size=(2, 5)), np.zeros((2, 3)), np.zeros((2, 3)), p)
     assert h.shape == (2, 3) and c.shape == (2, 3)
     # h = o * tanh(c) with o in (0,1), so |h| < 1 always
     assert np.all(np.abs(h) < 1.0)
@@ -27,9 +27,9 @@ def test_forget_gate_closed_drops_cell():
     p["b"] = p["b"].copy()
     p["b"][3:6] = -50.0  # forget gate pinned shut
     c_prev = rng.normal(size=(1, 3)) * 10
-    _, c = lstm.lstm_cell(np.zeros((1, 4)), np.zeros((1, 3)), c_prev, p)
+    _, c, _ = lstm.lstm_cell_forward(np.zeros((1, 4)), np.zeros((1, 3)), c_prev, p)
     # new cell state owes nothing to c_prev
-    _, c_zero = lstm.lstm_cell(np.zeros((1, 4)), np.zeros((1, 3)), np.zeros((1, 3)), p)
+    _, c_zero, _ = lstm.lstm_cell_forward(np.zeros((1, 4)), np.zeros((1, 3)), np.zeros((1, 3)), p)
     np.testing.assert_allclose(c, c_zero, atol=1e-12)
 
 
@@ -96,17 +96,6 @@ def test_bilstm_grads():
     check_grads(loss, {"x": x, **params})
 
 
-def test_single_sequence_wrapper_matches_batched():
-    rng = np.random.default_rng(19)
-    params = lstm.init_bilstm_params(4, 3, rng, dtype=np.float64)
-    fwd = {k[4:]: v for k, v in params.items() if k.startswith("fwd.")}
-    bwd = {k[4:]: v for k, v in params.items() if k.startswith("bwd.")}
-    x = rng.normal(size=(6, 4))
-    out = lstm.bilstm(x, fwd, bwd)
-    batched, _ = lstm.bilstm_forward(x[None], params)
-    np.testing.assert_array_equal(out, batched[0])
-
-
 def test_palindrome_symmetry_with_tied_directions():
     # same params both ways on a palindromic input: the forward state after
     # reading x[..t] equals the backward state after reading x[L-1-t..]
@@ -114,7 +103,9 @@ def test_palindrome_symmetry_with_tied_directions():
     one = lstm.init_lstm_params(3, 2, rng, dtype=np.float64)
     x = rng.normal(size=(3, 3))
     pal = np.concatenate([x, x[::-1][1:]], axis=0)  # length 5 palindrome
-    out = lstm.bilstm(pal, one, one)
+    tied = {f"{direction}.{k}": v for direction in ("fwd", "bwd") for k, v in one.items()}
+    batched, _ = lstm.bilstm_forward(pal[None], tied)
+    out = batched[0]
     length, hidden = pal.shape[0], 2
     for t in range(length):
         np.testing.assert_allclose(out[t, :hidden], out[length - 1 - t, hidden:], atol=1e-12)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from memefuse import model
-from memefuse.model import (ModelVariant, NumericError, TaskPredictions,
-                            TrainConfig, TrainSet)
+from memefuse import TASKS, model
+from memefuse.lstm import lstm_cell_forward
+from memefuse.model import ModelVariant, NumericError, TrainConfig, TrainSet
 from fdcheck import check_grads
 
 
@@ -27,8 +27,6 @@ class TestConfigTypes:
             ModelVariant("imgcap")
         with pytest.raises(ValueError):
             ModelVariant("imgtxt", hidden=0)
-        assert ModelVariant("capsen").required_sources == {"caption", "text"}
-        assert ModelVariant("imgsen").required_sources == {"image", "text"}
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
@@ -45,11 +43,6 @@ class TestConfigTypes:
         assert capsen.epochs == 75 and capsen.learning_rate == 3e-4
         assert TrainConfig.for_variant("capsen", epochs=2).epochs == 2
 
-    def test_task_predictions_arity(self):
-        TaskPredictions(np.ones(2) / 2, np.ones(2) / 2, np.ones(2) / 2, np.ones(3) / 3)
-        with pytest.raises(ValueError):
-            TaskPredictions(np.ones(3) / 3, np.ones(2) / 2, np.ones(2) / 2, np.ones(3) / 3)
-
     def test_trainset_validation(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(4, 3, 2)).astype(np.float32)
@@ -64,45 +57,16 @@ class TestConfigTypes:
 class TestLstmCellContract:
     def test_zero_params_zero_cell(self):
         p = {"wx": np.zeros((3, 8)), "wh": np.zeros((2, 8)), "b": np.zeros(8)}
-        h, c = model.lstm_cell(np.ones(3), np.zeros(2), np.zeros(2), p)
+        h, c, _ = lstm_cell_forward(np.ones(3), np.zeros(2), np.zeros(2), p)
         np.testing.assert_array_equal(h, np.zeros(2))
         np.testing.assert_array_equal(c, np.zeros(2))
 
     def test_zero_params_halves_cell(self):
         p = {"wx": np.zeros((3, 8)), "wh": np.zeros((2, 8)), "b": np.zeros(8)}
         v = np.array([0.4, -1.2])
-        h, c = model.lstm_cell(np.ones(3), np.zeros(2), v, p)
+        h, c, _ = lstm_cell_forward(np.ones(3), np.zeros(2), v, p)
         np.testing.assert_allclose(c, 0.5 * v, atol=1e-12)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * v), atol=1e-12)
-
-
-class TestDenseSoftmaxHead:
-    def test_zero_weights_uniform(self):
-        p = {"w": np.zeros((4, 3)), "b": np.zeros(3)}
-        np.testing.assert_allclose(model.dense_softmax_head(np.ones(4), p, 3),
-                                   np.full(3, 1 / 3), atol=1e-12)
-
-    def test_equal_logits_half(self):
-        p = {"w": np.zeros((2, 2)), "b": np.zeros(2)}
-        np.testing.assert_allclose(model.dense_softmax_head(np.zeros(2), p, 2),
-                                   [0.5, 0.5], atol=1e-15)
-
-    def test_matches_exp_oracle(self):
-        rng = np.random.default_rng(5)
-        feats = rng.normal(size=6)
-        p = {"w": rng.normal(size=(6, 3)), "b": rng.normal(size=3)}
-        got = model.dense_softmax_head(feats, p, 3)
-        logits = feats @ p["w"] + p["b"]
-        expect = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(got, expect, atol=1e-12)
-        assert abs(got.sum() - 1.0) < 1e-12
-
-    def test_arity_checked(self):
-        p = {"w": np.zeros((2, 4)), "b": np.zeros(4)}
-        with pytest.raises(ValueError):
-            model.dense_softmax_head(np.zeros(2), p, 4)
-        with pytest.raises(ValueError):
-            model.dense_softmax_head(np.zeros(2), {"w": np.zeros((2, 3)), "b": np.zeros(3)}, 2)
 
 
 class TestForward:
@@ -110,32 +74,23 @@ class TestForward:
         variant = ModelVariant(kind, bilstm_layers=2, hidden=4, head_hidden=4)
         rng = np.random.default_rng(9)
         params = model.init_classifier_params(variant, 6, rng)
-        x = rng.normal(size=(5, 6)).astype(np.float32)
+        x = rng.normal(size=(1, 5, 6)).astype(np.float32)
         return variant, params, x
 
     def test_arities_and_normalization(self):
         variant, params, x = self._setup()
-        preds = model.forward(variant, x, params)
-        assert [len(preds.task(t)) for t in ("humor", "sarcasm", "motivation", "sentiment")] == [2, 2, 2, 3]
-        for task, probs in preds.as_dict().items():
+        preds = model.predict_proba(variant, x, params)
+        assert [preds[t].shape for t in TASKS] == [(1, 2), (1, 2), (1, 2), (1, 3)]
+        for task, probs in preds.items():
             assert abs(probs.sum() - 1.0) < 1e-6
             assert np.all(probs >= 0) and np.all(probs <= 1)
 
     def test_deterministic(self):
         variant, params, x = self._setup()
-        a = model.forward(variant, x, params)
-        b = model.forward(variant, x, params)
-        for task in a.as_dict():
-            np.testing.assert_array_equal(a.task(task), b.task(task))
-
-    def test_provenance_checked(self):
-        from memefuse.fusion import fuse_first_axis
-        variant, params, x = self._setup(kind="capsen")
-        wrong = fuse_first_axis(x[:3], x[3:], a_tag="image", b_tag="text")
-        with pytest.raises(ValueError, match="capsen"):
-            model.forward(variant, wrong, params)
-        right = fuse_first_axis(x[:3], x[3:], a_tag="caption", b_tag="text")
-        model.forward(variant, right, params)
+        a = model.predict_proba(variant, x, params)
+        b = model.predict_proba(variant, x, params)
+        for task in TASKS:
+            np.testing.assert_array_equal(a[task], b[task])
 
 
 class TestLossAndGrads:
@@ -294,11 +249,11 @@ class TestCheckpoint:
         assert sorted(params2) == sorted(params)
         for k in params:
             np.testing.assert_array_equal(params2[k], params[k])
-        x = rng.normal(size=(5, 6)).astype(np.float32)
-        a = model.forward(variant, x, params)
-        b = model.forward(variant2, x, params2)
-        for task in a.as_dict():
-            np.testing.assert_array_equal(a.task(task), b.task(task))
+        x = rng.normal(size=(1, 5, 6)).astype(np.float32)
+        a = model.predict_proba(variant, x, params)
+        b = model.predict_proba(variant2, x, params2)
+        for task in TASKS:
+            np.testing.assert_array_equal(a[task], b[task])
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -83,7 +83,7 @@ def test_attention_output_shape_and_rows():
     q = rng.normal(size=(5, 8))
     k = rng.normal(size=(7, 8))
     v = rng.normal(size=(7, 3))
-    out = nnops.attention(q, k, v)
+    out, _ = nnops.attention_forward(q, k, v)
     assert out.shape == (5, 3)
     # each output row is a convex combination of value rows
     lo = v.min(axis=0) - 1e-12
@@ -96,15 +96,15 @@ def test_attention_uniform_when_keys_equal():
     q = rng.normal(size=(4, 6))
     k = np.tile(rng.normal(size=(1, 6)), (5, 1))
     v = rng.normal(size=(5, 2))
-    out = nnops.attention(q, k, v)
+    out, _ = nnops.attention_forward(q, k, v)
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (4, 1)), atol=1e-12)
 
 
 def test_attention_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        nnops.attention(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros((4, 2)))
+        nnops.attention_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        nnops.attention(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 2)))
+        nnops.attention_forward(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 2)))
 
 
 def test_attention_grads():

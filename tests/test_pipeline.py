@@ -5,7 +5,7 @@ import pytest
 
 from memefuse import TASKS, TASK_CLASSES
 from memefuse.dataset import LabelSet, MemeRecord
-from memefuse.encode import EncoderSpec, encode_image
+from memefuse.encode import EncoderSpec, encode_image, generate_caption
 from memefuse.pipeline import (
     DEFAULT_IMAGE_HW,
     build_feature_space,
@@ -97,6 +97,28 @@ class TestToyImage:
         assert np.all(img >= 0.0) and np.all(img < 1.0)
 
 
+# Captions the fixture ids decode to, pinning the captioner's decoder stack
+# (shared pre-norm self-attention block, cross-attention, output layer).
+# Seed 0 yields exactly these two captions over all 6992 fixture ids; seed 7 one.
+_CAPTION_A = ["group", "glasses", "screen", "screen", "screen", "screen", "screen", "screen"]
+_CAPTION_B = ["screen", "shirt", "table", "shirt", "table", "shirt", "table", "shirt"]
+_GOLDEN_CAPTIONS = {
+    0: {"meme_0000.jpg": _CAPTION_A, "meme_0001.jpg": _CAPTION_B,
+        "meme_0002.jpg": _CAPTION_A, "meme_0003.jpg": _CAPTION_B},
+    7: {"meme_0000.jpg": ["woman"] * 8, "meme_0001.jpg": ["woman"] * 8},
+}
+
+
+class TestGoldenCaptions:
+    @pytest.mark.parametrize("seed", sorted(_GOLDEN_CAPTIONS))
+    def test_fixture_ids_decode_to_recorded_captions(self, seed):
+        space = build_feature_space(seed=seed)
+        for rid, caption in _GOLDEN_CAPTIONS[seed].items():
+            image = toy_image(rid, hw=space.image_hw)
+            assert generate_caption(image, space.caption_params,
+                                    max_len=space.caption_len) == caption, rid
+
+
 class TestEncodeCorpus:
     def test_rows_follow_id_order(self, space):
         ids = ["b", "a", "c"]
@@ -106,13 +128,6 @@ class TestEncodeCorpus:
         for i, rid in enumerate(ids):
             np.testing.assert_array_equal(
                 feats[i], record_features(rid, toks[rid], space, "imgsen"))
-
-    def test_workers_do_not_change_result(self, space):
-        ids = [f"id{i}" for i in range(6)]
-        toks = {rid: [rid, "word"] for rid in ids}
-        serial = encode_corpus(ids, toks, space, "imgtxt", workers=1)
-        threaded = encode_corpus(ids, toks, space, "imgtxt", workers=3)
-        np.testing.assert_array_equal(serial, threaded)
 
     def test_empty_corpus_keeps_declared_shape(self, space):
         feats = encode_corpus([], {}, space, "capsen")

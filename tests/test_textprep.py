@@ -11,7 +11,8 @@ import pytest
 from memefuse import bundled_data
 from memefuse.textprep import (CleanText, PreprocessConfig, demojize,
                                load_lexicon, load_vocabulary, preprocess,
-                               stem, strip_handles_and_hashtags)
+                               strip_handles_and_hashtags)
+from memefuse.porter import porter_stem
 
 LEXICON = {
     "\U0001F602": "face with tears of joy",
@@ -120,26 +121,15 @@ class TestStripMarks:
 
 class TestStemOp:
     def test_porter_mode(self):
-        assert stem("running", "porter") == "run"
-        assert stem("cat", "porter") == "cat"
-
-    def test_identity_mode(self):
-        assert stem("running", "none") == "running"
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            stem("running", "snowball")
+        assert porter_stem("running") == "run"
+        assert porter_stem("cat") == "cat"
 
     def test_uppercase_rejected(self):
         with pytest.raises(ValueError):
-            stem("Running", "porter")
+            porter_stem("Running")
 
 
 class TestConfig:
-    def test_bad_stemmer_rejected(self):
-        with pytest.raises(ValueError):
-            PreprocessConfig(emoji_lexicon={}, vocabulary={"a"}, stemmer="x")
-
     def test_lexicon_values_must_be_lowercase_words(self):
         with pytest.raises(ValueError):
             PreprocessConfig(emoji_lexicon={"x": "Fire!"}, vocabulary={"a"})
@@ -147,16 +137,6 @@ class TestConfig:
     def test_empty_vocab_with_filter_rejected(self):
         with pytest.raises(ValueError):
             PreprocessConfig(emoji_lexicon={}, vocabulary=set())
-
-    def test_filter_off_allows_out_of_vocab(self):
-        config = PreprocessConfig(emoji_lexicon={}, vocabulary=set(),
-                                  vocab_filter=False)
-        assert preprocess("xylophone zebras", config).tokens == ["xylophon", "zebra"]
-
-    def test_stemming_off(self):
-        config = PreprocessConfig(emoji_lexicon={}, vocabulary={"running"},
-                                  stem=False)
-        assert preprocess("running", config).tokens == ["running"]
 
     def test_single_word_vocab(self):
         config = PreprocessConfig(emoji_lexicon={}, vocabulary={"hello"})
