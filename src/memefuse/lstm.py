@@ -1,7 +1,8 @@
 """LSTM cell and bidirectional sequence layer with explicit backward passes.
 
 Gate layout inside the packed 4H weight matrices is input, forget,
-candidate, output.  Sequence functions run batched over (B, L, d).
+candidate, output.  Sequence functions take and return batch-major
+(B, L, .) arrays and keep their caches time-major (L, B, .).
 """
 
 from __future__ import annotations
@@ -23,34 +24,59 @@ def init_lstm_params(d_in: int, hidden: int, rng: np.random.Generator,
     return p
 
 
+def _gates(a: np.ndarray) -> tuple:
+    """The i, f, g, o blocks of a packed (.., 4H) array, as views."""
+    hidden = a.shape[-1] // 4
+    return tuple(a[..., k * hidden:(k + 1) * hidden] for k in range(4))
+
+
+def _cell_step(z, c_prev, gates, c, tc, h) -> None:
+    """The forward gate math of one step, shared by the cell and the sequence path.
+
+    Activates the packed pre-activations z (.., 4H) into ``gates`` and writes
+    c = f * c_prev + i * g, tc = tanh(c) and h = o * tc into ``c``, ``tc``
+    and ``h``.
+    """
+    gates[...] = sigmoid(z)
+    i, f, g, o = _gates(gates)
+    np.tanh(_gates(z)[2], out=g)
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
+
+
+def _gate_grads(d_h, d_c, c_prev, gates, tc, d_gates):
+    """The backward gate math of one step, shared by the cell and the sequence path.
+
+    Writes the gradient of the packed pre-activations into ``d_gates``
+    (.., 4H) and returns the gradient of c_prev.
+    """
+    i, f, g, o = _gates(gates)
+    d_i, d_f, d_g, d_o = _gates(d_gates)
+    dc = d_c + d_h * o * (1.0 - tc**2)
+    np.multiply(dc * g * i, 1.0 - i, out=d_i)
+    np.multiply(dc * c_prev * f, 1.0 - f, out=d_f)
+    np.multiply(dc * i, 1.0 - g**2, out=d_g)
+    np.multiply(d_h * tc * o, 1.0 - o, out=d_o)
+    return dc * f
+
+
 def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: dict):
-    hidden = h_prev.shape[-1]
-    z = x @ p["wx"] + h_prev @ p["wh"] + p["b"]
-    i = sigmoid(z[..., :hidden])
-    f = sigmoid(z[..., hidden:2 * hidden])
-    g = np.tanh(z[..., 2 * hidden:3 * hidden])
-    o = sigmoid(z[..., 3 * hidden:])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, g, o, tc, p)
+    z = x @ p["wx"] + p["b"] + h_prev @ p["wh"]
+    state_shape = z.shape[:-1] + (h_prev.shape[-1],)
+    gates = np.empty_like(z)
+    c, tc, h = (np.empty(state_shape, dtype=z.dtype) for _ in range(3))
+    _cell_step(z, c_prev, gates, c, tc, h)
+    return h, c, (x, h_prev, c_prev, gates, tc, p)
 
 
 def lstm_cell_backward(d_h: np.ndarray, d_c: np.ndarray, cache):
-    x, h_prev, c_prev, i, f, g, o, tc, p = cache
-    dc = d_c + d_h * o * (1.0 - tc**2)
-    d_gates = np.concatenate(
-        [
-            dc * g * i * (1.0 - i),
-            dc * c_prev * f * (1.0 - f),
-            dc * i * (1.0 - g**2),
-            d_h * tc * o * (1.0 - o),
-        ],
-        axis=-1,
-    )
+    x, h_prev, c_prev, gates, tc, p = cache
+    d_gates = np.empty_like(gates)
+    dc_prev = _gate_grads(d_h, d_c, c_prev, gates, tc, d_gates)
     dx = d_gates @ p["wx"].T
     dh_prev = d_gates @ p["wh"].T
-    dc_prev = dc * f
     dp = {
         "wx": x.T @ d_gates,
         "wh": h_prev.T @ d_gates,
@@ -59,33 +85,68 @@ def lstm_cell_backward(d_h: np.ndarray, d_c: np.ndarray, cache):
     return dx, dh_prev, dc_prev, dp
 
 
-def lstm_seq_forward(x: np.ndarray, p: dict):
-    """x: (B, L, d) -> hidden states (B, L, H), zero initial state."""
-    batch, length, _ = x.shape
+def _steps(length: int, reverse: bool):
+    """The time order of the step loop, and where a step's state sits in a
+    padded (L + 1, ..) buffer relative to the state it follows.
+
+    h_t lives at row t + cur and its predecessor at row t + prev; the pad
+    row (0 forward, L reversed) holds the zero initial state.
+    """
+    if reverse:
+        return range(length - 1, -1, -1), 0, 1
+    return range(length), 1, 0
+
+
+def lstm_seq_forward(x: np.ndarray, p: dict, reverse: bool = False):
+    """x: (B, L, d) -> hidden states (B, L, H) from a zero initial state, and a cache.
+
+    With ``reverse`` the cell reads x[:, L-1] first, so row t holds the state
+    after reading x[:, t:].  The input projection x @ wx + b runs as one GEMM
+    over all L*B rows; the step loop keeps only the recurrent GEMM and the
+    gate math.  States, cells, gates and tanh(c) go to time-major (L, B, .)
+    buffers, and the returned states are a (B, L, H) view of one of them.
+    """
+    batch, length, d_in = x.shape
     hidden = p["wh"].shape[0]
-    h = np.zeros((batch, hidden), dtype=x.dtype)
-    c = np.zeros((batch, hidden), dtype=x.dtype)
-    hs = np.empty((batch, length, hidden), dtype=x.dtype)
-    caches = []
-    for t in range(length):
-        h, c, cache = lstm_cell_forward(x[:, t, :], h, c, p)
-        hs[:, t, :] = h
-        caches.append(cache)
-    return hs, caches
+    xt = np.ascontiguousarray(x.transpose(1, 0, 2))
+    zx = (xt.reshape(length * batch, d_in) @ p["wx"]).reshape(length, batch, 4 * hidden)
+    zx += p["b"]  # in place: a second L*B-row temporary costs more than the add
+    hs = np.zeros((length + 1, batch, hidden), dtype=zx.dtype)
+    cs = np.zeros_like(hs)
+    gates = np.empty_like(zx)
+    tc = np.empty((length, batch, hidden), dtype=zx.dtype)
+    steps, cur, prev = _steps(length, reverse)
+    for t in steps:
+        z = hs[t + prev] @ p["wh"]
+        z += zx[t]
+        _cell_step(z, cs[t + prev], gates[t], cs[t + cur], tc[t], hs[t + cur])
+    cache = (xt, hs, cs, gates, tc, p, reverse)
+    return hs[cur:cur + length].transpose(1, 0, 2), cache
 
 
-def lstm_seq_backward(d_hs: np.ndarray, caches):
-    batch, length, hidden = d_hs.shape
-    p = caches[0][-1]
-    dx = np.empty((batch, length, p["wx"].shape[0]), dtype=d_hs.dtype)
-    dp = {k: np.zeros_like(v, dtype=d_hs.dtype) for k, v in p.items()}
+def lstm_seq_backward(d_hs: np.ndarray, cache):
+    """d_hs: (B, L, H) -> (dx (B, L, d), param grads) for lstm_seq_forward.
+
+    The loop runs the recurrence only: per step the element-wise gate
+    gradients into one (L, B, 4H) buffer and the recurrent d_gates @ wh.T.
+    dx, dwx, dwh and db are then each one GEMM or sum over L*B rows.
+    """
+    xt, hs, cs, gates, tc, p, reverse = cache
+    length, batch, hidden = tc.shape
+    steps, cur, prev = _steps(length, reverse)
+    d_gates = np.empty_like(gates)
     dh = np.zeros((batch, hidden), dtype=d_hs.dtype)
-    dc = np.zeros((batch, hidden), dtype=d_hs.dtype)
-    for t in reversed(range(length)):
-        dxt, dh, dc, step_dp = lstm_cell_backward(d_hs[:, t, :] + dh, dc, caches[t])
-        dx[:, t, :] = dxt
-        for k in dp:
-            dp[k] += step_dp[k]
+    dc = np.zeros_like(dh)
+    for t in reversed(steps):
+        dc = _gate_grads(d_hs[:, t] + dh, dc, cs[t + prev], gates[t], tc[t], d_gates[t])
+        dh = d_gates[t] @ p["wh"].T
+    flat = d_gates.reshape(length * batch, 4 * hidden)
+    dx = (flat @ p["wx"].T).reshape(length, batch, xt.shape[-1]).transpose(1, 0, 2)
+    dp = {
+        "wx": xt.reshape(length * batch, xt.shape[-1]).T @ flat,
+        "wh": hs[prev:prev + length].reshape(length * batch, hidden).T @ flat,
+        "b": flat.sum(axis=0),
+    }
     return dx, dp
 
 
@@ -103,19 +164,27 @@ def bilstm_forward(x: np.ndarray, params: dict):
 
     Row t holds the forward pass's state after reading x[..t] and the
     backward pass's state after reading x[t..] (input reversed in time).
+    The output is a view of time-major memory, so a stacked layer reads
+    it without another transpose.
     """
-    hs_f, caches_f = lstm_seq_forward(x, sub_params(params, "fwd"))
-    hs_b_rev, caches_b = lstm_seq_forward(x[:, ::-1, :], sub_params(params, "bwd"))
-    out = np.concatenate([hs_f, hs_b_rev[:, ::-1, :]], axis=-1)
-    return out, (caches_f, caches_b)
+    batch, length, _ = x.shape
+    # both directions read the same time-major copy of x
+    x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    hs_f, cache_f = lstm_seq_forward(x, sub_params(params, "fwd"))
+    hs_b, cache_b = lstm_seq_forward(x, sub_params(params, "bwd"), reverse=True)
+    hidden = hs_f.shape[-1]
+    out = np.empty((length, batch, 2 * hidden), dtype=hs_f.dtype).transpose(1, 0, 2)
+    out[..., :hidden] = hs_f
+    out[..., hidden:] = hs_b
+    return out, (cache_f, cache_b)
 
 
 def bilstm_backward(d_out: np.ndarray, cache):
-    caches_f, caches_b = cache
+    cache_f, cache_b = cache
     hidden = d_out.shape[-1] // 2
-    dx_f, dp_f = lstm_seq_backward(np.ascontiguousarray(d_out[..., :hidden]), caches_f)
-    dx_b_rev, dp_b = lstm_seq_backward(np.ascontiguousarray(d_out[:, ::-1, hidden:]), caches_b)
-    dx = dx_f + dx_b_rev[:, ::-1, :]
+    dx, dp_f = lstm_seq_backward(d_out[..., :hidden], cache_f)
+    dx_b, dp_b = lstm_seq_backward(d_out[..., hidden:], cache_b)
+    dx += dx_b
     d_params = {f"fwd.{k}": v for k, v in dp_f.items()}
     d_params.update({f"bwd.{k}": v for k, v in dp_b.items()})
     return dx, d_params

@@ -27,9 +27,13 @@ DEFAULT_LR = {"imgtxt": 1e-3, "imgsen": 1e-3, "capsen": 3e-4}
 
 CHECKPOINT_MAGIC = "memefuse-checkpoint"
 
+# Rows per forward pass in predict_proba: the training batch size, which
+# bounds the forward caches to one batch's worth.
+PREDICT_CHUNK = 256
+
 
 class NumericError(RuntimeError):
-    """Raised when training math produces non-finite values."""
+    """Raised when training math or prediction input holds non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -140,9 +144,22 @@ def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict):
 
 
 def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> dict:
-    """Batch of fused sequences (B, L, d) -> {task: (B, K) probabilities}."""
-    probs, _ = _batched_forward(np.asarray(features), variant, params)
-    return probs
+    """Batch of fused sequences (B, L, d) -> {task: (B, K) probabilities}.
+
+    Runs PREDICT_CHUNK rows at a time, so memory for the forward caches
+    stays that of one chunk whatever B is.  A row with a non-finite
+    feature raises NumericError naming it.
+    """
+    features = np.asarray(features)
+    chunks = []
+    # max(.., 1): zero rows still take one (empty) pass, for the output shapes
+    for start in range(0, max(features.shape[0], 1), PREDICT_CHUNK):
+        x = features[start:start + PREDICT_CHUNK]
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=(1, 2)))
+        if bad.size:
+            raise NumericError(f"non-finite feature in row {start + int(bad[0])}")
+        chunks.append(_batched_forward(x, variant, params)[0])
+    return {task: np.concatenate([c[task] for c in chunks]) for task in TASKS}
 
 
 def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: dict,
@@ -152,7 +169,7 @@ def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: d
     Each head averages over its labeled samples; label -1 masks a sample
     out of that head.  Gradients cover every parameter (flat dict).
     """
-    probs, (layer_caches, feat, heads, _) = _batched_forward(x, variant, params)
+    probs, (layer_caches, feat, heads, out_shape) = _batched_forward(x, variant, params)
     batch = x.shape[0]
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     d_feat = np.zeros_like(feat)
@@ -177,8 +194,7 @@ def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: d
         grads[f"head.{task}.b1"] += d_hidden.sum(axis=0)
         d_feat += d_hidden @ hp["w1"].T
     half = variant.hidden
-    seq_len = len(layer_caches[-1][0])
-    d_out = np.zeros((batch, seq_len, 2 * half), dtype=x.dtype)
+    d_out = np.zeros(out_shape, dtype=x.dtype)
     d_out[:, -1, :half] = d_feat[:, :half]
     d_out[:, 0, half:] += d_feat[:, half:]
     for i in reversed(range(variant.bilstm_layers)):
@@ -323,10 +339,55 @@ def _check_header(path, header) -> None:
                              f"{entry['shape']}; dims must be non-negative integers")
 
 
+def _param_shapes(variant: ModelVariant, d_in: int):
+    """Yield (name, shape) of every tensor init_classifier_params makes for the variant."""
+    hidden, head = variant.hidden, variant.head_hidden
+    width = d_in
+    for i in range(variant.bilstm_layers):
+        for direction in ("fwd", "bwd"):
+            pre = f"bilstm.{i}.{direction}."
+            yield pre + "wx", (width, 4 * hidden)
+            yield pre + "wh", (hidden, 4 * hidden)
+            yield pre + "b", (4 * hidden,)
+        width = 2 * hidden
+    for task in TASKS:
+        pre = f"head.{task}."
+        yield pre + "w1", (2 * hidden, head)
+        yield pre + "b1", (head,)
+        yield pre + "w2", (head, HEAD_ARITY[task])
+        yield pre + "b2", (HEAD_ARITY[task],)
+
+
+def _check_manifest(path, variant: ModelVariant, manifest: list) -> None:
+    """Reject a manifest that does not list exactly the variant's tensors and shapes.
+
+    The input width is the one free dimension; it comes from the first
+    layer's ``wx``.  The scan stops at the first missing name, so a header
+    claiming absurdly many layers costs no more than its manifest.
+    """
+    have = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
+    first = have.get("bilstm.0.fwd.wx") or (0,)
+    want = {}
+    for name, shape in _param_shapes(variant, first[0]):
+        if name not in have:
+            raise ValueError(f"{path}: checkpoint lacks tensor {name!r} "
+                             f"of variant {variant.kind!r}")
+        want[name] = shape
+    for name in have:
+        if name not in want:
+            raise ValueError(f"{path}: unexpected tensor {name!r} "
+                             f"for variant {variant.kind!r}")
+    for name, shape in want.items():
+        if have[name] != shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {list(have[name])}, "
+                             f"the variant needs {list(shape)}")
+
+
 def load_checkpoint(path):
     """Returns (variant, params, meta) with meta = {"seed", "epoch"}.
 
-    A malformed header raises ValueError naming the offending field.
+    A malformed header, or a manifest that does not list exactly the
+    variant's tensors, raises ValueError naming the offending field or tensor.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -337,6 +398,7 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: checkpoint header is not JSON ({exc})") from exc
     _check_header(path, header)
     variant = ModelVariant(**header["variant"])
+    _check_manifest(path, variant, header["manifest"])
     params = {}
     offset = 0
     for entry in header["manifest"]:

@@ -219,8 +219,17 @@ class TestEval:
         (lambda h: [h], "header"),
         (lambda h: {**h, "manifest": [{**h["manifest"][0], "shape": [-1, 4]}]
                     + h["manifest"][1:]}, "shape [-1, 4]"),
+        (lambda h: {**h, "manifest": h["manifest"][:-1]}, "lacks tensor 'head.sentiment.w2'"),
+        (lambda h: {**h, "manifest": h["manifest"] + [{"name": "head.extra.w", "shape": [0]}]},
+         "unexpected tensor 'head.extra.w'"),
+        (lambda h: {**h, "manifest": h["manifest"][:-1]
+                    + [{**h["manifest"][-1], "shape": h["manifest"][-1]["shape"][::-1]}]},
+         "tensor 'head.sentiment.w2' has shape"),
+        (lambda h: {**h, "variant": {**h["variant"], "bilstm_layers": 10**9}},
+         "lacks tensor 'bilstm.2.fwd.wx'"),
     ], ids=["extra-variant-key", "no-manifest", "variant-string", "list-header",
-            "negative-shape"])
+            "negative-shape", "missing-tensor", "unexpected-tensor", "wrong-shape",
+            "absurd-layer-count"])
     def test_malformed_checkpoint_header_exits_2(self, small_csv, trained, tmp_path,
                                                  capsys, defect, field):
         header_line, blob = trained.read_bytes().split(b"\n", 1)
@@ -231,6 +240,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+    def test_non_finite_features_exit_3(self, small_csv, trained, capsys, monkeypatch):
+        real = cli._corpus_features
+
+        def poisoned(*args):
+            features = real(*args).copy()
+            features[1, 0, 0] = np.nan
+            return features
+
+        monkeypatch.setattr(cli, "_corpus_features", poisoned)
+        rc = cli.main(["eval", "--dataset", str(small_csv), "--checkpoint", str(trained)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "row 1" in err
         assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from memefuse import lstm
 from fdcheck import check_grads
@@ -65,6 +66,39 @@ def test_seq_grads():
         return float(np.sum(hs * d)), {"x": dx, **dp}
 
     check_grads(loss, {"x": x, **p})
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_seq_matches_cell_loop(reverse):
+    # uneven shapes so a swapped batch, time or feature axis cannot pass
+    rng = np.random.default_rng(19)
+    batch, length, d_in, hidden = 3, 5, 4, 2
+    p = _params(rng, d_in, hidden)
+    x = rng.normal(size=(batch, length, d_in))
+    d_hs = rng.normal(size=(batch, length, hidden))
+    hs, cache = lstm.lstm_seq_forward(x, p, reverse=reverse)
+    dx, dp = lstm.lstm_seq_backward(d_hs, cache)
+
+    order = list(reversed(range(length))) if reverse else list(range(length))
+    h = c = np.zeros((batch, hidden))
+    want_hs = np.zeros_like(hs)
+    cell_caches = []
+    for t in order:
+        h, c, cell_cache = lstm.lstm_cell_forward(x[:, t], h, c, p)
+        want_hs[:, t] = h
+        cell_caches.append((t, cell_cache))
+    want_dx = np.zeros_like(x)
+    want_dp = {k: np.zeros_like(v) for k, v in p.items()}
+    dh = dc = np.zeros((batch, hidden))
+    for t, cell_cache in reversed(cell_caches):
+        want_dx[:, t], dh, dc, step_dp = lstm.lstm_cell_backward(d_hs[:, t] + dh, dc, cell_cache)
+        for k in want_dp:
+            want_dp[k] += step_dp[k]
+
+    np.testing.assert_allclose(hs, want_hs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+    for k in p:
+        np.testing.assert_allclose(dp[k], want_dp[k], rtol=0, atol=1e-12, err_msg=k)
 
 
 def test_bilstm_output_layout():

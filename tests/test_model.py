@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,52 @@ class TestForward:
         b = model.predict_proba(variant, x, params)
         for task in TASKS:
             np.testing.assert_array_equal(a[task], b[task])
+
+    def test_non_finite_feature_names_row(self):
+        variant, params, _ = self._setup()
+        x = np.random.default_rng(4).normal(size=(model.PREDICT_CHUNK + 9, 5, 6))
+        bad = model.PREDICT_CHUNK + 7
+        x[bad, 3, 2] = np.inf
+        x[bad + 1, 0, 0] = np.nan
+        with pytest.raises(NumericError, match=f"row {bad}$"):
+            model.predict_proba(variant, x.astype(np.float32), params)
+
+
+class TestPredictChunks:
+    def _setup(self):
+        variant = ModelVariant("imgsen", bilstm_layers=2, hidden=4, head_hidden=4)
+        rng = np.random.default_rng(12)
+        return variant, model.init_classifier_params(variant, 6, rng), rng
+
+    def test_chunked_matches_row_at_a_time(self):
+        variant, params, rng = self._setup()
+        n = 2 * model.PREDICT_CHUNK + 3
+        x = rng.normal(size=(n, 4, 6)).astype(np.float32)
+        whole = model.predict_proba(variant, x, params)
+        assert [whole[t].shape for t in TASKS] == [(n, 2), (n, 2), (n, 2), (n, 3)]
+        for row in range(n):
+            one = model.predict_proba(variant, x[row:row + 1], params)
+            for task in TASKS:
+                np.testing.assert_allclose(whole[task][row], one[task][0], atol=1e-6)
+
+    def test_zero_rows(self):
+        variant, params, _ = self._setup()
+        probs = model.predict_proba(variant, np.zeros((0, 4, 6), np.float32), params)
+        assert [probs[t].shape for t in TASKS] == [(0, 2), (0, 2), (0, 2), (0, 3)]
+
+    def test_peak_memory_bounded_by_one_chunk(self):
+        variant, params, rng = self._setup()
+        x = rng.normal(size=(8 * model.PREDICT_CHUNK, 10, 6)).astype(np.float32)
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                model.predict_proba(variant, x[:rows], params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(len(x)) <= 1.5 * peak(model.PREDICT_CHUNK)
 
 
 class TestLossAndGrads:

@@ -5,6 +5,30 @@ from memefuse import nnops
 from fdcheck import check_grads, numeric_grad, rel_err
 
 
+def test_sigmoid_keeps_float32():
+    z = np.linspace(-6, 6, 25, dtype=np.float32)
+    assert nnops.sigmoid(z).dtype == np.float32
+
+
+def test_sigmoid_symmetry():
+    z = np.linspace(-30, 30, 601)
+    np.testing.assert_allclose(nnops.sigmoid(-z), 1.0 - nnops.sigmoid(z), rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_saturates_without_warnings(dtype):
+    z = np.array([-1e4, -100.0, 0.0, 100.0, 1e4], dtype=dtype)
+    with np.errstate(all="raise"):
+        s = nnops.sigmoid(z)
+    assert np.all((s >= 0) & (s <= 1))
+    assert s[0] == 0.0 and s[2] == 0.5 and s[-1] == 1.0
+
+
+def test_sigmoid_matches_exp_form():
+    z = np.linspace(-12, 12, 481)
+    np.testing.assert_allclose(nnops.sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=0, atol=1e-7)
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(5, 7))
