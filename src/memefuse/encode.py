@@ -46,19 +46,19 @@ class EncoderSpec:
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """H x W x C image -> (H/p * W/p) x (p*p*C) matrix of flattened patches.
+    """(..., H, W, C) images -> (..., H/p * W/p, p*p*C) flattened patches.
 
     Patches are taken row-major over the grid; each patch flattens in
-    row-major order as well.
+    row-major order as well.  Leading axes are batch axes.
     """
-    if image.ndim != 3:
+    if image.ndim < 3:
         raise ValueError(f"expected H x W x C image, got shape {image.shape}")
-    h, w, c = image.shape
+    *lead, h, w, c = image.shape
     p = patch_size
     if h % p or w % p:
         raise ValueError(f"image {h}x{w} not divisible into {p}x{p} patches")
-    grid = image.reshape(h // p, p, w // p, p, c)
-    return grid.transpose(0, 2, 1, 3, 4).reshape((h // p) * (w // p), p * p * c)
+    grid = image.reshape(*lead, h // p, p, w // p, p, c).swapaxes(-4, -3)
+    return grid.reshape(*lead, (h // p) * (w // p), p * p * c)
 
 
 def init_block_params(d_model: int, n_heads: int, rng: np.random.Generator,
@@ -165,11 +165,16 @@ def _run_blocks(x: np.ndarray, spec: EncoderSpec, params: dict) -> np.ndarray:
 
 
 def encode_image(image: np.ndarray, spec: EncoderSpec, params: dict) -> np.ndarray:
-    """H x W x C pixel array -> n_patches x d_model feature sequence."""
+    """(..., H, W, C) pixel arrays -> (..., n_patches, d_model) feature sequences.
+
+    A batch runs through the blocks as one (B, n_patches, d_model) tensor;
+    numpy's stacked matmul runs the same per-image GEMMs, so each image
+    encodes bit for bit as it does alone.
+    """
     patches = patchify(np.asarray(image, dtype=params["patch_embed.w"].dtype), spec.patch_size)
-    if patches.shape[0] != params["pos"].shape[0]:
+    if patches.shape[-2] != params["pos"].shape[0]:
         raise ValueError(
-            f"{patches.shape[0]} patches but positions for {params['pos'].shape[0]}")
+            f"{patches.shape[-2]} patches but positions for {params['pos'].shape[0]}")
     x = patches @ params["patch_embed.w"] + params["patch_embed.b"] + params["pos"]
     return _run_blocks(x, spec, params)
 
@@ -180,21 +185,43 @@ def token_id(word: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> int:
     return int.from_bytes(digest, "little") % (vocab_size - 1) + 1
 
 
+def text_ids(tokens, spec: EncoderSpec, vocab_size: int = DEFAULT_VOCAB_SIZE) -> tuple:
+    """The ids the text encoder reads: at most max_tokens of them, and the
+    single null token for an empty list, so there is always at least one."""
+    return tuple(token_id(t, vocab_size) for t in tokens[:spec.max_tokens]) or (0,)
+
+
+def encode_ids(ids: np.ndarray, spec: EncoderSpec, params: dict) -> np.ndarray:
+    """(..., L) token ids -> (..., L, d_model) feature sequences.
+
+    Every row of a batch has the same L, so no padding or mask is needed.
+    """
+    x = params["tok_emb"][ids] + params["pos"][:ids.shape[-1]]
+    return _run_blocks(x, spec, params)
+
+
+def pool_sentence(seq: np.ndarray, params: dict) -> np.ndarray:
+    """(..., L, d_model) sequences -> (..., 768): mean over L, then project.
+
+    The projection multiplies (1, d_model) rows one at a time, as a stacked
+    matmul; a 2-D (B, d_model) GEMM would round differently from one text.
+    """
+    pooled = seq.mean(axis=-2)[..., None, :]
+    return (pooled @ params["sent_proj.w"])[..., 0, :] + params["sent_proj.b"]
+
+
 def encode_tokens(tokens: list[str], spec: EncoderSpec, params: dict) -> np.ndarray:
     """Token list -> L x d_model feature sequence, L clipped to max_tokens.
 
     An empty token list encodes as the single null token, so L >= 1.
     """
-    vocab_size = params["tok_emb"].shape[0]
-    ids = [token_id(t, vocab_size) for t in tokens[:spec.max_tokens]] or [0]
-    x = params["tok_emb"][ids] + params["pos"][:len(ids)]
-    return _run_blocks(x, spec, params)
+    ids = np.array(text_ids(tokens, spec, params["tok_emb"].shape[0]))
+    return encode_ids(ids, spec, params)
 
 
 def encode_sentence(tokens: list[str], spec: EncoderSpec, params: dict) -> np.ndarray:
     """Whole-text embedding: mean-pool token features, project to 768 dims."""
-    seq = encode_tokens(tokens, spec, params)
-    return seq.mean(axis=0) @ params["sent_proj.w"] + params["sent_proj.b"]
+    return pool_sentence(encode_tokens(tokens, spec, params), params)
 
 
 # --- caption generation ----------------------------------------------------
@@ -210,11 +237,11 @@ DEFAULT_CAPTION_WORDS = (
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
-    """Valid convolution, x: H x W x Cin, w: kh x kw x Cin x Cout."""
+    """Valid convolution, x: B x H x W x Cin, w: kh x kw x Cin x Cout."""
     kh, kw = w.shape[0], w.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
-    win = win[::stride, ::stride]
-    return np.einsum("hwcij,ijco->hwo", win, w) + b
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]
+    return np.einsum("bhwcij,ijco->bhwo", win, w) + b
 
 
 def init_caption_decoder_params(d_model: int = 32, n_layers: int = 1, n_heads: int = 2,
@@ -257,49 +284,69 @@ def init_caption_decoder_params(d_model: int = 32, n_layers: int = 1, n_heads: i
     return params
 
 
-def _image_features(image: np.ndarray, p: dict) -> np.ndarray:
-    x = np.asarray(image, dtype=p["conv1.w"].dtype)
-    if x.ndim != 3 or x.shape[2] != p["conv1.w"].shape[2]:
-        raise ValueError(f"captioner expects H x W x {p['conv1.w'].shape[2]} image")
+def _image_features(images: np.ndarray, p: dict) -> np.ndarray:
+    """B x H x W x C images -> B x positions x d_model conv features."""
+    x = np.asarray(images, dtype=p["conv1.w"].dtype)
+    if x.ndim != 4 or x.shape[-1] != p["conv1.w"].shape[2]:
+        raise ValueError(f"captioner expects B x H x W x {p['conv1.w'].shape[2]} images")
     h1 = nnops.gelu(_conv2d(x, p["conv1.w"], p["conv1.b"], stride=2))
     h2 = nnops.gelu(_conv2d(h1, p["conv2.w"], p["conv2.b"], stride=2))
-    return h2.reshape(-1, h2.shape[-1])
+    return h2.reshape(h2.shape[0], -1, h2.shape[-1])
 
 
-def _decoder_step(x: np.ndarray, feats: np.ndarray, p: dict) -> np.ndarray:
-    """Run the decoder stack over prefix rows x; returns logits for the last row."""
-    length = x.shape[0]
+def _decoder_step(x: np.ndarray, memory: list, p: dict) -> np.ndarray:
+    """Run the decoder stack over B x t prefix rows; returns B x vocab logits
+    for the last row.  ``memory`` holds each layer's cross-attention
+    (keys, values) heads over the image features."""
+    length = x.shape[-2]
     causal = np.triu(np.full((length, length), -np.inf, dtype=x.dtype), k=1)
-    for i in range(p["n_layers"]):
+    for i, kv in enumerate(memory):
         x, _ = transformer_block_forward(x, nnops.sub_params(p, f"self.{i}"), p["n_heads"],
                                          mask=causal)
         cp = nnops.sub_params(p, f"cross.{i}")
         n, _ = nnops.layernorm_forward(x, cp["ln.g"], cp["ln.b"])
-        a, _ = nnops.mha_forward(n, feats, cp, p["n_heads"])
+        a, _ = nnops.mha_attend(n, kv, cp, p["n_heads"])
         x = x + a
-    logits = x[-1] @ p["out.w"] + p["out.b"]
-    return logits
+    # (B, 1, d) rows one at a time, like a single image's last row
+    return (x[:, -1:] @ p["out.w"])[:, 0] + p["out.b"]
 
 
-def generate_caption(image: np.ndarray, decoder_params: dict, max_len: int = 16) -> list[str]:
-    """Greedy decoding: emit the argmax word per step until the end token.
+def generate_captions(images: np.ndarray, decoder_params: dict,
+                      max_len: int = 16) -> list[list[str]]:
+    """Greedy decoding of B x H x W x C images together: every step emits
+    each row's argmax word, and a row leaves the batch at its end token.
 
-    Deterministic; returns at most max_len words.
+    The cross-attention keys and values are projected once per batch.
+    Deterministic; each caption has at most max_len words.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     p = decoder_params
-    feats = _image_features(image, p)
-    ids: list[int] = []
+    feats = _image_features(images, p)
+    memory = [nnops.mha_kv(feats, nnops.sub_params(p, f"cross.{i}"), p["n_heads"])[0]
+              for i in range(p["n_layers"])]
+    captions: list[list[str]] = [[] for _ in range(feats.shape[0])]
+    live = np.arange(feats.shape[0])
+    ids = np.zeros((feats.shape[0], 0), dtype=np.intp)
     for step in range(max_len):
-        rows = [p["start_emb"]] + [p["tok_emb"][i] for i in ids]
-        x = np.stack(rows) + p["pos"][:len(rows)]
-        logits = _decoder_step(x, feats, p)
-        nxt = int(np.argmax(logits))
-        if nxt == END_TOKEN:
-            break
-        ids.append(nxt)
-    return [p["words"][i - 1] for i in ids]
+        start = np.broadcast_to(p["start_emb"], (len(live), 1, p["start_emb"].shape[0]))
+        x = np.concatenate([start, p["tok_emb"][ids]], axis=1) + p["pos"][:step + 1]
+        nxt = np.argmax(_decoder_step(x, memory, p), axis=-1)
+        going = nxt != END_TOKEN
+        for row, word in zip(live[going], nxt[going]):
+            captions[row].append(p["words"][word - 1])
+        if not going.all():
+            live, ids = live[going], ids[going]
+            memory = [(k[going], v[going]) for k, v in memory]
+            if not len(live):
+                break
+        ids = np.concatenate([ids, nxt[going, None]], axis=1)
+    return captions
+
+
+def generate_caption(image: np.ndarray, decoder_params: dict, max_len: int = 16) -> list[str]:
+    """One H x W x C image's caption: generate_captions on a batch of one."""
+    return generate_captions(np.asarray(image)[None], decoder_params, max_len)[0]
 
 
 # --- embedding exchange ----------------------------------------------------

@@ -14,15 +14,18 @@ import numpy as np
 
 from . import TASKS, TASK_CLASSES
 from .balance import LabeledVectors, smote_oversample
-from .encode import (EncoderSpec, SENTENCE_DIM, encode_image, encode_sentence,
-                     encode_tokens, generate_caption, init_caption_decoder_params,
-                     init_image_encoder_params, init_text_encoder_params)
+from .encode import (EncoderSpec, SENTENCE_DIM, encode_ids, encode_image, generate_captions,
+                     init_caption_decoder_params, init_image_encoder_params,
+                     init_text_encoder_params, pool_sentence, text_ids)
 from .fusion import assemble_variant_input, init_projection
 from .model import HEAD_ARITY, TrainSet
 from .seeds import derive_seed, rng_for
 
 DEFAULT_IMAGE_HW = (32, 32)
 DEFAULT_CAPTION_LEN = 8
+# Records encoded together: enough to amortise numpy's per-call cost, few
+# enough that a chunk's activations stay small next to the corpus tensor.
+ENCODE_CHUNK = 256
 
 
 @dataclass
@@ -80,49 +83,85 @@ def _pad_rows(seq: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([seq, pad], axis=0)
 
 
+def _text_encoder(space: FeatureSpace, sentences: bool):
+    """texts -> per-text token sequences, or 768-dim sentence vectors.
+
+    Each distinct clipped token tuple is encoded once over the encoder's
+    life, and the new ones go through as one (G, L) batch per id count L,
+    so no padding or mask enters the encoder.
+    """
+    spec, params = space.spec, space.text_params
+    memo: dict = {}
+
+    def encode(texts: list) -> list:
+        keys = [tuple(t[:spec.max_tokens]) for t in texts]
+        by_length: dict = {}
+        for key in dict.fromkeys(keys):
+            if key not in memo:
+                by_length.setdefault(max(len(key), 1), []).append(key)
+        for group in by_length.values():
+            ids = np.array([text_ids(key, spec, params["tok_emb"].shape[0]) for key in group])
+            out = encode_ids(ids, spec, params)
+            memo.update(zip(group, pool_sentence(out, params) if sentences else out))
+        return [memo[key] for key in keys]
+
+    return encode
+
+
+def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: str,
+                  encode_texts) -> np.ndarray:
+    """B images and their token lists -> (B, L, d) fused float32 features."""
+    spec = space.spec
+    if kind == "capsen":
+        captions = generate_captions(images, space.caption_params, max_len=space.caption_len)
+        parts = [{"caption_sentence": c, "txt_sentence": t}
+                 for c, t in zip(encode_texts(captions), encode_texts(texts))]
+    elif kind == "imgtxt":
+        img = encode_image(images, spec, space.image_params)
+        parts = [{"img": i, "txt_tokens": _pad_rows(t, spec.max_tokens)}
+                 for i, t in zip(img, encode_texts(texts))]
+    elif kind == "imgsen":
+        img = encode_image(images, spec, space.image_params)
+        parts = [{"img": i, "txt_sentence": t, "projections": space.projections,
+                  "d_target": spec.d_model} for i, t in zip(img, encode_texts(texts))]
+    else:
+        raise ValueError(f"unknown variant {kind!r}")
+    return np.stack([assemble_variant_input(kind, **part).values for part in parts]
+                    ).astype(np.float32, copy=False)
+
+
 def record_features(record_id: str, tokens: list[str], space: FeatureSpace,
                     kind: str, image: np.ndarray | None = None) -> np.ndarray:
     """One record -> its fused feature matrix for the given variant.
 
-    Token sequences are zero-padded to max_tokens after encoding so every
-    record of a variant shares one shape.
+    The record goes through encode_corpus's batched path as a batch of
+    one, with ``image`` in place of its toy image when given.
     """
     if image is None:
         image = toy_image(record_id, hw=space.image_hw)
-    if kind == "imgtxt":
-        img = encode_image(image, space.spec, space.image_params)
-        txt = _pad_rows(encode_tokens(tokens, space.spec, space.text_params),
-                        space.spec.max_tokens)
-        fused = assemble_variant_input(kind, img=img, txt_tokens=txt)
-    elif kind == "imgsen":
-        img = encode_image(image, space.spec, space.image_params)
-        sent = encode_sentence(tokens, space.spec, space.text_params)
-        fused = assemble_variant_input(kind, img=img, txt_sentence=sent,
-                                       projections=space.projections,
-                                       d_target=space.spec.d_model)
-    elif kind == "capsen":
-        caption = generate_caption(image, space.caption_params, max_len=space.caption_len)
-        cap_sent = encode_sentence(caption, space.spec, space.text_params)
-        txt_sent = encode_sentence(tokens, space.spec, space.text_params)
-        fused = assemble_variant_input(kind, caption_sentence=cap_sent, txt_sentence=txt_sent)
-    else:
-        raise ValueError(f"unknown variant {kind!r}")
-    return fused.values.astype(np.float32)
+    encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
+    return _encode_chunk(np.asarray(image)[None], [tokens], space, kind, encode_texts)[0]
 
 
-def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace, kind: str,
-                  images_by_id: dict | None = None) -> np.ndarray:
-    """Encode records in id order -> (N, L, d) float32 tensor."""
+def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
+                  kind: str) -> np.ndarray:
+    """Encode records in id order -> (N, L, d) float32 tensor.
 
-    def one(rid):
-        image = images_by_id.get(rid) if images_by_id else None
-        return record_features(rid, tokens_by_id.get(rid, []), space, kind, image=image)
-
-    rows = [one(rid) for rid in ids]
-    if not rows:
-        return np.zeros((0, space.fused_length(kind), space.fused_width(kind)),
-                        dtype=np.float32)
-    return np.stack(rows)
+    Records go through the encoders ENCODE_CHUNK at a time: the images of a
+    chunk as one batch, the captions decoded together, and each distinct
+    token tuple (texts and captions alike) encoded once per call.  Token
+    sequences are zero-padded to max_tokens after encoding so every record
+    of a variant shares one shape.
+    """
+    out = np.empty((len(ids), space.fused_length(kind), space.fused_width(kind)),
+                   dtype=np.float32)
+    encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
+    for start in range(0, len(ids), ENCODE_CHUNK):
+        chunk = ids[start:start + ENCODE_CHUNK]
+        images = np.stack([toy_image(rid, hw=space.image_hw) for rid in chunk])
+        texts = [tokens_by_id.get(rid, []) for rid in chunk]
+        out[start:start + len(chunk)] = _encode_chunk(images, texts, space, kind, encode_texts)
+    return out
 
 
 def labels_from_records(records) -> dict:

@@ -64,6 +64,55 @@ class TestGenerateCaption:
             encode.generate_caption(np.zeros((16, 16, 1)), _identity_decoder())
 
 
+def _length_decoder(max_len=8):
+    """Identity decoder whose end-token logit reads the image.
+
+    A uniform image of value c gives every conv feature gelu(gelu(c));
+    cross-attention copies that into row dimension max_len (free of the
+    one-hot positions) and out.w makes it the end logit.  The word logit
+    falls from 1.5 by 0.25 a step, so brighter images stop sooner, and a
+    bright enough one ends at step 0.
+    """
+    p = _identity_decoder(d=16, max_len=max_len)
+    p["conv1.w"] = np.full_like(p["conv1.w"], 1.0 / 27)
+    p["conv2.w"] = np.full_like(p["conv2.w"], 1.0 / (9 * p["conv2.w"].shape[2]))
+    p["cross.0.wv"] = np.zeros_like(p["cross.0.wv"])
+    p["cross.0.wv"][0, 0] = 1.0
+    p["cross.0.wo"][0, max_len] = 1.0
+    p["out.w"][max_len, encode.END_TOKEN] = 1.0
+    for step in range(max_len):
+        p["out.w"][step, 1 + step % 3] = 1.5 - 0.25 * step
+    return p
+
+
+class TestBatchedCaptions:
+    def test_batch_matches_one_image_at_a_time(self):
+        p = _length_decoder()
+        images = np.stack([np.full((16, 16, 3), c) for c in (2.0, 0.0, 1.2, 0.7, 1.6, 0.9)])
+        alone = [encode.generate_caption(image, p, max_len=8) for image in images]
+        lengths = [len(c) for c in alone]
+        assert 0 in lengths and len(set(lengths)) == len(lengths)
+        assert encode.generate_captions(images, p, max_len=8) == alone
+        # and in another order, so finished rows leave from every position
+        order = [3, 0, 5, 2, 1, 4]
+        assert encode.generate_captions(images[order], p, max_len=8) == [alone[i] for i in order]
+
+    def test_every_row_ends_at_step_zero(self):
+        p = _length_decoder()
+        images = np.full((3, 16, 16, 3), 2.0)
+        assert encode.generate_captions(images, p, max_len=8) == [[], [], []]
+
+    def test_batch_of_real_decoder_matches_one_at_a_time(self):
+        p = encode.init_caption_decoder_params(seed=11)
+        images = np.stack([_toy_image(seed=s) for s in range(5)])
+        assert encode.generate_captions(images, p, max_len=6) == [
+            encode.generate_caption(image, p, max_len=6) for image in images]
+
+    def test_batch_wants_four_axes(self):
+        with pytest.raises(ValueError, match="B x H x W x 3"):
+            encode.generate_captions(_toy_image(), _identity_decoder())
+
+
 class TestEmbeddingExchange:
     def test_roundtrip_sequences(self, tmp_path):
         rng = np.random.default_rng(42)

@@ -109,6 +109,15 @@ class TestImageEncoder:
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
 
+    def test_batch_matches_one_image_at_a_time(self):
+        spec = EncoderSpec(d_model=16, n_layers=2, n_heads=2, patch_size=8, seed=5)
+        params = encode.init_image_encoder_params(spec, (16, 16))
+        images = np.random.default_rng(1).uniform(size=(2, 3, 16, 16, 3)).astype(np.float32)
+        batch = encode.encode_image(images, spec, params)
+        assert batch.shape == (2, 3, 4, 16)
+        for idx in np.ndindex(2, 3):
+            assert batch[idx].tobytes() == encode.encode_image(images[idx], spec, params).tobytes()
+
     def test_wrong_image_size_raises(self):
         spec = EncoderSpec(d_model=16, n_layers=1, n_heads=2, patch_size=8)
         params = encode.init_image_encoder_params(spec, (16, 16))
@@ -150,6 +159,17 @@ class TestTextEncoder:
         vec = encode.encode_sentence(["hello", "world"], spec, params)
         assert vec.shape == (768,)
         np.testing.assert_array_equal(vec, encode.encode_sentence(["hello", "world"], spec, params))
+
+    def test_batched_ids_match_one_text_at_a_time(self):
+        spec, params = self._setup()
+        texts = [["dog", "bites", "man"], ["man", "bites", "dog"], ["cat", "sat", "mat"]]
+        ids = np.array([encode.text_ids(t, spec, 64) for t in texts])
+        seqs = encode.encode_ids(ids, spec, params)
+        sents = encode.pool_sentence(seqs, params)
+        assert seqs.shape == (3, 3, 16) and sents.shape == (3, 768)
+        for i, tokens in enumerate(texts):
+            assert seqs[i].tobytes() == encode.encode_tokens(tokens, spec, params).tobytes()
+            assert sents[i].tobytes() == encode.encode_sentence(tokens, spec, params).tobytes()
 
     def test_order_sensitivity(self):
         spec, params = self._setup()

@@ -64,6 +64,35 @@ def test_gelu_grad():
     check_grads(loss, {"x": x})
 
 
+def _power_form_gelu(x):
+    c = float(np.sqrt(2.0 / np.pi))  # a Python float keeps float32 input in float32
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+def _power_form_gelu_backward(d_out, x):
+    c = float(np.sqrt(2.0 / np.pi))  # a Python float keeps float32 input in float32
+    t = np.tanh(c * (x + 0.044715 * x**3))
+    du = c * (1.0 + 3.0 * 0.044715 * x**2)
+    return d_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+
+
+def test_gelu_matches_power_form():
+    # products (x * x * x) in place of numpy's slow float32 power change rounding only
+    rng = np.random.default_rng(13)
+    x = np.concatenate([np.linspace(-10, 10, 20001), rng.normal(scale=3, size=1000)])
+    d = rng.normal(size=x.shape)
+    np.testing.assert_allclose(nnops.gelu(x), _power_form_gelu(x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(nnops.gelu_backward(d, x), _power_form_gelu_backward(d, x),
+                               rtol=0, atol=1e-12)
+    # float32 on [-10, 10]; the backward pass with a unit upstream gradient
+    x32, ones = x.astype(np.float32), np.ones(x.shape, dtype=np.float32)
+    assert nnops.gelu(x32).dtype == np.float32
+    assert nnops.gelu_backward(ones, x32).dtype == np.float32
+    np.testing.assert_allclose(nnops.gelu(x32), _power_form_gelu(x32), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(nnops.gelu_backward(ones, x32),
+                               _power_form_gelu_backward(ones, x32), rtol=0, atol=1e-6)
+
+
 def test_linear_grads():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 4))
@@ -204,3 +233,25 @@ def test_split_merge_heads_roundtrip():
     np.testing.assert_array_equal(nnops.merge_heads(nnops.split_heads(x, 3)), x)
     with pytest.raises(ValueError):
         nnops.split_heads(x, 5)
+
+
+def test_split_merge_heads_leading_axes():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(7, 12)).astype(np.float32)
+    heads = nnops.split_heads(x, 3)
+    # the 2-D case is the former reshape-then-transpose, bit for bit
+    old = x.reshape(7, 3, 4).transpose(1, 0, 2)
+    assert heads.shape == old.shape == (3, 7, 4)
+    assert heads.tobytes() == old.tobytes()
+    merged = nnops.merge_heads(heads)
+    assert merged.tobytes() == old.transpose(1, 0, 2).reshape(7, 12).tobytes()
+    for shape in ((5, 7, 12), (2, 5, 7, 12)):
+        batch = rng.normal(size=shape)
+        split = nnops.split_heads(batch, 3)
+        assert split.shape == shape[:-2] + (3, 7, 4)
+        np.testing.assert_array_equal(nnops.merge_heads(split), batch)
+        # every item splits exactly as it would alone
+        for idx in np.ndindex(*shape[:-2]):
+            np.testing.assert_array_equal(split[idx], nnops.split_heads(batch[idx], 3))
+    with pytest.raises(ValueError):
+        nnops.split_heads(np.zeros((2, 7, 12)), 5)

@@ -1,11 +1,13 @@
 """End-to-end feature assembly: records -> fused sequences -> balanced training set."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from memefuse import TASKS, TASK_CLASSES
+from memefuse import TASKS, TASK_CLASSES, pipeline
 from memefuse.dataset import LabelSet, MemeRecord
-from memefuse.encode import EncoderSpec, encode_image, generate_caption
+from memefuse.encode import EncoderSpec, encode_ids, encode_image, generate_caption
 from memefuse.pipeline import (
     DEFAULT_IMAGE_HW,
     build_feature_space,
@@ -133,6 +135,74 @@ class TestEncodeCorpus:
         feats = encode_corpus([], {}, space, "capsen")
         assert feats.shape == (0, 2, 768)
         assert feats.dtype == np.float32
+
+
+_GOLDEN_WORDS = ("cat", "dog", "when", "you", "monday", "coffee", "again", "boss", "meme",
+                 "why", "funny", "sad", "work", "sleep", "pizza", "friday", "code", "bug",
+                 "fix", "ship")
+
+
+def _golden_corpus():
+    """40 ids whose texts mix lengths 0-20, repeat tuples and miss one entry."""
+    ids = [f"golden_{i:02d}" for i in range(40)]
+    toks = {}
+    for i, rid in enumerate(ids):
+        length = (0, 1, 3, 5, 16, 20, 7, 2)[i % 8]
+        toks[rid] = [_GOLDEN_WORDS[(i * 7 + j * 3) % len(_GOLDEN_WORDS)] for j in range(length)]
+    for i in range(5, 40, 5):
+        toks[ids[i]] = list(toks[ids[i - 1]])
+    del toks[ids[39]]  # a record without tokens encodes like an empty list
+    return ids, toks
+
+
+# sha256 of encode_corpus(...).tobytes() on _golden_corpus(), build_feature_space(seed=0),
+# as produced by the record-at-a-time encoders the batched path replaced.
+_GOLDEN_FEATURES = {
+    "imgtxt": ((40, 20, 64), "493ba8f888fbbe69157df28dedaf2ed32b9036d746a341d13433807b31a8fcd6"),
+    "imgsen": ((40, 5, 64), "62f8d6a389b4be83b1ca4a41ee2ee9dee6a220aa7af6818f40ce68cdbb983446"),
+    "capsen": ((40, 2, 768), "1b306996550203c3f699a54eade51c0b4367d19bb00b4e6eb0f54abfe8cefdce"),
+}
+
+
+class TestGoldenFeatures:
+    def test_corpus_covers_the_edge_cases(self):
+        ids, toks = _golden_corpus()
+        lengths = {len(t) for t in toks.values()}
+        assert 0 in lengths and max(lengths) > 16 and len(lengths) >= 6
+        assert len({tuple(t) for t in toks.values()}) < len(toks)
+        assert any(rid not in toks for rid in ids)
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
+    def test_features_match_recorded_digest(self, space, kind):
+        ids, toks = _golden_corpus()
+        feats = encode_corpus(ids, toks, space, kind)
+        shape, digest = _GOLDEN_FEATURES[kind]
+        assert feats.shape == shape and feats.dtype == np.float32
+        assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
+    def test_chunk_boundaries_change_nothing(self, space, kind, monkeypatch):
+        monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        ids, toks = _golden_corpus()
+        feats = encode_corpus(ids, toks, space, kind)
+        assert hashlib.sha256(feats.tobytes()).hexdigest() == _GOLDEN_FEATURES[kind][1]
+
+    @pytest.mark.parametrize("kind", ["imgtxt", "imgsen"])
+    def test_each_distinct_text_encoded_once(self, space, kind, monkeypatch):
+        batches = []
+
+        def counting(ids, spec, params):
+            batches.append(ids.shape)
+            return encode_ids(ids, spec, params)
+
+        monkeypatch.setattr(pipeline, "encode_ids", counting)
+        monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        ids, toks = _golden_corpus()
+        encode_corpus(ids, toks, space, kind)
+        clipped = {tuple(toks.get(rid, [])[:space.spec.max_tokens]) for rid in ids}
+        assert sum(rows for rows, _ in batches) == len(clipped)
+        # at most one batch per id count in each of the 6 chunks
+        assert len(batches) <= 6 * len({max(len(t), 1) for t in clipped})
 
 
 class TestLabelsFromRecords:
