@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .model import NumericError
 from .seeds import rng_for
 
 DEFAULT_K = 5
@@ -56,9 +57,160 @@ def knn_indices(points: np.ndarray, query_index: int, k: int) -> np.ndarray:
     return order[:k]
 
 
+# Distinct query rows per Gram block: every (block, distinct rows)
+# temporary of the shortlist is bounded by this many rows.
+GRAM_BLOCK = 512
+# Elements per chunk of the exact rerank's differences (4 MB of float64).
+RERANK_ELEMENTS = 1 << 19
+_UNIT_ROUNDOFF = 2.0 ** -53
+_NORM_GUARD = np.finfo(np.float64).max / 16
+
+
+def _group_rows(points: np.ndarray):
+    """Group identical rows by their bytes.
+
+    Returns (members, starts, counts): ``members[starts[g]:starts[g] +
+    counts[g]]`` are the rows of group g in ascending order, and groups
+    are numbered in order of first appearance.
+    """
+    first: dict = {}
+    group = np.fromiter((first.setdefault(row.tobytes(), len(first)) for row in points),
+                        dtype=np.intp, count=len(points))
+    counts = np.bincount(group)
+    return np.argsort(group, kind="stable"), np.cumsum(counts) - counts, counts
+
+
+def _expand(members, starts, counts):
+    """Concatenate the member lists (starts[j], counts[j]); also each entry's j."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return members[starts[owner] + offset], owner
+
+
+def _norm_bounds(distinct: np.ndarray):
+    """Squared norms shifted down and up by a rounding slack, and rows with no bound.
+
+    For rows a, b with computed squared norms na ~ A = |a|^2, nb ~ B = |b|^2
+    and BLAS dot product p ~ P = a.b, the shortlist evaluates
+    fl(fl(xa - 2p) + xb), with x = fl(n - s) for the lower bound and
+    fl(n + s) for the upper, s = rel n + tiny.  Both bound E, the metric
+    as knn_indices computes it, fl(sum_j fl(fl(a_j - b_j)^2)).
+
+    With unit roundoff u and gamma_n = n u / (1 - n u) (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 3), each bound below holds
+    for any summation order, so also for BLAS and numpy's pairwise sums.
+    Let D = A + B - 2P = sum_j (a_j - b_j)^2 exactly.
+
+    - |na - A| <= gamma_d A, |nb - B| <= gamma_d B and |p - P| <=
+      gamma_d sum_j |a_j b_j| <= gamma_d (A + B) / 2, so
+      |na + nb - 2p - D| <= 2 gamma_d (A + B).
+    - E rounds each of its d nonnegative terms three times and sums them,
+      so |E - D| <= gamma_{d+2} D <= 2 gamma_{d+2} (A + B).
+    - Forming x and the two additions err by at most u (2|xa| + 4|p| +
+      |xb|) + u (na + nb) <= 5u (na + nb), to first order.
+    - A + B <= (na + nb) / (1 - gamma_d).
+
+    So sa + sb >= gamma_{4d+9} (na + nb) suffices to first order.  rel =
+    2 gamma_{5d+8} covers that with room for the second-order terms and
+    the rounding of s itself while (5d + 8) u << 1.  Underflow breaks the
+    relative bounds only in the 4d products (d in each norm, d in p, d in
+    E), each off by at most 2^-1075 (doubled in 2p); tiny covers them.
+    Below _NORM_GUARD nothing overflows (|p| <= (na + nb) / 2 and
+    D <= 2 (A + B)); rows whose norm is not below it get no bound.
+    """
+    d = distinct.shape[1]
+    n = 5 * d + 8
+    rel = 2.0 * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", distinct, distinct)
+        slack = rel * norms + 16.0 * (d + 1) * 2.0 ** -1074
+        return norms - slack, norms + slack, ~(norms < _NORM_GUARD)
+
+
+def _shortlist(distinct, bounds, counts, lo, hi, k):
+    """(query, candidate) pairs of distinct rows for queries lo..hi-1.
+
+    Keeps every distinct row whose lower bound on the exact distance is at
+    most the (k+1)-th smallest upper bound, counting each distinct row
+    once per copy and including the query's own group (distance exactly
+    0).  At least k copies other than the query itself lie within that
+    threshold, so no row beyond it can be among the k nearest.
+    """
+    low, high, unbounded = bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = distinct[lo:hi] @ distinct.T
+        lower *= -2.0
+        upper = lower + high[lo:hi, None]
+        upper += high
+        lower += low[lo:hi, None]
+        lower += low
+    lower[:, unbounded] = lower[unbounded[lo:hi]] = -np.inf
+    upper[:, unbounded] = upper[unbounded[lo:hi]] = np.inf
+    own = (np.arange(hi - lo), np.arange(lo, hi))
+    lower[own] = upper[own] = 0.0
+    # (k+1)-th smallest upper bound with multiplicity: it lies among the k+1
+    # smallest distinct rows, since each stands for at least one copy
+    kk = min(k, upper.shape[1] - 1)
+    near = np.argpartition(upper, kk, axis=1)[:, :kk + 1]
+    near_upper = np.take_along_axis(upper, near, axis=1)
+    order = np.argsort(near_upper, axis=1)
+    covered = np.cumsum(counts[np.take_along_axis(near, order, axis=1)], axis=1)
+    reach = np.argmax(covered > k, axis=1)
+    threshold = np.take_along_axis(near_upper, order, axis=1)[own[0], reach]
+    return np.nonzero(lower <= threshold[:, None])
+
+
+def _exact_d2(points, queries, candidates):
+    """knn_indices' squared distance for each (query, candidate) pair."""
+    out = np.empty(len(queries))
+    step = max(1, RERANK_ELEMENTS // points.shape[1])
+    for lo in range(0, len(queries), step):
+        part = slice(lo, lo + step)
+        out[part] = np.sum((points[candidates[part]] - points[queries[part]]) ** 2, axis=1)
+    return out
+
+
 def _neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
-    """Row i lists i's k nearest neighbors, same metric and tie rule as knn_indices."""
-    return np.stack([knn_indices(points, i, k) for i in range(points.shape[0])])
+    """Row i lists i's k nearest neighbors: knn_indices(points, i, k) for every i.
+
+    Same metric (squared Euclidean, float64, the same expression) and tie
+    rule (lower index first).  Identical rows are grouped by their bytes,
+    since they share every distance; the distinct rows are shortlisted
+    from Gram-form distances, one GEMM per GRAM_BLOCK queries, under a
+    rounding bound that keeps every row the exact metric could rank in
+    the first k; the shortlist is then ranked by the exact metric.  Rows
+    must be finite.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    m = points.shape[0]
+    if k >= m:
+        raise ValueError(f"k={k} needs at least {k + 1} points, have {m}")
+    members, starts, counts = _group_rows(points)
+    distinct = points[members[starts]]
+    bounds = _norm_bounds(distinct)
+    table = np.empty((m, k), dtype=np.intp)
+    for lo in range(0, len(distinct), GRAM_BLOCK):
+        hi = min(lo + GRAM_BLOCK, len(distinct))
+        query, cand = _shortlist(distinct, bounds, counts, lo, hi, k)
+        d2 = _exact_d2(distinct, lo + query, cand)
+        # every copy of each candidate, ranked per query by (distance, index)
+        idx, pair = _expand(members, starts[cand], counts[cand])
+        owner = query[pair]
+        order = np.lexsort((idx, d2[pair], owner))
+        first = np.searchsorted(owner[order], np.arange(hi - lo))
+        take = order[first[:, None] + np.arange(k + 1)]
+        top, top_d2 = idx[take], d2[pair[take]]
+        # each copy i of a query: knn_indices ranks i itself as (inf, i),
+        # so its own entry moves there; m pads rows that did not hold i
+        row, q = _expand(members, starts[lo:hi], counts[lo:hi])
+        ranked, ranked_d2 = top[q], top_d2[q]
+        is_self = ranked == row[:, None]
+        ranked_d2[is_self] = np.inf
+        ranked = np.column_stack([ranked, np.where(is_self.any(axis=1), m, row)])
+        ranked_d2 = np.column_stack([ranked_d2, np.full(len(row), np.inf)])
+        order = np.lexsort((ranked, ranked_d2), axis=1)
+        table[row] = np.take_along_axis(ranked, order, axis=1)[:, :k]
+    return table
 
 
 def smote_oversample(data: LabeledVectors, target_count: dict) -> LabeledVectors:
@@ -86,6 +238,10 @@ def smote_oversample(data: LabeledVectors, target_count: dict) -> LabeledVectors
             raise ValueError(f"class {cls!r} has {len(member_idx)} member(s); need 2 to interpolate")
         k = min(data.k, len(member_idx) - 1)
         members = feats[member_idx]
+        finite = np.isfinite(members).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"class {cls!r}: non-finite feature in row "
+                               f"{int(member_idx[np.argmin(finite)])}")
         neighbors = _neighbor_table(members, k)
         for _ in range(deficit):
             i = int(rng.integers(len(member_idx)))

@@ -179,7 +179,6 @@ def _add_common(sub, *, dataset=True, textprep=False, encoding=False):
     if encoding:
         sub.add_argument("--embeddings",
                          help="directory of exchange files replacing the toy encoders")
-        sub.add_argument("--k", type=int, default=5, help="oversampling neighbor count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = commands.add_parser("train", help="train one pipeline variant")
     _add_common(tr, textprep=True, encoding=True)
     tr.add_argument("--variant", required=True, choices=VARIANTS)
+    tr.add_argument("--k", type=int, default=5, help="oversampling neighbor count")
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--lr", type=float)
     tr.add_argument("--batch-size", type=int)

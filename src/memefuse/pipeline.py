@@ -182,6 +182,8 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5, seed: int
     precision) and carry only the balanced task's label; the other tasks
     see -1 and mask them out of their losses.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n, length, width = features.shape
     flat = features.reshape(n, length * width).astype(np.float64)
     out_feats = [features]

@@ -32,6 +32,66 @@ class TestKnnIndices:
             np.testing.assert_array_equal(knn_indices(pts, i, 7), oracle[i])
 
 
+def _family(name, rng, k):
+    """Seeded inputs on which a Gram-form shortlist could go wrong."""
+    m, d = int(rng.integers(k + 2, 70)), int(rng.integers(1, 24))
+    if name == "large_offset":  # |a|^2 + |b|^2 - 2a.b cancels nearly every digit
+        return 1e4 + rng.normal(0.0, 1e-3, size=(m, d))
+    if name == "integer_grid":  # dozens of distinct rows at exactly equal distances
+        return rng.integers(-1, 2, size=(m, int(rng.integers(2, 5)))).astype(np.float64)
+    if name == "equidistant":  # 1e3 +- 3 e_j: exact ties that the Gram form blurs
+        axes = 3.0 * np.vstack([np.eye(d + k + 8), -np.eye(d + k + 8)])
+        return 1e3 + axes[rng.permutation(len(axes))]
+    if name == "duplicate_heavy":  # each distinct row repeated more than k + 8 times
+        distinct = rng.normal(size=(int(rng.integers(1, 4)), d))
+        return distinct[rng.permutation(np.repeat(np.arange(len(distinct)), k + 9 + m % 5))]
+    if name == "signed_zeros":  # rows equal in value, distinct in bytes
+        rows = np.where(rng.random((m, d)) < 0.5, -0.0, 0.0)
+        rows[rng.random(m) < 0.2] = 1.0
+        return rows
+    if name == "float32_scaled":
+        return rng.normal(size=(m, d)).astype(np.float32).astype(np.float64) * 1e3
+    raise ValueError(name)
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("family", ["large_offset", "integer_grid", "equidistant",
+                                        "duplicate_heavy", "signed_zeros", "float32_scaled"])
+    def test_matches_exhaustive_oracle(self, family):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 9))
+            points = _family(family, rng, k)
+            table = balance._neighbor_table(points, k)
+            assert table.shape == (len(points), k) and table.dtype == np.intp
+            np.testing.assert_array_equal(table, brute_force_neighbors(points, k),
+                                          err_msg=f"{family}, seed {seed}")
+
+    def test_block_and_chunk_sizes_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        points = np.vstack([rng.integers(-1, 2, size=(40, 3)).astype(np.float64)] * 2)
+        expected = brute_force_neighbors(points, 6)
+        monkeypatch.setattr(balance, "GRAM_BLOCK", 7)
+        monkeypatch.setattr(balance, "RERANK_ELEMENTS", 5)
+        np.testing.assert_array_equal(balance._neighbor_table(points, 6), expected)
+
+    def test_overflowing_distances_follow_knn_indices(self):
+        # a distance that overflows ties with knn_indices' own inf entry, which
+        # then ranks the query among its neighbors; the table keeps that rule
+        rng = np.random.default_rng(8)
+        points = rng.normal(size=(12, 2)) * np.where(np.arange(12)[:, None] % 3, 1.0, 1e155)
+        points[5] = points[2]
+        with np.errstate(over="ignore"):
+            expected = np.stack([knn_indices(points, i, 6) for i in range(12)])
+            table = balance._neighbor_table(points, 6)
+        assert any(i in expected[i] for i in range(12))
+        np.testing.assert_array_equal(table, expected)
+
+    def test_k_too_large(self):
+        with pytest.raises(ValueError, match="k=3 needs at least 4 points"):
+            balance._neighbor_table(np.zeros((3, 2)), 3)
+
+
 class TestLabeledVectors:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -157,6 +157,31 @@ class TestTrain:
                       "--checkpoint", str(tmp_path / "x.ckpt"), "--workers", "2"])
         assert exc.value.code == 2
 
+    def test_k_flag_is_train_only(self, small_csv, trained):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--dataset", str(small_csv), "--checkpoint", str(trained),
+                      "--k", "3"])
+        assert exc.value.code == 2
+
+    def test_k_below_one_exits_2_without_deficit(self, tmp_path, capsys):
+        # one level per column: no class has a deficit, so nothing is oversampled
+        path = tmp_path / "balanced.csv"
+        write_annotation_fixture(path, {column: ((levels[0][0], 12),)
+                                        for column, levels in SMALL_TALLIES.items()})
+        rc = cli.main(["train", "--dataset", str(path), "--variant", "imgsen",
+                       "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"), "--k", "0"])
+        assert rc == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("lr", ["0", "-1e-3", "nan", "inf", "1e400"])
+    def test_bad_learning_rate_exits_2(self, small_csv, tmp_path, capsys, lr):
+        rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgsen",
+                       "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"), f"--lr={lr}"])
+        assert rc == 2
+        assert "learning_rate must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_numeric_failure_exits_3(self, small_csv, tmp_path, capsys, monkeypatch):
         def explode(*a, **k):
             raise NumericError("non-finite gradient in head.humor.w1")

@@ -8,6 +8,7 @@ import pytest
 from memefuse import TASKS, TASK_CLASSES, pipeline
 from memefuse.dataset import LabelSet, MemeRecord
 from memefuse.encode import EncoderSpec, encode_ids, encode_image, generate_caption
+from memefuse.model import NumericError
 from memefuse.pipeline import (
     DEFAULT_IMAGE_HW,
     build_feature_space,
@@ -164,6 +165,27 @@ _GOLDEN_FEATURES = {
 }
 
 
+def _golden_labels():
+    """Skewed labels for _golden_corpus(): class 0 leads every task."""
+    out = {}
+    for t, task in enumerate(TASKS):
+        arity, step = len(TASK_CLASSES[task]), t + 3
+        out[task] = np.array([0 if i % step else 1 + (i // step) % (arity - 1)
+                              for i in range(40)], dtype=np.int64)
+    return out
+
+
+# sha256 of build_training_set(encode_corpus(...), _golden_labels(), k=5, seed=0):
+# its features' bytes, then each task's labels' bytes in TASKS order, as produced
+# when the neighbor table still called knn_indices once per row.  The capsen
+# corpus holds 31 distinct rows among 40.
+_GOLDEN_TRAINING_SETS = {
+    "imgtxt": (155, "d3d0aabc345da243c0908be840a0913324ab59dcce303f6557058991d320295a"),
+    "imgsen": (155, "683a8861d90c9b7e8c106c940738330b916f0c743daf22b4056d0d641503ff01"),
+    "capsen": (155, "f7d51376dd7d76435cafb86ca54ee4b3d6d058e4050e5545cae12f74dc4bff06"),
+}
+
+
 class TestGoldenFeatures:
     def test_corpus_covers_the_edge_cases(self):
         ids, toks = _golden_corpus()
@@ -203,6 +225,18 @@ class TestGoldenFeatures:
         assert sum(rows for rows, _ in batches) == len(clipped)
         # at most one batch per id count in each of the 6 chunks
         assert len(batches) <= 6 * len({max(len(t), 1) for t in clipped})
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_TRAINING_SETS))
+    def test_training_set_matches_recorded_digest(self, space, kind):
+        ids, toks = _golden_corpus()
+        ts = build_training_set(encode_corpus(ids, toks, space, kind), _golden_labels(),
+                                k=5, seed=0)
+        digest = hashlib.sha256(ts.features.tobytes())
+        for task in TASKS:
+            digest.update(ts.labels[task].tobytes())
+        rows, expected = _GOLDEN_TRAINING_SETS[kind]
+        assert ts.features.shape[0] == rows
+        assert digest.hexdigest() == expected
 
 
 class TestLabelsFromRecords:
@@ -317,6 +351,20 @@ class TestBuildTrainingSet:
         sar = ts.labels["sarcasm"]
         assert int(np.sum(hum == 0)) == int(np.sum(hum == 1)) == 7
         assert int(np.sum(sar == 0)) == int(np.sum(sar == 1)) == 6
+
+    def test_non_finite_row_rejected(self):
+        feats, labels = _toy_imbalanced()
+        feats[13, 1, 2] = np.nan
+        with pytest.raises(NumericError, match="class 1: non-finite feature in row 13"):
+            build_training_set(feats, labels, k=3, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_without_deficit(self, k):
+        rng = np.random.default_rng(5)
+        feats = rng.normal(size=(4, 2, 3)).astype(np.float32)
+        labels = {task: np.array([0, 1, 0, 1], dtype=np.int64) for task in TASKS}
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            build_training_set(feats, labels, k=k, seed=0)
 
     def test_synthetics_lie_between_members(self):
         # every synthetic coordinate stays inside the minority bounding box
