@@ -213,11 +213,32 @@ def _neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
+def _overflowing_row(members: np.ndarray, neighbors: np.ndarray):
+    """First row whose table lists a neighbor at infinite squared distance, or None.
+
+    knn_indices ranks the query itself at distance inf, so a row can list
+    itself only when distances overflow; such an entry counts as well.
+    When no coordinate is large enough for any squared distance to
+    overflow, the pairs are not checked one by one.
+    """
+    m, k = neighbors.shape
+    with np.errstate(over="ignore"):
+        top = float(np.abs(members).max())
+        if 4.0 * members.shape[1] * top * top < _NORM_GUARD:
+            return None
+        query = np.repeat(np.arange(m), k)
+        cand = neighbors.reshape(-1)
+        bad = np.isinf(_exact_d2(members, query, cand)) | (cand == query)
+    return int(query[np.argmax(bad)]) if bad.any() else None
+
+
 def smote_oversample(data: LabeledVectors, target_count: dict) -> LabeledVectors:
     """Grow each class to its target by interpolating between neighbors.
 
     Draw order per synthetic row: class member, then neighbor, then
-    lambda, all from one stream seeded by data.seed.
+    lambda, all from one stream seeded by data.seed.  Each class's members
+    are interpolated in float64 and its synthetic rows cast back to the
+    input dtype.
     """
     feats = data.features
     labels = data.labels
@@ -237,23 +258,37 @@ def smote_oversample(data: LabeledVectors, target_count: dict) -> LabeledVectors
         if len(member_idx) < 2:
             raise ValueError(f"class {cls!r} has {len(member_idx)} member(s); need 2 to interpolate")
         k = min(data.k, len(member_idx) - 1)
-        members = feats[member_idx]
+        members = feats[member_idx].astype(np.float64, copy=False)
         finite = np.isfinite(members).all(axis=1)
         if not finite.all():
             raise NumericError(f"class {cls!r}: non-finite feature in row "
                                f"{int(member_idx[np.argmin(finite)])}")
-        neighbors = _neighbor_table(members, k)
-        for _ in range(deficit):
-            i = int(rng.integers(len(member_idx)))
-            j = int(neighbors[i][int(rng.integers(k))])
-            lam = rng.uniform()
-            x = members[i]
-            new_rows.append(x + lam * (members[j] - x))
-            new_labels.append(cls)
+        with np.errstate(over="ignore"):  # overflow is reported just below
+            neighbors = _neighbor_table(members, k)
+        row = _overflowing_row(members, neighbors)
+        if row is not None:
+            raise NumericError(f"class {cls!r}: squared distance from row "
+                               f"{int(member_idx[row])} to a listed neighbor overflows")
+        pick = np.empty(deficit, dtype=np.intp)
+        near = np.empty(deficit, dtype=np.intp)
+        lam = np.empty(deficit)
+        for r in range(deficit):
+            pick[r] = rng.integers(len(member_idx))
+            near[r] = neighbors[pick[r]][int(rng.integers(k))]
+            lam[r] = rng.uniform()
+        # x + lam (x_nn - x) in that order, so each row's bytes are those
+        # of the same expression on one row
+        rows = members[near]
+        x = members[pick]
+        rows -= x
+        rows *= lam[:, None]
+        rows += x
+        new_rows.append(rows.astype(feats.dtype))
+        new_labels.append(np.full(deficit, cls, dtype=labels.dtype))
     if not new_rows:
         return data
-    features = np.concatenate([feats, np.stack(new_rows).astype(feats.dtype)], axis=0)
-    labels_out = np.concatenate([labels, np.asarray(new_labels, dtype=labels.dtype)])
+    features = np.concatenate([feats, *new_rows], axis=0)
+    labels_out = np.concatenate([labels, *new_labels])
     return replace(data, features=features, labels=labels_out)
 
 

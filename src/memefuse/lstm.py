@@ -1,15 +1,64 @@
 """LSTM cell and bidirectional sequence layer with explicit backward passes.
 
-Gate layout inside the packed 4H weight matrices is input, forget,
-candidate, output.  Sequence functions take and return batch-major
-(B, L, .) arrays and keep their caches time-major (L, B, .).
+Gate layout inside the packed 4H weight matrices, as checkpoints and the
+cell functions keep them, is input, forget, candidate, output.  The
+bidirectional layer permutes its weights per call into a gate-major
+layout of its own (see bilstm_forward).  It takes and returns
+batch-major (B, L, .) arrays and keeps its caches time-major.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .nnops import sigmoid, sub_params
+from .nnops import sigmoid
+
+DIRECTIONS = ("fwd", "bwd")
+# The trunk's gate order i, f, o, g as positions of the packed i, f, g, o:
+# the three sigmoid gates sit side by side.  The permutation is its own inverse.
+TRUNK_GATES = [0, 1, 3, 2]
+# Rows (time steps x batch) per block of the input projection and of the
+# weight-gradient GEMMs: their scratch stays a fraction of the gate buffer,
+# and a block is still hot in cache when its GEMMs read it.
+PROJECTION_ROWS = 1024
+
+
+class Workspace:
+    """Named buffers the trunk reuses from one call to the next.
+
+    Each name owns a flat array that grows to the largest request made of
+    it; a request returns a contiguous view of its first elements, so a
+    smaller batch (the tail batch of an epoch, a short predict chunk)
+    reuses the memory of a full one.  ``scope(prefix)`` gives a view whose
+    ``buffer`` names carry the prefix (what one layer's backward pass reads
+    from its forward pass), while ``scratch`` names are shared by every
+    scope (what a call needs only while it runs).  Contents are undefined
+    until written.  One forward/backward pair may use a workspace at a time.
+    """
+
+    def __init__(self):
+        self._flat = {}
+        self._prefix = ""
+
+    def scope(self, prefix: str) -> "Workspace":
+        view = Workspace()
+        view._flat, view._prefix = self._flat, f"{self._prefix}{prefix}."
+        return view
+
+    def buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        return self._take(self._prefix + name, shape, dtype)
+
+    def scratch(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        return self._take("scratch." + name, shape, dtype)
+
+    def _take(self, key: str, shape: tuple, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[key] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
 
 
 def init_lstm_params(d_in: int, hidden: int, rng: np.random.Generator,
@@ -30,164 +79,225 @@ def _gates(a: np.ndarray) -> tuple:
     return tuple(a[..., k * hidden:(k + 1) * hidden] for k in range(4))
 
 
-def _cell_step(z, c_prev, gates, c, tc, h) -> None:
-    """The forward gate math of one step, shared by the cell and the sequence path.
-
-    Activates the packed pre-activations z (.., 4H) into ``gates`` and writes
-    c = f * c_prev + i * g, tc = tanh(c) and h = o * tc into ``c``, ``tc``
-    and ``h``.
-    """
-    gates[...] = sigmoid(z)
-    i, f, g, o = _gates(gates)
-    np.tanh(_gates(z)[2], out=g)
-    np.multiply(f, c_prev, out=c)
-    c += i * g
-    np.tanh(c, out=tc)
-    np.multiply(o, tc, out=h)
-
-
-def _gate_grads(d_h, d_c, c_prev, gates, tc, d_gates):
-    """The backward gate math of one step, shared by the cell and the sequence path.
-
-    Writes the gradient of the packed pre-activations into ``d_gates``
-    (.., 4H) and returns the gradient of c_prev.
-    """
-    i, f, g, o = _gates(gates)
-    d_i, d_f, d_g, d_o = _gates(d_gates)
-    dc = d_c + d_h * o * (1.0 - tc**2)
-    np.multiply(dc * g * i, 1.0 - i, out=d_i)
-    np.multiply(dc * c_prev * f, 1.0 - f, out=d_f)
-    np.multiply(dc * i, 1.0 - g**2, out=d_g)
-    np.multiply(d_h * tc * o, 1.0 - o, out=d_o)
-    return dc * f
-
-
 def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: dict):
     z = x @ p["wx"] + p["b"] + h_prev @ p["wh"]
-    state_shape = z.shape[:-1] + (h_prev.shape[-1],)
-    gates = np.empty_like(z)
-    c, tc, h = (np.empty(state_shape, dtype=z.dtype) for _ in range(3))
-    _cell_step(z, c_prev, gates, c, tc, h)
-    return h, c, (x, h_prev, c_prev, gates, tc, p)
+    gates = sigmoid(z)
+    i, f, g, o = _gates(gates)
+    np.tanh(_gates(z)[2], out=g)
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (x, h_prev, c_prev, gates, tc, p)
 
 
 def lstm_cell_backward(d_h: np.ndarray, d_c: np.ndarray, cache):
     x, h_prev, c_prev, gates, tc, p = cache
-    d_gates = np.empty_like(gates)
-    dc_prev = _gate_grads(d_h, d_c, c_prev, gates, tc, d_gates)
-    dx = d_gates @ p["wx"].T
-    dh_prev = d_gates @ p["wh"].T
+    i, f, g, o = _gates(gates)
+    dc = d_c + d_h * o * (1.0 - tc**2)
+    d_gates = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                              dc * i * (1.0 - g**2), d_h * tc * o * (1.0 - o)], axis=-1)
     dp = {
         "wx": x.T @ d_gates,
         "wh": h_prev.T @ d_gates,
         "b": d_gates.sum(axis=0),
     }
-    return dx, dh_prev, dc_prev, dp
-
-
-def _steps(length: int, reverse: bool):
-    """The time order of the step loop, and where a step's state sits in a
-    padded (L + 1, ..) buffer relative to the state it follows.
-
-    h_t lives at row t + cur and its predecessor at row t + prev; the pad
-    row (0 forward, L reversed) holds the zero initial state.
-    """
-    if reverse:
-        return range(length - 1, -1, -1), 0, 1
-    return range(length), 1, 0
-
-
-def lstm_seq_forward(x: np.ndarray, p: dict, reverse: bool = False):
-    """x: (B, L, d) -> hidden states (B, L, H) from a zero initial state, and a cache.
-
-    With ``reverse`` the cell reads x[:, L-1] first, so row t holds the state
-    after reading x[:, t:].  The input projection x @ wx + b runs as one GEMM
-    over all L*B rows; the step loop keeps only the recurrent GEMM and the
-    gate math.  States, cells, gates and tanh(c) go to time-major (L, B, .)
-    buffers, and the returned states are a (B, L, H) view of one of them.
-    """
-    batch, length, d_in = x.shape
-    hidden = p["wh"].shape[0]
-    xt = np.ascontiguousarray(x.transpose(1, 0, 2))
-    zx = (xt.reshape(length * batch, d_in) @ p["wx"]).reshape(length, batch, 4 * hidden)
-    zx += p["b"]  # in place: a second L*B-row temporary costs more than the add
-    hs = np.zeros((length + 1, batch, hidden), dtype=zx.dtype)
-    cs = np.zeros_like(hs)
-    gates = np.empty_like(zx)
-    tc = np.empty((length, batch, hidden), dtype=zx.dtype)
-    steps, cur, prev = _steps(length, reverse)
-    for t in steps:
-        z = hs[t + prev] @ p["wh"]
-        z += zx[t]
-        _cell_step(z, cs[t + prev], gates[t], cs[t + cur], tc[t], hs[t + cur])
-    cache = (xt, hs, cs, gates, tc, p, reverse)
-    return hs[cur:cur + length].transpose(1, 0, 2), cache
-
-
-def lstm_seq_backward(d_hs: np.ndarray, cache):
-    """d_hs: (B, L, H) -> (dx (B, L, d), param grads) for lstm_seq_forward.
-
-    The loop runs the recurrence only: per step the element-wise gate
-    gradients into one (L, B, 4H) buffer and the recurrent d_gates @ wh.T.
-    dx, dwx, dwh and db are then each one GEMM or sum over L*B rows.
-    """
-    xt, hs, cs, gates, tc, p, reverse = cache
-    length, batch, hidden = tc.shape
-    steps, cur, prev = _steps(length, reverse)
-    d_gates = np.empty_like(gates)
-    dh = np.zeros((batch, hidden), dtype=d_hs.dtype)
-    dc = np.zeros_like(dh)
-    for t in reversed(steps):
-        dc = _gate_grads(d_hs[:, t] + dh, dc, cs[t + prev], gates[t], tc[t], d_gates[t])
-        dh = d_gates[t] @ p["wh"].T
-    flat = d_gates.reshape(length * batch, 4 * hidden)
-    dx = (flat @ p["wx"].T).reshape(length, batch, xt.shape[-1]).transpose(1, 0, 2)
-    dp = {
-        "wx": xt.reshape(length * batch, xt.shape[-1]).T @ flat,
-        "wh": hs[prev:prev + length].reshape(length * batch, hidden).T @ flat,
-        "b": flat.sum(axis=0),
-    }
-    return dx, dp
+    return d_gates @ p["wx"].T, d_gates @ p["wh"].T, dc * f, dp
 
 
 def init_bilstm_params(d_in: int, hidden: int, rng: np.random.Generator,
                        dtype=np.float32) -> dict:
     params = {}
-    for direction in ("fwd", "bwd"):
+    for direction in DIRECTIONS:
         for k, v in init_lstm_params(d_in, hidden, rng, dtype).items():
             params[f"{direction}.{k}"] = v
     return params
 
 
-def bilstm_forward(x: np.ndarray, params: dict):
-    """x: (B, L, d) -> (B, L, 2H): forward states beside backward states.
+def _trunk_weights(params: dict, batch: int, ws: Workspace, dtype):
+    """Both directions' packed weights in the trunk's gate order.
+
+    wx (d, 2, 4, H) so that x @ wx is one GEMM; wh (2, 4, H, H) with one
+    (H, H) block of h @ wh per direction and gate; the bias repeated over
+    the batch as a (2, 4, B, H) step block, since a contiguous add costs a
+    third of a broadcast one.
+    """
+    d_in, hidden = params["fwd.wx"].shape[0], params["fwd.wh"].shape[0]
+    wx = ws.buffer("wx", (d_in, 2, 4, hidden), dtype)
+    wh = ws.buffer("wh", (2, 4, hidden, hidden), dtype)
+    bias = ws.scratch("bias", (2, 4, batch, hidden), dtype)
+    for k, direction in enumerate(DIRECTIONS):
+        wx[:, k] = params[f"{direction}.wx"].reshape(d_in, 4, hidden)[:, TRUNK_GATES]
+        wh[k] = params[f"{direction}.wh"].reshape(hidden, 4, hidden)[:, TRUNK_GATES].transpose(1, 0, 2)
+        bias[k] = params[f"{direction}.b"].reshape(4, 1, hidden)[TRUNK_GATES]
+    return wx, wh, bias
+
+
+def _packed(trunk: np.ndarray) -> np.ndarray:
+    """A (.., 4, H) array in the trunk's gate order as a fresh packed (.., 4H) one."""
+    block = trunk[..., TRUNK_GATES, :]
+    return block.reshape(block.shape[:-2] + (-1,))
+
+
+def _sig(a: np.ndarray) -> None:
+    """nnops.sigmoid's 0.5 * (1 + tanh(a / 2)), in place."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+
+
+def _time_blocks(length: int, batch: int):
+    """(t0, t1) spans of about PROJECTION_ROWS rows (time steps x batch)."""
+    step = max(1, PROJECTION_ROWS // max(batch, 1))
+    for t0 in range(0, length, step):
+        yield t0, min(t0 + step, length)
+
+
+def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
+    """x: (B, L, d) -> (B, L, 2H): forward states beside backward states, and a cache.
 
     Row t holds the forward pass's state after reading x[..t] and the
     backward pass's state after reading x[t..] (input reversed in time).
-    The output is a view of time-major memory, so a stacked layer reads
-    it without another transpose.
+
+    Both directions advance in one step loop.  Step s holds the forward
+    direction at time s and the backward direction at time L-1-s as a
+    (2, 4, B, H) block of gates i, f, o, g: each gate of each direction is
+    a contiguous (B, H) block, one pass activates the three sigmoid gates,
+    and the recurrent step is one batched matmul plus the bias.  Before
+    the loop, x @ wx of both directions runs as one GEMM per block of
+    PROJECTION_ROWS rows and is copied into the step blocks.  Buffers come
+    from ``ws`` (fresh ones when None); the output and the cache are views
+    of them, valid until the workspace serves this layer again.  The
+    output is a view of time-major memory, so a stacked layer reads it as
+    it is.
     """
-    batch, length, _ = x.shape
-    # both directions read the same time-major copy of x
-    x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
-    hs_f, cache_f = lstm_seq_forward(x, sub_params(params, "fwd"))
-    hs_b, cache_b = lstm_seq_forward(x, sub_params(params, "bwd"), reverse=True)
-    hidden = hs_f.shape[-1]
-    out = np.empty((length, batch, 2 * hidden), dtype=hs_f.dtype).transpose(1, 0, 2)
-    out[..., :hidden] = hs_f
-    out[..., hidden:] = hs_b
-    return out, (cache_f, cache_b)
+    ws = Workspace() if ws is None else ws
+    batch, length, d_in = x.shape
+    dtype = np.result_type(x, params["fwd.wx"])
+    xt = x.transpose(1, 0, 2)
+    if not (xt.flags.c_contiguous and xt.dtype == dtype):
+        xt = ws.buffer("x", xt.shape, dtype)
+        xt[...] = x.transpose(1, 0, 2)
+    wx, wh, bias = _trunk_weights(params, batch, ws, dtype)
+    hidden = wh.shape[-1]
+    gates = ws.buffer("gates", (length, 2, 4, batch, hidden), dtype)
+    for t0, t1 in _time_blocks(length, batch):
+        zx = ws.scratch("blocks", ((t1 - t0) * batch, 8 * hidden), dtype)
+        np.matmul(xt[t0:t1].reshape(-1, d_in), wx.reshape(d_in, 8 * hidden), out=zx)
+        zx = zx.reshape(t1 - t0, batch, 2, 4, hidden).transpose(0, 2, 3, 1, 4)
+        gates[t0:t1, 0] = zx[:, 0]
+        gates[length - t1:length - t0, 1] = zx[::-1, 1]
+    cs = ws.buffer("cs", (length + 1, 2, batch, hidden), dtype)
+    tc = ws.buffer("tc", (length, 2, batch, hidden), dtype)
+    out = ws.buffer("out", (length, batch, 2 * hidden), dtype)
+    rec = ws.scratch("rec", (2, 4, batch, hidden), dtype)
+    h, ig = ws.scratch("state", (2, 2, batch, hidden), dtype)
+    cs[0] = 0.0
+    for s in range(length):
+        a = gates[s]
+        if s:  # h is zero before the first step
+            np.matmul(h[:, None], wh, out=rec)
+            rec += bias
+            a += rec
+        else:
+            a += bias
+        _sig(a[:, :3])
+        i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        np.tanh(g, out=g)
+        np.multiply(f, cs[s], out=cs[s + 1])
+        np.multiply(i, g, out=ig)
+        cs[s + 1] += ig
+        np.tanh(cs[s + 1], out=tc[s])
+        np.multiply(o, tc[s], out=h)
+        out[s, :, :hidden] = h[0]
+        out[length - 1 - s, :, hidden:] = h[1]
+    return out.transpose(1, 0, 2), (xt, gates, cs, tc, out, wx, wh)
 
 
-def bilstm_backward(d_out: np.ndarray, cache):
-    cache_f, cache_b = cache
-    hidden = d_out.shape[-1] // 2
-    dx, dp_f = lstm_seq_backward(d_out[..., :hidden], cache_f)
-    dx_b, dp_b = lstm_seq_backward(d_out[..., hidden:], cache_b)
-    dx += dx_b
-    d_params = {f"fwd.{k}": v for k, v in dp_f.items()}
-    d_params.update({f"bwd.{k}": v for k, v in dp_b.items()})
-    return dx, d_params
+def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,
+                    need_dx: bool = True):
+    """d_out: (B, L, 2H) -> (dx (B, L, d), param grads) for bilstm_forward.
+
+    The step loop runs both directions' recurrence backwards and writes
+    each step's pre-activation gradients over its gate block, which the
+    forward values no longer need.  Blocks of PROJECTION_ROWS rows of them
+    are then copied into packed, natural-time (rows, 8H) form, from which
+    dx and dwx are one GEMM each over both directions, dwh one GEMM per
+    direction and db one sum.  Layer 0 of a stack has no use for dx: with
+    ``need_dx`` False it is None.
+    """
+    ws = Workspace() if ws is None else ws
+    xt, gates, cs, tc, out, wx, wh = cache
+    length, _, _, batch, hidden = gates.shape
+    d_in = xt.shape[-1]
+    dtype = gates.dtype
+    d_tm = d_out.transpose(1, 0, 2)
+    wh_t = ws.scratch("wh_t", wh.shape, dtype)
+    wh_t[...] = wh.swapaxes(-1, -2)
+    rec = ws.scratch("rec", (2, 4, batch, hidden), dtype)
+    dh, dc, dc_prev, u, v = ws.scratch("state", (5, 2, batch, hidden), dtype)
+    dh[...] = 0.0
+    dc[...] = 0.0
+    for s in reversed(range(length)):
+        a = gates[s]
+        i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        dh[0] += d_tm[s, :, :hidden]
+        dh[1] += d_tm[length - 1 - s, :, hidden:]
+        # dc += dh * o * (1 - tanh(c)^2)
+        np.multiply(dh, o, out=u)
+        np.multiply(tc[s], tc[s], out=v)
+        np.subtract(1.0, v, out=v)
+        u *= v
+        dc += u
+        np.multiply(dc, f, out=dc_prev)
+        np.multiply(dc, i, out=v)
+        # the sigmoid gates' derivative s (1 - s), three gates in two passes
+        sd = rec[:, :3]
+        np.subtract(1.0, a[:, :3], out=sd)
+        a[:, :3] *= sd
+        i *= dc
+        i *= g
+        f *= dc
+        f *= cs[s]
+        o *= dh
+        o *= tc[s]
+        np.multiply(g, g, out=u)
+        np.subtract(1.0, u, out=u)
+        np.multiply(v, u, out=g)
+        dc, dc_prev = dc_prev, dc
+        if s:  # the initial state takes no gradient
+            np.matmul(a, wh_t, out=rec)
+            np.add.reduce(rec, axis=1, out=dh)
+    dwx = np.zeros((d_in, 8 * hidden), dtype=dtype)
+    dwh = np.zeros((2, hidden, 4 * hidden), dtype=dtype)
+    db = np.zeros(8 * hidden, dtype=dtype)
+    dx = ws.scratch("dx", (length, batch, d_in), dtype) if need_dx else None
+    for t0, t1 in _time_blocks(length, batch):
+        rows = (t1 - t0) * batch
+        packed = ws.scratch("blocks", (rows, 8 * hidden), dtype)
+        by_time = packed.reshape(t1 - t0, batch, 2, 4 * hidden)
+        steps = packed.reshape(t1 - t0, batch, 2, 4, hidden).transpose(0, 2, 3, 1, 4)
+        steps[:, 0] = gates[t0:t1, 0]
+        steps[:, 1] = gates[length - t1:length - t0, 1][::-1]
+        dwx += xt[t0:t1].reshape(rows, d_in).T @ packed
+        db += packed.sum(axis=0)
+        # h_prev is the forward state one row earlier and the backward state
+        # one row later; rows whose h_prev is the zero initial state add nothing
+        lo = max(t0, 1)
+        dwh[0] += (out[lo - 1:t1 - 1, :, :hidden].reshape(-1, hidden).T
+                   @ by_time[lo - t0:, :, 0].reshape(-1, 4 * hidden))
+        hi = min(t1, length - 1)
+        dwh[1] += (out[t0 + 1:hi + 1, :, hidden:].reshape(-1, hidden).T
+                   @ by_time[:max(hi - t0, 0), :, 1].reshape(-1, 4 * hidden))
+        if need_dx:
+            np.matmul(packed, wx.reshape(d_in, 8 * hidden).T, out=dx[t0:t1].reshape(rows, d_in))
+    dwx = dwx.reshape(d_in, 2, 4, hidden)
+    db = db.reshape(2, 4, hidden)
+    d_params = {}
+    for k, direction in enumerate(DIRECTIONS):
+        d_params[f"{direction}.wx"] = _packed(dwx[:, k])
+        d_params[f"{direction}.wh"] = _packed(dwh[k].reshape(hidden, 4, hidden))
+        d_params[f"{direction}.b"] = _packed(db[k])
+    return (None if dx is None else dx.transpose(1, 0, 2)), d_params
 
 
 def sequence_feature(out: np.ndarray) -> np.ndarray:

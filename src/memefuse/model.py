@@ -17,7 +17,8 @@ import numpy as np
 
 from . import TASKS, TASK_CLASSES
 from .fusion import VARIANT_KINDS
-from .lstm import bilstm_backward, bilstm_forward, init_bilstm_params, sequence_feature
+from .lstm import (Workspace, bilstm_backward, bilstm_forward, init_bilstm_params,
+                   sequence_feature)
 from .nnops import sub_params
 from .seeds import rng_for
 
@@ -124,11 +125,11 @@ def init_classifier_params(variant: ModelVariant, d_in: int,
     return params
 
 
-def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict):
+def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict, ws: Workspace):
     """x: (B, L, d) -> per-task probabilities and caches for backward."""
     layer_caches = []
     for i in range(variant.bilstm_layers):
-        x, cache = bilstm_forward(x, sub_params(params, f"bilstm.{i}"))
+        x, cache = bilstm_forward(x, sub_params(params, f"bilstm.{i}"), ws.scope(f"bilstm.{i}"))
         layer_caches.append(cache)
     feat = sequence_feature(x)
     heads = {}
@@ -147,11 +148,12 @@ def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict):
 def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> dict:
     """Batch of fused sequences (B, L, d) -> {task: (B, K) probabilities}.
 
-    Runs PREDICT_CHUNK rows at a time, so memory for the forward caches
-    stays that of one chunk whatever B is.  A row with a non-finite
-    feature raises NumericError naming it.
+    Runs PREDICT_CHUNK rows at a time on one workspace, so memory for the
+    forward caches stays that of one chunk whatever B is.  A row with a
+    non-finite feature raises NumericError naming it.
     """
     features = np.asarray(features)
+    ws = Workspace()
     chunks = []
     # max(.., 1): zero rows still take one (empty) pass, for the output shapes
     for start in range(0, max(features.shape[0], 1), PREDICT_CHUNK):
@@ -159,20 +161,22 @@ def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> 
         bad = np.flatnonzero(~np.isfinite(x).all(axis=(1, 2)))
         if bad.size:
             raise NumericError(f"non-finite feature in row {start + int(bad[0])}")
-        chunks.append(_batched_forward(x, variant, params)[0])
+        chunks.append(_batched_forward(x, variant, params, ws)[0])
     return {task: np.concatenate([c[task] for c in chunks]) for task in TASKS}
 
 
 def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: dict,
-                   tasks: tuple = TASKS):
+                   tasks: tuple = TASKS, ws: Workspace | None = None):
     """Summed masked cross-entropy over task heads; returns (loss, grads, probs).
 
     Each head averages over its labeled samples; label -1 masks a sample
-    out of that head.  Gradients cover every parameter (flat dict).
+    out of that head.  Gradients cover every parameter (flat dict).  The
+    trunk's buffers come from ``ws`` (fresh ones when None).
     """
-    probs, (layer_caches, feat, heads, out_shape) = _batched_forward(x, variant, params)
-    batch = x.shape[0]
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    ws = Workspace() if ws is None else ws
+    probs, (layer_caches, feat, heads, out_shape) = _batched_forward(x, variant, params, ws)
+    batch, length, _ = out_shape
+    grads = {k: np.zeros_like(v) for k, v in params.items() if k.startswith("head.")}
     d_feat = np.zeros_like(feat)
     total = 0.0
     for task in tasks:
@@ -195,13 +199,17 @@ def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: d
         grads[f"head.{task}.b1"] += d_hidden.sum(axis=0)
         d_feat += d_hidden @ hp["w1"].T
     half = variant.hidden
-    d_out = np.zeros(out_shape, dtype=x.dtype)
-    d_out[:, -1, :half] = d_feat[:, :half]
-    d_out[:, 0, half:] += d_feat[:, half:]
+    # time-major, as the trunk reads it one step at a time
+    d_out = ws.buffer("d_out", (length, batch, 2 * half), feat.dtype)
+    d_out[...] = 0.0
+    d_out[-1, :, :half] = d_feat[:, :half]
+    d_out[0, :, half:] = d_feat[:, half:]
+    d_out = d_out.transpose(1, 0, 2)
     for i in reversed(range(variant.bilstm_layers)):
-        d_out, layer_grads = bilstm_backward(d_out, layer_caches[i])
+        # layer 0's input gradient has no use
+        d_out, layer_grads = bilstm_backward(d_out, layer_caches[i], ws, need_dx=i > 0)
         for k, v in layer_grads.items():
-            grads[f"bilstm.{i}.{k}"] += v
+            grads[f"bilstm.{i}.{k}"] = v
     return total, grads, probs
 
 
@@ -244,6 +252,8 @@ def train(variant: ModelVariant, dataset: TrainSet, config: TrainConfig):
     init_rng = rng_for(config.seed, f"init.{variant.kind}")
     params = init_classifier_params(variant, feats.shape[2], init_rng, dtype=feats.dtype)
     shuffle_rng = rng_for(config.seed, f"shuffle.{variant.kind}")
+    # one workspace for every step: the tail batch takes views of its buffers
+    ws = Workspace()
     state = None
     t = 0
     history = []
@@ -254,9 +264,12 @@ def train(variant: ModelVariant, dataset: TrainSet, config: TrainConfig):
         counted = {task: 0 for task in TASKS}
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb = feats[idx]
+            # mode="clip" (idx is in range) lets take write to out unbuffered
+            xb = ws.buffer("batch", (len(idx),) + feats.shape[1:], feats.dtype)
+            np.take(feats, idx, axis=0, out=xb, mode="clip")
             yb = {task: dataset.labels[task][idx] for task in TASKS}
-            loss, grads, probs = loss_and_grads(xb, yb, variant, params, tasks=config.tasks)
+            loss, grads, probs = loss_and_grads(xb, yb, variant, params,
+                                                tasks=config.tasks, ws=ws)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             t += 1

@@ -179,13 +179,13 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5, seed: int
     """Balance each task to majority parity and stack originals + synthetics.
 
     Synthetic rows are interpolated in flattened fused space (double
-    precision) and carry only the balanced task's label; the other tasks
-    see -1 and mask them out of their losses.
+    precision, one class at a time) and carry only the balanced task's
+    label; the other tasks see -1 and mask them out of their losses.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n, length, width = features.shape
-    flat = features.reshape(n, length * width).astype(np.float64)
+    flat = features.reshape(n, length * width)
     out_feats = [features]
     out_labels = {task: [np.asarray(labels[task], dtype=np.int64)] for task in TASKS}
     for task in tasks:
@@ -203,6 +203,7 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5, seed: int
         synth_labels = grown.labels[data.features.shape[0]:]
         if synth.shape[0] == 0:
             continue
+        # a copy, so that the task's grown array (originals first) is freed
         out_feats.append(synth.reshape(-1, length, width).astype(np.float32))
         for other in TASKS:
             fill = synth_labels if other == task else np.full(synth.shape[0], -1, np.int64)

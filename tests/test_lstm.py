@@ -54,51 +54,54 @@ def test_cell_grads():
     check_grads(loss, {"x": x, "h0": h0, "c0": c0, **p})
 
 
-def test_seq_grads():
-    rng = np.random.default_rng(11)
-    p = _params(rng, 3, 2)
-    x = rng.normal(size=(2, 4, 3))
-    d = rng.normal(size=(2, 4, 2))
+def _cell_loop(x, p, d_hs, order):
+    """Oracle: lstm_cell_forward, then lstm_cell_backward, stepped over x[:, t]
+    for t in ``order``; returns the states (B, L, H), dx and the param grads."""
+    batch, length, _ = x.shape
+    hidden = p["wh"].shape[0]
+    h = c = np.zeros((batch, hidden))
+    hs = np.zeros((batch, length, hidden))
+    caches = []
+    for t in order:
+        h, c, cache = lstm.lstm_cell_forward(x[:, t], h, c, p)
+        hs[:, t] = h
+        caches.append((t, cache))
+    dx = np.zeros_like(x)
+    dp = {k: np.zeros_like(v) for k, v in p.items()}
+    dh = dc = np.zeros((batch, hidden))
+    for t, cache in reversed(caches):
+        dx[:, t], dh, dc, step_dp = lstm.lstm_cell_backward(d_hs[:, t] + dh, dc, cache)
+        for k in dp:
+            dp[k] += step_dp[k]
+    return hs, dx, dp
 
-    def loss():
-        hs, caches = lstm.lstm_seq_forward(x, p)
-        dx, dp = lstm.lstm_seq_backward(d, caches)
-        return float(np.sum(hs * d)), {"x": dx, **dp}
 
-    check_grads(loss, {"x": x, **p})
-
-
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
-def test_seq_matches_cell_loop(reverse):
-    # uneven shapes so a swapped batch, time or feature axis cannot pass
+@pytest.mark.parametrize("rows", [1024, 6, 1],
+                         ids=["one-block", "two-steps-per-block", "block-per-step"])
+def test_bilstm_matches_cell_loop(rows, monkeypatch):
+    # uneven shapes so a swapped batch, time or feature axis cannot pass; the
+    # projection blocks cover the sequence whole, unevenly, and one step each
+    monkeypatch.setattr(lstm, "PROJECTION_ROWS", rows)
     rng = np.random.default_rng(19)
     batch, length, d_in, hidden = 3, 5, 4, 2
-    p = _params(rng, d_in, hidden)
+    halves = {"fwd": _params(rng, d_in, hidden), "bwd": _params(rng, d_in, hidden)}
+    params = {f"{direction}.{k}": v for direction, p in halves.items() for k, v in p.items()}
     x = rng.normal(size=(batch, length, d_in))
-    d_hs = rng.normal(size=(batch, length, hidden))
-    hs, cache = lstm.lstm_seq_forward(x, p, reverse=reverse)
-    dx, dp = lstm.lstm_seq_backward(d_hs, cache)
+    d_out = rng.normal(size=(batch, length, 2 * hidden))
+    out, cache = lstm.bilstm_forward(x, params)
+    dx, dp = lstm.bilstm_backward(d_out, cache)
 
-    order = list(reversed(range(length))) if reverse else list(range(length))
-    h = c = np.zeros((batch, hidden))
-    want_hs = np.zeros_like(hs)
-    cell_caches = []
-    for t in order:
-        h, c, cell_cache = lstm.lstm_cell_forward(x[:, t], h, c, p)
-        want_hs[:, t] = h
-        cell_caches.append((t, cell_cache))
     want_dx = np.zeros_like(x)
-    want_dp = {k: np.zeros_like(v) for k, v in p.items()}
-    dh = dc = np.zeros((batch, hidden))
-    for t, cell_cache in reversed(cell_caches):
-        want_dx[:, t], dh, dc, step_dp = lstm.lstm_cell_backward(d_hs[:, t] + dh, dc, cell_cache)
-        for k in want_dp:
-            want_dp[k] += step_dp[k]
-
-    np.testing.assert_allclose(hs, want_hs, rtol=0, atol=1e-12)
+    orders = {"fwd": range(length), "bwd": range(length - 1, -1, -1)}
+    for k, (direction, p) in enumerate(halves.items()):
+        half = slice(k * hidden, (k + 1) * hidden)
+        hs, dx_half, dp_half = _cell_loop(x, p, d_out[..., half], orders[direction])
+        np.testing.assert_allclose(out[..., half], hs, rtol=0, atol=1e-12, err_msg=direction)
+        want_dx += dx_half
+        for name in p:
+            np.testing.assert_allclose(dp[f"{direction}.{name}"], dp_half[name], rtol=0,
+                                       atol=1e-12, err_msg=f"{direction}.{name}")
     np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
-    for k in p:
-        np.testing.assert_allclose(dp[k], want_dp[k], rtol=0, atol=1e-12, err_msg=k)
 
 
 def test_bilstm_output_layout():
@@ -108,12 +111,27 @@ def test_bilstm_output_layout():
     x = rng.normal(size=(1, 5, d_in))
     out, _ = lstm.bilstm_forward(x, params)
     assert out.shape == (1, 5, 2 * hidden)
+    no_grad = np.zeros((1, 5, hidden))
     # forward half equals a plain forward LSTM over x
-    hs_f, _ = lstm.lstm_seq_forward(x, {k[4:]: v for k, v in params.items() if k.startswith("fwd.")})
+    fwd = {k[4:]: v for k, v in params.items() if k.startswith("fwd.")}
+    hs_f, _, _ = _cell_loop(x, fwd, no_grad, range(5))
     np.testing.assert_allclose(out[..., :hidden], hs_f, atol=1e-12)
     # backward half at row t is the reversed pass after reading x[t:]
-    hs_b, _ = lstm.lstm_seq_forward(x[:, ::-1, :], {k[4:]: v for k, v in params.items() if k.startswith("bwd.")})
+    bwd = {k[4:]: v for k, v in params.items() if k.startswith("bwd.")}
+    hs_b, _, _ = _cell_loop(x[:, ::-1, :], bwd, no_grad, range(5))
     np.testing.assert_allclose(out[:, 0, hidden:], hs_b[:, -1, :], atol=1e-12)
+
+
+def test_layer_zero_skips_dx():
+    rng = np.random.default_rng(15)
+    params = lstm.init_bilstm_params(3, 2, rng, dtype=np.float64)
+    x = rng.normal(size=(2, 4, 3))
+    d = rng.normal(size=(2, 4, 4))
+    dx, dp = lstm.bilstm_backward(d, lstm.bilstm_forward(x, params)[1])
+    skipped, dp_skip = lstm.bilstm_backward(d, lstm.bilstm_forward(x, params)[1], need_dx=False)
+    assert skipped is None and dx.shape == x.shape
+    for k in dp:
+        np.testing.assert_array_equal(dp_skip[k], dp[k])
 
 
 def test_bilstm_grads():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memefuse import TASKS, model
-from memefuse.lstm import lstm_cell_forward
+from memefuse.lstm import Workspace, lstm_cell_forward
 from memefuse.model import ModelVariant, NumericError, TrainConfig, TrainSet
 from fdcheck import check_grads
 
@@ -282,6 +282,81 @@ class TestTrain:
         _, hist = model.train(variant, ds, cfg)
         # running accuracy counted every sample exactly once
         assert hist[0]["acc_humor"] * 7 == int(hist[0]["acc_humor"] * 7)
+
+
+class TestWorkspace:
+    def _setup(self):
+        variant = ModelVariant("imgtxt", bilstm_layers=2, hidden=4, head_hidden=4)
+        rng = np.random.default_rng(37)
+        return variant, model.init_classifier_params(variant, 6, rng), rng
+
+    def test_reused_buffers_match_fresh_ones(self):
+        variant, params, rng = self._setup()
+        ws = Workspace()
+        for batch in (8, 3, 8):  # a full batch, a tail batch, a full batch again
+            x = rng.normal(size=(batch, 5, 6)).astype(np.float32)
+            labels = _labels(rng, batch, missing={"humor": [1]})
+            loss, grads, probs = model.loss_and_grads(x, labels, variant, params, ws=ws)
+            want_loss, want_grads, want_probs = model.loss_and_grads(x, labels, variant, params)
+            assert loss == want_loss
+            assert sorted(grads) == sorted(want_grads) == sorted(params)
+            for name, g in want_grads.items():
+                np.testing.assert_array_equal(grads[name], g, err_msg=name)
+            for task in TASKS:
+                np.testing.assert_array_equal(probs[task], want_probs[task])
+
+    def test_predict_between_steps_changes_nothing(self, monkeypatch):
+        variant, _, rng = self._setup()
+        ds = _tiny_trainset(rng, n=11, length=5, d=6)
+        cfg = TrainConfig(batch_size=4, learning_rate=1e-2, epochs=2, seed=3)
+        want, want_hist = model.train(variant, ds, cfg)
+        adam_step = model.adam_step
+
+        def predict_then_step(params, *args, **kwargs):
+            model.predict_proba(variant, ds.features, params)
+            return adam_step(params, *args, **kwargs)
+
+        monkeypatch.setattr(model, "adam_step", predict_then_step)
+        got, hist = model.train(variant, ds, cfg)
+        assert hist == want_hist
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    @staticmethod
+    def _steady_step_memory(monkeypatch, length, batch, hidden):
+        """tracemalloc peak above the start of each train step, for the steps
+        after the first of each batch shape (full, full, tail per epoch)."""
+        variant = ModelVariant("imgtxt", bilstm_layers=2, hidden=hidden, head_hidden=4)
+        rng = np.random.default_rng(39)
+        ds = _tiny_trainset(rng, n=2 * batch + 7, length=length, d=4)
+        marks = []
+        adam_step = model.adam_step
+
+        def marked(*args, **kwargs):
+            out = adam_step(*args, **kwargs)
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "adam_step", marked)
+            tracemalloc.start()
+            try:
+                model.train(variant, ds, TrainConfig(batch_size=batch, epochs=2))
+            finally:
+                tracemalloc.stop()
+        steps = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+        return [steps[i] for i in (0, 2, 3, 4)]  # steps 2, 4, 5, 6
+
+    def test_steady_steps_allocate_nothing_sequence_sized(self, monkeypatch):
+        # the caches and the step temporaries live in the workspace, so what a
+        # step still allocates (heads, gradients, Adam) does not grow with L;
+        # one (B, 4H) block of slack
+        batch, hidden = 64, 8
+        block = batch * 4 * hidden * np.dtype(np.float32).itemsize
+        short = self._steady_step_memory(monkeypatch, 4, batch, hidden)
+        long = self._steady_step_memory(monkeypatch, 32, batch, hidden)
+        assert max(long) <= max(short) + block
 
 
 class TestCheckpoint:

@@ -358,6 +358,15 @@ class TestBuildTrainingSet:
         with pytest.raises(NumericError, match="class 1: non-finite feature in row 13"):
             build_training_set(feats, labels, k=3, seed=0)
 
+    def test_overflowing_neighbor_distance_rejected(self):
+        # finite rows 1e155 apart square to inf: the neighbor ranking breaks
+        # (a row may list itself), so the class stops instead of interpolating
+        feats, labels = _toy_imbalanced()
+        feats = feats.astype(np.float64)
+        feats[[13, 15]] *= 1e155
+        with pytest.raises(NumericError, match="class 1: squared distance from row 12 "):
+            build_training_set(feats, labels, k=3, seed=0)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected_without_deficit(self, k):
         rng = np.random.default_rng(5)
