@@ -99,9 +99,10 @@ def cmd_train(args) -> int:
     parts = split(records, SPLIT_RATIO, args.seed)
     config = _preprocess_config(args)
     tokens_by_id = _tokens_for(parts.train, config)
-    features = _corpus_features(parts.train, tokens_by_id, args.variant, args)
-    labels = labels_from_records(parts.train)
-    train_set = build_training_set(features, labels, k=args.k, seed=args.seed)
+    # the encoded corpus is left unnamed, so it is freed once it is copied
+    train_set = build_training_set(
+        _corpus_features(parts.train, tokens_by_id, args.variant, args),
+        labels_from_records(parts.train), k=args.k, seed=args.seed)
 
     variant = ModelVariant(kind=args.variant)
     overrides = {"seed": args.seed}

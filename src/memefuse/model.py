@@ -2,9 +2,8 @@
 joint cross-entropy training with Adam, and exact checkpoint round-trips.
 
 The four heads (humor, sarcasm, motivation, sentiment) share the trunk
-and train jointly by default; a config switch restricts the loss to a
-task subset.  Samples may miss labels for some tasks (label -1), which
-masks them out of that head's loss.
+and train jointly.  Samples may miss labels for some tasks (label -1),
+which masks them out of that head's loss.
 """
 
 from __future__ import annotations
@@ -57,11 +56,7 @@ class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 1e-3
     epochs: int = 150
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    tasks: tuple = TASKS
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -70,9 +65,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        unknown = set(self.tasks) - set(TASKS)
-        if unknown or not self.tasks:
-            raise ValueError(f"tasks must be a non-empty subset of {TASKS}")
 
     @classmethod
     def for_variant(cls, kind: str, **overrides) -> "TrainConfig":
@@ -268,13 +260,11 @@ def train(variant: ModelVariant, dataset: TrainSet, config: TrainConfig):
             xb = ws.buffer("batch", (len(idx),) + feats.shape[1:], feats.dtype)
             np.take(feats, idx, axis=0, out=xb, mode="clip")
             yb = {task: dataset.labels[task][idx] for task in TASKS}
-            loss, grads, probs = loss_and_grads(xb, yb, variant, params,
-                                                tasks=config.tasks, ws=ws)
+            loss, grads, probs = loss_and_grads(xb, yb, variant, params, ws=ws)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             t += 1
-            params, state = adam_step(params, grads, state, config.learning_rate, t,
-                                      beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+            params, state = adam_step(params, grads, state, config.learning_rate, t)
             loss_sum += loss * len(idx)
             for task in TASKS:
                 valid = yb[task] >= 0

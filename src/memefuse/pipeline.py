@@ -17,7 +17,7 @@ from .balance import LabeledVectors, smote_oversample
 from .encode import (EncoderSpec, SENTENCE_DIM, encode_ids, encode_image, generate_captions,
                      init_caption_decoder_params, init_image_encoder_params,
                      init_text_encoder_params, pool_sentence, text_ids)
-from .fusion import assemble_variant_input, init_projection
+from .fusion import VARIANT_PARTS, assemble_variant_input, init_projection
 from .model import HEAD_ARITY, TrainSet
 from .seeds import derive_seed, rng_for
 
@@ -76,13 +76,6 @@ def toy_image(record_id: str, hw: tuple = DEFAULT_IMAGE_HW, channels: int = 3) -
     return rng.uniform(size=(hw[0], hw[1], channels)).astype(np.float32)
 
 
-def _pad_rows(seq: np.ndarray, length: int) -> np.ndarray:
-    if seq.shape[0] >= length:
-        return seq[:length]
-    pad = np.zeros((length - seq.shape[0], seq.shape[1]), dtype=seq.dtype)
-    return np.concatenate([seq, pad], axis=0)
-
-
 def _text_encoder(space: FeatureSpace, sentences: bool):
     """texts -> per-text token sequences, or 768-dim sentence vectors.
 
@@ -114,20 +107,22 @@ def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: st
     spec = space.spec
     if kind == "capsen":
         captions = generate_captions(images, space.caption_params, max_len=space.caption_len)
-        parts = [{"caption_sentence": c, "txt_sentence": t}
-                 for c, t in zip(encode_texts(captions), encode_texts(texts))]
+        parts = {"caption_sentence": np.stack(encode_texts(captions)),
+                 "txt_sentence": np.stack(encode_texts(texts))}
     elif kind == "imgtxt":
         img = encode_image(images, spec, space.image_params)
-        parts = [{"img": i, "txt_tokens": _pad_rows(t, spec.max_tokens)}
-                 for i, t in zip(img, encode_texts(texts))]
+        # zero rows after each record's tokens give every record max_tokens rows
+        tokens = np.zeros((len(texts), spec.max_tokens, spec.d_model), dtype=np.float32)
+        for row, seq in zip(tokens, encode_texts(texts)):
+            row[:len(seq)] = seq
+        parts = {"img": img, "txt_tokens": tokens}
     elif kind == "imgsen":
-        img = encode_image(images, spec, space.image_params)
-        parts = [{"img": i, "txt_sentence": t, "projections": space.projections,
-                  "d_target": spec.d_model} for i, t in zip(img, encode_texts(texts))]
+        parts = {"img": encode_image(images, spec, space.image_params),
+                 "txt_sentence": np.stack(encode_texts(texts)),
+                 "projections": space.projections, "d_target": spec.d_model}
     else:
         raise ValueError(f"unknown variant {kind!r}")
-    return np.stack([assemble_variant_input(kind, **part).values for part in parts]
-                    ).astype(np.float32, copy=False)
+    return assemble_variant_input(kind, **parts).values.astype(np.float32, copy=False)
 
 
 def record_features(record_id: str, tokens: list[str], space: FeatureSpace,
@@ -213,6 +208,29 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5, seed: int
     return TrainSet(stacked, merged)
 
 
+def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> list:
+    """One exchange mapping's arrays in id order, as float64, checked against
+    its role: a *_sentence mapping holds one vector per record, the others
+    rows x width, and every record of one mapping has one width."""
+    if mapping is None:
+        raise ValueError(f"variant {kind!r} needs {name} embeddings")
+    ndim = 1 if name.endswith("_sentence") else 2
+    arrays = []
+    for rid in ids:
+        if rid not in mapping:
+            raise ValueError(f"record {rid!r} missing from {name} embeddings")
+        arr = np.asarray(mapping[rid], dtype=np.float64)
+        if arr.ndim != ndim:
+            want = "one vector" if ndim == 1 else "rows x width"
+            raise ValueError(f"{name} embeddings: record {rid!r} has shape {arr.shape}, "
+                             f"expected {want}")
+        if arrays and arr.shape[-1] != arrays[0].shape[-1]:
+            raise ValueError(f"{name} embeddings: record {rid!r} has shape {arr.shape}, "
+                             f"width {arrays[0].shape[-1]} expected")
+        arrays.append(arr)
+    return arrays
+
+
 def fused_from_imported(ids: list, kind: str, image: dict | None = None,
                         tokens: dict | None = None, text_sentence: dict | None = None,
                         caption_sentence: dict | None = None, seed: int = 0) -> np.ndarray:
@@ -220,50 +238,32 @@ def fused_from_imported(ids: list, kind: str, image: dict | None = None,
 
     ``image``/``tokens`` map record id -> sequence (rows x width); the
     sentence mappings map id -> one vector.  Width mismatches are aligned
-    by a seeded projection to the wider side; shorter fused sequences are
-    zero-padded so the whole corpus stacks into one (N, L, d) tensor.
+    by a seeded projection to the wider side.  Records whose parts have
+    the same row counts fuse in one batch; shorter fused sequences end in
+    zero rows so the whole corpus stacks into one (N, L, d) tensor.
     """
     if not ids:
         raise ValueError("no record ids to assemble")
-    needed = {
-        "imgtxt": (("image", image), ("tokens", tokens)),
-        "imgsen": (("image", image), ("text_sentence", text_sentence)),
-        "capsen": (("caption_sentence", caption_sentence), ("text_sentence", text_sentence)),
-    }
-    if kind not in needed:
+    if kind not in VARIANT_PARTS:
         raise ValueError(f"unknown variant {kind!r}")
-    for name, mapping in needed[kind]:
-        if mapping is None:
-            raise ValueError(f"variant {kind!r} needs {name} embeddings")
-        missing = [rid for rid in ids if rid not in mapping]
-        if missing:
-            raise ValueError(f"record {missing[0]!r} missing from {name} embeddings")
-    projections: dict = {}
-
-    def aligned(rid):
-        def seq(mapping):
-            return np.asarray(mapping[rid], dtype=np.float64)
-
-        if kind == "imgtxt":
-            parts = {"img": seq(image), "txt_tokens": seq(tokens)}
-        elif kind == "imgsen":
-            parts = {"img": seq(image), "txt_sentence": seq(text_sentence)}
-        else:
-            parts = {"caption_sentence": seq(caption_sentence),
-                     "txt_sentence": seq(text_sentence)}
-        widths = [p.shape[-1] for p in parts.values()]
-        target = max(widths)
-        for d in widths:
-            key = f"{d}to{target}"
-            if d != target and key not in projections:
-                projections[key] = init_projection(
-                    d, target, rng_for(seed, f"projection.{key}"))
-        return assemble_variant_input(kind, projections=projections,
-                                      d_target=target, **parts)
-
-    fused = [aligned(rid).values for rid in ids]
-    length = max(f.shape[0] for f in fused)
-    width = fused[0].shape[1]
-    if any(f.shape[1] != width for f in fused):
-        raise ValueError("imported embeddings disagree on fused width across records")
-    return np.stack([_pad_rows(f, length) for f in fused]).astype(np.float32)
+    # the exchange name and mapping behind each part of fusion.VARIANT_PARTS
+    exchange = {"img": ("image", image), "txt_tokens": ("tokens", tokens),
+                "txt_sentence": ("text_sentence", text_sentence),
+                "caption_sentence": ("caption_sentence", caption_sentence)}
+    *names, _ = VARIANT_PARTS[kind]
+    parts = {name: _imported_part(*exchange[name], ids, kind) for name in names}
+    widths = [arrays[0].shape[-1] for arrays in parts.values()]
+    target = max(widths)
+    projections = {f"{d}to{target}": init_projection(d, target,
+                                                     rng_for(seed, f"projection.{d}to{target}"))
+                   for d in widths if d != target}
+    groups: dict = {}  # row counts of the parts -> records with them
+    for i in range(len(ids)):
+        key = tuple(len(arrays[i]) if arrays[i].ndim == 2 else 1 for arrays in parts.values())
+        groups.setdefault(key, []).append(i)
+    out = np.zeros((len(ids), max(map(sum, groups)), target), dtype=np.float32)
+    for key, idx in groups.items():
+        batch = {name: np.stack([arrays[i] for i in idx]) for name, arrays in parts.items()}
+        out[idx, :sum(key)] = assemble_variant_input(kind, projections=projections,
+                                                     d_target=target, **batch).values
+    return out

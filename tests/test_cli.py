@@ -1,6 +1,7 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import json
+import weakref
 
 import jsonschema
 import numpy as np
@@ -113,6 +114,27 @@ class TestTrain:
         assert "final train accuracy:" in out
         for task in ("humor", "sarcasm", "motivation", "sentiment"):
             assert task in out
+
+    def test_encoded_corpus_freed_before_training(self, small_csv, tmp_path, monkeypatch):
+        # build_training_set copies the corpus; holding it through train and
+        # predict_proba would keep a second copy of the real rows alive
+        corpus = []
+        encode, fit = cli._corpus_features, cli.train
+
+        def encoding(*args):
+            out = encode(*args)
+            corpus.append(weakref.ref(out))
+            return out
+
+        def training(*args):
+            assert corpus and corpus[0]() is None, "encoded corpus alive during train"
+            return fit(*args)
+
+        monkeypatch.setattr(cli, "_corpus_features", encoding)
+        monkeypatch.setattr(cli, "train", training)
+        rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgsen",
+                       "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 0
 
     def test_same_seed_identical_artifacts(self, small_csv, tmp_path):
         paths = []
@@ -313,6 +335,41 @@ class TestEmbeddingsPath:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("variant, exchange, kind, shape", [
+        ("capsen", "text_sentence", "sequence", (3, 12)),
+        ("imgsen", "image", "vector", (12,)),
+    ])
+    def test_exchange_file_must_fit_its_role_exits_2(self, small_csv, tmp_path, capsys,
+                                                     variant, exchange, kind, shape):
+        # a sequence file where one vector per record belongs (and the reverse)
+        # used to fuse into longer or shorter inputs and train without complaint
+        from memefuse.dataset import Schema, load_dataset
+        from memefuse import bundled_data
+        from memefuse.encode import export_embeddings
+
+        records = load_dataset(small_csv, Schema.from_json(
+            bundled_data("memotion_schema.json")))
+        rng = np.random.default_rng(1)
+        emb = tmp_path / "emb"
+        emb.mkdir()
+        files = {"capsen": {"caption_sentence": ("vector", (12,)),
+                            "text_sentence": ("vector", (12,))},
+                 "imgsen": {"image": ("sequence", (4, 12)),
+                            "text_sentence": ("vector", (12,))}}[variant]
+        files[exchange] = (kind, shape)
+        for name, (file_kind, file_shape) in files.items():
+            export_embeddings(emb / f"{name}.jsonl",
+                              {r.id: rng.normal(size=file_shape) for r in records},
+                              kind=file_kind)
+        rc = cli.main(["train", "--dataset", str(small_csv), "--variant", variant,
+                       "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"),
+                       "--embeddings", str(emb)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {exchange} embeddings: record ")
+        assert f"has shape {shape}" in err
+        assert "Traceback" not in err
 
     def test_missing_required_embedding_file_exits_2(self, small_csv, tmp_path, capsys):
         emb = tmp_path / "emb"

@@ -25,6 +25,12 @@ class TestFuseFirstAxis:
         with pytest.raises(ValueError):
             fusion.fuse_first_axis(np.zeros((4, 64)), np.zeros((3, 32)))
 
+    def test_batch_axes_must_agree(self):
+        with pytest.raises(ValueError, match="batch axes"):
+            fusion.fuse_first_axis(np.zeros((2, 4, 8)), np.zeros((3, 1, 8)))
+        with pytest.raises(ValueError, match="batch axes"):
+            fusion.fuse_first_axis(np.zeros((2, 4, 8)), np.zeros((1, 8)))
+
     def test_order_preserved(self):
         a = np.full((2, 3), 1.0)
         b = np.full((1, 3), 2.0)
@@ -43,6 +49,12 @@ class TestFusedRepresentation:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             fusion.FusedRepresentation(np.zeros((1, 2)), ("audio",))
+
+    def test_batch_shares_provenance_of_its_rows(self):
+        rep = fusion.FusedRepresentation(np.zeros((7, 3, 2)), ("image", "image", "text"))
+        assert rep.values.shape[-2] == len(rep.provenance)
+        with pytest.raises(ValueError, match="7 rows but 3 provenance tags"):
+            fusion.FusedRepresentation(np.zeros((3, 7, 2)), ("image", "image", "text"))
 
 
 class TestProject:
@@ -120,3 +132,45 @@ class TestAssemble:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             fusion.assemble_variant_input("imgcap", img=np.zeros((1, 4)))
+
+
+class TestBatchedAssemble:
+    """(B, ., .) inputs fuse each record bit for bit as a single call does."""
+
+    @staticmethod
+    def _inputs(kind, batch):
+        rng = np.random.default_rng(7)
+        proj = {"768to64": fusion.init_projection(768, 64, rng),
+                "32to48": fusion.init_projection(32, 48, rng, dtype=np.float64)}
+        if kind == "imgtxt":
+            parts = {"img": rng.normal(size=(batch, 4, 64)).astype(np.float32),
+                     "txt_tokens": rng.normal(size=(batch, 3, 64)).astype(np.float32)}
+        elif kind == "imgsen":
+            # the toy pipeline's case: float64 sentences, a float32 projection
+            # down to the image width
+            parts = {"img": rng.normal(size=(batch, 4, 64)),
+                     "txt_sentence": rng.normal(size=(batch, 768)), "d_target": 64}
+        else:
+            # the imported case: float64 captions projected up to the text width
+            parts = {"caption_sentence": rng.normal(size=(batch, 32)),
+                     "txt_sentence": rng.normal(size=(batch, 48))}
+        return parts, proj
+
+    @pytest.mark.parametrize("kind", fusion.VARIANT_KINDS)
+    def test_batch_equals_single_calls(self, kind):
+        parts, proj = self._inputs(kind, batch=5)
+        batched = fusion.assemble_variant_input(kind, projections=proj, **parts)
+        for i in range(5):
+            one = {k: v if k == "d_target" else v[i] for k, v in parts.items()}
+            single = fusion.assemble_variant_input(kind, projections=proj, **one)
+            assert single.provenance == batched.provenance
+            assert batched.values[i].shape == single.values.shape
+            assert batched.values[i].dtype == single.values.dtype
+            assert batched.values[i].tobytes() == single.values.tobytes()
+
+    def test_sentence_is_one_row_by_role(self):
+        # a (B, d) sentence batch fuses as one row per record, not as B rows
+        parts, proj = self._inputs("capsen", batch=4)
+        fused = fusion.assemble_variant_input("capsen", projections=proj, **parts)
+        assert fused.values.shape == (4, 2, 48)
+        assert fused.provenance == ("caption", "text")

@@ -35,8 +35,6 @@ class TestConfigTypes:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(tasks=("mood",))
 
     def test_per_variant_defaults(self):
         assert TrainConfig.for_variant("imgtxt").epochs == 150

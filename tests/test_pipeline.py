@@ -1,6 +1,7 @@
 """End-to-end feature assembly: records -> fused sequences -> balanced training set."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from memefuse.pipeline import (
     build_feature_space,
     build_training_set,
     encode_corpus,
+    fused_from_imported,
     labels_from_records,
     record_features,
     toy_image,
@@ -384,3 +386,88 @@ class TestBuildTrainingSet:
         synth = ts.features[16:].reshape(-1, 15).astype(np.float64)
         assert np.all(synth >= lo - 1e-6)
         assert np.all(synth <= hi + 1e-6)
+
+
+# name -> (variant, {exchange name: (row counts drawn from, width)}); a row
+# count of None makes each record one vector.  The cases cover fixed and
+# varying sequence lengths, 0-row sequences and a projection on either side.
+_IMPORTED_CASES = {
+    "imgtxt-same-width": ("imgtxt", {"image": ((4,), 16), "tokens": ((0, 1, 3, 5), 16)}),
+    "imgtxt-image-projected": ("imgtxt", {"image": ((4,), 8), "tokens": ((0, 2, 6), 12)}),
+    "imgtxt-tokens-projected": ("imgtxt", {"image": ((0, 1, 3), 24),
+                                           "tokens": ((0, 1, 4), 16)}),
+    "imgsen-same-width": ("imgsen", {"image": ((0, 2, 5), 16), "text_sentence": (None, 16)}),
+    "imgsen-image-projected": ("imgsen", {"image": ((4,), 8), "text_sentence": (None, 20)}),
+    "capsen-same-width": ("capsen", {"caption_sentence": (None, 12),
+                                     "text_sentence": (None, 12)}),
+    "capsen-text-projected": ("capsen", {"caption_sentence": (None, 18),
+                                         "text_sentence": (None, 10)}),
+}
+
+# sha256 of fused_from_imported(...).tobytes() on _imported_case(name) with
+# seed=3, as produced by the record-at-a-time assembly the batched one replaced.
+_GOLDEN_IMPORTED = {
+    "capsen-same-width": ((23, 2, 12), "0472b2218b4b691e2f5f7edd776122bcdf262ffacc1110eda60b7a36cbbb4668"),
+    "capsen-text-projected": ((23, 2, 18), "08bec1c7356b8b8dd4a413074ada694122d94829886538527463a414fc8a93a9"),
+    "imgsen-image-projected": ((23, 5, 20), "767ab36144916ec9f7b296b9f15e218b9392ea087bcd66fa0d1d5ddf050ce134"),
+    "imgsen-same-width": ((23, 6, 16), "d15dab84bd9d1eefb25a8a0e329673cba857de2f3abdc18542da12c731890c08"),
+    "imgtxt-image-projected": ((23, 10, 12), "74dbb00fb40ebaa7f655b6eaa8592ed4e4a0c8d5842392f82b3673e701dac990"),
+    "imgtxt-same-width": ((23, 9, 16), "647320b1543cf84938de04dde7037bd54830a6e41c230c9a9d76d66f083ae9e1"),
+    "imgtxt-tokens-projected": ((23, 7, 24), "e5d54ded7463bc3489dc7cf65362d398da58a86d5df4b0155784063e4031531a"),
+}
+
+
+def _imported_case(name, n=23):
+    """ids, variant and seeded float32 exchange mappings for one case."""
+    kind, parts = _IMPORTED_CASES[name]
+    rng = np.random.default_rng(sorted(_IMPORTED_CASES).index(name))
+    ids = [f"rec_{i:02d}" for i in range(n)]
+    mappings = {}
+    for exchange, (rows, width) in parts.items():
+        mappings[exchange] = {
+            rid: rng.normal(size=(width,) if rows is None else (int(rng.choice(rows)), width)
+                            ).astype(np.float32)
+            for rid in ids}
+    return ids, kind, mappings
+
+
+class TestFusedFromImported:
+    @pytest.mark.parametrize("name", sorted(_IMPORTED_CASES))
+    def test_matches_recorded_digest(self, name):
+        ids, kind, mappings = _imported_case(name)
+        out = fused_from_imported(ids, kind, seed=3, **mappings)
+        shape, digest = _GOLDEN_IMPORTED[name]
+        assert out.shape == shape and out.dtype == np.float32
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    def test_missing_record_named(self):
+        ids, kind, mappings = _imported_case("imgtxt-same-width")
+        del mappings["tokens"][ids[4]]
+        with pytest.raises(ValueError, match="record 'rec_04' missing from tokens embeddings"):
+            fused_from_imported(ids, kind, **mappings)
+
+    def test_missing_mapping_named(self):
+        ids, kind, mappings = _imported_case("capsen-same-width")
+        del mappings["caption_sentence"]
+        with pytest.raises(ValueError, match="'capsen' needs caption_sentence embeddings"):
+            fused_from_imported(ids, kind, **mappings)
+
+    def test_width_disagreement_within_mapping_rejected(self):
+        ids, kind, mappings = _imported_case("imgsen-same-width")
+        mappings["image"][ids[7]] = np.zeros((2, 9), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"image embeddings: record 'rec_07' has shape "
+                                             r"\(2, 9\), width 16 expected"):
+            fused_from_imported(ids, kind, **mappings)
+
+    @pytest.mark.parametrize("case, name, shape", [
+        ("capsen-same-width", "text_sentence", (3, 12)),
+        ("imgsen-same-width", "image", (16,)),
+        ("imgtxt-same-width", "tokens", (1, 2, 16)),
+        ("capsen-same-width", "caption_sentence", ()),
+    ])
+    def test_shape_must_fit_role(self, case, name, shape):
+        ids, kind, mappings = _imported_case(case)
+        mappings[name][ids[2]] = np.ones(shape, dtype=np.float32)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} embeddings: record 'rec_02' has shape {shape}, expected")):
+            fused_from_imported(ids, kind, **mappings)
