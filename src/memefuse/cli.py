@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from . import TASKS, VARIANTS, bundled_data
-from .dataset import RowError, Schema, SchemaError, load_dataset, raw_distribution, split
+from .dataset import RowError, Schema, SchemaError, load_dataset, raw_tallies, split
 from .encode import import_embeddings
 from .evalmetrics import build_report
 from .model import (ModelVariant, NumericError, TrainConfig, load_checkpoint,
                     predict_proba, save_checkpoint, save_history, train)
-from .pipeline import (build_feature_space, build_training_set, encode_corpus,
+from .pipeline import (build_feature_space, build_training_set, encode_corpus, exchange_names,
                        fused_from_imported, labels_from_records)
 from .textprep import PreprocessConfig, load_lexicon, load_vocabulary, preprocess
 
@@ -54,11 +54,9 @@ def _corpus_features(records, tokens_by_id, kind, args):
     ids = [r.id for r in records]
     if args.embeddings:
         root = _require(args.embeddings, "embeddings")
-        mappings = {}
-        for name in ("image", "tokens", "text_sentence", "caption_sentence"):
-            path = root / f"{name}.jsonl"
-            if path.exists():
-                mappings[name] = import_embeddings(path)
+        # only the files the variant fuses are read
+        mappings = {name: import_embeddings(_require(root / f"{name}.jsonl", "embeddings"))
+                    for name in exchange_names(kind)}
         return fused_from_imported(ids, kind, seed=args.seed, **mappings)
     space = build_feature_space(seed=args.seed)
     return encode_corpus(ids, tokens_by_id, space, kind)
@@ -68,7 +66,7 @@ def cmd_ingest(args) -> int:
     schema = _load_schema(args)
     path = _require(args.dataset, "dataset")
     records = load_dataset(path, schema)
-    tallies = {task: raw_distribution(path, schema, task).counts for task in TASKS}
+    tallies = raw_tallies(path, schema)
     if args.json:
         print(json.dumps({"records": len(records), "tasks": tallies}, indent=2))
     else:

@@ -66,29 +66,14 @@ class LabelSet:
 @dataclass(frozen=True)
 class MemeRecord:
     id: str
-    image_ref: str
     text: str
     labels: LabelSet
-
-
-@dataclass
-class ClassDistribution:
-    """Counts per class label for one task; counts sum to the dataset size."""
-
-    task: str
-    counts: dict[str, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass
 class DatasetSplit:
     train: list[MemeRecord]
     test: list[MemeRecord]
-    seed: int
-    ratio: float
 
 
 @dataclass
@@ -195,31 +180,31 @@ def load_dataset(path: str | Path, schema: Schema) -> list[MemeRecord]:
                 raise RowError(index, f"unmappable {task} label {raw!r}")
             mapped[task] = table[raw]
         records.append(
-            MemeRecord(id=rid, image_ref=rid, text=row["text"], labels=LabelSet(**mapped))
+            MemeRecord(id=rid, text=row["text"], labels=LabelSet(**mapped))
         )
     return records
 
 
-def raw_distribution(path: str | Path, schema: Schema, task: str) -> ClassDistribution:
-    """Counts of the raw source labels of one task, in schema order.
+def raw_tallies(path: str | Path, schema: Schema) -> dict[str, dict[str, int]]:
+    """{task: {raw level: count}} of the source labels, tasks in TASKS order
+    and levels in schema order, from one pass over the file.
 
     This is the presentation the source table uses (raw levels, before
     the collapse), so summaries of the annotation file can be compared
     against it level by level.
     """
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    counts = {raw: 0 for raw in schema.labels[task]}
+    tallies = {task: {raw: 0 for raw in schema.labels[task]} for task in TASKS}
     n = 0
     for index, row in _iter_rows(path, schema):
-        raw = row[task]
-        if raw not in counts:
-            raise RowError(index, f"unmappable {task} label {raw!r}")
-        counts[raw] += 1
+        for task, counts in tallies.items():
+            raw = row[task]
+            if raw not in counts:
+                raise RowError(index, f"unmappable {task} label {raw!r}")
+            counts[raw] += 1
         n += 1
     if n == 0:
         raise ValueError("raw distribution of an empty file is undefined")
-    return ClassDistribution(task=task, counts=counts)
+    return tallies
 
 
 def split(records: list[MemeRecord], ratio: float, seed: int) -> DatasetSplit:
@@ -235,4 +220,4 @@ def split(records: list[MemeRecord], ratio: float, seed: int) -> DatasetSplit:
     order = rng.permutation(len(records))
     cut = math.floor(ratio * len(records))
     shuffled = [records[i] for i in order]
-    return DatasetSplit(train=shuffled[:cut], test=shuffled[cut:], seed=seed, ratio=ratio)
+    return DatasetSplit(train=shuffled[:cut], test=shuffled[cut:])

@@ -210,20 +210,6 @@ def pool_sentence(seq: np.ndarray, params: dict) -> np.ndarray:
     return (pooled @ params["sent_proj.w"])[..., 0, :] + params["sent_proj.b"]
 
 
-def encode_tokens(tokens: list[str], spec: EncoderSpec, params: dict) -> np.ndarray:
-    """Token list -> L x d_model feature sequence, L clipped to max_tokens.
-
-    An empty token list encodes as the single null token, so L >= 1.
-    """
-    ids = np.array(text_ids(tokens, spec, params["tok_emb"].shape[0]))
-    return encode_ids(ids, spec, params)
-
-
-def encode_sentence(tokens: list[str], spec: EncoderSpec, params: dict) -> np.ndarray:
-    """Whole-text embedding: mean-pool token features, project to 768 dims."""
-    return pool_sentence(encode_tokens(tokens, spec, params), params)
-
-
 # --- caption generation ----------------------------------------------------
 
 END_TOKEN = 0
@@ -342,11 +328,6 @@ def generate_captions(images: np.ndarray, decoder_params: dict,
                 break
         ids = np.concatenate([ids, nxt[going, None]], axis=1)
     return captions
-
-
-def generate_caption(image: np.ndarray, decoder_params: dict, max_len: int = 16) -> list[str]:
-    """One H x W x C image's caption: generate_captions on a batch of one."""
-    return generate_captions(np.asarray(image)[None], decoder_params, max_len)[0]
 
 
 # --- embedding exchange ----------------------------------------------------

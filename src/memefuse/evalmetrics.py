@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import TASKS
+from . import TASK_CLASSES
 
 REPORT_METRICS = ("accuracy", "macro_f1")
 
@@ -138,14 +138,11 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def build_report(predictions: dict, gold: dict, n_classes: dict | None = None) -> EvalReport:
+def build_report(predictions: dict, gold: dict) -> EvalReport:
     """predictions: {variant: {task: predicted labels}}; gold: {task: true labels}.
 
     Every variant is scored on the same gold labels; cells are percent.
     """
-    if n_classes is None:
-        from .model import HEAD_ARITY
-        n_classes = HEAD_ARITY
     variants = {}
     averages = {}
     for variant, per_task in predictions.items():
@@ -157,7 +154,7 @@ def build_report(predictions: dict, gold: dict, n_classes: dict | None = None) -
                 raise ValueError(f"{variant}/{task}: {pred.shape[0]} predictions "
                                  f"for {true.shape[0]} gold labels")
             keep = true >= 0
-            cm = confusion(true[keep], pred[keep], n_classes[task])
+            cm = confusion(true[keep], pred[keep], len(TASK_CLASSES[task]))
             cells[task] = {"accuracy": 100.0 * accuracy(cm),
                            "macro_f1": 100.0 * macro_f1(cm)}
         variants[variant] = cells

@@ -9,42 +9,19 @@ target width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-ROW_TAGS = ("image", "text", "caption")
-# variant -> (first part, second part, provenance tags); a part named
-# *_sentence is one vector per record and fuses as one row
+# variant -> (first part, second part); a part named *_sentence is one
+# vector per record and fuses as one row
 VARIANT_PARTS = {
-    "imgtxt": ("img", "txt_tokens", ("image", "text")),
-    "imgsen": ("img", "txt_sentence", ("image", "text")),
-    "capsen": ("caption_sentence", "txt_sentence", ("caption", "text")),
+    "imgtxt": ("img", "txt_tokens"),
+    "imgsen": ("img", "txt_sentence"),
+    "capsen": ("caption_sentence", "txt_sentence"),
 }
 VARIANT_KINDS = tuple(VARIANT_PARTS)
 
 
-@dataclass(frozen=True)
-class FusedRepresentation:
-    """Stacked embedding rows (..., L, d) plus one source tag per row,
-    shared by every record of the batch."""
-
-    values: np.ndarray
-    provenance: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.values.ndim < 2:
-            raise ValueError(f"fused values must be (..., L, d), got shape {self.values.shape}")
-        if len(self.provenance) != self.values.shape[-2]:
-            raise ValueError(
-                f"{self.values.shape[-2]} rows but {len(self.provenance)} provenance tags")
-        for tag in self.provenance:
-            if tag not in ROW_TAGS:
-                raise ValueError(f"unknown provenance tag {tag!r}")
-
-
-def fuse_first_axis(a: np.ndarray, b: np.ndarray, a_tag: str = "image",
-                    b_tag: str = "text") -> FusedRepresentation:
+def fuse_first_axis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stack a's rows over b's rows; batch axes and widths must already agree."""
     a = np.asarray(a)
     b = np.asarray(b)
@@ -53,9 +30,7 @@ def fuse_first_axis(a: np.ndarray, b: np.ndarray, a_tag: str = "image",
                          f"batch axes, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"width mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    values = np.concatenate([a, b], axis=-2)
-    provenance = (a_tag,) * a.shape[-2] + (b_tag,) * b.shape[-2]
-    return FusedRepresentation(values, provenance)
+    return np.concatenate([a, b], axis=-2)
 
 
 def project(x: np.ndarray, d_target: int, params: np.ndarray) -> np.ndarray:
@@ -84,8 +59,8 @@ def _align(seq: np.ndarray, d_target: int, projections: dict | None) -> np.ndarr
 
 def assemble_variant_input(variant, img=None, txt_tokens=None, txt_sentence=None,
                            caption_sentence=None, projections: dict | None = None,
-                           d_target: int | None = None) -> FusedRepresentation:
-    """Build one variant's fused input from whichever representations it needs.
+                           d_target: int | None = None) -> np.ndarray:
+    """Build one variant's (..., L, d) fused input from the representations it needs.
 
     imgtxt stacks the image patch sequence over the token sequence;
     imgsen stacks it over the sentence embedding as one row; capsen
@@ -101,9 +76,8 @@ def assemble_variant_input(variant, img=None, txt_tokens=None, txt_sentence=None
         raise ValueError(f"unknown variant {kind!r}")
     given = {"img": img, "txt_tokens": txt_tokens, "txt_sentence": txt_sentence,
              "caption_sentence": caption_sentence}
-    *names, tags = VARIANT_PARTS[kind]
     seqs = []
-    for name in names:
+    for name in VARIANT_PARTS[kind]:
         if given[name] is None:
             raise ValueError(f"variant {kind} requires {name}")
         value = np.asarray(given[name])
@@ -113,4 +87,4 @@ def assemble_variant_input(variant, img=None, txt_tokens=None, txt_sentence=None
         d_target = max(a.shape[-1], b.shape[-1])
     a = _align(a, d_target, projections)
     b = _align(b, d_target, projections)
-    return fuse_first_axis(a, b, a_tag=tags[0], b_tag=tags[1])
+    return fuse_first_axis(a, b)

@@ -158,7 +158,7 @@ def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> 
 
 
 def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: dict,
-                   tasks: tuple = TASKS, ws: Workspace | None = None):
+                   ws: Workspace | None = None):
     """Summed masked cross-entropy over task heads; returns (loss, grads, probs).
 
     Each head averages over its labeled samples; label -1 masks a sample
@@ -171,7 +171,7 @@ def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: d
     grads = {k: np.zeros_like(v) for k, v in params.items() if k.startswith("head.")}
     d_feat = np.zeros_like(feat)
     total = 0.0
-    for task in tasks:
+    for task in TASKS:
         y = labels[task]
         valid = y >= 0
         n_valid = int(valid.sum())

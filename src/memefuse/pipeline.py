@@ -8,7 +8,7 @@ here, after encoding, on flattened fused sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,15 @@ from .fusion import VARIANT_PARTS, assemble_variant_input, init_projection
 from .model import HEAD_ARITY, TrainSet
 from .seeds import derive_seed, rng_for
 
-DEFAULT_IMAGE_HW = (32, 32)
-DEFAULT_CAPTION_LEN = 8
+IMAGE_HW = (32, 32)
+IMAGE_CHANNELS = 3
+CAPTION_LEN = 8
 # Records encoded together: enough to amortise numpy's per-call cost, few
 # enough that a chunk's activations stay small next to the corpus tensor.
 ENCODE_CHUNK = 256
+# fusion part -> the exchange file name that holds it
+EXCHANGE_NAMES = {"img": "image", "txt_tokens": "tokens", "txt_sentence": "text_sentence",
+                  "caption_sentence": "caption_sentence"}
 
 
 @dataclass
@@ -33,16 +37,14 @@ class FeatureSpace:
     """Frozen encoder weights shared by every record of a run."""
 
     spec: EncoderSpec
-    image_hw: tuple = DEFAULT_IMAGE_HW
-    caption_len: int = DEFAULT_CAPTION_LEN
-    image_params: dict = field(default_factory=dict)
-    text_params: dict = field(default_factory=dict)
-    caption_params: dict = field(default_factory=dict)
-    projections: dict = field(default_factory=dict)
+    image_params: dict
+    text_params: dict
+    caption_params: dict
+    projections: dict
 
     @property
     def n_patches(self) -> int:
-        return (self.image_hw[0] // self.spec.patch_size) * (self.image_hw[1] // self.spec.patch_size)
+        return (IMAGE_HW[0] // self.spec.patch_size) * (IMAGE_HW[1] // self.spec.patch_size)
 
     def fused_length(self, kind: str) -> int:
         if kind == "imgtxt":
@@ -55,25 +57,22 @@ class FeatureSpace:
         return SENTENCE_DIM if kind == "capsen" else self.spec.d_model
 
 
-def build_feature_space(seed: int = 0, spec: EncoderSpec | None = None,
-                        image_hw: tuple = DEFAULT_IMAGE_HW) -> FeatureSpace:
-    if spec is None:
-        spec = EncoderSpec(seed=seed)
-    space = FeatureSpace(spec=spec, image_hw=image_hw)
-    space.image_params = init_image_encoder_params(spec, image_hw)
-    space.text_params = init_text_encoder_params(spec)
-    space.caption_params = init_caption_decoder_params(seed=derive_seed(seed, "caption"))
+def build_feature_space(seed: int = 0) -> FeatureSpace:
+    spec = EncoderSpec(seed=seed)
     proj_rng = rng_for(seed, "sentence_projection")
-    space.projections = {
-        f"{SENTENCE_DIM}to{spec.d_model}": init_projection(SENTENCE_DIM, spec.d_model, proj_rng),
-    }
-    return space
+    return FeatureSpace(
+        spec=spec,
+        image_params=init_image_encoder_params(spec, IMAGE_HW, IMAGE_CHANNELS),
+        text_params=init_text_encoder_params(spec),
+        caption_params=init_caption_decoder_params(seed=derive_seed(seed, "caption")),
+        projections={f"{SENTENCE_DIM}to{spec.d_model}":
+                     init_projection(SENTENCE_DIM, spec.d_model, proj_rng)})
 
 
-def toy_image(record_id: str, hw: tuple = DEFAULT_IMAGE_HW, channels: int = 3) -> np.ndarray:
+def toy_image(record_id: str) -> np.ndarray:
     """Deterministic pixel stand-in for a record whose image file is absent."""
     rng = rng_for(0, f"toy_image.{record_id}")
-    return rng.uniform(size=(hw[0], hw[1], channels)).astype(np.float32)
+    return rng.uniform(size=IMAGE_HW + (IMAGE_CHANNELS,)).astype(np.float32)
 
 
 def _text_encoder(space: FeatureSpace, sentences: bool):
@@ -106,7 +105,7 @@ def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: st
     """B images and their token lists -> (B, L, d) fused float32 features."""
     spec = space.spec
     if kind == "capsen":
-        captions = generate_captions(images, space.caption_params, max_len=space.caption_len)
+        captions = generate_captions(images, space.caption_params, max_len=CAPTION_LEN)
         parts = {"caption_sentence": np.stack(encode_texts(captions)),
                  "txt_sentence": np.stack(encode_texts(texts))}
     elif kind == "imgtxt":
@@ -122,20 +121,7 @@ def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: st
                  "projections": space.projections, "d_target": spec.d_model}
     else:
         raise ValueError(f"unknown variant {kind!r}")
-    return assemble_variant_input(kind, **parts).values.astype(np.float32, copy=False)
-
-
-def record_features(record_id: str, tokens: list[str], space: FeatureSpace,
-                    kind: str, image: np.ndarray | None = None) -> np.ndarray:
-    """One record -> its fused feature matrix for the given variant.
-
-    The record goes through encode_corpus's batched path as a batch of
-    one, with ``image`` in place of its toy image when given.
-    """
-    if image is None:
-        image = toy_image(record_id, hw=space.image_hw)
-    encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
-    return _encode_chunk(np.asarray(image)[None], [tokens], space, kind, encode_texts)[0]
+    return assemble_variant_input(kind, **parts).astype(np.float32, copy=False)
 
 
 def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
@@ -153,7 +139,7 @@ def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
     encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
     for start in range(0, len(ids), ENCODE_CHUNK):
         chunk = ids[start:start + ENCODE_CHUNK]
-        images = np.stack([toy_image(rid, hw=space.image_hw) for rid in chunk])
+        images = np.stack([toy_image(rid) for rid in chunk])
         texts = [tokens_by_id.get(rid, []) for rid in chunk]
         out[start:start + len(chunk)] = _encode_chunk(images, texts, space, kind, encode_texts)
     return out
@@ -169,13 +155,15 @@ def labels_from_records(records) -> dict:
     return out
 
 
-def build_training_set(features: np.ndarray, labels: dict, k: int = 5, seed: int = 0,
-                       tasks: tuple = TASKS) -> TrainSet:
+def build_training_set(features: np.ndarray, labels: dict, k: int = 5,
+                       seed: int = 0) -> TrainSet:
     """Balance each task to majority parity and stack originals + synthetics.
 
     Synthetic rows are interpolated in flattened fused space (double
     precision, one class at a time) and carry only the balanced task's
     label; the other tasks see -1 and mask them out of their losses.
+    Rows a task labels -1 belong to none of its classes, so they are never
+    drawn or used as neighbours.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -183,19 +171,18 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5, seed: int
     flat = features.reshape(n, length * width)
     out_feats = [features]
     out_labels = {task: [np.asarray(labels[task], dtype=np.int64)] for task in TASKS}
-    for task in tasks:
+    for task in TASKS:
         y = np.asarray(labels[task], dtype=np.int64)
         counts = np.bincount(y[y >= 0], minlength=HEAD_ARITY[task])
         target = int(counts.max())
         deficits = {cls: target - int(c) for cls, c in enumerate(counts) if c and target > c}
         if not deficits:
             continue
-        data = LabeledVectors(flat[y >= 0], y[y >= 0], k=k,
-                              seed=derive_seed(seed, f"balance.{task}"))
+        data = LabeledVectors(flat, y, k=k, seed=derive_seed(seed, f"balance.{task}"))
         grown = smote_oversample(
             data, {cls: int(counts[cls]) + need for cls, need in deficits.items()})
-        synth = grown.features[data.features.shape[0]:]
-        synth_labels = grown.labels[data.features.shape[0]:]
+        synth = grown.features[n:]
+        synth_labels = grown.labels[n:]
         if synth.shape[0] == 0:
             continue
         # a copy, so that the task's grown array (originals first) is freed
@@ -206,6 +193,13 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5, seed: int
     stacked = np.concatenate(out_feats, axis=0)
     merged = {task: np.concatenate(parts) for task, parts in out_labels.items()}
     return TrainSet(stacked, merged)
+
+
+def exchange_names(kind: str) -> tuple:
+    """The exchange files (``{name}.jsonl``) that hold the parts a variant fuses."""
+    if kind not in VARIANT_PARTS:
+        raise ValueError(f"unknown variant {kind!r}")
+    return tuple(EXCHANGE_NAMES[part] for part in VARIANT_PARTS[kind])
 
 
 def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> list:
@@ -231,11 +225,10 @@ def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> lis
     return arrays
 
 
-def fused_from_imported(ids: list, kind: str, image: dict | None = None,
-                        tokens: dict | None = None, text_sentence: dict | None = None,
-                        caption_sentence: dict | None = None, seed: int = 0) -> np.ndarray:
+def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.ndarray:
     """Fused features built from externally computed embeddings.
 
+    ``mappings`` are keyed by exchange name (``exchange_names(kind)``):
     ``image``/``tokens`` map record id -> sequence (rows x width); the
     sentence mappings map id -> one vector.  Width mismatches are aligned
     by a seeded projection to the wider side.  Records whose parts have
@@ -244,14 +237,9 @@ def fused_from_imported(ids: list, kind: str, image: dict | None = None,
     """
     if not ids:
         raise ValueError("no record ids to assemble")
-    if kind not in VARIANT_PARTS:
-        raise ValueError(f"unknown variant {kind!r}")
-    # the exchange name and mapping behind each part of fusion.VARIANT_PARTS
-    exchange = {"img": ("image", image), "txt_tokens": ("tokens", tokens),
-                "txt_sentence": ("text_sentence", text_sentence),
-                "caption_sentence": ("caption_sentence", caption_sentence)}
-    *names, _ = VARIANT_PARTS[kind]
-    parts = {name: _imported_part(*exchange[name], ids, kind) for name in names}
+    names = exchange_names(kind)
+    parts = {part: _imported_part(name, mappings.get(name), ids, kind)
+             for part, name in zip(VARIANT_PARTS[kind], names)}
     widths = [arrays[0].shape[-1] for arrays in parts.values()]
     target = max(widths)
     projections = {f"{d}to{target}": init_projection(d, target,
@@ -265,5 +253,5 @@ def fused_from_imported(ids: list, kind: str, image: dict | None = None,
     for key, idx in groups.items():
         batch = {name: np.stack([arrays[i] for i in idx]) for name, arrays in parts.items()}
         out[idx, :sum(key)] = assemble_variant_input(kind, projections=projections,
-                                                     d_target=target, **batch).values
+                                                     d_target=target, **batch)
     return out

@@ -58,7 +58,13 @@ class PreprocessConfig:
 
     @cached_property
     def _lexicon_by_head(self) -> dict[str, list[str]]:
-        return _index_keys(self.emoji_lexicon)
+        """Lexicon keys grouped by first char, longest first (greedy match)."""
+        by_head: dict[str, list[str]] = {}
+        for key in self.emoji_lexicon:
+            by_head.setdefault(key[0], []).append(key)
+        for keys in by_head.values():
+            keys.sort(key=len, reverse=True)
+        return by_head
 
 
 @dataclass
@@ -67,17 +73,14 @@ class CleanText:
     original: str
 
 
-def _index_keys(lexicon: dict[str, str]) -> dict[str, list[str]]:
-    """Lexicon keys grouped by first char, longest first (greedy match)."""
-    by_head: dict[str, list[str]] = {}
-    for key in lexicon:
-        by_head.setdefault(key[0], []).append(key)
-    for keys in by_head.values():
-        keys.sort(key=len, reverse=True)
-    return by_head
+def demojize(text: str, config: PreprocessConfig) -> str:
+    """Replace known emoji with their name words; delete unknown emoji.
 
-
-def _demojize_indexed(text: str, lexicon: dict[str, str], by_head: dict[str, list[str]]) -> str:
+    Replacement names are set off by single spaces.  Whitespace is left
+    untouched when the input contains no emoji at all.  Lexicon keys are
+    matched longest first through the config's cached index.
+    """
+    lexicon, by_head = config.emoji_lexicon, config._lexicon_by_head
     parts: list[str] = []
     changed = False
     i = 0
@@ -100,15 +103,6 @@ def _demojize_indexed(text: str, lexicon: dict[str, str], by_head: dict[str, lis
     if not changed:
         return text
     return " ".join("".join(parts).split())
-
-
-def demojize(text: str, lexicon: dict[str, str]) -> str:
-    """Replace known emoji with their name words; delete unknown emoji.
-
-    Replacement names are set off by single spaces.  Whitespace is left
-    untouched when the input contains no emoji at all.
-    """
-    return _demojize_indexed(text, lexicon, _index_keys(lexicon))
 
 
 def strip_handles_and_hashtags(text: str) -> str:
@@ -135,7 +129,7 @@ def strip_handles_and_hashtags(text: str) -> str:
 def preprocess(raw: str, config: PreprocessConfig) -> CleanText:
     """Run the full pipeline on one raw inscription."""
     text = raw.lower()
-    text = _demojize_indexed(text, config.emoji_lexicon, config._lexicon_by_head)
+    text = demojize(text, config)
     text = strip_handles_and_hashtags(text)
     tokens = [porter_stem(t) for t in _TOKEN.findall(text)]
     tokens = [t for t in tokens if t in config._filter_set]

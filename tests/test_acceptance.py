@@ -190,12 +190,12 @@ def test_shapes_and_normalization():
     sent = rng.normal(size=(64,))
     wide_sent = rng.normal(size=(768,))
     fused = assemble_variant_input("imgtxt", img=img_seq, txt_tokens=tok_seq)
-    assert fused.values.shape[0] == 196 + 16
+    assert fused.shape[0] == 196 + 16
     fused = assemble_variant_input("imgsen", img=img_seq, txt_sentence=sent)
-    assert fused.values.shape[0] == 196 + 1
+    assert fused.shape[0] == 196 + 1
     fused = assemble_variant_input("capsen", caption_sentence=wide_sent,
                                    txt_sentence=wide_sent)
-    assert fused.values.shape[0] == 2
+    assert fused.shape[0] == 2
 
     probs = nnops.softmax(rng.normal(size=(50, 7)))
     np.testing.assert_allclose(probs.sum(axis=-1), np.ones(50), atol=1e-6)

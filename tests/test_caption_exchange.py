@@ -30,12 +30,12 @@ class TestGenerateCaption:
     def test_end_token_first_gives_empty_caption(self):
         p = _identity_decoder()
         p["out.b"] = np.array([1.0, 0.0, 0.0, 0.0])
-        assert encode.generate_caption(_toy_image(), p, max_len=5) == []
+        assert encode.generate_captions(_toy_image()[None], p, max_len=5)[0] == []
 
     def test_max_len_truncates(self):
         p = _identity_decoder()
         p["out.b"] = np.array([0.0, 5.0, 0.0, 0.0])  # end token never wins
-        caption = encode.generate_caption(_toy_image(), p, max_len=3)
+        caption = encode.generate_captions(_toy_image()[None], p, max_len=3)[0]
         assert caption == ["alpha", "alpha", "alpha"]
 
     def test_forced_two_step_sequence(self):
@@ -44,24 +44,24 @@ class TestGenerateCaption:
         p["out.w"][0] = [0.0, 1.0, 5.0, 2.0]
         p["out.w"][1] = [0.0, 9.0, 1.0, 3.0]
         p["out.w"][2] = [7.0, 0.0, 0.0, 1.0]
-        assert encode.generate_caption(_toy_image(), p, max_len=10) == ["beta", "alpha"]
+        assert encode.generate_captions(_toy_image()[None], p, max_len=10)[0] == ["beta", "alpha"]
 
     def test_real_decoder_deterministic(self):
         p = encode.init_caption_decoder_params(seed=11)
         img = _toy_image(seed=4)
-        a = encode.generate_caption(img, p, max_len=6)
-        b = encode.generate_caption(img, p, max_len=6)
+        a = encode.generate_captions(img[None], p, max_len=6)[0]
+        b = encode.generate_captions(img[None], p, max_len=6)[0]
         assert a == b
         assert len(a) <= 6
         assert all(w in encode.DEFAULT_CAPTION_WORDS for w in a)
 
     def test_bad_max_len(self):
         with pytest.raises(ValueError):
-            encode.generate_caption(_toy_image(), _identity_decoder(), max_len=0)
+            encode.generate_captions(_toy_image()[None], _identity_decoder(), max_len=0)
 
     def test_wrong_channel_count(self):
         with pytest.raises(ValueError):
-            encode.generate_caption(np.zeros((16, 16, 1)), _identity_decoder())
+            encode.generate_captions(np.zeros((1, 16, 16, 1)), _identity_decoder())
 
 
 def _length_decoder(max_len=8):
@@ -89,7 +89,7 @@ class TestBatchedCaptions:
     def test_batch_matches_one_image_at_a_time(self):
         p = _length_decoder()
         images = np.stack([np.full((16, 16, 3), c) for c in (2.0, 0.0, 1.2, 0.7, 1.6, 0.9)])
-        alone = [encode.generate_caption(image, p, max_len=8) for image in images]
+        alone = [encode.generate_captions(image[None], p, max_len=8)[0] for image in images]
         lengths = [len(c) for c in alone]
         assert 0 in lengths and len(set(lengths)) == len(lengths)
         assert encode.generate_captions(images, p, max_len=8) == alone
@@ -106,7 +106,7 @@ class TestBatchedCaptions:
         p = encode.init_caption_decoder_params(seed=11)
         images = np.stack([_toy_image(seed=s) for s in range(5)])
         assert encode.generate_captions(images, p, max_len=6) == [
-            encode.generate_caption(image, p, max_len=6) for image in images]
+            encode.generate_captions(image[None], p, max_len=6)[0] for image in images]
 
     def test_batch_wants_four_axes(self):
         with pytest.raises(ValueError, match="B x H x W x 3"):

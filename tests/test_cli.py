@@ -378,4 +378,26 @@ class TestEmbeddingsPath:
                        "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"),
                        "--embeddings", str(emb)])
         assert rc == 2
-        assert "image" in capsys.readouterr().err
+        assert "image.jsonl" in capsys.readouterr().err
+
+    def test_exchange_files_the_variant_does_not_fuse_are_not_read(self, small_csv, tmp_path,
+                                                                   capsys):
+        from memefuse.dataset import Schema, load_dataset
+        from memefuse import bundled_data
+        from memefuse.encode import export_embeddings
+
+        records = load_dataset(small_csv, Schema.from_json(
+            bundled_data("memotion_schema.json")))
+        rng = np.random.default_rng(2)
+        emb = tmp_path / "emb"
+        emb.mkdir()
+        export_embeddings(emb / "image.jsonl",
+                          {r.id: rng.normal(size=(4, 12)) for r in records}, kind="sequence")
+        export_embeddings(emb / "tokens.jsonl",
+                          {r.id: rng.normal(size=(3, 12)) for r in records}, kind="sequence")
+        # a header that promises a record the file lacks
+        (emb / "caption_sentence.jsonl").write_text('{"kind": "vector", "d": 12, "count": 1}\n')
+        rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgtxt",
+                       "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"),
+                       "--embeddings", str(emb)])
+        assert rc == 0, capsys.readouterr().err

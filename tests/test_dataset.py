@@ -14,7 +14,7 @@ from memefuse.dataset import (
     Schema,
     SchemaError,
     load_dataset,
-    raw_distribution,
+    raw_tallies,
     split,
 )
 from memefuse.fixtures import FULL_TALLIES, write_annotation_fixture
@@ -127,7 +127,7 @@ def _records(n, cls_of):
     out = []
     for i in range(n):
         h, s, m, o = cls_of(i)
-        out.append(MemeRecord(id=str(i), image_ref=str(i), text="",
+        out.append(MemeRecord(id=str(i), text="",
                               labels=LabelSet(h, s, m, o)))
     return out
 
@@ -136,9 +136,9 @@ class TestDistributions:
     def test_even_synthetic_counts(self, tmp_path):
         rows = [(f"{i}.jpg", "t", "funny" if i < 5 else "not_funny", "sarcastic",
                  "motivational", "positive") for i in range(10)]
-        dist = raw_distribution(_write_csv(tmp_path / "a.csv", rows), _schema(), "humor")
-        assert dist.counts == {"funny": 5, "not_funny": 5, "very_funny": 0}
-        assert dist.total == 10
+        tallies = raw_tallies(_write_csv(tmp_path / "a.csv", rows), _schema())
+        assert tallies["humor"] == {"funny": 5, "not_funny": 5, "very_funny": 0}
+        assert sum(tallies["humor"].values()) == 10
 
     def test_counts_sum_to_n(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -146,18 +146,13 @@ class TestDistributions:
         sent = ("positive", "neutral", "negative")
         rows = [(f"{i}.jpg", "t", "funny", "sarcastic", "motivational", sent[p])
                 for i, p in enumerate(picks)]
-        dist = raw_distribution(_write_csv(tmp_path / "a.csv", rows), _schema(), "sentiment")
-        assert dist.total == 37
+        tallies = raw_tallies(_write_csv(tmp_path / "a.csv", rows), _schema())
+        assert all(sum(counts.values()) == 37 for counts in tallies.values())
 
     def test_empty_records_rejected(self, tmp_path):
         path = _write_csv(tmp_path / "empty.csv", [])
         with pytest.raises(ValueError, match="empty"):
-            raw_distribution(path, _schema(), "humor")
-
-    def test_unknown_task_rejected(self, tmp_path):
-        path = _write_csv(tmp_path / "a.csv", [GOOD_ROW])
-        with pytest.raises(ValueError, match="unknown task"):
-            raw_distribution(path, _schema(), "offensiveness")
+            raw_tallies(path, _schema())
 
     def test_raw_distribution_keeps_declared_levels(self, tmp_path):
         rows = [
@@ -165,12 +160,12 @@ class TestDistributions:
             ("b.jpg", "t", "funny", "sarcastic", "motivational", "negative"),
         ]
         path = _write_csv(tmp_path / "a.csv", rows)
-        dist = raw_distribution(path, _schema(), "humor")
-        # declared order, zero-count levels included
-        assert list(dist.counts) == ["funny", "not_funny", "very_funny"]
-        assert dist.counts == {"funny": 1, "not_funny": 0, "very_funny": 1}
-        sent = raw_distribution(path, _schema(), "sentiment")
-        assert sent.counts == {"positive": 1, "negative": 1, "neutral": 0}
+        tallies = raw_tallies(path, _schema())
+        # tasks in TASKS order; levels in declared order, zero-count levels included
+        assert list(tallies) == list(TASKS)
+        assert list(tallies["humor"]) == ["funny", "not_funny", "very_funny"]
+        assert tallies["humor"] == {"funny": 1, "not_funny": 0, "very_funny": 1}
+        assert tallies["sentiment"] == {"positive": 1, "negative": 1, "neutral": 0}
 
 
 class TestSplit:
@@ -222,10 +217,10 @@ class TestFixtureFile:
         assert n == 6992
         records = load_dataset(path, _schema())
         assert len(records) == 6992
+        tallies = raw_tallies(path, _schema())
         for column, levels in FULL_TALLIES.items():
             task = {v: k for k, v in DEFAULT_COLUMNS.items()}[column]
-            dist = raw_distribution(path, _schema(), task)
-            assert dist.counts == dict(levels)
+            assert tallies[task] == dict(levels)
 
     def test_collapsed_humor_counts(self, tmp_path):
         path = tmp_path / "memotion.csv"

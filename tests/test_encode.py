@@ -130,6 +130,11 @@ class TestTextEncoder:
         spec = EncoderSpec(d_model=16, n_layers=1, n_heads=2, max_tokens=4, seed=9)
         return spec, encode.init_text_encoder_params(spec, vocab_size=64)
 
+    @staticmethod
+    def _one_text(tokens, spec, params):
+        """One text's (L, d) token sequence: its ids alone, with no batch axis."""
+        return encode.encode_ids(np.array(encode.text_ids(tokens, spec, 64)), spec, params)
+
     def test_token_ids_stable_and_nonzero(self):
         a = encode.token_id("meme")
         assert a == encode.token_id("meme")
@@ -139,14 +144,14 @@ class TestTextEncoder:
 
     def test_sequence_shape_and_truncation(self):
         spec, params = self._setup()
-        seq = encode.encode_tokens(["one", "two", "three"], spec, params)
+        seq = self._one_text(["one", "two", "three"], spec, params)
         assert seq.shape == (3, 16)
-        long = encode.encode_tokens(["a", "b", "c", "d", "e", "f"], spec, params)
+        long = self._one_text(["a", "b", "c", "d", "e", "f"], spec, params)
         assert long.shape == (4, 16)
 
     def test_empty_input_is_null_token(self):
         spec, params = self._setup()
-        seq = encode.encode_tokens([], spec, params)
+        seq = self._one_text([], spec, params)
         assert seq.shape == (1, 16)
         # null token row 0 plus position 0, through the same blocks
         x = params["tok_emb"][[0]] + params["pos"][:1]
@@ -156,9 +161,10 @@ class TestTextEncoder:
 
     def test_sentence_embedding_width(self):
         spec, params = self._setup()
-        vec = encode.encode_sentence(["hello", "world"], spec, params)
+        vec = encode.pool_sentence(self._one_text(["hello", "world"], spec, params), params)
         assert vec.shape == (768,)
-        np.testing.assert_array_equal(vec, encode.encode_sentence(["hello", "world"], spec, params))
+        np.testing.assert_array_equal(
+            vec, encode.pool_sentence(self._one_text(["hello", "world"], spec, params), params))
 
     def test_batched_ids_match_one_text_at_a_time(self):
         spec, params = self._setup()
@@ -168,11 +174,12 @@ class TestTextEncoder:
         sents = encode.pool_sentence(seqs, params)
         assert seqs.shape == (3, 3, 16) and sents.shape == (3, 768)
         for i, tokens in enumerate(texts):
-            assert seqs[i].tobytes() == encode.encode_tokens(tokens, spec, params).tobytes()
-            assert sents[i].tobytes() == encode.encode_sentence(tokens, spec, params).tobytes()
+            one = self._one_text(tokens, spec, params)
+            assert seqs[i].tobytes() == one.tobytes()
+            assert sents[i].tobytes() == encode.pool_sentence(one, params).tobytes()
 
     def test_order_sensitivity(self):
         spec, params = self._setup()
-        a = encode.encode_sentence(["dog", "bites", "man"], spec, params)
-        b = encode.encode_sentence(["man", "bites", "dog"], spec, params)
+        a = encode.pool_sentence(self._one_text(["dog", "bites", "man"], spec, params), params)
+        b = encode.pool_sentence(self._one_text(["man", "bites", "dog"], spec, params), params)
         assert not np.allclose(a, b)

@@ -132,7 +132,7 @@ class TestBuildReport:
     def test_hand_computed_cells(self):
         gold = {"humor": np.array([0, 0, 1, 1])}
         preds = {"v": {"humor": np.array([0, 1, 1, 1])}}
-        report = build_report(preds, gold, n_classes={"humor": 2})
+        report = build_report(preds, gold)
         # cm = [[1,1],[0,2]]: acc 3/4; F1_0 = 2/3, F1_1 = 4/5, macro = 11/15
         cell = report.variants["v"]["humor"]
         np.testing.assert_allclose(cell["accuracy"], 75.0, atol=1e-12)
@@ -151,12 +151,12 @@ class TestBuildReport:
     def test_length_mismatch_rejected(self):
         gold = {"humor": np.array([0, 1])}
         with pytest.raises(ValueError, match="humor"):
-            build_report({"v": {"humor": np.array([0, 1, 0])}}, gold, n_classes={"humor": 2})
+            build_report({"v": {"humor": np.array([0, 1, 0])}}, gold)
 
     def test_missing_gold_excluded(self):
         gold = {"humor": np.array([0, 1, -1, -1])}
         preds = {"v": {"humor": np.array([0, 1, 0, 1])}}
-        report = build_report(preds, gold, n_classes={"humor": 2})
+        report = build_report(preds, gold)
         assert report.variants["v"]["humor"]["accuracy"] == 100.0
 
 

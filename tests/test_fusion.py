@@ -10,16 +10,15 @@ class TestFuseFirstAxis:
         a = rng.normal(size=(196, 768)).astype(np.float32)
         b = rng.normal(size=(2, 768)).astype(np.float32)
         fused = fusion.fuse_first_axis(a, b)
-        assert fused.values.shape == (198, 768)
-        np.testing.assert_array_equal(fused.values[:196], a)
-        np.testing.assert_array_equal(fused.values[196:], b)
+        assert fused.shape == (198, 768)
+        np.testing.assert_array_equal(fused[:196], a)
+        np.testing.assert_array_equal(fused[196:], b)
 
     def test_two_vectors_as_rows(self):
         a = np.ones((1, 768))
         b = np.zeros((1, 768))
-        fused = fusion.fuse_first_axis(a, b, a_tag="caption", b_tag="text")
-        assert fused.values.shape == (2, 768)
-        assert fused.provenance == ("caption", "text")
+        fused = fusion.fuse_first_axis(a, b)
+        assert fused.shape == (2, 768)
 
     def test_width_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -36,25 +35,8 @@ class TestFuseFirstAxis:
         b = np.full((1, 3), 2.0)
         ab = fusion.fuse_first_axis(a, b)
         ba = fusion.fuse_first_axis(b, a)
-        assert not np.array_equal(ab.values, ba.values)
-        assert ab.provenance == ("image", "image", "text")
-        assert ba.provenance == ("image", "text", "text")
-
-
-class TestFusedRepresentation:
-    def test_provenance_must_cover_rows(self):
-        with pytest.raises(ValueError):
-            fusion.FusedRepresentation(np.zeros((3, 2)), ("image", "text"))
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            fusion.FusedRepresentation(np.zeros((1, 2)), ("audio",))
-
-    def test_batch_shares_provenance_of_its_rows(self):
-        rep = fusion.FusedRepresentation(np.zeros((7, 3, 2)), ("image", "image", "text"))
-        assert rep.values.shape[-2] == len(rep.provenance)
-        with pytest.raises(ValueError, match="7 rows but 3 provenance tags"):
-            fusion.FusedRepresentation(np.zeros((3, 7, 2)), ("image", "image", "text"))
+        np.testing.assert_array_equal(ab, [[1.0] * 3, [1.0] * 3, [2.0] * 3])
+        np.testing.assert_array_equal(ba, [[2.0] * 3, [1.0] * 3, [1.0] * 3])
 
 
 class TestProject:
@@ -84,8 +66,9 @@ class TestAssemble:
         img = rng.normal(size=(4, 64))
         tok = rng.normal(size=(3, 64))
         fused = fusion.assemble_variant_input("imgtxt", img=img, txt_tokens=tok)
-        assert fused.values.shape == (7, 64)
-        assert fused.provenance == ("image",) * 4 + ("text",) * 3
+        assert fused.shape == (7, 64)
+        np.testing.assert_array_equal(fused[:4], img)
+        np.testing.assert_array_equal(fused[4:], tok)
 
     def test_imgsen_projects_sentence_down(self):
         rng = np.random.default_rng(3)
@@ -94,9 +77,9 @@ class TestAssemble:
         proj = {"768to64": fusion.init_projection(768, 64, rng, dtype=np.float64)}
         fused = fusion.assemble_variant_input(
             "imgsen", img=img, txt_sentence=sent, projections=proj, d_target=64)
-        assert fused.values.shape == (5, 64)
-        np.testing.assert_array_equal(fused.values[:4], img)
-        np.testing.assert_allclose(fused.values[4], sent @ proj["768to64"], atol=1e-12)
+        assert fused.shape == (5, 64)
+        np.testing.assert_array_equal(fused[:4], img)
+        np.testing.assert_allclose(fused[4], sent @ proj["768to64"], atol=1e-12)
 
     def test_imgsen_default_target_is_wider_side(self):
         rng = np.random.default_rng(4)
@@ -105,18 +88,17 @@ class TestAssemble:
         proj = {"64to768": fusion.init_projection(64, 768, rng, dtype=np.float64)}
         fused = fusion.assemble_variant_input(
             "imgsen", img=img, txt_sentence=sent, projections=proj)
-        assert fused.values.shape == (5, 768)
-        np.testing.assert_array_equal(fused.values[4], sent)
+        assert fused.shape == (5, 768)
+        np.testing.assert_array_equal(fused[4], sent)
 
     def test_capsen_two_rows(self):
         rng = np.random.default_rng(5)
         cap = rng.normal(size=(768,))
         txt = rng.normal(size=(768,))
         fused = fusion.assemble_variant_input("capsen", caption_sentence=cap, txt_sentence=txt)
-        assert fused.values.shape == (2, 768)
-        assert fused.provenance == ("caption", "text")
-        np.testing.assert_array_equal(fused.values[0], cap)
-        np.testing.assert_array_equal(fused.values[1], txt)
+        assert fused.shape == (2, 768)
+        np.testing.assert_array_equal(fused[0], cap)
+        np.testing.assert_array_equal(fused[1], txt)
 
     def test_missing_representation_named(self):
         with pytest.raises(ValueError, match="txt_sentence"):
@@ -163,14 +145,12 @@ class TestBatchedAssemble:
         for i in range(5):
             one = {k: v if k == "d_target" else v[i] for k, v in parts.items()}
             single = fusion.assemble_variant_input(kind, projections=proj, **one)
-            assert single.provenance == batched.provenance
-            assert batched.values[i].shape == single.values.shape
-            assert batched.values[i].dtype == single.values.dtype
-            assert batched.values[i].tobytes() == single.values.tobytes()
+            assert batched[i].shape == single.shape
+            assert batched[i].dtype == single.dtype
+            assert batched[i].tobytes() == single.tobytes()
 
     def test_sentence_is_one_row_by_role(self):
         # a (B, d) sentence batch fuses as one row per record, not as B rows
         parts, proj = self._inputs("capsen", batch=4)
         fused = fusion.assemble_variant_input("capsen", projections=proj, **parts)
-        assert fused.values.shape == (4, 2, 48)
-        assert fused.provenance == ("caption", "text")
+        assert fused.shape == (4, 2, 48)

@@ -8,16 +8,16 @@ import pytest
 
 from memefuse import TASKS, TASK_CLASSES, pipeline
 from memefuse.dataset import LabelSet, MemeRecord
-from memefuse.encode import EncoderSpec, encode_ids, encode_image, generate_caption
+from memefuse.encode import encode_ids, encode_image, generate_captions
 from memefuse.model import NumericError
 from memefuse.pipeline import (
-    DEFAULT_IMAGE_HW,
+    CAPTION_LEN,
+    IMAGE_HW,
     build_feature_space,
     build_training_set,
     encode_corpus,
     fused_from_imported,
     labels_from_records,
-    record_features,
     toy_image,
 )
 
@@ -30,45 +30,45 @@ def space():
 
 class TestFusedShapes:
     def test_imgtxt_shape(self, space):
-        out = record_features("m1", ["hello", "world"], space, "imgtxt")
+        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgtxt")[0]
         assert out.shape == (space.n_patches + space.spec.max_tokens, 64)
         assert out.shape == (20, 64)
         assert out.dtype == np.float32
 
     def test_imgsen_shape(self, space):
-        out = record_features("m1", ["hello", "world"], space, "imgsen")
+        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgsen")[0]
         assert out.shape == (5, 64)
         assert out.dtype == np.float32
 
     def test_capsen_shape(self, space):
-        out = record_features("m1", ["hello", "world"], space, "capsen")
+        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "capsen")[0]
         assert out.shape == (2, 768)
         assert out.dtype == np.float32
 
     def test_fused_length_matches_arrays(self, space):
         for kind in ("imgtxt", "imgsen", "capsen"):
-            out = record_features("m7", ["one"], space, kind)
+            out = encode_corpus(["m7"], {"m7": ["one"]}, space, kind)[0]
             assert out.shape == (space.fused_length(kind), space.fused_width(kind))
 
     def test_unknown_kind_rejected(self, space):
         with pytest.raises(ValueError):
-            record_features("m1", ["x"], space, "bogus")
+            encode_corpus(["m1"], {"m1": ["x"]}, space, "bogus")
 
 
 class TestRecordFeatures:
     def test_deterministic(self, space):
-        a = record_features("m3", ["some", "words"], space, "imgtxt")
-        b = record_features("m3", ["some", "words"], space, "imgtxt")
+        a = encode_corpus(["m3"], {"m3": ["some", "words"]}, space, "imgtxt")[0]
+        b = encode_corpus(["m3"], {"m3": ["some", "words"]}, space, "imgtxt")[0]
         np.testing.assert_array_equal(a, b)
 
     def test_image_rows_prefix(self, space):
         # first n_patches rows are exactly the image encoding
-        out = record_features("m4", ["abc"], space, "imgtxt")
+        out = encode_corpus(["m4"], {"m4": ["abc"]}, space, "imgtxt")[0]
         img = encode_image(toy_image("m4"), space.spec, space.image_params)
         np.testing.assert_array_equal(out[: space.n_patches], img.astype(np.float32))
 
     def test_short_token_list_zero_padded(self, space):
-        out = record_features("m5", ["only", "two"], space, "imgtxt")
+        out = encode_corpus(["m5"], {"m5": ["only", "two"]}, space, "imgtxt")[0]
         tail = out[space.n_patches + 2 :]
         assert tail.shape[0] == space.spec.max_tokens - 2
         assert np.all(tail == 0.0)
@@ -76,15 +76,9 @@ class TestRecordFeatures:
         assert np.any(out[space.n_patches] != 0.0)
         assert np.any(out[space.n_patches + 1] != 0.0)
 
-    def test_explicit_image_overrides_toy(self, space):
-        custom = np.full((32, 32, 3), 0.25, dtype=np.float32)
-        out_custom = record_features("m6", ["z"], space, "imgsen", image=custom)
-        out_toy = record_features("m6", ["z"], space, "imgsen")
-        assert not np.array_equal(out_custom, out_toy)
-
     def test_text_changes_output(self, space):
-        a = record_features("m8", ["happy"], space, "imgsen")
-        b = record_features("m8", ["angry"], space, "imgsen")
+        a = encode_corpus(["m8"], {"m8": ["happy"]}, space, "imgsen")[0]
+        b = encode_corpus(["m8"], {"m8": ["angry"]}, space, "imgsen")[0]
         assert not np.array_equal(a, b)
 
 
@@ -97,7 +91,7 @@ class TestToyImage:
 
     def test_shape_range_dtype(self):
         img = toy_image("r9")
-        assert img.shape == DEFAULT_IMAGE_HW + (3,)
+        assert img.shape == IMAGE_HW + (3,)
         assert img.dtype == np.float32
         assert np.all(img >= 0.0) and np.all(img < 1.0)
 
@@ -119,9 +113,9 @@ class TestGoldenCaptions:
     def test_fixture_ids_decode_to_recorded_captions(self, seed):
         space = build_feature_space(seed=seed)
         for rid, caption in _GOLDEN_CAPTIONS[seed].items():
-            image = toy_image(rid, hw=space.image_hw)
-            assert generate_caption(image, space.caption_params,
-                                    max_len=space.caption_len) == caption, rid
+            image = toy_image(rid)
+            assert generate_captions(image[None], space.caption_params,
+                                     max_len=CAPTION_LEN)[0] == caption, rid
 
 
 class TestEncodeCorpus:
@@ -132,7 +126,7 @@ class TestEncodeCorpus:
         assert feats.shape == (3, 5, 64)
         for i, rid in enumerate(ids):
             np.testing.assert_array_equal(
-                feats[i], record_features(rid, toks[rid], space, "imgsen"))
+                feats[i], encode_corpus([rid], {rid: toks[rid]}, space, "imgsen")[0])
 
     def test_empty_corpus_keeps_declared_shape(self, space):
         feats = encode_corpus([], {}, space, "capsen")
@@ -245,7 +239,6 @@ class TestLabelsFromRecords:
     def _record(self, rid, humor, sarcasm, motivation, sentiment):
         return MemeRecord(
             id=rid,
-            image_ref=rid,
             text="t",
             labels=LabelSet(humor=humor, sarcasm=sarcasm,
                             motivation=motivation, sentiment=sentiment),

@@ -1,0 +1,83 @@
+"""Every top-level function and class in the package has a caller in the package.
+
+A definition counts as used when module-level code or another used
+definition refers to it by name, so a wrapper whose only caller is
+itself unused is reported too.  The allow-list holds the definitions
+that nothing in the package calls on purpose, each with its reason.
+Names are matched as identifiers, not resolved, so a name shared with an
+attribute elsewhere can hide an unused definition; it never flags a used one.
+"""
+
+import ast
+from pathlib import Path
+
+import memefuse
+
+PACKAGE = Path(memefuse.__file__).parent
+
+ALLOWED = {
+    ("balance", "knn_indices"):
+        "oracle: the one-row definition of the k-NN metric the neighbour table is checked against",
+    ("balance", "balance_to_majority"): "gate 2 oversamples the full-scale corpus through it",
+    ("encode", "transformer_block_backward"):
+        "gate 4: the encoder block's gradient, with the nnops backward passes it calls",
+    ("lstm", "lstm_cell_forward"): "gate 4: the per-cell reference for the fused trunk",
+    ("lstm", "lstm_cell_backward"): "gate 4: the per-cell reference for the fused trunk",
+    ("encode", "export_embeddings"): "format writer: the exchange files import_embeddings reads",
+    ("fixtures", "write_annotation_fixture"):
+        "format writer: the synthetic annotation files of the tests and the benchmark",
+}
+
+
+def _names(node) -> set:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def unused_definitions(package: Path = PACKAGE, allowed=ALLOWED) -> list:
+    """(module, name) of every top-level def or class no used code refers to."""
+    defs = {}
+    used_by_module_code = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[(path.stem, node.name)] = node
+            else:
+                used_by_module_code |= _names(node)
+    live = set(defs)
+    while True:
+        used = set(used_by_module_code)
+        for key in live:
+            used |= _names(defs[key]) - {key[1]}
+        dead = {key for key in live if key[1] not in used and key not in allowed}
+        if not dead:
+            return sorted(set(defs) - live)
+        live -= dead
+
+
+def test_allow_list_names_existing_definitions():
+    present = set()
+    for path in PACKAGE.glob("*.py"):
+        present |= {(path.stem, node.name) for node in ast.parse(path.read_text()).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(ALLOWED) <= present, sorted(set(ALLOWED) - present)
+
+
+def test_every_definition_has_a_caller():
+    unused = unused_definitions()
+    assert not unused, f"no caller in the package and not allow-listed: {unused}"
+
+
+def test_a_wrapper_called_only_by_an_unused_wrapper_is_reported(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def core(x):\n    return x\n\n"
+        "def one(x):\n    return core(x)\n\n"
+        "def outer(x):\n    return one(x)\n\n"
+        "print(core(1))\n")
+    assert unused_definitions(tmp_path, allowed={}) == [("m", "one"), ("m", "outer")]
+    assert unused_definitions(tmp_path, allowed={("m", "outer"): "kept"}) == []

@@ -90,19 +90,22 @@ class TestGoldenCorpus:
                 assert token and all("a" <= c <= "z" for c in token)
 
 
+CONFIG = PreprocessConfig(emoji_lexicon=LEXICON, vocabulary=VOCAB)
+
+
 class TestDemojize:
     def test_single_known_emoji(self):
-        assert demojize("ok \U0001F602", LEXICON) == "ok face with tears of joy"
+        assert demojize("ok \U0001F602", CONFIG) == "ok face with tears of joy"
 
     def test_identity_without_emoji(self):
-        assert demojize("plain text", LEXICON) == "plain text"
+        assert demojize("plain text", CONFIG) == "plain text"
 
     def test_each_occurrence_replaced(self):
-        assert demojize("\U0001F602\U0001F602", LEXICON) == \
+        assert demojize("\U0001F602\U0001F602", CONFIG) == \
             "face with tears of joy face with tears of joy"
 
     def test_unknown_emoji_deleted(self):
-        assert demojize("a\U0001F63Ab", LEXICON) == "ab"
+        assert demojize("a\U0001F63Ab", CONFIG) == "ab"
 
 
 class TestStripMarks:
