@@ -1,0 +1,61 @@
+"""One BLAS thread for a scope, on the OpenBLAS that numpy bundles.
+
+The BiLSTM trunk alternates small GEMMs with single-threaded element-wise
+passes, so a second OpenBLAS thread mostly spins between GEMMs, and a
+threaded GEMM splits its sums by the thread count, so trained weights
+would depend on the host's core count.  ``single_thread`` pins OpenBLAS
+to one thread while its body runs and restores the previous count after.
+With any other BLAS (MKL, Accelerate, a system OpenBLAS that numpy does
+not bundle) it does nothing.  The count is process-wide: scopes must not
+run concurrently in threads of one process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+# (get, set) symbol names of the OpenBLAS builds numpy wheels bundle
+THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _thread_controls():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None if none is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for get_name, set_name in THREAD_SYMBOLS:
+            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def single_thread():
+    """Run the body on one OpenBLAS thread; a no-op when no OpenBLAS is found."""
+    controls = _thread_controls()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

@@ -65,12 +65,13 @@ def _corpus_features(records, tokens_by_id, kind, args):
 def cmd_ingest(args) -> int:
     schema = _load_schema(args)
     path = _require(args.dataset, "dataset")
-    records = load_dataset(path, schema)
+    # one pass checks the rows as load_dataset does and counts them
     tallies = raw_tallies(path, schema)
+    records = sum(tallies[TASKS[0]].values())
     if args.json:
-        print(json.dumps({"records": len(records), "tasks": tallies}, indent=2))
+        print(json.dumps({"records": records, "tasks": tallies}, indent=2))
     else:
-        print(f"records: {len(records)}")
+        print(f"records: {records}")
         for task in TASKS:
             levels = ", ".join(f"{level} {count}"
                                for level, count in tallies[task].items())

@@ -157,13 +157,10 @@ def _pick_row(index: int, row: dict, schema: Schema) -> dict[str, str]:
     return out
 
 
-def load_dataset(path: str | Path, schema: Schema) -> list[MemeRecord]:
-    """Read the annotation file into validated records.
-
-    Raw labels are collapsed through the schema's label tables; a raw
-    value absent from its table fails with the offending row index.
-    """
-    records: list[MemeRecord] = []
+def _checked_rows(path: str | Path, schema: Schema) -> Iterator[tuple[int, dict[str, str]]]:
+    """Yield (row_index, logical-column dict) for every data row that has a
+    non-empty, unique id and a raw label in its task's table for every task;
+    the first row that does not raises RowError with its index."""
     seen: set[str] = set()
     for index, row in _iter_rows(path, schema):
         rid = row["id"]
@@ -172,15 +169,23 @@ def load_dataset(path: str | Path, schema: Schema) -> list[MemeRecord]:
         if rid in seen:
             raise RowError(index, f"duplicate id {rid!r}")
         seen.add(rid)
-        mapped = {}
         for task in TASKS:
-            raw = row[task]
-            table = schema.labels[task]
-            if raw not in table:
-                raise RowError(index, f"unmappable {task} label {raw!r}")
-            mapped[task] = table[raw]
+            if row[task] not in schema.labels[task]:
+                raise RowError(index, f"unmappable {task} label {row[task]!r}")
+        yield index, row
+
+
+def load_dataset(path: str | Path, schema: Schema) -> list[MemeRecord]:
+    """Read the annotation file into validated records.
+
+    Raw labels are collapsed through the schema's label tables; a raw
+    value absent from its table fails with the offending row index.
+    """
+    records: list[MemeRecord] = []
+    for _, row in _checked_rows(path, schema):
+        mapped = {task: schema.labels[task][row[task]] for task in TASKS}
         records.append(
-            MemeRecord(id=rid, text=row["text"], labels=LabelSet(**mapped))
+            MemeRecord(id=row["id"], text=row["text"], labels=LabelSet(**mapped))
         )
     return records
 
@@ -191,16 +196,15 @@ def raw_tallies(path: str | Path, schema: Schema) -> dict[str, dict[str, int]]:
 
     This is the presentation the source table uses (raw levels, before
     the collapse), so summaries of the annotation file can be compared
-    against it level by level.
+    against it level by level.  Rows get load_dataset's checks, so one
+    pass both validates the file and counts it: every row counts once in
+    each task.
     """
     tallies = {task: {raw: 0 for raw in schema.labels[task]} for task in TASKS}
     n = 0
-    for index, row in _iter_rows(path, schema):
+    for _, row in _checked_rows(path, schema):
         for task, counts in tallies.items():
-            raw = row[task]
-            if raw not in counts:
-                raise RowError(index, f"unmappable {task} label {raw!r}")
-            counts[raw] += 1
+            counts[row[task]] += 1
         n += 1
     if n == 0:
         raise ValueError("raw distribution of an empty file is undefined")

@@ -4,6 +4,11 @@ joint cross-entropy training with Adam, and exact checkpoint round-trips.
 The four heads (humor, sarcasm, motivation, sentiment) share the trunk
 and train jointly.  Samples may miss labels for some tasks (label -1),
 which masks them out of that head's loss.
+
+``train`` and ``predict_proba`` run on one OpenBLAS thread (see
+``memefuse.blas``): the trunk's GEMMs are too small for a second thread
+to pay, and with one thread the checkpoints do not depend on the host's
+core count.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import TASKS, TASK_CLASSES
+from .blas import single_thread
 from .fusion import VARIANT_KINDS
 from .lstm import (Workspace, bilstm_backward, bilstm_forward, init_bilstm_params,
                    sequence_feature)
@@ -137,6 +143,7 @@ def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict, ws: Wor
     return probs, (layer_caches, feat, heads, x.shape)
 
 
+@single_thread()
 def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> dict:
     """Batch of fused sequences (B, L, d) -> {task: (B, K) probabilities}.
 
@@ -231,6 +238,7 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int,
     return params, state
 
 
+@single_thread()
 def train(variant: ModelVariant, dataset: TrainSet, config: TrainConfig):
     """Mini-batch Adam training; returns (params, history).
 

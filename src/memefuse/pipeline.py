@@ -32,6 +32,11 @@ EXCHANGE_NAMES = {"img": "image", "txt_tokens": "tokens", "txt_sentence": "text_
                   "caption_sentence": "caption_sentence"}
 
 
+def _check_variant(kind: str) -> None:
+    if kind not in VARIANT_PARTS:
+        raise ValueError(f"unknown variant {kind!r}")
+
+
 @dataclass
 class FeatureSpace:
     """Frozen encoder weights shared by every record of a run."""
@@ -47,6 +52,7 @@ class FeatureSpace:
         return (IMAGE_HW[0] // self.spec.patch_size) * (IMAGE_HW[1] // self.spec.patch_size)
 
     def fused_length(self, kind: str) -> int:
+        _check_variant(kind)
         if kind == "imgtxt":
             return self.n_patches + self.spec.max_tokens
         if kind == "imgsen":
@@ -54,6 +60,7 @@ class FeatureSpace:
         return 2
 
     def fused_width(self, kind: str) -> int:
+        _check_variant(kind)
         return SENTENCE_DIM if kind == "capsen" else self.spec.d_model
 
 
@@ -115,12 +122,10 @@ def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: st
         for row, seq in zip(tokens, encode_texts(texts)):
             row[:len(seq)] = seq
         parts = {"img": img, "txt_tokens": tokens}
-    elif kind == "imgsen":
+    else:  # imgsen; encode_corpus has checked the name
         parts = {"img": encode_image(images, spec, space.image_params),
                  "txt_sentence": np.stack(encode_texts(texts)),
                  "projections": space.projections, "d_target": spec.d_model}
-    else:
-        raise ValueError(f"unknown variant {kind!r}")
     return assemble_variant_input(kind, **parts).astype(np.float32, copy=False)
 
 
@@ -197,8 +202,7 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5,
 
 def exchange_names(kind: str) -> tuple:
     """The exchange files (``{name}.jsonl``) that hold the parts a variant fuses."""
-    if kind not in VARIANT_PARTS:
-        raise ValueError(f"unknown variant {kind!r}")
+    _check_variant(kind)
     return tuple(EXCHANGE_NAMES[part] for part in VARIANT_PARTS[kind])
 
 

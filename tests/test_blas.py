@@ -1,0 +1,93 @@
+"""The one-thread BLAS scope: its thread count, its no-op fallback, and
+training output that does not depend on OPENBLAS_NUM_THREADS."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import memefuse
+from memefuse import TASKS, blas, model
+from memefuse.fixtures import write_annotation_fixture
+from memefuse.model import ModelVariant, TrainConfig, TrainSet
+
+# 120 rows with the Memotion fixture's class ratios
+TALLIES = {
+    "humour": (("funny", 71), ("not_funny", 11), ("very_funny", 38)),
+    "sarcasm": (("sarcastic", 92), ("not_sarcastic", 28)),
+    "motivational": (("motivational", 42), ("not_motivational", 78)),
+    "overall_sentiment": (("positive", 33), ("negative", 87), ("neutral", 0)),
+}
+
+
+@pytest.fixture
+def controls():
+    """numpy's OpenBLAS (get, set); the count it had is restored afterwards."""
+    found = blas._thread_controls()
+    if found is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    get, put = found
+    before = get()
+    try:
+        yield get, put
+    finally:
+        put(before)
+
+
+def test_scope_runs_on_one_thread_and_restores_the_count(controls):
+    get, put = controls
+    put(2)
+    outer = get()
+    with blas.single_thread():
+        assert get() == 1
+    assert get() == outer
+    with pytest.raises(RuntimeError, match="body"):
+        with blas.single_thread():
+            assert get() == 1
+            raise RuntimeError("body")
+    assert get() == outer
+
+
+def _train_bytes():
+    rng = np.random.default_rng(5)
+    n = 24
+    data = TrainSet(rng.normal(size=(n, 6, 8)).astype(np.float32),
+                    {task: rng.integers(0, 2, size=n) for task in TASKS})
+    params, history = model.train(ModelVariant("imgsen", hidden=8, head_hidden=8), data,
+                                  TrainConfig(batch_size=10, epochs=2, seed=1))
+    return [params[k].tobytes() for k in sorted(params)], history
+
+
+def test_scope_without_openblas_is_a_no_op(controls, monkeypatch):
+    get, put = controls
+    put(1)
+    expected = _train_bytes()
+    monkeypatch.setattr(blas, "_thread_controls", lambda: None)
+    put(2)
+    outer = get()
+    with blas.single_thread():
+        assert get() == outer
+    # the arithmetic of the pinned run, so only the scope differs
+    put(1)
+    assert _train_bytes() == expected
+
+
+def test_training_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    data = tmp_path / "memes.csv"
+    write_annotation_fixture(data, TALLIES)
+    src = str(Path(memefuse.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        ckpt = tmp_path / threads / "imgtxt.ckpt"
+        run = subprocess.run(
+            [sys.executable, "-m", "memefuse.cli", "train", "--dataset", str(data),
+             "--variant", "imgtxt", "--epochs", "2", "--checkpoint", str(ckpt)],
+            env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr.decode()
+        outputs[threads] = (ckpt.read_bytes(), ckpt.with_suffix(".history.jsonl").read_bytes())
+    assert outputs["1"] == outputs["2"]

@@ -74,6 +74,22 @@ class TestIngest:
         assert rc == 2
         assert "row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second_id, message", [
+        ("", "error: row 1: empty id"),
+        ("a.jpg", "error: row 1: duplicate id 'a.jpg'"),
+    ], ids=["empty", "duplicate"])
+    def test_bad_id_exits_2_naming_the_row(self, tmp_path, capsys, second_id, message):
+        # the tallying pass applies load_dataset's id checks too
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "image_name,text,humour,sarcasm,motivational,overall_sentiment\n"
+            "a.jpg,t,funny,sarcastic,motivational,positive\n"
+            f"{second_id},t,funny,sarcastic,motivational,positive\n",
+            encoding="utf-8")
+        assert cli.main(["ingest", "--dataset", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+
 
 class TestPreprocess:
     def test_writes_sorted_jsonl(self, small_csv, tmp_path, capsys):

@@ -54,6 +54,14 @@ class TestFusedShapes:
         with pytest.raises(ValueError):
             encode_corpus(["m1"], {"m1": ["x"]}, space, "bogus")
 
+    def test_unknown_kind_rejected_for_an_empty_corpus(self, space):
+        # no chunk is encoded, so only the shape queries can reject the name
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            encode_corpus([], {}, space, "bogus")
+        for query in (space.fused_length, space.fused_width):
+            with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+                query("bogus")
+
 
 class TestRecordFeatures:
     def test_deterministic(self, space):
