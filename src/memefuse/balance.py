@@ -2,44 +2,16 @@
 
 Synthetic rows are drawn on the segment between a class member and one
 of its k nearest same-class neighbors: s = x + lambda (x_nn - x) with
-lambda uniform in [0, 1].  Original rows are preserved verbatim and
-always come first in the output.
+lambda uniform in [0, 1].  Only the synthetic rows are returned; the
+caller places them after the originals.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import NumericError
 from .seeds import rng_for
-
-DEFAULT_K = 5
-
-
-@dataclass(frozen=True)
-class LabeledVectors:
-    features: np.ndarray
-    labels: np.ndarray
-    k: int = DEFAULT_K
-    seed: int = 0
-
-    def __post_init__(self):
-        f = np.asarray(self.features)
-        y = np.asarray(self.labels)
-        if f.ndim != 2 or f.shape[1] < 1:
-            raise ValueError(f"features must be n x d with d >= 1, got shape {f.shape}")
-        if y.shape != (f.shape[0],):
-            raise ValueError(f"{f.shape[0]} rows but {y.shape} labels")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "labels", y)
-
-    def class_counts(self) -> dict:
-        values, counts = np.unique(self.labels, return_counts=True)
-        return {v.item(): int(c) for v, c in zip(values, counts)}
 
 
 def knn_indices(points: np.ndarray, query_index: int, k: int) -> np.ndarray:
@@ -232,39 +204,35 @@ def _overflowing_row(members: np.ndarray, neighbors: np.ndarray):
     return int(query[np.argmax(bad)]) if bad.any() else None
 
 
-def smote_oversample(data: LabeledVectors, target_count: dict) -> LabeledVectors:
-    """Grow each class to its target by interpolating between neighbors.
+def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, row_labels): deficits[cls] synthetic rows per class, classes in str order.
 
     Draw order per synthetic row: class member, then neighbor, then
-    lambda, all from one stream seeded by data.seed.  Each class's members
-    are interpolated in float64 and its synthetic rows cast back to the
-    input dtype.
+    lambda, all from one stream seeded by seed.  Each class's members are
+    interpolated in float64 with min(k, members - 1) neighbors, and its
+    synthetic rows are cast back to the input dtype.
     """
-    feats = data.features
-    labels = data.labels
-    counts = data.class_counts()
-    for cls, want in target_count.items():
-        have = counts.get(cls, 0)
-        if want < have:
-            raise ValueError(f"class {cls!r}: target {want} below current count {have}")
-    rng = rng_for(data.seed, "smote")
-    new_rows = []
-    new_labels = []
-    for cls in sorted(target_count, key=str):
-        deficit = target_count[cls] - counts.get(cls, 0)
+    total = sum(deficits.values())
+    rows = np.empty((total, features.shape[1]), dtype=features.dtype)
+    row_labels = np.empty(total, dtype=labels.dtype)
+    rng = rng_for(seed, "smote")
+    start = 0
+    for cls in sorted(deficits, key=str):
+        deficit = deficits[cls]
         if deficit == 0:
             continue
         member_idx = np.flatnonzero(labels == cls)
         if len(member_idx) < 2:
             raise ValueError(f"class {cls!r} has {len(member_idx)} member(s); need 2 to interpolate")
-        k = min(data.k, len(member_idx) - 1)
-        members = feats[member_idx].astype(np.float64, copy=False)
+        kk = min(k, len(member_idx) - 1)
+        members = features[member_idx].astype(np.float64, copy=False)
         finite = np.isfinite(members).all(axis=1)
         if not finite.all():
             raise NumericError(f"class {cls!r}: non-finite feature in row "
                                f"{int(member_idx[np.argmin(finite)])}")
         with np.errstate(over="ignore"):  # overflow is reported just below
-            neighbors = _neighbor_table(members, k)
+            neighbors = _neighbor_table(members, kk)
         row = _overflowing_row(members, neighbors)
         if row is not None:
             raise NumericError(f"class {cls!r}: squared distance from row "
@@ -274,28 +242,17 @@ def smote_oversample(data: LabeledVectors, target_count: dict) -> LabeledVectors
         lam = np.empty(deficit)
         for r in range(deficit):
             pick[r] = rng.integers(len(member_idx))
-            near[r] = neighbors[pick[r]][int(rng.integers(k))]
+            near[r] = neighbors[pick[r]][int(rng.integers(kk))]
             lam[r] = rng.uniform()
         # x + lam (x_nn - x) in that order, so each row's bytes are those
         # of the same expression on one row
-        rows = members[near]
+        grown = members[near]
         x = members[pick]
-        rows -= x
-        rows *= lam[:, None]
-        rows += x
-        new_rows.append(rows.astype(feats.dtype))
-        new_labels.append(np.full(deficit, cls, dtype=labels.dtype))
-    if not new_rows:
-        return data
-    features = np.concatenate([feats, *new_rows], axis=0)
-    labels_out = np.concatenate([labels, *new_labels])
-    return replace(data, features=features, labels=labels_out)
-
-
-def balance_to_majority(data: LabeledVectors) -> LabeledVectors:
-    """Oversample every class up to the size of the largest one."""
-    counts = data.class_counts()
-    if len(counts) < 2:
-        raise ValueError("need at least 2 classes to balance")
-    majority = max(counts.values())
-    return smote_oversample(data, {cls: majority for cls in counts})
+        grown -= x
+        grown *= lam[:, None]
+        grown += x
+        stop = start + deficit
+        rows[start:stop] = grown  # casts as astype(features.dtype) would
+        row_labels[start:stop] = cls
+        start = stop
+    return rows, row_labels

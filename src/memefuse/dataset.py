@@ -137,6 +137,8 @@ def _iter_jsonl(path: Path, schema: Schema) -> Iterator[tuple[int, dict[str, str
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RowError(index, f"invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise RowError(index, "expected a JSON object")
             for logical in LOGICAL_COLUMNS:
                 actual = schema.columns[logical]
                 if actual not in row and logical != "text":

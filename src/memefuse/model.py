@@ -398,8 +398,9 @@ def _check_manifest(path, variant: ModelVariant, manifest: list) -> None:
 def load_checkpoint(path):
     """Returns (variant, params, meta) with meta = {"seed", "epoch"}.
 
-    A malformed header, or a manifest that does not list exactly the
-    variant's tensors, raises ValueError naming the offending field or tensor.
+    A malformed header, a manifest that does not list exactly the
+    variant's tensors, or a tensor holding NaN or inf raises ValueError
+    naming the offending field or tensor.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -419,6 +420,8 @@ def load_checkpoint(path):
         if offset + size > len(blob):
             raise ValueError(f"{path}: truncated tensor data at {entry['name']!r}")
         arr = np.frombuffer(blob[offset:offset + size], dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
         params[entry["name"]] = arr.copy()
         offset += size
     if offset != len(blob):

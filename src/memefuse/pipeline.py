@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import TASKS, TASK_CLASSES
-from .balance import LabeledVectors, smote_oversample
+from .balance import smote_oversample
 from .encode import (EncoderSpec, SENTENCE_DIM, encode_ids, encode_image, generate_captions,
                      init_caption_decoder_params, init_image_encoder_params,
                      init_text_encoder_params, pool_sentence, text_ids)
@@ -162,7 +162,8 @@ def labels_from_records(records) -> dict:
 
 def build_training_set(features: np.ndarray, labels: dict, k: int = 5,
                        seed: int = 0) -> TrainSet:
-    """Balance each task to majority parity and stack originals + synthetics.
+    """Balance each task to majority parity: originals first, then each
+    task's synthetic rows, in one float32 array sized up front.
 
     Synthetic rows are interpolated in flattened fused space (double
     precision, one class at a time) and carry only the balanced task's
@@ -174,30 +175,29 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5,
         raise ValueError("k must be >= 1")
     n, length, width = features.shape
     flat = features.reshape(n, length * width)
-    out_feats = [features]
-    out_labels = {task: [np.asarray(labels[task], dtype=np.int64)] for task in TASKS}
-    for task in TASKS:
-        y = np.asarray(labels[task], dtype=np.int64)
+    ys = {task: np.asarray(labels[task], dtype=np.int64) for task in TASKS}
+    deficits = {}
+    for task, y in ys.items():
         counts = np.bincount(y[y >= 0], minlength=HEAD_ARITY[task])
         target = int(counts.max())
-        deficits = {cls: target - int(c) for cls, c in enumerate(counts) if c and target > c}
-        if not deficits:
+        deficits[task] = {cls: target - int(c) for cls, c in enumerate(counts) if c and target > c}
+    total = n + sum(sum(d.values()) for d in deficits.values())
+    out = np.empty((total, length, width), dtype=np.float32)
+    out_labels = {task: np.full(total, -1, dtype=np.int64) for task in TASKS}
+    start = n
+    for task in TASKS:
+        out_labels[task][:n] = ys[task]
+        if not deficits[task]:
             continue
-        data = LabeledVectors(flat, y, k=k, seed=derive_seed(seed, f"balance.{task}"))
-        grown = smote_oversample(
-            data, {cls: int(counts[cls]) + need for cls, need in deficits.items()})
-        synth = grown.features[n:]
-        synth_labels = grown.labels[n:]
-        if synth.shape[0] == 0:
-            continue
-        # a copy, so that the task's grown array (originals first) is freed
-        out_feats.append(synth.reshape(-1, length, width).astype(np.float32))
-        for other in TASKS:
-            fill = synth_labels if other == task else np.full(synth.shape[0], -1, np.int64)
-            out_labels[other].append(np.asarray(fill, dtype=np.int64))
-    stacked = np.concatenate(out_feats, axis=0)
-    merged = {task: np.concatenate(parts) for task, parts in out_labels.items()}
-    return TrainSet(stacked, merged)
+        rows, row_labels = smote_oversample(flat, ys[task], deficits[task], k,
+                                            derive_seed(seed, f"balance.{task}"))
+        stop = start + len(rows)
+        out[start:stop] = rows.reshape(-1, length, width)
+        out_labels[task][start:stop] = row_labels
+        start = stop
+    # after the draws, so an input that cannot be balanced fails before any cast
+    out[:n] = features
+    return TrainSet(out, out_labels)
 
 
 def exchange_names(kind: str) -> tuple:

@@ -81,29 +81,33 @@ def _plain(label):
     return label.item() if hasattr(label, "item") else label
 
 
-def verify_oversampled(before, after, tol=1e-9):
-    """Check every appended row in ``after`` against ``before``'s originals.
+def verify_oversampled(features, labels, k, synthetic, before, tol=1e-9):
+    """Check every synthetic row against the originals it was drawn from.
 
-    Returns the number of synthetic rows verified; raises AssertionError
+    ``features`` and ``labels`` are the oversampler's inputs after the
+    call, ``before`` a copy of both taken before it, and ``synthetic``
+    its (rows, row_labels).  Returns the number of synthetic rows
+    verified; raises AssertionError if the inputs were modified, or
     naming the class and position of the first row with no valid
     (member, neighbor, lambda) witness.
     """
-    n = before.features.shape[0]
-    assert np.array_equal(after.features[:n], before.features), "originals not preserved"
-    assert np.array_equal(after.labels[:n], before.labels), "original labels not preserved"
-    synth_feats, synth_labels = after.features[n:], after.labels[n:]
+    before_feats, before_labels = before
+    assert np.array_equal(features, before_feats), "input features were modified"
+    assert np.array_equal(labels, before_labels), "input labels were modified"
+    synth_feats, synth_labels = synthetic
+    assert len(synth_feats) == len(synth_labels), "one label per synthetic row"
     witnessed = np.zeros(len(synth_labels), dtype=bool)
     for cls in np.unique(synth_labels):
         key = _plain(cls)
-        members = before.features[before.labels == cls]
-        k = min(before.k, len(members) - 1)
-        assert k >= 1, f"class {key!r} has too few members to interpolate"
-        segments = _candidate_segments(members, brute_force_neighbors(members, k))
+        members = before_feats[before_labels == cls]
+        kk = min(k, len(members) - 1)
+        assert kk >= 1, f"class {key!r} has too few members to interpolate"
+        segments = _candidate_segments(members, brute_force_neighbors(members, kk))
         mine = synth_labels == cls
         witnessed[mine] = segment_witnesses(synth_feats[mine], segments, tol=tol)
     if not witnessed.all():
         first = int(np.argmin(witnessed))
         key = _plain(synth_labels[first])
-        raise AssertionError(f"synthetic row {first} (output row {n + first}) of class "
-                             f"{key!r} lies on no member-neighbor segment")
+        raise AssertionError(f"synthetic row {first} of class {key!r} "
+                             f"lies on no member-neighbor segment")
     return len(synth_labels)

@@ -13,7 +13,7 @@ import numpy as np
 
 from memefuse import TASKS, cli
 from memefuse import encode, lstm, model, nnops
-from memefuse.balance import LabeledVectors, balance_to_majority
+from memefuse.balance import smote_oversample
 from memefuse.evalmetrics import accuracy, confusion, macro_f1
 from memefuse.fixtures import write_annotation_fixture
 from memefuse.fusion import assemble_variant_input
@@ -55,12 +55,12 @@ def test_oversampling_full_scale_with_independent_oracle():
     rng = np.random.default_rng(20240817)
     feats = rng.normal(size=(6992, 64))  # float64: the 1e-9 recovery needs it
     labels = np.array([0] * 5341 + [1] * 1651, dtype=np.int64)
-    data = LabeledVectors(feats, labels, k=5, seed=7)
+    before = (feats.copy(), labels.copy())
     start = time.monotonic()
-    grown = balance_to_majority(data)
-    counts = grown.class_counts()
-    assert counts == {0: 5341, 1: 5341}
-    verified = verify_oversampled(data, grown, tol=1e-9)
+    synthetic = smote_oversample(feats, labels, {1: 5341 - 1651}, k=5, seed=7)
+    counts = np.bincount(np.concatenate([labels, synthetic[1]]))
+    assert counts.tolist() == [5341, 5341]
+    verified = verify_oversampled(feats, labels, 5, synthetic, before, tol=1e-9)
     elapsed = time.monotonic() - start
     assert verified == 3690
     assert elapsed < 30.0, f"balance + verification took {elapsed:.2f}s"

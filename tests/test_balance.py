@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from memefuse import balance
-from memefuse.balance import LabeledVectors, balance_to_majority, knn_indices, smote_oversample
+from memefuse.balance import knn_indices, smote_oversample
 from smote_oracle import brute_force_neighbors, verify_oversampled
 
 
@@ -92,20 +92,6 @@ class TestNeighborTable:
             balance._neighbor_table(np.zeros((3, 2)), 3)
 
 
-class TestLabeledVectors:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LabeledVectors(np.zeros((3,)), np.zeros(3))
-        with pytest.raises(ValueError):
-            LabeledVectors(np.zeros((3, 2)), np.zeros(4))
-        with pytest.raises(ValueError):
-            LabeledVectors(np.zeros((3, 2)), np.zeros(3), k=0)
-
-    def test_class_counts(self):
-        data = LabeledVectors(np.zeros((5, 2)), np.array([0, 1, 1, 0, 1]))
-        assert data.class_counts() == {0: 2, 1: 3}
-
-
 class _StubRng:
     """Deterministic stand-in: integers() walks a list, uniform() another."""
 
@@ -120,38 +106,49 @@ class _StubRng:
         return self._floats.pop(0)
 
 
+def _majority_deficits(labels):
+    """{class: rows to add} raising every present class to the largest one."""
+    values, counts = np.unique(labels, return_counts=True)
+    return {v.item(): int(counts.max() - c) for v, c in zip(values, counts)}
+
+
+def _balanced(feats, labels, k=5, seed=0):
+    """smote_oversample to majority parity, verified by the oracle; its (rows, labels)."""
+    before = (feats.copy(), labels.copy())
+    out = smote_oversample(feats, labels, _majority_deficits(labels), k, seed)
+    verify_oversampled(feats, labels, k, out, before)
+    return out
+
+
 class TestSmoteOversample:
     def test_midpoint_with_forced_lambda(self, monkeypatch):
         monkeypatch.setattr(balance, "rng_for", lambda *_: _StubRng([0, 0], [0.5]))
-        data = LabeledVectors(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 0]), k=1)
-        out = smote_oversample(data, {0: 3})
-        np.testing.assert_allclose(out.features[2], [0.5, 0.5], atol=1e-12)
+        rows, row_labels = smote_oversample(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                                            np.array([0, 0]), {0: 1}, 1, 0)
+        np.testing.assert_allclose(rows, [[0.5, 0.5]], atol=1e-12)
+        assert row_labels.tolist() == [0]
 
     def test_zero_deficit_identity(self):
-        data = LabeledVectors(np.arange(8.0).reshape(4, 2), np.array([0, 0, 1, 1]))
-        out = smote_oversample(data, {0: 2, 1: 2})
-        np.testing.assert_array_equal(out.features, data.features)
-        np.testing.assert_array_equal(out.labels, data.labels)
-
-    def test_target_below_current_rejected(self):
-        data = LabeledVectors(np.zeros((4, 2)), np.array([0, 0, 0, 1]))
-        with pytest.raises(ValueError, match="below current"):
-            smote_oversample(data, {0: 2})
+        feats = np.arange(8.0).reshape(4, 2)
+        rows, row_labels = smote_oversample(feats, np.array([0, 0, 1, 1]), {0: 0, 1: 0}, 5, 0)
+        assert rows.shape == (0, 2) and row_labels.shape == (0,)
+        np.testing.assert_array_equal(feats, np.arange(8.0).reshape(4, 2))
 
     def test_singleton_class_with_deficit_rejected(self):
-        data = LabeledVectors(np.arange(6.0).reshape(3, 2), np.array([0, 0, 1]))
         with pytest.raises(ValueError, match="need 2"):
-            smote_oversample(data, {1: 3})
+            smote_oversample(np.arange(6.0).reshape(3, 2), np.array([0, 0, 1]), {1: 2}, 5, 0)
 
     def test_originals_first_and_verbatim(self):
+        # only synthetic rows come back and the input stays verbatim; the
+        # originals-first layout is build_training_set's (test_pipeline)
         rng = np.random.default_rng(3)
-        feats = rng.normal(size=(20, 4))
+        feats = rng.normal(size=(20, 4)).astype(np.float32)
         labels = np.array([0] * 14 + [1] * 6)
-        data = LabeledVectors(feats, labels, k=3, seed=11)
-        out = smote_oversample(data, {1: 14})
-        assert out.features.shape == (28, 4)
-        np.testing.assert_array_equal(out.features[:20], feats)
-        assert list(out.labels[20:]) == [1] * 8
+        before = feats.copy()
+        rows, row_labels = smote_oversample(feats, labels, {1: 8}, 3, 11)
+        assert rows.shape == (8, 4) and rows.dtype == np.float32
+        np.testing.assert_array_equal(feats, before)
+        assert row_labels.tolist() == [1] * 8
 
     def test_synthetics_pass_independent_oracle(self):
         rng = np.random.default_rng(5)
@@ -163,10 +160,10 @@ class TestSmoteOversample:
         duplicated = feats.copy()
         duplicated[34:] = far
         for features in (feats, duplicated):
-            data = LabeledVectors(features, labels, k=5, seed=9)
-            out = balance_to_majority(data)
-            assert verify_oversampled(data, out) == 16
-        assert (out.features[40:] == far).all(axis=1).any()  # the w = 0 witnesses were needed
+            before = (features.copy(), labels.copy())
+            out = smote_oversample(features, labels, {1: 16}, 5, 9)
+            assert verify_oversampled(features, labels, 5, out, before) == 16
+        assert (out[0] == far).all(axis=1).any()  # the w = 0 witnesses were needed
 
     @pytest.mark.parametrize(
         "case", ["off_segment", "extrapolated", "beyond_k", "changed_original"])
@@ -174,8 +171,8 @@ class TestSmoteOversample:
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(40, 6))
         labels = np.array([0] * 28 + [1] * 12)
-        data = LabeledVectors(feats, labels, k=5, seed=9)
-        out = balance_to_majority(data)
+        before = (feats.copy(), labels.copy())
+        rows, row_labels = smote_oversample(feats, labels, {1: 16}, 5, 9)
         members = feats[labels == 1]
         x = members[0]
         ranked = brute_force_neighbors(members, 6)[0]  # k + 1 nearest
@@ -188,30 +185,30 @@ class TestSmoteOversample:
             bad = x + 1.5 * w
         elif case == "beyond_k":
             bad = x + 0.5 * (members[ranked[5]] - x)
-        features = np.vstack([out.features, bad])
-        message = r"synthetic row 16 \(output row 56\) of class 1 "
+        synthetic = (np.vstack([rows, bad]), np.append(row_labels, 1))
+        message = r"synthetic row 16 of class 1 "
         if case == "changed_original":
-            features[3, 2] += 1e-6
-            message = "originals not preserved"
+            feats[3, 2] += 1e-6
+            message = "input features were modified"
         with pytest.raises(AssertionError, match=message):
-            verify_oversampled(data, LabeledVectors(features, np.append(out.labels, 1)))
+            verify_oversampled(feats, labels, 5, synthetic, before)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(12, 3))
         labels = np.array([0] * 8 + [1] * 4)
-        a = balance_to_majority(LabeledVectors(feats, labels, seed=1))
-        b = balance_to_majority(LabeledVectors(feats, labels, seed=1))
-        c = balance_to_majority(LabeledVectors(feats, labels, seed=2))
-        np.testing.assert_array_equal(a.features, b.features)
-        assert not np.array_equal(a.features, c.features)
+        a, _ = _balanced(feats, labels, seed=1)
+        b, _ = _balanced(feats, labels, seed=1)
+        c, _ = _balanced(feats, labels, seed=2)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_k_clamped_for_tiny_class(self):
-        # class of 3 with default k=5: clamp to 2 neighbors, still works
+        # class of 3 with k=5: clamp to 2 neighbors, still works
         feats = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0], [13.0]])
         labels = np.array([0, 0, 0, 1, 1, 1, 1])
-        out = balance_to_majority(LabeledVectors(feats, labels, seed=4))
-        assert out.class_counts() == {0: 4, 1: 4}
+        _, row_labels = _balanced(feats, labels, k=5, seed=4)
+        assert row_labels.tolist() == [0]
 
 
 class TestBalanceToMajority:
@@ -219,25 +216,25 @@ class TestBalanceToMajority:
         rng = np.random.default_rng(13)
         feats = rng.normal(size=(20, 2))
         labels = np.array([0] * 10 + [1] * 4 + [2] * 6)
-        out = balance_to_majority(LabeledVectors(feats, labels, seed=2))
-        assert out.class_counts() == {0: 10, 1: 10, 2: 10}
+        _, row_labels = _balanced(feats, labels, seed=2)
+        assert row_labels.tolist() == [1] * 6 + [2] * 4
 
     def test_already_balanced_unchanged(self):
         rng = np.random.default_rng(17)
         feats = rng.normal(size=(6, 2))
         labels = np.array([0, 0, 0, 1, 1, 1])
-        data = LabeledVectors(feats, labels)
-        out = balance_to_majority(data)
-        np.testing.assert_array_equal(out.features, feats)
+        rows, _ = _balanced(feats, labels)
+        assert rows.shape == (0, 2)
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="2 classes"):
-            balance_to_majority(LabeledVectors(np.zeros((3, 2)), np.zeros(3)))
+        # a class absent from the input has nothing to interpolate between
+        with pytest.raises(ValueError, match="class 1 has 0 member"):
+            smote_oversample(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), {1: 3}, 5, 0)
 
     def test_string_labels_supported(self):
         rng = np.random.default_rng(19)
         feats = rng.normal(size=(9, 3))
         labels = np.array(["sarcastic"] * 6 + ["not_sarcastic"] * 3)
-        out = balance_to_majority(LabeledVectors(feats, labels, seed=3))
-        assert out.class_counts() == {"sarcastic": 6, "not_sarcastic": 6}
-        assert verify_oversampled(LabeledVectors(feats, labels, seed=3), out) == 3
+        rows, row_labels = _balanced(feats, labels, seed=3)
+        assert row_labels.tolist() == ["not_sarcastic"] * 3
+        assert rows.shape == (3, 3)

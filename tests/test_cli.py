@@ -305,6 +305,17 @@ class TestEval:
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
 
+    def test_non_finite_tensor_exits_2(self, small_csv, trained, tmp_path, capsys):
+        header_line, blob = trained.read_bytes().split(b"\n", 1)
+        first = json.loads(header_line)["manifest"][0]["name"]
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(header_line + b"\n" + np.float32(np.nan).tobytes() + blob[4:])
+        rc = cli.main(["eval", "--dataset", str(small_csv), "--checkpoint", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and f"tensor {first!r} holds a non-finite" in err
+        assert "Traceback" not in err
+
     def test_non_finite_features_exit_3(self, small_csv, trained, capsys, monkeypatch):
         real = cli._corpus_features
 

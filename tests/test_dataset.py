@@ -121,6 +121,13 @@ class TestLoadDataset:
         assert records[0].id == "j.jpg"
         assert records[0].labels.sentiment == "negative"
 
+    @pytest.mark.parametrize("line", ["123", "null", '"s"', "[1]"])
+    def test_jsonl_row_not_an_object_rejected(self, tmp_path, line):
+        path = tmp_path / "a.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(RowError, match="row 0: expected a JSON object"):
+            load_dataset(path, _schema())
+
 
 def _records(n, cls_of):
     """n records whose labels come from cls_of(i) -> (humor, sarcasm, mot, sent)."""

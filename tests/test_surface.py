@@ -18,7 +18,6 @@ PACKAGE = Path(memefuse.__file__).parent
 ALLOWED = {
     ("balance", "knn_indices"):
         "oracle: the one-row definition of the k-NN metric the neighbour table is checked against",
-    ("balance", "balance_to_majority"): "gate 2 oversamples the full-scale corpus through it",
     ("encode", "transformer_block_backward"):
         "gate 4: the encoder block's gradient, with the nnops backward passes it calls",
     ("lstm", "lstm_cell_forward"): "gate 4: the per-cell reference for the fused trunk",
