@@ -34,6 +34,15 @@ class RowError(ValueError):
 
 LOGICAL_COLUMNS = ("id", "text") + TASKS
 
+
+def _strings(value, where: str) -> dict:
+    """``value`` itself when it is a mapping of strings to strings."""
+    if not isinstance(value, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in value.items()):
+        raise SchemaError(f"schema {where} must be an object of strings, got {value!r}")
+    return value
+
+
 DEFAULT_COLUMNS = {
     "id": "image_name",
     "text": "text",
@@ -91,10 +100,12 @@ class Schema:
         missing = [c for c in LOGICAL_COLUMNS if c not in self.columns]
         if missing:
             raise SchemaError(f"schema lacks column mapping for {missing}")
+        if not isinstance(self.labels, dict):
+            raise SchemaError(f"schema labels must be an object, got {self.labels!r}")
         for task in TASKS:
             if task not in self.labels:
                 raise SchemaError(f"schema lacks label mapping for task {task!r}")
-            for raw, mapped in self.labels[task].items():
+            for raw, mapped in _strings(self.labels[task], f"labels.{task}").items():
                 if mapped not in TASK_CLASSES[task]:
                     raise SchemaError(
                         f"label table {task!r} maps {raw!r} to unknown class {mapped!r}"
@@ -104,8 +115,10 @@ class Schema:
     def from_json(cls, path: str | Path) -> "Schema":
         with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise SchemaError(f"schema top level must be an object, got {spec!r}")
         columns = dict(DEFAULT_COLUMNS)
-        columns.update(spec.get("columns", {}))
+        columns.update(_strings(spec.get("columns", {}), "columns"))
         return cls(columns=columns, labels=spec.get("labels", {}))
 
 

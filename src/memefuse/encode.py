@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,31 +17,13 @@ from . import nnops
 from .seeds import rng_for
 
 SENTENCE_DIM = 768
-DEFAULT_VOCAB_SIZE = 1024
-
-
-@dataclass(frozen=True)
-class EncoderSpec:
-    """Sizing knobs shared by the image and text encoders."""
-
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 2
-    patch_size: int = 16
-    max_tokens: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.d_model <= 0 or self.n_heads <= 0:
-            raise ValueError("d_model and n_heads must be positive")
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be >= 0")
-        if self.d_model % self.n_heads:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
-        if self.patch_size < 1:
-            raise ValueError("patch_size must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+# the one geometry of the image and text encoders
+D_MODEL = 64
+N_LAYERS = 2
+N_HEADS = 2
+PATCH_SIZE = 16
+MAX_TOKENS = 16
+VOCAB_SIZE = 1024
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
@@ -62,11 +43,11 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def init_block_params(d_model: int, n_heads: int, rng: np.random.Generator,
-                      hidden_mult: int = 4, dtype=np.float32) -> dict:
+                      dtype=np.float32) -> dict:
     def mat(rows, cols):
         return (rng.normal(size=(rows, cols)) / np.sqrt(rows)).astype(dtype)
 
-    d_ff = hidden_mult * d_model
+    d_ff = 4 * d_model
     p = {
         "ln1.g": np.ones(d_model, dtype=dtype),
         "ln1.b": np.zeros(d_model, dtype=dtype),
@@ -119,85 +100,82 @@ def transformer_block_backward(d_y: np.ndarray, cache):
     return dx, d_params
 
 
-def _stack_params(spec: EncoderSpec, rng: np.random.Generator, dtype) -> dict:
+def _stack_params(rng: np.random.Generator) -> dict:
     params = {}
-    for i in range(spec.n_layers):
-        for k, v in init_block_params(spec.d_model, spec.n_heads, rng, dtype=dtype).items():
+    for i in range(N_LAYERS):
+        for k, v in init_block_params(D_MODEL, N_HEADS, rng).items():
             params[f"blocks.{i}.{k}"] = v
     return params
 
 
-def init_image_encoder_params(spec: EncoderSpec, image_hw: tuple[int, int],
-                              channels: int = 3, dtype=np.float32) -> dict:
+def init_image_encoder_params(seed: int, image_hw: tuple[int, int]) -> dict:
+    """Image encoder weights for RGB images of ``image_hw`` pixels."""
     h, w = image_hw
-    if h % spec.patch_size or w % spec.patch_size:
-        raise ValueError(f"image {h}x{w} not divisible by patch size {spec.patch_size}")
-    n_patches = (h // spec.patch_size) * (w // spec.patch_size)
-    d_patch = spec.patch_size * spec.patch_size * channels
-    rng = rng_for(spec.seed, "image_encoder")
+    n_patches = (h // PATCH_SIZE) * (w // PATCH_SIZE)
+    d_patch = PATCH_SIZE * PATCH_SIZE * 3
+    rng = rng_for(seed, "image_encoder")
     params = {
-        "patch_embed.w": (rng.normal(size=(d_patch, spec.d_model)) / np.sqrt(d_patch)).astype(dtype),
-        "patch_embed.b": np.zeros(spec.d_model, dtype=dtype),
-        "pos": (rng.normal(size=(n_patches, spec.d_model)) * 0.02).astype(dtype),
+        "patch_embed.w": (rng.normal(size=(d_patch, D_MODEL)) / np.sqrt(d_patch)).astype(np.float32),
+        "patch_embed.b": np.zeros(D_MODEL, dtype=np.float32),
+        "pos": (rng.normal(size=(n_patches, D_MODEL)) * 0.02).astype(np.float32),
     }
-    params.update(_stack_params(spec, rng, dtype))
+    params.update(_stack_params(rng))
     return params
 
 
-def init_text_encoder_params(spec: EncoderSpec, vocab_size: int = DEFAULT_VOCAB_SIZE,
-                             dtype=np.float32) -> dict:
-    rng = rng_for(spec.seed, "text_encoder")
+def init_text_encoder_params(seed: int) -> dict:
+    rng = rng_for(seed, "text_encoder")
     params = {
         # row 0 is the null token used for empty input
-        "tok_emb": (rng.normal(size=(vocab_size, spec.d_model)) * 0.1).astype(dtype),
-        "pos": (rng.normal(size=(spec.max_tokens, spec.d_model)) * 0.02).astype(dtype),
-        "sent_proj.w": (rng.normal(size=(spec.d_model, SENTENCE_DIM)) / np.sqrt(spec.d_model)).astype(dtype),
-        "sent_proj.b": np.zeros(SENTENCE_DIM, dtype=dtype),
+        "tok_emb": (rng.normal(size=(VOCAB_SIZE, D_MODEL)) * 0.1).astype(np.float32),
+        "pos": (rng.normal(size=(MAX_TOKENS, D_MODEL)) * 0.02).astype(np.float32),
+        "sent_proj.w": (rng.normal(size=(D_MODEL, SENTENCE_DIM)) / np.sqrt(D_MODEL)).astype(np.float32),
+        "sent_proj.b": np.zeros(SENTENCE_DIM, dtype=np.float32),
     }
-    params.update(_stack_params(spec, rng, dtype))
+    params.update(_stack_params(rng))
     return params
 
 
-def _run_blocks(x: np.ndarray, spec: EncoderSpec, params: dict) -> np.ndarray:
-    for i in range(spec.n_layers):
-        x, _ = transformer_block_forward(x, nnops.sub_params(params, f"blocks.{i}"), spec.n_heads)
+def _run_blocks(x: np.ndarray, params: dict) -> np.ndarray:
+    for i in range(N_LAYERS):
+        x, _ = transformer_block_forward(x, nnops.sub_params(params, f"blocks.{i}"), N_HEADS)
     return x
 
 
-def encode_image(image: np.ndarray, spec: EncoderSpec, params: dict) -> np.ndarray:
-    """(..., H, W, C) pixel arrays -> (..., n_patches, d_model) feature sequences.
+def encode_image(image: np.ndarray, params: dict) -> np.ndarray:
+    """(..., H, W, C) pixel arrays -> (..., n_patches, D_MODEL) feature sequences.
 
-    A batch runs through the blocks as one (B, n_patches, d_model) tensor;
+    A batch runs through the blocks as one (B, n_patches, D_MODEL) tensor;
     numpy's stacked matmul runs the same per-image GEMMs, so each image
     encodes bit for bit as it does alone.
     """
-    patches = patchify(np.asarray(image, dtype=params["patch_embed.w"].dtype), spec.patch_size)
+    patches = patchify(np.asarray(image, dtype=params["patch_embed.w"].dtype), PATCH_SIZE)
     if patches.shape[-2] != params["pos"].shape[0]:
         raise ValueError(
             f"{patches.shape[-2]} patches but positions for {params['pos'].shape[0]}")
     x = patches @ params["patch_embed.w"] + params["patch_embed.b"] + params["pos"]
-    return _run_blocks(x, spec, params)
+    return _run_blocks(x, params)
 
 
-def token_id(word: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> int:
-    """Stable hash of a word into [1, vocab_size); 0 stays the null token."""
+def token_id(word: str) -> int:
+    """Stable hash of a word into [1, VOCAB_SIZE); 0 stays the null token."""
     digest = hashlib.blake2s(word.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little") % (vocab_size - 1) + 1
+    return int.from_bytes(digest, "little") % (VOCAB_SIZE - 1) + 1
 
 
-def text_ids(tokens, spec: EncoderSpec, vocab_size: int = DEFAULT_VOCAB_SIZE) -> tuple:
-    """The ids the text encoder reads: at most max_tokens of them, and the
+def text_ids(tokens) -> tuple:
+    """The ids the text encoder reads: at most MAX_TOKENS of them, and the
     single null token for an empty list, so there is always at least one."""
-    return tuple(token_id(t, vocab_size) for t in tokens[:spec.max_tokens]) or (0,)
+    return tuple(token_id(t) for t in tokens[:MAX_TOKENS]) or (0,)
 
 
-def encode_ids(ids: np.ndarray, spec: EncoderSpec, params: dict) -> np.ndarray:
-    """(..., L) token ids -> (..., L, d_model) feature sequences.
+def encode_ids(ids: np.ndarray, params: dict) -> np.ndarray:
+    """(..., L) token ids -> (..., L, D_MODEL) feature sequences.
 
     Every row of a batch has the same L, so no padding or mask is needed.
     """
     x = params["tok_emb"][ids] + params["pos"][:ids.shape[-1]]
-    return _run_blocks(x, spec, params)
+    return _run_blocks(x, params)
 
 
 def pool_sentence(seq: np.ndarray, params: dict) -> np.ndarray:

@@ -18,7 +18,6 @@ VARIANT_PARTS = {
     "imgsen": ("img", "txt_sentence"),
     "capsen": ("caption_sentence", "txt_sentence"),
 }
-VARIANT_KINDS = tuple(VARIANT_PARTS)
 
 
 def fuse_first_axis(a: np.ndarray, b: np.ndarray) -> np.ndarray:

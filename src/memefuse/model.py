@@ -19,9 +19,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import TASKS, TASK_CLASSES
+from . import TASKS, TASK_CLASSES, VARIANTS
 from .blas import single_thread
-from .fusion import VARIANT_KINDS
 from .lstm import (Workspace, bilstm_backward, bilstm_forward, init_bilstm_params,
                    sequence_feature)
 from .nnops import sub_params
@@ -51,7 +50,7 @@ class ModelVariant:
     head_hidden: int = 32
 
     def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
+        if self.kind not in VARIANTS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if min(self.bilstm_layers, self.hidden, self.head_hidden) < 1:
             raise ValueError("bilstm_layers, hidden, head_hidden must be >= 1")

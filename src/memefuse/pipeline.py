@@ -14,8 +14,8 @@ import numpy as np
 
 from . import TASKS, TASK_CLASSES
 from .balance import smote_oversample
-from .encode import (EncoderSpec, SENTENCE_DIM, encode_ids, encode_image, generate_captions,
-                     init_caption_decoder_params, init_image_encoder_params,
+from .encode import (D_MODEL, MAX_TOKENS, PATCH_SIZE, SENTENCE_DIM, encode_ids, encode_image,
+                     generate_captions, init_caption_decoder_params, init_image_encoder_params,
                      init_text_encoder_params, pool_sentence, text_ids)
 from .fusion import VARIANT_PARTS, assemble_variant_input, init_projection
 from .model import HEAD_ARITY, TrainSet
@@ -23,6 +23,10 @@ from .seeds import derive_seed, rng_for
 
 IMAGE_HW = (32, 32)
 IMAGE_CHANNELS = 3
+N_PATCHES = (IMAGE_HW[0] // PATCH_SIZE) * (IMAGE_HW[1] // PATCH_SIZE)
+# variant -> (rows, width) of one record's fused features
+FUSED_SHAPES = {"imgtxt": (N_PATCHES + MAX_TOKENS, D_MODEL), "imgsen": (N_PATCHES + 1, D_MODEL),
+                "capsen": (2, SENTENCE_DIM)}
 CAPTION_LEN = 8
 # Records encoded together: enough to amortise numpy's per-call cost, few
 # enough that a chunk's activations stay small next to the corpus tensor.
@@ -41,39 +45,20 @@ def _check_variant(kind: str) -> None:
 class FeatureSpace:
     """Frozen encoder weights shared by every record of a run."""
 
-    spec: EncoderSpec
     image_params: dict
     text_params: dict
     caption_params: dict
     projections: dict
 
-    @property
-    def n_patches(self) -> int:
-        return (IMAGE_HW[0] // self.spec.patch_size) * (IMAGE_HW[1] // self.spec.patch_size)
-
-    def fused_length(self, kind: str) -> int:
-        _check_variant(kind)
-        if kind == "imgtxt":
-            return self.n_patches + self.spec.max_tokens
-        if kind == "imgsen":
-            return self.n_patches + 1
-        return 2
-
-    def fused_width(self, kind: str) -> int:
-        _check_variant(kind)
-        return SENTENCE_DIM if kind == "capsen" else self.spec.d_model
-
 
 def build_feature_space(seed: int = 0) -> FeatureSpace:
-    spec = EncoderSpec(seed=seed)
     proj_rng = rng_for(seed, "sentence_projection")
     return FeatureSpace(
-        spec=spec,
-        image_params=init_image_encoder_params(spec, IMAGE_HW, IMAGE_CHANNELS),
-        text_params=init_text_encoder_params(spec),
+        image_params=init_image_encoder_params(seed, IMAGE_HW),
+        text_params=init_text_encoder_params(seed),
         caption_params=init_caption_decoder_params(seed=derive_seed(seed, "caption")),
-        projections={f"{SENTENCE_DIM}to{spec.d_model}":
-                     init_projection(SENTENCE_DIM, spec.d_model, proj_rng)})
+        projections={f"{SENTENCE_DIM}to{D_MODEL}":
+                     init_projection(SENTENCE_DIM, D_MODEL, proj_rng)})
 
 
 def toy_image(record_id: str) -> np.ndarray:
@@ -89,18 +74,18 @@ def _text_encoder(space: FeatureSpace, sentences: bool):
     life, and the new ones go through as one (G, L) batch per id count L,
     so no padding or mask enters the encoder.
     """
-    spec, params = space.spec, space.text_params
+    params = space.text_params
     memo: dict = {}
 
     def encode(texts: list) -> list:
-        keys = [tuple(t[:spec.max_tokens]) for t in texts]
+        keys = [tuple(t[:MAX_TOKENS]) for t in texts]
         by_length: dict = {}
         for key in dict.fromkeys(keys):
             if key not in memo:
                 by_length.setdefault(max(len(key), 1), []).append(key)
         for group in by_length.values():
-            ids = np.array([text_ids(key, spec, params["tok_emb"].shape[0]) for key in group])
-            out = encode_ids(ids, spec, params)
+            ids = np.array([text_ids(key) for key in group])
+            out = encode_ids(ids, params)
             memo.update(zip(group, pool_sentence(out, params) if sentences else out))
         return [memo[key] for key in keys]
 
@@ -110,22 +95,21 @@ def _text_encoder(space: FeatureSpace, sentences: bool):
 def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: str,
                   encode_texts) -> np.ndarray:
     """B images and their token lists -> (B, L, d) fused float32 features."""
-    spec = space.spec
     if kind == "capsen":
         captions = generate_captions(images, space.caption_params, max_len=CAPTION_LEN)
         parts = {"caption_sentence": np.stack(encode_texts(captions)),
                  "txt_sentence": np.stack(encode_texts(texts))}
     elif kind == "imgtxt":
-        img = encode_image(images, spec, space.image_params)
-        # zero rows after each record's tokens give every record max_tokens rows
-        tokens = np.zeros((len(texts), spec.max_tokens, spec.d_model), dtype=np.float32)
+        img = encode_image(images, space.image_params)
+        # zero rows after each record's tokens give every record MAX_TOKENS rows
+        tokens = np.zeros((len(texts), MAX_TOKENS, D_MODEL), dtype=np.float32)
         for row, seq in zip(tokens, encode_texts(texts)):
             row[:len(seq)] = seq
         parts = {"img": img, "txt_tokens": tokens}
     else:  # imgsen; encode_corpus has checked the name
-        parts = {"img": encode_image(images, spec, space.image_params),
+        parts = {"img": encode_image(images, space.image_params),
                  "txt_sentence": np.stack(encode_texts(texts)),
-                 "projections": space.projections, "d_target": spec.d_model}
+                 "projections": space.projections, "d_target": D_MODEL}
     return assemble_variant_input(kind, **parts).astype(np.float32, copy=False)
 
 
@@ -136,11 +120,11 @@ def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
     Records go through the encoders ENCODE_CHUNK at a time: the images of a
     chunk as one batch, the captions decoded together, and each distinct
     token tuple (texts and captions alike) encoded once per call.  Token
-    sequences are zero-padded to max_tokens after encoding so every record
-    of a variant shares one shape.
+    sequences are zero-padded to MAX_TOKENS after encoding so every record
+    of a variant has its FUSED_SHAPES shape.
     """
-    out = np.empty((len(ids), space.fused_length(kind), space.fused_width(kind)),
-                   dtype=np.float32)
+    _check_variant(kind)
+    out = np.empty((len(ids), *FUSED_SHAPES[kind]), dtype=np.float32)
     encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
     for start in range(0, len(ids), ENCODE_CHUNK):
         chunk = ids[start:start + ENCODE_CHUNK]
@@ -226,6 +210,8 @@ def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> lis
             raise ValueError(f"{name} embeddings: record {rid!r} has shape {arr.shape}, "
                              f"width {arrays[0].shape[-1]} expected")
         arrays.append(arr)
+    if not arrays[0].shape[-1]:
+        raise ValueError(f"{name} embeddings have width 0")
     return arrays
 
 
@@ -253,7 +239,10 @@ def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.n
     for i in range(len(ids)):
         key = tuple(len(arrays[i]) if arrays[i].ndim == 2 else 1 for arrays in parts.values())
         groups.setdefault(key, []).append(i)
-    out = np.zeros((len(ids), max(map(sum, groups)), target), dtype=np.float32)
+    length = max(map(sum, groups))
+    if not length:
+        raise ValueError(f"{' and '.join(names)} embeddings hold no rows for any record")
+    out = np.zeros((len(ids), length, target), dtype=np.float32)
     for key, idx in groups.items():
         batch = {name: np.stack([arrays[i] for i in idx]) for name, arrays in parts.items()}
         out[idx, :sum(key)] = assemble_variant_input(kind, projections=projections,

@@ -148,6 +148,8 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
                 key, value = line.split("\t", 1)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: expected two tab-separated columns") from exc
+            if not key:
+                raise ValueError(f"{path}:{lineno}: empty emoji column")
             lexicon[key] = value
     return lexicon
 

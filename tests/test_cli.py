@@ -90,6 +90,19 @@ class TestIngest:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message + "\n")
 
+    @pytest.mark.parametrize("schema, message", [
+        ([], "error: schema top level must be an object, got []"),
+        ({"columns": [1, 2]}, "error: schema columns must be an object of strings, got [1, 2]"),
+        ({"labels": {"humor": ["a"]}},
+         "error: schema labels.humor must be an object of strings, got ['a']"),
+    ], ids=["top-level", "columns", "task-labels"])
+    def test_malformed_schema_exits_2_naming_the_field(self, small_csv, tmp_path, capsys,
+                                                       schema, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(schema), encoding="utf-8")
+        assert cli.main(["ingest", "--dataset", str(small_csv), "--schema", str(path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestPreprocess:
     def test_writes_sorted_jsonl(self, small_csv, tmp_path, capsys):
@@ -115,6 +128,14 @@ class TestPreprocess:
                        "--lexicon", str(tmp_path / "no.tsv")])
         assert rc == 2
         assert "lexicon" in capsys.readouterr().err
+
+    def test_empty_lexicon_key_exits_2_naming_the_line(self, small_csv, tmp_path, capsys):
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("\U0001F600\tgrinning face\n\tsmile\n", encoding="utf-8")
+        rc = cli.main(["preprocess", "--dataset", str(small_csv),
+                       "--out", str(tmp_path / "x.jsonl"), "--lexicon", str(lexicon)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {lexicon}:2: empty emoji column\n"
 
 
 class TestTrain:
@@ -428,3 +449,40 @@ class TestEmbeddingsPath:
                        "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"),
                        "--embeddings", str(emb)])
         assert rc == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("variant, files, message", [
+        ("imgtxt", {"image": ("sequence", (0, 8)), "tokens": ("sequence", (0, 8))},
+         "image and tokens embeddings hold no rows for any record"),
+        ("imgsen", {"image": ("sequence", (3, 0)), "text_sentence": ("vector", (0,))},
+         "image embeddings have width 0"),
+    ], ids=["no-rows", "zero-width"])
+    def test_nothing_to_fuse_exits_2_naming_the_file(self, small_csv, tmp_path, capsys,
+                                                     command, variant, files, message):
+        # both used to fail inside the k-NN table or the classifier, mostly
+        # with a traceback, and never named the file
+        from memefuse.dataset import Schema, load_dataset
+        from memefuse import bundled_data
+        from memefuse.encode import export_embeddings
+        from memefuse.model import ModelVariant, init_classifier_params, save_checkpoint
+
+        records = load_dataset(small_csv, Schema.from_json(
+            bundled_data("memotion_schema.json")))
+        emb = tmp_path / "emb"
+        emb.mkdir()
+        for name, (kind, shape) in files.items():
+            export_embeddings(emb / f"{name}.jsonl",
+                              {r.id: np.zeros(shape) for r in records}, kind=kind)
+        ckpt = tmp_path / "x.ckpt"
+        if command == "train":
+            args = ["--variant", variant, "--epochs", "1"]
+        else:
+            model = ModelVariant(kind=variant)
+            save_checkpoint(ckpt, model,
+                            init_classifier_params(model, 8, np.random.default_rng(0)),
+                            seed=0, epoch=1)
+            args = []
+        rc = cli.main([command, "--dataset", str(small_csv), "--checkpoint", str(ckpt),
+                       "--embeddings", str(emb), *args])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

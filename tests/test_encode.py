@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from memefuse import encode, nnops
-from memefuse.encode import EncoderSpec
 from fdcheck import check_grads
 
 
@@ -76,110 +75,93 @@ class TestTransformerBlock:
             check_grads(loss, {"x": x, **p})
 
 
-class TestSpecValidation:
-    def test_defaults_ok(self):
-        spec = EncoderSpec()
-        assert spec.d_model == 64 and spec.patch_size == 16
-
-    def test_rejects_indivisible_heads(self):
-        with pytest.raises(ValueError):
-            EncoderSpec(d_model=10, n_heads=3)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            EncoderSpec(d_model=0)
-        with pytest.raises(ValueError):
-            EncoderSpec(patch_size=0)
-
-
 class TestImageEncoder:
     def test_output_shape_and_determinism(self):
-        spec = EncoderSpec(d_model=16, n_layers=1, n_heads=2, patch_size=8, seed=5)
-        params = encode.init_image_encoder_params(spec, (16, 16))
-        img = np.random.default_rng(0).normal(size=(16, 16, 3)).astype(np.float32)
-        a = encode.encode_image(img, spec, params)
-        b = encode.encode_image(img, spec, params)
-        assert a.shape == (4, 16)
+        params = encode.init_image_encoder_params(5, (32, 32))
+        img = np.random.default_rng(0).normal(size=(32, 32, 3)).astype(np.float32)
+        a = encode.encode_image(img, params)
+        b = encode.encode_image(img, params)
+        assert a.shape == (4, encode.D_MODEL)
         np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_params(self):
-        spec = EncoderSpec(d_model=16, n_layers=1, n_heads=2, patch_size=8, seed=5)
-        p1 = encode.init_image_encoder_params(spec, (16, 16))
-        p2 = encode.init_image_encoder_params(spec, (16, 16))
+        p1 = encode.init_image_encoder_params(5, (32, 32))
+        p2 = encode.init_image_encoder_params(5, (32, 32))
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
 
     def test_batch_matches_one_image_at_a_time(self):
-        spec = EncoderSpec(d_model=16, n_layers=2, n_heads=2, patch_size=8, seed=5)
-        params = encode.init_image_encoder_params(spec, (16, 16))
-        images = np.random.default_rng(1).uniform(size=(2, 3, 16, 16, 3)).astype(np.float32)
-        batch = encode.encode_image(images, spec, params)
-        assert batch.shape == (2, 3, 4, 16)
+        params = encode.init_image_encoder_params(5, (32, 32))
+        images = np.random.default_rng(1).uniform(size=(2, 3, 32, 32, 3)).astype(np.float32)
+        batch = encode.encode_image(images, params)
+        assert batch.shape == (2, 3, 4, encode.D_MODEL)
         for idx in np.ndindex(2, 3):
-            assert batch[idx].tobytes() == encode.encode_image(images[idx], spec, params).tobytes()
+            assert batch[idx].tobytes() == encode.encode_image(images[idx], params).tobytes()
 
     def test_wrong_image_size_raises(self):
-        spec = EncoderSpec(d_model=16, n_layers=1, n_heads=2, patch_size=8)
-        params = encode.init_image_encoder_params(spec, (16, 16))
-        with pytest.raises(ValueError):
-            encode.encode_image(np.zeros((24, 24, 3)), spec, params)
+        params = encode.init_image_encoder_params(0, (32, 32))
+        # 24 is not a multiple of the patch size; 48 gives 9 patches for 4 positions
+        for side in (24, 48):
+            with pytest.raises(ValueError):
+                encode.encode_image(np.zeros((side, side, 3)), params)
 
 
 class TestTextEncoder:
     def _setup(self):
-        spec = EncoderSpec(d_model=16, n_layers=1, n_heads=2, max_tokens=4, seed=9)
-        return spec, encode.init_text_encoder_params(spec, vocab_size=64)
+        return encode.init_text_encoder_params(9)
 
     @staticmethod
-    def _one_text(tokens, spec, params):
+    def _one_text(tokens, params):
         """One text's (L, d) token sequence: its ids alone, with no batch axis."""
-        return encode.encode_ids(np.array(encode.text_ids(tokens, spec, 64)), spec, params)
+        return encode.encode_ids(np.array(encode.text_ids(tokens)), params)
 
     def test_token_ids_stable_and_nonzero(self):
         a = encode.token_id("meme")
         assert a == encode.token_id("meme")
-        assert 1 <= a < encode.DEFAULT_VOCAB_SIZE
-        ids = {encode.token_id(w, 64) for w in ("a", "b", "c", "dog", "cat")}
-        assert all(1 <= i < 64 for i in ids)
+        ids = {encode.token_id(w) for w in ("a", "b", "c", "dog", "cat", "meme")}
+        assert all(1 <= i < encode.VOCAB_SIZE for i in ids)
 
     def test_sequence_shape_and_truncation(self):
-        spec, params = self._setup()
-        seq = self._one_text(["one", "two", "three"], spec, params)
-        assert seq.shape == (3, 16)
-        long = self._one_text(["a", "b", "c", "d", "e", "f"], spec, params)
-        assert long.shape == (4, 16)
+        params = self._setup()
+        seq = self._one_text(["one", "two", "three"], params)
+        assert seq.shape == (3, encode.D_MODEL)
+        words = [f"w{i}" for i in range(encode.MAX_TOKENS + 4)]
+        long = self._one_text(words, params)
+        assert long.shape == (encode.MAX_TOKENS, encode.D_MODEL)
+        assert long.tobytes() == self._one_text(words[:encode.MAX_TOKENS], params).tobytes()
 
     def test_empty_input_is_null_token(self):
-        spec, params = self._setup()
-        seq = self._one_text([], spec, params)
-        assert seq.shape == (1, 16)
+        params = self._setup()
+        seq = self._one_text([], params)
+        assert seq.shape == (1, encode.D_MODEL)
         # null token row 0 plus position 0, through the same blocks
-        x = params["tok_emb"][[0]] + params["pos"][:1]
-        expect, _ = encode.transformer_block_forward(x, nnops.sub_params(params, "blocks.0"),
-                                                     spec.n_heads)
+        expect = params["tok_emb"][[0]] + params["pos"][:1]
+        for i in range(encode.N_LAYERS):
+            expect, _ = encode.transformer_block_forward(
+                expect, nnops.sub_params(params, f"blocks.{i}"), encode.N_HEADS)
         np.testing.assert_allclose(seq, expect, atol=1e-6)
 
     def test_sentence_embedding_width(self):
-        spec, params = self._setup()
-        vec = encode.pool_sentence(self._one_text(["hello", "world"], spec, params), params)
+        params = self._setup()
+        vec = encode.pool_sentence(self._one_text(["hello", "world"], params), params)
         assert vec.shape == (768,)
         np.testing.assert_array_equal(
-            vec, encode.pool_sentence(self._one_text(["hello", "world"], spec, params), params))
+            vec, encode.pool_sentence(self._one_text(["hello", "world"], params), params))
 
     def test_batched_ids_match_one_text_at_a_time(self):
-        spec, params = self._setup()
+        params = self._setup()
         texts = [["dog", "bites", "man"], ["man", "bites", "dog"], ["cat", "sat", "mat"]]
-        ids = np.array([encode.text_ids(t, spec, 64) for t in texts])
-        seqs = encode.encode_ids(ids, spec, params)
+        ids = np.array([encode.text_ids(t) for t in texts])
+        seqs = encode.encode_ids(ids, params)
         sents = encode.pool_sentence(seqs, params)
-        assert seqs.shape == (3, 3, 16) and sents.shape == (3, 768)
+        assert seqs.shape == (3, 3, encode.D_MODEL) and sents.shape == (3, 768)
         for i, tokens in enumerate(texts):
-            one = self._one_text(tokens, spec, params)
+            one = self._one_text(tokens, params)
             assert seqs[i].tobytes() == one.tobytes()
             assert sents[i].tobytes() == encode.pool_sentence(one, params).tobytes()
 
     def test_order_sensitivity(self):
-        spec, params = self._setup()
-        a = encode.pool_sentence(self._one_text(["dog", "bites", "man"], spec, params), params)
-        b = encode.pool_sentence(self._one_text(["man", "bites", "dog"], spec, params), params)
+        params = self._setup()
+        a = encode.pool_sentence(self._one_text(["dog", "bites", "man"], params), params)
+        b = encode.pool_sentence(self._one_text(["man", "bites", "dog"], params), params)
         assert not np.allclose(a, b)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memefuse import fusion
+from memefuse import VARIANTS, fusion
 
 
 class TestFuseFirstAxis:
@@ -138,7 +138,7 @@ class TestBatchedAssemble:
                      "txt_sentence": rng.normal(size=(batch, 48))}
         return parts, proj
 
-    @pytest.mark.parametrize("kind", fusion.VARIANT_KINDS)
+    @pytest.mark.parametrize("kind", VARIANTS)
     def test_batch_equals_single_calls(self, kind):
         parts, proj = self._inputs(kind, batch=5)
         batched = fusion.assemble_variant_input(kind, projections=proj, **parts)

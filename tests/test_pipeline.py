@@ -6,13 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from memefuse import TASKS, TASK_CLASSES, pipeline
+from memefuse import TASKS, TASK_CLASSES, VARIANTS, pipeline
 from memefuse.dataset import LabelSet, MemeRecord
-from memefuse.encode import encode_ids, encode_image, generate_captions
+from memefuse.encode import MAX_TOKENS, encode_ids, encode_image, generate_captions
+from memefuse.fusion import VARIANT_PARTS
 from memefuse.model import NumericError
 from memefuse.pipeline import (
     CAPTION_LEN,
+    FUSED_SHAPES,
     IMAGE_HW,
+    N_PATCHES,
     build_feature_space,
     build_training_set,
     encode_corpus,
@@ -31,7 +34,7 @@ def space():
 class TestFusedShapes:
     def test_imgtxt_shape(self, space):
         out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgtxt")[0]
-        assert out.shape == (space.n_patches + space.spec.max_tokens, 64)
+        assert out.shape == (N_PATCHES + MAX_TOKENS, 64)
         assert out.shape == (20, 64)
         assert out.dtype == np.float32
 
@@ -48,19 +51,20 @@ class TestFusedShapes:
     def test_fused_length_matches_arrays(self, space):
         for kind in ("imgtxt", "imgsen", "capsen"):
             out = encode_corpus(["m7"], {"m7": ["one"]}, space, kind)[0]
-            assert out.shape == (space.fused_length(kind), space.fused_width(kind))
+            assert out.shape == FUSED_SHAPES[kind]
+
+    def test_one_variant_list(self):
+        assert tuple(VARIANT_PARTS) == VARIANTS == tuple(FUSED_SHAPES)
 
     def test_unknown_kind_rejected(self, space):
         with pytest.raises(ValueError):
             encode_corpus(["m1"], {"m1": ["x"]}, space, "bogus")
 
     def test_unknown_kind_rejected_for_an_empty_corpus(self, space):
-        # no chunk is encoded, so only the shape queries can reject the name
+        # no chunk is encoded, so only the check ahead of the allocation can
+        # reject the name
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
             encode_corpus([], {}, space, "bogus")
-        for query in (space.fused_length, space.fused_width):
-            with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-                query("bogus")
 
 
 class TestRecordFeatures:
@@ -70,19 +74,19 @@ class TestRecordFeatures:
         np.testing.assert_array_equal(a, b)
 
     def test_image_rows_prefix(self, space):
-        # first n_patches rows are exactly the image encoding
+        # first N_PATCHES rows are exactly the image encoding
         out = encode_corpus(["m4"], {"m4": ["abc"]}, space, "imgtxt")[0]
-        img = encode_image(toy_image("m4"), space.spec, space.image_params)
-        np.testing.assert_array_equal(out[: space.n_patches], img.astype(np.float32))
+        img = encode_image(toy_image("m4"), space.image_params)
+        np.testing.assert_array_equal(out[:N_PATCHES], img.astype(np.float32))
 
     def test_short_token_list_zero_padded(self, space):
         out = encode_corpus(["m5"], {"m5": ["only", "two"]}, space, "imgtxt")[0]
-        tail = out[space.n_patches + 2 :]
-        assert tail.shape[0] == space.spec.max_tokens - 2
+        tail = out[N_PATCHES + 2 :]
+        assert tail.shape[0] == MAX_TOKENS - 2
         assert np.all(tail == 0.0)
         # the two real token rows are not zero
-        assert np.any(out[space.n_patches] != 0.0)
-        assert np.any(out[space.n_patches + 1] != 0.0)
+        assert np.any(out[N_PATCHES] != 0.0)
+        assert np.any(out[N_PATCHES + 1] != 0.0)
 
     def test_text_changes_output(self, space):
         a = encode_corpus(["m8"], {"m8": ["happy"]}, space, "imgsen")[0]
@@ -217,15 +221,15 @@ class TestGoldenFeatures:
     def test_each_distinct_text_encoded_once(self, space, kind, monkeypatch):
         batches = []
 
-        def counting(ids, spec, params):
+        def counting(ids, params):
             batches.append(ids.shape)
-            return encode_ids(ids, spec, params)
+            return encode_ids(ids, params)
 
         monkeypatch.setattr(pipeline, "encode_ids", counting)
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         ids, toks = _golden_corpus()
         encode_corpus(ids, toks, space, kind)
-        clipped = {tuple(toks.get(rid, [])[:space.spec.max_tokens]) for rid in ids}
+        clipped = {tuple(toks.get(rid, [])[:MAX_TOKENS]) for rid in ids}
         assert sum(rows for rows, _ in batches) == len(clipped)
         # at most one batch per id count in each of the 6 chunks
         assert len(batches) <= 6 * len({max(len(t), 1) for t in clipped})
@@ -459,6 +463,14 @@ class TestFusedFromImported:
         with pytest.raises(ValueError, match=r"image embeddings: record 'rec_07' has shape "
                                              r"\(2, 9\), width 16 expected"):
             fused_from_imported(ids, kind, **mappings)
+
+    def test_one_record_without_rows_still_fuses(self):
+        # only a corpus with no rows at all has nothing to fuse
+        ids, kind, mappings = _imported_case("imgtxt-same-width")
+        for name in ("image", "tokens"):
+            mappings[name][ids[5]] = np.zeros((0, 16), dtype=np.float32)
+        out = fused_from_imported(ids, kind, **mappings)
+        assert out.shape[1] > 0 and not out[5].any() and out[4].any()
 
     @pytest.mark.parametrize("case, name, shape", [
         ("capsen-same-width", "text_sentence", (3, 12)),

@@ -1,11 +1,14 @@
-"""Every top-level function and class in the package has a caller in the package.
+"""The package's surface stays small.
 
-A definition counts as used when module-level code or another used
-definition refers to it by name, so a wrapper whose only caller is
+Every top-level function and class in the package has a caller in the
+package.  A definition counts as used when module-level code or another
+used definition refers to it by name, so a wrapper whose only caller is
 itself unused is reported too.  The allow-list holds the definitions
 that nothing in the package calls on purpose, each with its reason.
 Names are matched as identifiers, not resolved, so a name shared with an
 attribute elsewhere can hide an unused definition; it never flags a used one.
+
+The number of values a caller can set stays within a budget.
 """
 
 import ast
@@ -80,3 +83,47 @@ def test_a_wrapper_called_only_by_an_unused_wrapper_is_reported(tmp_path):
         "print(core(1))\n")
     assert unused_definitions(tmp_path, allowed={}) == [("m", "one"), ("m", "outer")]
     assert unused_definitions(tmp_path, allowed={("m", "outer"): "kept"}) == []
+
+
+# Defaulted parameters, dataclass fields and command-line arguments in the
+# package; 108 before the encoder sizes became constants.
+SETTABLE_BUDGET = 94
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(package: Path = PACKAGE) -> int:
+    count = 0
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument"):
+                count += 1
+    return count
+
+
+def test_settable_values_within_budget():
+    count = settable_values()
+    assert count <= SETTABLE_BUDGET, (
+        f"{count} settable values, budget {SETTABLE_BUDGET}. Raising the budget needs a "
+        "CHANGES.md line naming the new value and the second caller that needs it.")
+
+
+def test_settable_values_counts_each_kind(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass C:\n    a: int\n    b: int = 1\n\n"
+        "def f(x, y=1, *, z=2, w):\n    return x\n\n"
+        "parser.add_argument('--flag')\n")
+    assert settable_values(tmp_path) == 5
