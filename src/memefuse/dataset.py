@@ -113,7 +113,7 @@ class Schema:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Schema":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             spec = json.load(fh)
         if not isinstance(spec, dict):
             raise SchemaError(f"schema top level must be an object, got {spec!r}")
@@ -132,7 +132,7 @@ def _iter_rows(path: str | Path, schema: Schema) -> Iterator[tuple[int, dict[str
     if path.suffix.lower() in (".jsonl", ".json", ".ndjson"):
         yield from _iter_jsonl(path, schema)
         return
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for logical in LOGICAL_COLUMNS:
@@ -144,7 +144,7 @@ def _iter_rows(path: str | Path, schema: Schema) -> Iterator[tuple[int, dict[str
 
 
 def _iter_jsonl(path: Path, schema: Schema) -> Iterator[tuple[int, dict[str, str]]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for index, line in enumerate(ln for ln in fh if ln.strip()):
             try:
                 row = json.loads(line)

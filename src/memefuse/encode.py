@@ -24,6 +24,15 @@ N_HEADS = 2
 PATCH_SIZE = 16
 MAX_TOKENS = 16
 VOCAB_SIZE = 1024
+# the images every encoder reads, and the captioner's sizes
+IMAGE_HW = (32, 32)
+IMAGE_CHANNELS = 3
+N_PATCHES = (IMAGE_HW[0] // PATCH_SIZE) * (IMAGE_HW[1] // PATCH_SIZE)
+CAPTION_LEN = 8
+CAPTION_D_MODEL = 32
+CAPTION_LAYERS = 1
+CAPTION_HEADS = 2
+CAPTION_CONV_CHANNELS = 8
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
@@ -108,16 +117,14 @@ def _stack_params(rng: np.random.Generator) -> dict:
     return params
 
 
-def init_image_encoder_params(seed: int, image_hw: tuple[int, int]) -> dict:
-    """Image encoder weights for RGB images of ``image_hw`` pixels."""
-    h, w = image_hw
-    n_patches = (h // PATCH_SIZE) * (w // PATCH_SIZE)
-    d_patch = PATCH_SIZE * PATCH_SIZE * 3
+def init_image_encoder_params(seed: int) -> dict:
+    """Image encoder weights for IMAGE_HW images of IMAGE_CHANNELS channels."""
+    d_patch = PATCH_SIZE * PATCH_SIZE * IMAGE_CHANNELS
     rng = rng_for(seed, "image_encoder")
     params = {
         "patch_embed.w": (rng.normal(size=(d_patch, D_MODEL)) / np.sqrt(d_patch)).astype(np.float32),
         "patch_embed.b": np.zeros(D_MODEL, dtype=np.float32),
-        "pos": (rng.normal(size=(n_patches, D_MODEL)) * 0.02).astype(np.float32),
+        "pos": (rng.normal(size=(N_PATCHES, D_MODEL)) * 0.02).astype(np.float32),
     }
     params.update(_stack_params(rng))
     return params
@@ -192,7 +199,7 @@ def pool_sentence(seq: np.ndarray, params: dict) -> np.ndarray:
 
 END_TOKEN = 0
 
-DEFAULT_CAPTION_WORDS = (
+CAPTION_WORDS = (
     "a", "man", "woman", "dog", "cat", "person", "face", "holding", "looking",
     "standing", "sitting", "smiling", "wearing", "hat", "glasses", "text",
     "white", "black", "red", "blue", "background", "picture", "meme", "screen",
@@ -208,51 +215,47 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndar
     return np.einsum("bhwcij,ijco->bhwo", win, w) + b
 
 
-def init_caption_decoder_params(d_model: int = 32, n_layers: int = 1, n_heads: int = 2,
-                                words: tuple[str, ...] = DEFAULT_CAPTION_WORDS,
-                                max_len: int = 16, conv_channels: int = 8,
-                                seed: int = 0, dtype=np.float32) -> dict:
+def init_caption_decoder_params(seed: int) -> dict:
     """Weights for the untrained captioner: conv feature extractor over the
     image, then decoder blocks (causal self-attention, attention over image
-    features, feed-forward) and an output projection over ``words`` plus the
-    end token at index 0."""
+    features, feed-forward) and an output projection over CAPTION_WORDS plus
+    the end token at index 0."""
     rng = rng_for(seed, "caption_decoder")
-    vocab = len(words) + 1
+    d, c, vocab = CAPTION_D_MODEL, CAPTION_CONV_CHANNELS, len(CAPTION_WORDS) + 1
 
     def mat(*shape):
-        return (rng.normal(size=shape) / np.sqrt(shape[0])).astype(dtype)
+        return (rng.normal(size=shape) / np.sqrt(shape[0])).astype(np.float32)
 
-    params: dict = {
-        "words": tuple(words),
-        "n_heads": n_heads,
-        "n_layers": n_layers,
-        "conv1.w": (rng.normal(size=(3, 3, 3, conv_channels)) * 0.2).astype(dtype),
-        "conv1.b": np.zeros(conv_channels, dtype=dtype),
-        "conv2.w": (rng.normal(size=(3, 3, conv_channels, d_model)) * 0.2).astype(dtype),
-        "conv2.b": np.zeros(d_model, dtype=dtype),
-        "start_emb": (rng.normal(size=(d_model,)) * 0.1).astype(dtype),
-        "tok_emb": (rng.normal(size=(vocab, d_model)) * 0.1).astype(dtype),
-        "pos": (rng.normal(size=(max_len, d_model)) * 0.02).astype(dtype),
-        "out.w": mat(d_model, vocab),
-        "out.b": np.zeros(vocab, dtype=dtype),
+    params = {
+        "conv1.w": (rng.normal(size=(3, 3, IMAGE_CHANNELS, c)) * 0.2).astype(np.float32),
+        "conv1.b": np.zeros(c, dtype=np.float32),
+        "conv2.w": (rng.normal(size=(3, 3, c, d)) * 0.2).astype(np.float32),
+        "conv2.b": np.zeros(d, dtype=np.float32),
+        "start_emb": (rng.normal(size=(d,)) * 0.1).astype(np.float32),
+        "tok_emb": (rng.normal(size=(vocab, d)) * 0.1).astype(np.float32),
+        # 16 rows drawn, CAPTION_LEN kept: every later draw, and so every
+        # caption, depends on how many values this one takes
+        "pos": (rng.normal(size=(16, d))[:CAPTION_LEN] * 0.02).astype(np.float32),
+        "out.w": mat(d, vocab),
+        "out.b": np.zeros(vocab, dtype=np.float32),
     }
-    for i in range(n_layers):
-        for k, v in init_block_params(d_model, n_heads, rng, dtype=dtype).items():
+    for i in range(CAPTION_LAYERS):
+        for k, v in init_block_params(d, CAPTION_HEADS, rng).items():
             params[f"self.{i}.{k}"] = v
         p = f"cross.{i}"
-        params[f"{p}.ln.g"] = np.ones(d_model, dtype=dtype)
-        params[f"{p}.ln.b"] = np.zeros(d_model, dtype=dtype)
+        params[f"{p}.ln.g"] = np.ones(d, dtype=np.float32)
+        params[f"{p}.ln.b"] = np.zeros(d, dtype=np.float32)
         for name in ("wq", "wk", "wv", "wo"):
-            params[f"{p}.{name}"] = mat(d_model, d_model)
-            params[f"{p}.b{name[1]}"] = np.zeros(d_model, dtype=dtype)
+            params[f"{p}.{name}"] = mat(d, d)
+            params[f"{p}.b{name[1]}"] = np.zeros(d, dtype=np.float32)
     return params
 
 
 def _image_features(images: np.ndarray, p: dict) -> np.ndarray:
     """B x H x W x C images -> B x positions x d_model conv features."""
     x = np.asarray(images, dtype=p["conv1.w"].dtype)
-    if x.ndim != 4 or x.shape[-1] != p["conv1.w"].shape[2]:
-        raise ValueError(f"captioner expects B x H x W x {p['conv1.w'].shape[2]} images")
+    if x.ndim != 4 or x.shape[-1] != IMAGE_CHANNELS:
+        raise ValueError(f"captioner expects B x H x W x {IMAGE_CHANNELS} images")
     h1 = nnops.gelu(_conv2d(x, p["conv1.w"], p["conv1.b"], stride=2))
     h2 = nnops.gelu(_conv2d(h1, p["conv2.w"], p["conv2.b"], stride=2))
     return h2.reshape(h2.shape[0], -1, h2.shape[-1])
@@ -265,40 +268,37 @@ def _decoder_step(x: np.ndarray, memory: list, p: dict) -> np.ndarray:
     length = x.shape[-2]
     causal = np.triu(np.full((length, length), -np.inf, dtype=x.dtype), k=1)
     for i, kv in enumerate(memory):
-        x, _ = transformer_block_forward(x, nnops.sub_params(p, f"self.{i}"), p["n_heads"],
+        x, _ = transformer_block_forward(x, nnops.sub_params(p, f"self.{i}"), CAPTION_HEADS,
                                          mask=causal)
         cp = nnops.sub_params(p, f"cross.{i}")
         n, _ = nnops.layernorm_forward(x, cp["ln.g"], cp["ln.b"])
-        a, _ = nnops.mha_attend(n, kv, cp, p["n_heads"])
+        a, _ = nnops.mha_attend(n, kv, cp, CAPTION_HEADS)
         x = x + a
     # (B, 1, d) rows one at a time, like a single image's last row
     return (x[:, -1:] @ p["out.w"])[:, 0] + p["out.b"]
 
 
-def generate_captions(images: np.ndarray, decoder_params: dict,
-                      max_len: int = 16) -> list[list[str]]:
+def generate_captions(images: np.ndarray, decoder_params: dict) -> list[list[str]]:
     """Greedy decoding of B x H x W x C images together: every step emits
     each row's argmax word, and a row leaves the batch at its end token.
 
     The cross-attention keys and values are projected once per batch.
-    Deterministic; each caption has at most max_len words.
+    Deterministic; each caption has at most CAPTION_LEN words.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     p = decoder_params
     feats = _image_features(images, p)
-    memory = [nnops.mha_kv(feats, nnops.sub_params(p, f"cross.{i}"), p["n_heads"])[0]
-              for i in range(p["n_layers"])]
+    memory = [nnops.mha_kv(feats, nnops.sub_params(p, f"cross.{i}"), CAPTION_HEADS)[0]
+              for i in range(CAPTION_LAYERS)]
     captions: list[list[str]] = [[] for _ in range(feats.shape[0])]
     live = np.arange(feats.shape[0])
     ids = np.zeros((feats.shape[0], 0), dtype=np.intp)
-    for step in range(max_len):
+    for step in range(CAPTION_LEN):
         start = np.broadcast_to(p["start_emb"], (len(live), 1, p["start_emb"].shape[0]))
         x = np.concatenate([start, p["tok_emb"][ids]], axis=1) + p["pos"][:step + 1]
         nxt = np.argmax(_decoder_step(x, memory, p), axis=-1)
         going = nxt != END_TOKEN
         for row, word in zip(live[going], nxt[going]):
-            captions[row].append(p["words"][word - 1])
+            captions[row].append(CAPTION_WORDS[word - 1])
         if not going.all():
             live, ids = live[going], ids[going]
             memory = [(k[going], v[going]) for k, v in memory]
@@ -362,6 +362,10 @@ def import_embeddings(path) -> dict:
     for field in ("kind", "d", "count"):
         if field not in header:
             raise ValueError(f"{path}: header missing {field!r}")
+    for field in ("d", "count"):
+        value = header[field]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{path}: header {field!r} {value!r} is not a non-negative integer")
     if header["kind"] not in ("sequence", "vector"):
         raise ValueError(f"{path}: unknown kind {header['kind']!r}")
     want_ndim = 2 if header["kind"] == "sequence" else 1

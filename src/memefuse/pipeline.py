@@ -14,20 +14,17 @@ import numpy as np
 
 from . import TASKS, TASK_CLASSES
 from .balance import smote_oversample
-from .encode import (D_MODEL, MAX_TOKENS, PATCH_SIZE, SENTENCE_DIM, encode_ids, encode_image,
-                     generate_captions, init_caption_decoder_params, init_image_encoder_params,
-                     init_text_encoder_params, pool_sentence, text_ids)
+from .encode import (D_MODEL, IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, SENTENCE_DIM,
+                     encode_ids, encode_image, generate_captions, init_caption_decoder_params,
+                     init_image_encoder_params, init_text_encoder_params, pool_sentence,
+                     text_ids)
 from .fusion import VARIANT_PARTS, assemble_variant_input, init_projection
 from .model import HEAD_ARITY, TrainSet
 from .seeds import derive_seed, rng_for
 
-IMAGE_HW = (32, 32)
-IMAGE_CHANNELS = 3
-N_PATCHES = (IMAGE_HW[0] // PATCH_SIZE) * (IMAGE_HW[1] // PATCH_SIZE)
 # variant -> (rows, width) of one record's fused features
 FUSED_SHAPES = {"imgtxt": (N_PATCHES + MAX_TOKENS, D_MODEL), "imgsen": (N_PATCHES + 1, D_MODEL),
                 "capsen": (2, SENTENCE_DIM)}
-CAPTION_LEN = 8
 # Records encoded together: enough to amortise numpy's per-call cost, few
 # enough that a chunk's activations stay small next to the corpus tensor.
 ENCODE_CHUNK = 256
@@ -54,7 +51,7 @@ class FeatureSpace:
 def build_feature_space(seed: int = 0) -> FeatureSpace:
     proj_rng = rng_for(seed, "sentence_projection")
     return FeatureSpace(
-        image_params=init_image_encoder_params(seed, IMAGE_HW),
+        image_params=init_image_encoder_params(seed),
         text_params=init_text_encoder_params(seed),
         caption_params=init_caption_decoder_params(seed=derive_seed(seed, "caption")),
         projections={f"{SENTENCE_DIM}to{D_MODEL}":
@@ -96,7 +93,7 @@ def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: st
                   encode_texts) -> np.ndarray:
     """B images and their token lists -> (B, L, d) fused float32 features."""
     if kind == "capsen":
-        captions = generate_captions(images, space.caption_params, max_len=CAPTION_LEN)
+        captions = generate_captions(images, space.caption_params)
         parts = {"caption_sentence": np.stack(encode_texts(captions)),
                  "txt_sentence": np.stack(encode_texts(texts))}
     elif kind == "imgtxt":

@@ -139,7 +139,7 @@ def preprocess(raw: str, config: PreprocessConfig) -> CleanText:
 def load_lexicon(path: str | Path) -> dict[str, str]:
     """Read the two-column (emoji TAB name words) lexicon file."""
     lexicon: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -156,5 +156,5 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
 
 def load_vocabulary(path: str | Path) -> set[str]:
     """Read the one-word-per-line vocabulary file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return {line.strip() for line in fh if line.strip()}

@@ -4,83 +4,79 @@ import pytest
 from memefuse import encode
 
 
-def _toy_image(seed=0, hw=(32, 32)):
+def _toy_image(seed=0):
     rng = np.random.default_rng(seed)
-    return rng.uniform(size=(hw[0], hw[1], 3)).astype(np.float32)
+    return rng.uniform(size=encode.IMAGE_HW + (encode.IMAGE_CHANNELS,)).astype(np.float32)
 
 
-def _identity_decoder(words=("alpha", "beta", "gamma"), d=8, max_len=16):
-    """Decoder whose blocks are identity maps: residual branches zeroed,
-    positions one-hot, so step t's logits are exactly out.w[t] + out.b."""
-    p = encode.init_caption_decoder_params(
-        d_model=d, n_layers=1, n_heads=2, words=words, max_len=max_len, seed=3,
-        dtype=np.float64)
-    p["self.0.attn.wo"] = np.zeros_like(p["self.0.attn.wo"])
-    p["self.0.ffn.w2"] = np.zeros_like(p["self.0.ffn.w2"])
-    p["cross.0.wo"] = np.zeros_like(p["cross.0.wo"])
-    p["start_emb"] = np.zeros_like(p["start_emb"])
-    p["tok_emb"] = np.zeros_like(p["tok_emb"])
-    p["pos"] = np.eye(max_len, d)
-    p["out.w"] = np.zeros_like(p["out.w"])
-    p["out.b"] = np.zeros_like(p["out.b"])
+def _uniform_images(*values):
+    return np.stack([np.full(encode.IMAGE_HW + (encode.IMAGE_CHANNELS,), c) for c in values])
+
+
+def _identity_decoder():
+    """The seed-3 captioner in float64 with identity blocks: residual
+    branches zeroed, positions one-hot, so step t's logits are exactly
+    out.w[t] + out.b (32 of them: the end token, then CAPTION_WORDS)."""
+    p = {k: v.astype(np.float64) for k, v in encode.init_caption_decoder_params(3).items()}
+    for name in ("self.0.attn.wo", "self.0.ffn.w2", "cross.0.wo", "start_emb", "tok_emb",
+                 "out.w", "out.b"):
+        p[name] = np.zeros_like(p[name])
+    p["pos"] = np.eye(encode.CAPTION_LEN, encode.CAPTION_D_MODEL)
     return p
 
 
 class TestGenerateCaption:
     def test_end_token_first_gives_empty_caption(self):
         p = _identity_decoder()
-        p["out.b"] = np.array([1.0, 0.0, 0.0, 0.0])
-        assert encode.generate_captions(_toy_image()[None], p, max_len=5)[0] == []
+        p["out.b"][encode.END_TOKEN] = 1.0
+        assert encode.generate_captions(_toy_image()[None], p)[0] == []
 
-    def test_max_len_truncates(self):
+    def test_caption_stops_at_caption_len_words(self):
         p = _identity_decoder()
-        p["out.b"] = np.array([0.0, 5.0, 0.0, 0.0])  # end token never wins
-        caption = encode.generate_captions(_toy_image()[None], p, max_len=3)[0]
-        assert caption == ["alpha", "alpha", "alpha"]
+        p["out.b"][1] = 5.0  # end token never wins
+        caption = encode.generate_captions(_toy_image()[None], p)[0]
+        assert caption == [encode.CAPTION_WORDS[0]] * encode.CAPTION_LEN
 
     def test_forced_two_step_sequence(self):
         # step logits chosen by hand: step 0 -> id 2, step 1 -> id 1, step 2 -> end
         p = _identity_decoder()
-        p["out.w"][0] = [0.0, 1.0, 5.0, 2.0]
-        p["out.w"][1] = [0.0, 9.0, 1.0, 3.0]
-        p["out.w"][2] = [7.0, 0.0, 0.0, 1.0]
-        assert encode.generate_captions(_toy_image()[None], p, max_len=10)[0] == ["beta", "alpha"]
+        p["out.w"][0, :4] = [0.0, 1.0, 5.0, 2.0]
+        p["out.w"][1, :4] = [0.0, 9.0, 1.0, 3.0]
+        p["out.w"][2, :4] = [7.0, 0.0, 0.0, 1.0]
+        assert encode.generate_captions(_toy_image()[None], p)[0] == ["man", "a"]
 
     def test_real_decoder_deterministic(self):
-        p = encode.init_caption_decoder_params(seed=11)
+        p = encode.init_caption_decoder_params(11)
         img = _toy_image(seed=4)
-        a = encode.generate_captions(img[None], p, max_len=6)[0]
-        b = encode.generate_captions(img[None], p, max_len=6)[0]
+        a = encode.generate_captions(img[None], p)[0]
+        b = encode.generate_captions(img[None], p)[0]
         assert a == b
-        assert len(a) <= 6
-        assert all(w in encode.DEFAULT_CAPTION_WORDS for w in a)
-
-    def test_bad_max_len(self):
-        with pytest.raises(ValueError):
-            encode.generate_captions(_toy_image()[None], _identity_decoder(), max_len=0)
+        assert len(a) <= encode.CAPTION_LEN
+        assert all(w in encode.CAPTION_WORDS for w in a)
 
     def test_wrong_channel_count(self):
         with pytest.raises(ValueError):
             encode.generate_captions(np.zeros((1, 16, 16, 1)), _identity_decoder())
 
 
-def _length_decoder(max_len=8):
+def _length_decoder():
     """Identity decoder whose end-token logit reads the image.
 
     A uniform image of value c gives every conv feature gelu(gelu(c));
-    cross-attention copies that into row dimension max_len (free of the
-    one-hot positions) and out.w makes it the end logit.  The word logit
-    falls from 1.5 by 0.25 a step, so brighter images stop sooner, and a
-    bright enough one ends at step 0.
+    cross-attention copies that into row dimension CAPTION_LEN (free of
+    the one-hot positions) and out.w makes it the end logit.  The word
+    logit falls from 1.5 by 0.25 a step, so brighter images stop sooner,
+    and a bright enough one ends at step 0.
     """
-    p = _identity_decoder(d=16, max_len=max_len)
-    p["conv1.w"] = np.full_like(p["conv1.w"], 1.0 / 27)
-    p["conv2.w"] = np.full_like(p["conv2.w"], 1.0 / (9 * p["conv2.w"].shape[2]))
+    p = _identity_decoder()
+    free = encode.CAPTION_LEN
+    p["conv1.w"] = np.full_like(p["conv1.w"], 1.0 / (9 * encode.IMAGE_CHANNELS))
+    p["conv2.w"] = np.full_like(p["conv2.w"], 1.0 / (9 * encode.CAPTION_CONV_CHANNELS))
     p["cross.0.wv"] = np.zeros_like(p["cross.0.wv"])
     p["cross.0.wv"][0, 0] = 1.0
-    p["cross.0.wo"][0, max_len] = 1.0
-    p["out.w"][max_len, encode.END_TOKEN] = 1.0
-    for step in range(max_len):
+    p["cross.0.wo"][0, free] = 1.0
+    p["out.w"][free, encode.END_TOKEN] = 1.0
+    for step in range(encode.CAPTION_LEN):
         p["out.w"][step, 1 + step % 3] = 1.5 - 0.25 * step
     return p
 
@@ -88,25 +84,24 @@ def _length_decoder(max_len=8):
 class TestBatchedCaptions:
     def test_batch_matches_one_image_at_a_time(self):
         p = _length_decoder()
-        images = np.stack([np.full((16, 16, 3), c) for c in (2.0, 0.0, 1.2, 0.7, 1.6, 0.9)])
-        alone = [encode.generate_captions(image[None], p, max_len=8)[0] for image in images]
+        images = _uniform_images(2.0, 0.0, 1.2, 0.7, 1.6, 0.9)
+        alone = [encode.generate_captions(image[None], p)[0] for image in images]
         lengths = [len(c) for c in alone]
         assert 0 in lengths and len(set(lengths)) == len(lengths)
-        assert encode.generate_captions(images, p, max_len=8) == alone
+        assert encode.generate_captions(images, p) == alone
         # and in another order, so finished rows leave from every position
         order = [3, 0, 5, 2, 1, 4]
-        assert encode.generate_captions(images[order], p, max_len=8) == [alone[i] for i in order]
+        assert encode.generate_captions(images[order], p) == [alone[i] for i in order]
 
     def test_every_row_ends_at_step_zero(self):
         p = _length_decoder()
-        images = np.full((3, 16, 16, 3), 2.0)
-        assert encode.generate_captions(images, p, max_len=8) == [[], [], []]
+        assert encode.generate_captions(_uniform_images(2.0, 2.0, 2.0), p) == [[], [], []]
 
     def test_batch_of_real_decoder_matches_one_at_a_time(self):
-        p = encode.init_caption_decoder_params(seed=11)
+        p = encode.init_caption_decoder_params(11)
         images = np.stack([_toy_image(seed=s) for s in range(5)])
-        assert encode.generate_captions(images, p, max_len=6) == [
-            encode.generate_captions(image[None], p, max_len=6)[0] for image in images]
+        assert encode.generate_captions(images, p) == [
+            encode.generate_captions(image[None], p)[0] for image in images]
 
     def test_batch_wants_four_axes(self):
         with pytest.raises(ValueError, match="B x H x W x 3"):
@@ -171,8 +166,16 @@ class TestEmbeddingExchange:
          "record 1 must be a JSON object"),
         ('{"kind": "vector", "d": 2, "count": 1}', '{"id": "x", "shape": [2], "values": ["a", 1]}',
          "record 'x' values are not numbers"),
+        ('{"kind": "vector", "d": 2, "count": "1"}',
+         '{"id": "x", "shape": [2], "values": [0.0, 1.0]}',
+         "header 'count' '1' is not a non-negative integer"),
+        ('{"kind": "vector", "d": true, "count": 1}', '{"id": "x", "shape": [1], "values": [0.0]}',
+         "header 'd' True is not a non-negative integer"),
+        ('{"kind": "vector", "d": 2.0, "count": 1}',
+         '{"id": "x", "shape": [2], "values": [0.0, 1.0]}',
+         "header 'd' 2.0 is not a non-negative integer"),
     ], ids=["no-id", "no-shape", "scalar-header", "nan", "infinity", "list-record",
-            "text-values"])
+            "text-values", "text-count", "bool-d", "float-d"])
     def test_malformed_record_rejected(self, tmp_path, header, record, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(header + "\n" + record + "\n")

@@ -58,6 +58,12 @@ class TestIngest:
         assert payload["tasks"]["humor"]["very_funny"] == 4
         assert payload["tasks"]["sentiment"]["neutral"] == 4
 
+    def test_byte_order_mark_ignored(self, small_csv, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + small_csv.read_bytes())
+        assert cli.main(["ingest", "--dataset", str(path)]) == 0
+        assert capsys.readouterr().out == EXPECTED_SMALL_SUMMARY
+
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         rc = cli.main(["ingest", "--dataset", str(tmp_path / "nope.csv")])
         assert rc == 2

@@ -121,6 +121,14 @@ class TestLoadDataset:
         assert records[0].id == "j.jpg"
         assert records[0].labels.sentiment == "negative"
 
+    def test_jsonl_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        row = {"image_name": "j.jpg", "text": "yo", "humour": "funny",
+               "sarcasm": "sarcastic", "motivational": "motivational",
+               "overall_sentiment": "negative"}
+        path.write_text("\ufeff" + json.dumps(row) + "\n", encoding="utf-8")
+        assert load_dataset(path, _schema())[0].id == "j.jpg"
+
     @pytest.mark.parametrize("line", ["123", "null", '"s"', "[1]"])
     def test_jsonl_row_not_an_object_rejected(self, tmp_path, line):
         path = tmp_path / "a.jsonl"

@@ -77,7 +77,7 @@ class TestTransformerBlock:
 
 class TestImageEncoder:
     def test_output_shape_and_determinism(self):
-        params = encode.init_image_encoder_params(5, (32, 32))
+        params = encode.init_image_encoder_params(5)
         img = np.random.default_rng(0).normal(size=(32, 32, 3)).astype(np.float32)
         a = encode.encode_image(img, params)
         b = encode.encode_image(img, params)
@@ -85,13 +85,13 @@ class TestImageEncoder:
         np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_params(self):
-        p1 = encode.init_image_encoder_params(5, (32, 32))
-        p2 = encode.init_image_encoder_params(5, (32, 32))
+        p1 = encode.init_image_encoder_params(5)
+        p2 = encode.init_image_encoder_params(5)
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
 
     def test_batch_matches_one_image_at_a_time(self):
-        params = encode.init_image_encoder_params(5, (32, 32))
+        params = encode.init_image_encoder_params(5)
         images = np.random.default_rng(1).uniform(size=(2, 3, 32, 32, 3)).astype(np.float32)
         batch = encode.encode_image(images, params)
         assert batch.shape == (2, 3, 4, encode.D_MODEL)
@@ -99,7 +99,7 @@ class TestImageEncoder:
             assert batch[idx].tobytes() == encode.encode_image(images[idx], params).tobytes()
 
     def test_wrong_image_size_raises(self):
-        params = encode.init_image_encoder_params(0, (32, 32))
+        params = encode.init_image_encoder_params(0)
         # 24 is not a multiple of the patch size; 48 gives 9 patches for 4 positions
         for side in (24, 48):
             with pytest.raises(ValueError):

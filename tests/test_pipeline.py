@@ -1,5 +1,6 @@
 """End-to-end feature assembly: records -> fused sequences -> balanced training set."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -8,14 +9,12 @@ import pytest
 
 from memefuse import TASKS, TASK_CLASSES, VARIANTS, pipeline
 from memefuse.dataset import LabelSet, MemeRecord
-from memefuse.encode import MAX_TOKENS, encode_ids, encode_image, generate_captions
+from memefuse.encode import (IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, encode_ids,
+                             encode_image, generate_captions)
 from memefuse.fusion import VARIANT_PARTS
 from memefuse.model import NumericError
 from memefuse.pipeline import (
-    CAPTION_LEN,
     FUSED_SHAPES,
-    IMAGE_HW,
-    N_PATCHES,
     build_feature_space,
     build_training_set,
     encode_corpus,
@@ -29,6 +28,15 @@ from memefuse.pipeline import (
 def space():
     # 32x32 images with 16x16 patches: 4 image rows, d_model 64
     return build_feature_space(seed=0)
+
+
+class TestFeatureSpace:
+    def test_weights_are_float32_arrays_only(self, space):
+        # the sizes are module constants, so a weight dict holds nothing else
+        for field in dataclasses.fields(space):
+            for name, value in getattr(space, field.name).items():
+                assert isinstance(value, np.ndarray), (field.name, name, value)
+                assert value.dtype == np.float32, (field.name, name, value.dtype)
 
 
 class TestFusedShapes:
@@ -103,7 +111,7 @@ class TestToyImage:
 
     def test_shape_range_dtype(self):
         img = toy_image("r9")
-        assert img.shape == IMAGE_HW + (3,)
+        assert img.shape == IMAGE_HW + (IMAGE_CHANNELS,)
         assert img.dtype == np.float32
         assert np.all(img >= 0.0) and np.all(img < 1.0)
 
@@ -126,8 +134,7 @@ class TestGoldenCaptions:
         space = build_feature_space(seed=seed)
         for rid, caption in _GOLDEN_CAPTIONS[seed].items():
             image = toy_image(rid)
-            assert generate_captions(image[None], space.caption_params,
-                                     max_len=CAPTION_LEN)[0] == caption, rid
+            assert generate_captions(image[None], space.caption_params)[0] == caption, rid
 
 
 class TestEncodeCorpus:

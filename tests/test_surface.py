@@ -86,8 +86,9 @@ def test_a_wrapper_called_only_by_an_unused_wrapper_is_reported(tmp_path):
 
 
 # Defaulted parameters, dataclass fields and command-line arguments in the
-# package; 108 before the encoder sizes became constants.
-SETTABLE_BUDGET = 94
+# package; 108 before the encoder sizes became constants, 94 before the
+# captioner sizes became constants.
+SETTABLE_BUDGET = 85
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -159,6 +159,11 @@ class TestBundledFiles:
         assert len(vocab) > 100
         assert all(w == w.lower() for w in vocab)
 
+    def test_vocabulary_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("\ufeffmeme\ntext\n".encode("utf-8"))
+        assert load_vocabulary(path) == {"meme", "text"}
+
     def test_pipeline_runs_with_bundled_config(self):
         config = PreprocessConfig(
             emoji_lexicon=load_lexicon(bundled_data("emoji_lexicon.tsv")),
