@@ -73,21 +73,21 @@ def init_block_params(d_model: int, n_heads: int, rng: np.random.Generator,
     return p
 
 
-def transformer_block_forward(x: np.ndarray, params: dict, n_heads: int,
-                              mask: np.ndarray | None = None):
-    """Pre-norm block: x + attn(ln(x)), then h + ffn(ln(h)).
-
-    ``mask`` is added to the attention logits (the captioner's causal mask).
-    """
+def transformer_block_forward(x: np.ndarray, params: dict, n_heads: int):
+    """Pre-norm block: x + attn(ln(x)), then h + ffn(ln(h))."""
     n1, c_n1 = nnops.layernorm_forward(x, params["ln1.g"], params["ln1.b"])
-    a, c_a = nnops.mha_forward(n1, n1, nnops.sub_params(params, "attn"), n_heads, mask=mask)
-    h = x + a
+    a, c_a = nnops.mha_forward(n1, n1, nnops.sub_params(params, "attn"), n_heads)
+    y, c_ffn = _ffn_residual(x + a, params)
+    return y, (c_n1, c_a, *c_ffn)
+
+
+def _ffn_residual(h: np.ndarray, params: dict):
+    """The block's second half, h + ffn(ln(h)); the captioner's cached
+    decoder steps run it too."""
     n2, c_n2 = nnops.layernorm_forward(h, params["ln2.g"], params["ln2.b"])
     f1, c_f1 = nnops.linear_forward(n2, params["ffn.w1"], params["ffn.b1"])
-    f1g = nnops.gelu(f1)
-    f2, c_f2 = nnops.linear_forward(f1g, params["ffn.w2"], params["ffn.b2"])
-    y = h + f2
-    return y, (c_n1, c_a, c_n2, c_f1, f1, c_f2)
+    f2, c_f2 = nnops.linear_forward(nnops.gelu(f1), params["ffn.w2"], params["ffn.b2"])
+    return h + f2, (c_n2, c_f1, f1, c_f2)
 
 
 def transformer_block_backward(d_y: np.ndarray, cache):
@@ -208,11 +208,18 @@ CAPTION_WORDS = (
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
-    """Valid convolution, x: B x H x W x Cin, w: kh x kw x Cin x Cout."""
-    kh, kw = w.shape[0], w.shape[1]
+    """Valid convolution, x: B x H x W x Cin, w: kh x kw x Cin x Cout.
+
+    One GEMM (im2col): the strided windows flatten to (B*h*w, Cin*kh*kw)
+    rows, which multiply the weights reshaped to (Cin*kh*kw, Cout).
+    """
+    kh, kw, cin, cout = w.shape
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     win = win[:, ::stride, ::stride]
-    return np.einsum("bhwcij,ijco->bhwo", win, w) + b
+    batch, h, wd = win.shape[:3]
+    cols = win.reshape(batch * h * wd, cin * kh * kw)
+    out = cols @ w.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
+    return out.reshape(batch, h, wd, cout) + b
 
 
 def init_caption_decoder_params(seed: int) -> dict:
@@ -261,50 +268,67 @@ def _image_features(images: np.ndarray, p: dict) -> np.ndarray:
     return h2.reshape(h2.shape[0], -1, h2.shape[-1])
 
 
-def _decoder_step(x: np.ndarray, memory: list, p: dict) -> np.ndarray:
-    """Run the decoder stack over B x t prefix rows; returns B x vocab logits
-    for the last row.  ``memory`` holds each layer's cross-attention
-    (keys, values) heads over the image features."""
-    length = x.shape[-2]
-    causal = np.triu(np.full((length, length), -np.inf, dtype=x.dtype), k=1)
-    for i, kv in enumerate(memory):
-        x, _ = transformer_block_forward(x, nnops.sub_params(p, f"self.{i}"), CAPTION_HEADS,
-                                         mask=causal)
+def _decode_step(x: np.ndarray, caches: list, memory: list, p: dict):
+    """Run the decoder stack over each live caption's newest row (B x 1 x
+    d_model); returns B x vocab logits and the grown caches.
+
+    Each layer appends the rows' self-attention (keys, values) heads to its
+    cache, which holds every earlier row of the same captions, and the rows
+    attend over it: nothing later is cached, so no causal mask is needed.
+    ``memory`` holds each layer's cross-attention (keys, values) heads over
+    the image features.
+    """
+    grown = []
+    for i, (cache, kv) in enumerate(zip(caches, memory)):
+        sp = nnops.sub_params(p, f"self.{i}")
+        attn = nnops.sub_params(sp, "attn")
+        n1, _ = nnops.layernorm_forward(x, sp["ln1.g"], sp["ln1.b"])
+        new, _ = nnops.mha_kv(n1, attn, CAPTION_HEADS)
+        cache = tuple(np.concatenate(pair, axis=-2) for pair in zip(cache, new))
+        grown.append(cache)
+        a, _ = nnops.mha_attend(n1, cache, attn, CAPTION_HEADS)
+        x, _ = _ffn_residual(x + a, sp)
         cp = nnops.sub_params(p, f"cross.{i}")
         n, _ = nnops.layernorm_forward(x, cp["ln.g"], cp["ln.b"])
         a, _ = nnops.mha_attend(n, kv, cp, CAPTION_HEADS)
         x = x + a
-    # (B, 1, d) rows one at a time, like a single image's last row
-    return (x[:, -1:] @ p["out.w"])[:, 0] + p["out.b"]
+    # a stacked (B, 1, d) matmul rounds each row as a single image's would
+    return (x @ p["out.w"])[:, 0] + p["out.b"], grown
 
 
 def generate_captions(images: np.ndarray, decoder_params: dict) -> list[list[str]]:
     """Greedy decoding of B x H x W x C images together: every step emits
     each row's argmax word, and a row leaves the batch at its end token.
 
-    The cross-attention keys and values are projected once per batch.
+    Decoding is incremental: a step runs the decoder over the newest row of
+    each caption only, and the self-attention keys and values of earlier
+    rows come from a per-layer cache.  The cross-attention keys and values
+    are projected once per batch.  A finished row leaves both.
     Deterministic; each caption has at most CAPTION_LEN words.
     """
     p = decoder_params
     feats = _image_features(images, p)
+    n = feats.shape[0]
     memory = [nnops.mha_kv(feats, nnops.sub_params(p, f"cross.{i}"), CAPTION_HEADS)[0]
               for i in range(CAPTION_LAYERS)]
-    captions: list[list[str]] = [[] for _ in range(feats.shape[0])]
-    live = np.arange(feats.shape[0])
-    ids = np.zeros((feats.shape[0], 0), dtype=np.intp)
+    empty = np.zeros((n, CAPTION_HEADS, 0, CAPTION_D_MODEL // CAPTION_HEADS), dtype=feats.dtype)
+    caches = [(empty, empty)] * CAPTION_LAYERS
+    captions: list[list[str]] = [[] for _ in range(n)]
+    live = np.arange(n)
+    rows = np.broadcast_to(p["start_emb"], (n, 1, p["start_emb"].shape[0]))
     for step in range(CAPTION_LEN):
-        start = np.broadcast_to(p["start_emb"], (len(live), 1, p["start_emb"].shape[0]))
-        x = np.concatenate([start, p["tok_emb"][ids]], axis=1) + p["pos"][:step + 1]
-        nxt = np.argmax(_decoder_step(x, memory, p), axis=-1)
+        logits, caches = _decode_step(rows + p["pos"][step], caches, memory, p)
+        nxt = np.argmax(logits, axis=-1)
         going = nxt != END_TOKEN
         for row, word in zip(live[going], nxt[going]):
             captions[row].append(CAPTION_WORDS[word - 1])
         if not going.all():
-            live, ids = live[going], ids[going]
+            live = live[going]
             memory = [(k[going], v[going]) for k, v in memory]
+            caches = [(k[going], v[going]) for k, v in caches]
             if not len(live):
                 break
-        ids = np.concatenate([ids, nxt[going, None]], axis=1)
+        rows = p["tok_emb"][nxt[going]][:, None]
     return captions
 
 

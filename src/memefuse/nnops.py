@@ -88,11 +88,10 @@ def layernorm_backward(d_y: np.ndarray, cache):
     return dx, d_gain, d_bias
 
 
-def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None):
+def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """Scaled dot-product attention, softmax over key positions.
 
     q: L x dk, k: M x dk, v: M x dv (leading head axes broadcast).
-    ``mask`` is added to the logits (use -inf to forbid positions).
     """
     if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
@@ -100,8 +99,6 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndar
         raise ValueError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
-    if mask is not None:
-        scores = scores + mask
     probs = softmax(scores, axis=-1)
     out = probs @ v
     return out, (q, k, v, probs, scale)
@@ -135,24 +132,23 @@ def mha_kv(x_kv: np.ndarray, p: dict, n_heads: int):
     """Key and value heads of x_kv, plus their linear caches.
 
     Split out of mha_forward so a decoder can project fixed memory once
-    and attend to it at every step (see mha_attend).
+    and attend to it at every step, and append each new row's keys and
+    values to a cache (see mha_attend).
     """
     k, ck = linear_forward(x_kv, p["wk"], p["bk"])
     v, cv = linear_forward(x_kv, p["wv"], p["bv"])
     return (split_heads(k, n_heads), split_heads(v, n_heads)), (ck, cv)
 
 
-def mha_attend(x_q: np.ndarray, kv: tuple, p: dict, n_heads: int,
-               mask: np.ndarray | None = None):
+def mha_attend(x_q: np.ndarray, kv: tuple, p: dict, n_heads: int):
     """Queries projected from x_q attend over the (keys, values) heads of mha_kv."""
     q, cq = linear_forward(x_q, p["wq"], p["bq"])
-    heads, ca = attention_forward(split_heads(q, n_heads), *kv, mask=mask)
+    heads, ca = attention_forward(split_heads(q, n_heads), *kv)
     out, co = linear_forward(merge_heads(heads), p["wo"], p["bo"])
     return out, (cq, ca, co)
 
 
-def mha_forward(x_q: np.ndarray, x_kv: np.ndarray, p: dict, n_heads: int,
-                mask: np.ndarray | None = None):
+def mha_forward(x_q: np.ndarray, x_kv: np.ndarray, p: dict, n_heads: int):
     """Multi-head attention with learned projections.
 
     ``p`` carries wq/bq, wk/bk, wv/bv, wo/bo.  Queries come from x_q and
@@ -160,7 +156,7 @@ def mha_forward(x_q: np.ndarray, x_kv: np.ndarray, p: dict, n_heads: int,
     attention; in the forward pass leading axes are batch axes.
     """
     kv, (ck, cv) = mha_kv(x_kv, p, n_heads)
-    out, (cq, ca, co) = mha_attend(x_q, kv, p, n_heads, mask=mask)
+    out, (cq, ca, co) = mha_attend(x_q, kv, p, n_heads)
     return out, (cq, ck, cv, ca, co, n_heads)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import TASKS, TASK_CLASSES
 from .balance import smote_oversample
+from .blas import single_thread
 from .encode import (D_MODEL, IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, SENTENCE_DIM,
                      encode_ids, encode_image, generate_captions, init_caption_decoder_params,
                      init_image_encoder_params, init_text_encoder_params, pool_sentence,
@@ -110,6 +111,7 @@ def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: st
     return assemble_variant_input(kind, **parts).astype(np.float32, copy=False)
 
 
+@single_thread()
 def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
                   kind: str) -> np.ndarray:
     """Encode records in id order -> (N, L, d) float32 tensor.
@@ -118,7 +120,8 @@ def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
     chunk as one batch, the captions decoded together, and each distinct
     token tuple (texts and captions alike) encoded once per call.  Token
     sequences are zero-padded to MAX_TOKENS after encoding so every record
-    of a variant has its FUSED_SHAPES shape.
+    of a variant has its FUSED_SHAPES shape.  Runs on one BLAS thread, so
+    features do not depend on the host's thread count.
     """
     _check_variant(kind)
     out = np.empty((len(ids), *FUSED_SHAPES[kind]), dtype=np.float32)

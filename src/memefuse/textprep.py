@@ -57,6 +57,18 @@ class PreprocessConfig:
         return frozenset(self.vocabulary | stemmed)
 
     @cached_property
+    def _kept_stems(self) -> dict[str, str | None]:
+        """Memo of word -> its stem, or None when the filter drops it; filled
+        by preprocess, so each distinct word is stemmed once per config."""
+        return {}
+
+    @cached_property
+    def _ascii_keys(self) -> bool:
+        """Whether any lexicon key starts with an ASCII character; when none
+        does, ASCII text holds nothing demojize could replace or delete."""
+        return any(head.isascii() for head in self._lexicon_by_head)
+
+    @cached_property
     def _lexicon_by_head(self) -> dict[str, list[str]]:
         """Lexicon keys grouped by first char, longest first (greedy match)."""
         by_head: dict[str, list[str]] = {}
@@ -80,6 +92,8 @@ def demojize(text: str, config: PreprocessConfig) -> str:
     untouched when the input contains no emoji at all.  Lexicon keys are
     matched longest first through the config's cached index.
     """
+    if text.isascii() and not config._ascii_keys:
+        return text
     lexicon, by_head = config.emoji_lexicon, config._lexicon_by_head
     parts: list[str] = []
     changed = False
@@ -131,8 +145,14 @@ def preprocess(raw: str, config: PreprocessConfig) -> CleanText:
     text = raw.lower()
     text = demojize(text, config)
     text = strip_handles_and_hashtags(text)
-    tokens = [porter_stem(t) for t in _TOKEN.findall(text)]
-    tokens = [t for t in tokens if t in config._filter_set]
+    kept = config._kept_stems
+    tokens = []
+    for word in _TOKEN.findall(text):
+        if word not in kept:
+            stem = porter_stem(word)
+            kept[word] = stem if stem in config._filter_set else None
+        if kept[word] is not None:
+            tokens.append(kept[word])
     return CleanText(tokens=tokens, original=raw)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import memefuse
-from memefuse import TASKS, blas, model
+from memefuse import TASKS, blas, encode, model, pipeline
 from memefuse.fixtures import write_annotation_fixture
 from memefuse.model import ModelVariant, TrainConfig, TrainSet
 
@@ -48,6 +48,25 @@ def test_scope_runs_on_one_thread_and_restores_the_count(controls):
         with blas.single_thread():
             assert get() == 1
             raise RuntimeError("body")
+    assert get() == outer
+
+
+def test_encode_corpus_runs_on_one_thread_and_restores_the_count(controls, monkeypatch):
+    get, put = controls
+    put(2)
+    outer = get()
+    seen = []
+    decode = encode.generate_captions
+
+    def recording(images, params):
+        seen.append(get())
+        return decode(images, params)
+
+    monkeypatch.setattr(pipeline, "generate_captions", recording)
+    space = pipeline.build_feature_space(seed=0)
+    feats = pipeline.encode_corpus(["a", "b"], {"a": ["cat"]}, space, "capsen")
+    assert feats.shape == (2, 2, encode.SENTENCE_DIM)
+    assert seen == [1]
     assert get() == outer
 
 

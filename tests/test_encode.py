@@ -64,15 +64,13 @@ class TestTransformerBlock:
         p = encode.init_block_params(6, 2, rng, dtype=np.float64)
         x = rng.normal(size=(4, 6))
         d = rng.normal(size=(4, 6))
-        causal = np.triu(np.full((4, 4), -np.inf), k=1)
 
-        for mask in (None, causal):
-            def loss():
-                y, cache = encode.transformer_block_forward(x, p, 2, mask=mask)
-                dx, dp = encode.transformer_block_backward(d, cache)
-                return float(np.sum(y * d)), {"x": dx, **dp}
+        def loss():
+            y, cache = encode.transformer_block_forward(x, p, 2)
+            dx, dp = encode.transformer_block_backward(d, cache)
+            return float(np.sum(y * d)), {"x": dx, **dp}
 
-            check_grads(loss, {"x": x, **p})
+        check_grads(loss, {"x": x, **p})
 
 
 class TestImageEncoder:
@@ -165,3 +163,119 @@ class TestTextEncoder:
         a = encode.pool_sentence(self._one_text(["dog", "bites", "man"], params), params)
         b = encode.pool_sentence(self._one_text(["man", "bites", "dog"], params), params)
         assert not np.allclose(a, b)
+
+
+def _conv_loop(x, w, b, stride):
+    """Valid strided convolution, one output element at a time."""
+    batch, height, width, _ = x.shape
+    kh, kw, _, cout = w.shape
+    out = np.zeros((batch, (height - kh) // stride + 1, (width - kw) // stride + 1, cout))
+    for n, i, j, o in np.ndindex(*out.shape):
+        window = x[n, i * stride:i * stride + kh, j * stride:j * stride + kw]
+        out[n, i, j, o] = np.sum(window * w[..., o]) + b[o]
+    return out
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+def test_conv2d_matches_loop_oracle(stride, kernel):
+    rng = np.random.default_rng(stride * 10 + kernel[0])
+    x = rng.normal(size=(2, 7, 9, 3))
+    w = rng.normal(size=(*kernel, 3, 5))
+    b = rng.normal(size=5)
+    out = encode._conv2d(x, w, b, stride)
+    expect = _conv_loop(x, w, b, stride)
+    assert out.shape == expect.shape
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
+
+
+# --- incremental caption decoding against a full-prefix oracle -------------
+
+
+def _layernorm(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + 1e-5) * gain + bias
+
+
+def _attention(x_q, x_kv, p, pre, mask=None):
+    """Multi-head attention head by head, with an optional additive mask."""
+    q = x_q @ p[pre + "wq"] + p[pre + "bq"]
+    k = x_kv @ p[pre + "wk"] + p[pre + "bk"]
+    v = x_kv @ p[pre + "wv"] + p[pre + "bv"]
+    dh = q.shape[-1] // encode.CAPTION_HEADS
+    out = np.empty_like(q)
+    for h in range(encode.CAPTION_HEADS):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+        if mask is not None:
+            scores = scores + mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out[:, cols] = (e / e.sum(axis=-1, keepdims=True)) @ v[:, cols]
+    return out @ p[pre + "wo"] + p[pre + "bo"]
+
+
+def _oracle_decode(feats, p, n_layers):
+    """One image's (positions, d) features -> its caption and each step's
+    logits, running the whole prefix through the stack at every step under
+    a causal mask."""
+    words, ids, logits = [], [], []
+    for step in range(encode.CAPTION_LEN):
+        x = np.vstack([p["start_emb"][None], p["tok_emb"][ids]]) + p["pos"][:step + 1]
+        causal = np.triu(np.full((step + 1, step + 1), -np.inf), k=1)
+        for i in range(n_layers):
+            s, c = f"self.{i}.", f"cross.{i}."
+            n1 = _layernorm(x, p[s + "ln1.g"], p[s + "ln1.b"])
+            x = x + _attention(n1, n1, p, s + "attn.", causal)
+            f = _layernorm(x, p[s + "ln2.g"], p[s + "ln2.b"]) @ p[s + "ffn.w1"] + p[s + "ffn.b1"]
+            f = 0.5 * f * (1 + np.tanh(np.sqrt(2 / np.pi) * (f + 0.044715 * f ** 3)))
+            x = x + f @ p[s + "ffn.w2"] + p[s + "ffn.b2"]
+            x = x + _attention(_layernorm(x, p[c + "ln.g"], p[c + "ln.b"]), feats, p, c)
+        logits.append(x[-1] @ p["out.w"] + p["out.b"])
+        word = int(np.argmax(logits[-1]))
+        if word == encode.END_TOKEN:
+            break
+        words.append(encode.CAPTION_WORDS[word - 1])
+        ids.append(word)
+    return words, logits
+
+
+def _float64_decoder(seed, n_layers):
+    """A float64 captioner whose rows finish at different steps: random word
+    embeddings and a raised end-token bias make captions diverge and stop."""
+    p = {k: v.astype(np.float64) for k, v in encode.init_caption_decoder_params(seed).items()}
+    rng = np.random.default_rng(seed)
+    for i in range(1, n_layers):
+        for k, v in encode.init_block_params(encode.CAPTION_D_MODEL, encode.CAPTION_HEADS, rng,
+                                             dtype=np.float64).items():
+            p[f"self.{i}.{k}"] = v
+        for k, v in nnops.sub_params(p, "cross.0").items():
+            p[f"cross.{i}.{k}"] = v + rng.normal(size=v.shape) * 0.1
+    p["tok_emb"] = rng.normal(size=p["tok_emb"].shape)
+    p["out.b"] = np.zeros_like(p["out.b"])
+    p["out.b"][encode.END_TOKEN] = 1.5
+    return p, rng.normal(size=(16, 11, 13, 3)) * 3
+
+
+@pytest.mark.parametrize("seed,n_layers", [(0, 1), (1, 1), (4, 1), (4, 2), (7, 2)])
+def test_cached_decoding_matches_full_prefix_oracle(seed, n_layers, monkeypatch):
+    p, images = _float64_decoder(seed, n_layers)
+    monkeypatch.setattr(encode, "CAPTION_LAYERS", n_layers)
+    steps = []
+    decode_step = encode._decode_step
+
+    def recording(*args):
+        logits, caches = decode_step(*args)
+        steps.append(logits)
+        return logits, caches
+
+    monkeypatch.setattr(encode, "_decode_step", recording)
+    captions = encode.generate_captions(images, p)
+    feats = encode._image_features(images, p)
+    oracle = [_oracle_decode(f, p, n_layers) for f in feats]
+    assert len({len(words) for words, _ in oracle}) >= 3, "rows should finish at different steps"
+    assert captions == [words for words, _ in oracle]
+    assert len(steps) == max(len(logits) for _, logits in oracle)
+    for step, got in enumerate(steps):
+        expect = np.array([logits[step] for _, logits in oracle if len(logits) > step])
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-10)

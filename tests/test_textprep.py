@@ -108,6 +108,38 @@ class TestDemojize:
         assert demojize("a\U0001F63Ab", CONFIG) == "ab"
 
 
+class TestFastPathAndMemo:
+    """demojize's ASCII fast path and the config's word -> kept-stem memo."""
+
+    def test_ascii_lexicon_key_still_replaced(self):
+        config = PreprocessConfig(emoji_lexicon={":)": "smile"}, vocabulary={"smile"})
+        assert demojize("so :) ok", config) == "so smile ok"
+        assert preprocess("So :) ok", config).tokens == ["smile"]
+
+    def test_non_ascii_text_without_emoji(self):
+        config = PreprocessConfig(emoji_lexicon=dict(LEXICON), vocabulary={"caf", "latte"})
+        assert demojize("café latte", config) == "café latte"
+        # é is not a letter of the tokenizer, so it splits the word
+        assert preprocess("Café latte", config).tokens == ["caf", "latt"]
+        assert preprocess("naïve café \U0001F602", config).tokens == ["caf"]
+
+    def test_configs_do_not_share_memo_entries(self):
+        cats = PreprocessConfig(emoji_lexicon={}, vocabulary={"cat"})
+        dogs = PreprocessConfig(emoji_lexicon={}, vocabulary={"dog"})
+        assert preprocess("cats dogs", cats).tokens == ["cat"]
+        assert preprocess("cats dogs", dogs).tokens == ["dog"]
+        assert preprocess("cats dogs", cats).tokens == ["cat"]
+        assert cats._kept_stems == {"cats": "cat", "dogs": None}
+        assert dogs._kept_stems == {"cats": None, "dogs": "dog"}
+
+    @pytest.mark.parametrize("raw,expected", GOLDEN)
+    def test_repeat_call_returns_equal_tokens(self, raw, expected):
+        config = PreprocessConfig(emoji_lexicon=dict(LEXICON), vocabulary=set(VOCAB))
+        first = preprocess(raw, config).tokens
+        first.append("mutated")
+        assert preprocess(raw, config).tokens == expected
+
+
 class TestStripMarks:
     def test_handles_removed_hashtags_kept(self):
         assert strip_handles_and_hashtags("@user nice #meme") == "nice meme"
