@@ -9,6 +9,7 @@ classifier's classes and the collapse belongs in reviewable config.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,29 +55,10 @@ DEFAULT_COLUMNS = {
 
 
 @dataclass(frozen=True)
-class LabelSet:
-    """One class label per task, already collapsed to the canonical classes."""
-
-    humor: str
-    sarcasm: str
-    motivation: str
-    sentiment: str
-
-    def __post_init__(self):
-        for task in TASKS:
-            value = getattr(self, task)
-            if value not in TASK_CLASSES[task]:
-                raise ValueError(f"{task} label {value!r} not in {TASK_CLASSES[task]}")
-
-    def get(self, task: str) -> str:
-        return getattr(self, task)
-
-
-@dataclass(frozen=True)
 class MemeRecord:
     id: str
     text: str
-    labels: LabelSet
+    labels: dict[str, str]  # task -> class, collapsed through the schema's tables
 
 
 @dataclass
@@ -114,7 +96,10 @@ class Schema:
     @classmethod
     def from_json(cls, path: str | Path) -> "Schema":
         with open(path, encoding="utf-8-sig") as fh:
-            spec = json.load(fh)
+            try:
+                spec = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise SchemaError(f"{path}: schema is not JSON ({exc})") from exc
         if not isinstance(spec, dict):
             raise SchemaError(f"schema top level must be an object, got {spec!r}")
         columns = dict(DEFAULT_COLUMNS)
@@ -134,12 +119,21 @@ def _iter_rows(path: str | Path, schema: Schema) -> Iterator[tuple[int, dict[str
         return
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        try:
+            header = reader.fieldnames or []
+        except csv.Error as exc:
+            raise SchemaError(f"unreadable CSV header: {exc}") from exc
         for logical in LOGICAL_COLUMNS:
             actual = schema.columns[logical]
             if actual not in header:
                 raise SchemaError(f"file is missing declared column {actual!r}")
-        for index, row in enumerate(reader):
+        for index in itertools.count():
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:  # e.g. a field over the csv module's size limit
+                raise RowError(index, f"unreadable CSV row: {exc}") from exc
             yield index, _pick_row(index, row, schema)
 
 
@@ -148,7 +142,7 @@ def _iter_jsonl(path: Path, schema: Schema) -> Iterator[tuple[int, dict[str, str
         for index, line in enumerate(ln for ln in fh if ln.strip()):
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise RowError(index, f"invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise RowError(index, "expected a JSON object")
@@ -198,10 +192,8 @@ def load_dataset(path: str | Path, schema: Schema) -> list[MemeRecord]:
     """
     records: list[MemeRecord] = []
     for _, row in _checked_rows(path, schema):
-        mapped = {task: schema.labels[task][row[task]] for task in TASKS}
-        records.append(
-            MemeRecord(id=row["id"], text=row["text"], labels=LabelSet(**mapped))
-        )
+        labels = {task: schema.labels[task][row[task]] for task in TASKS}
+        records.append(MemeRecord(id=row["id"], text=row["text"], labels=labels))
     return records
 
 

@@ -365,7 +365,7 @@ def export_embeddings(path, mapping: dict, kind: str) -> None:
 def _json_object(path, line: str, what: str) -> dict:
     try:
         obj = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {what} is not JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: {what} must be a JSON object, got {obj!r}")

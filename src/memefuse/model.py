@@ -406,7 +406,7 @@ def load_checkpoint(path):
         blob = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: checkpoint header is not JSON ({exc})") from exc
     _check_header(path, header)
     variant = ModelVariant(**header["variant"])

@@ -32,6 +32,8 @@ ENCODE_CHUNK = 256
 # fusion part -> the exchange file name that holds it
 EXCHANGE_NAMES = {"img": "image", "txt_tokens": "tokens", "txt_sentence": "text_sentence",
                   "caption_sentence": "caption_sentence"}
+# the feature space's one projection: imgsen's sentence down to the image width
+SENTENCE_PROJECTION = f"{SENTENCE_DIM}to{D_MODEL}"
 
 
 def _check_variant(kind: str) -> None:
@@ -55,8 +57,7 @@ def build_feature_space(seed: int = 0) -> FeatureSpace:
         image_params=init_image_encoder_params(seed),
         text_params=init_text_encoder_params(seed),
         caption_params=init_caption_decoder_params(seed=derive_seed(seed, "caption")),
-        projections={f"{SENTENCE_DIM}to{D_MODEL}":
-                     init_projection(SENTENCE_DIM, D_MODEL, proj_rng)})
+        projections={SENTENCE_PROJECTION: init_projection(SENTENCE_DIM, D_MODEL, proj_rng)})
 
 
 def toy_image(record_id: str) -> np.ndarray:
@@ -107,7 +108,7 @@ def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: st
     else:  # imgsen; encode_corpus has checked the name
         parts = {"img": encode_image(images, space.image_params),
                  "txt_sentence": np.stack(encode_texts(texts)),
-                 "projections": space.projections, "d_target": D_MODEL}
+                 "projection": space.projections[SENTENCE_PROJECTION]}
     return assemble_variant_input(kind, **parts).astype(np.float32, copy=False)
 
 
@@ -230,11 +231,9 @@ def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.n
     names = exchange_names(kind)
     parts = {part: _imported_part(name, mappings.get(name), ids, kind)
              for part, name in zip(VARIANT_PARTS[kind], names)}
-    widths = [arrays[0].shape[-1] for arrays in parts.values()]
-    target = max(widths)
-    projections = {f"{d}to{target}": init_projection(d, target,
-                                                     rng_for(seed, f"projection.{d}to{target}"))
-                   for d in widths if d != target}
+    narrow, target = sorted(arrays[0].shape[-1] for arrays in parts.values())
+    projection = None if narrow == target else init_projection(
+        narrow, target, rng_for(seed, f"projection.{narrow}to{target}"))
     groups: dict = {}  # row counts of the parts -> records with them
     for i in range(len(ids)):
         key = tuple(len(arrays[i]) if arrays[i].ndim == 2 else 1 for arrays in parts.values())
@@ -245,6 +244,5 @@ def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.n
     out = np.zeros((len(ids), length, target), dtype=np.float32)
     for key, idx in groups.items():
         batch = {name: np.stack([arrays[i] for i in idx]) for name, arrays in parts.items()}
-        out[idx, :sum(key)] = assemble_variant_input(kind, projections=projections,
-                                                     d_target=target, **batch)
+        out[idx, :sum(key)] = assemble_variant_input(kind, projection=projection, **batch)
     return out

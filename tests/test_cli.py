@@ -110,6 +110,70 @@ class TestIngest:
         assert capsys.readouterr().err == message + "\n"
 
 
+class TestMalformedInput:
+    HEADER = "image_name,text,humour,sarcasm,motivational,overall_sentiment\n"
+    GOOD = "a.jpg,t,funny,sarcastic,motivational,positive\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    @pytest.mark.parametrize("where, message", [
+        ("row", "error: row 1: unreadable CSV row: field larger than field limit"),
+        ("header", "error: unreadable CSV header: field larger than field limit"),
+    ], ids=["row", "header"])
+    def test_oversized_csv_field_exits_2(self, tmp_path, capsys, command, where, message):
+        # a field over the csv module's size limit used to end in a _csv.Error traceback
+        huge = "x" * 200_000
+        path = tmp_path / "huge.csv"
+        if where == "row":
+            path.write_text(self.HEADER + self.GOOD + f"b.jpg,{huge},funny,sarcastic,"
+                            "motivational,positive\n", encoding="utf-8")
+        else:
+            path.write_text(self.HEADER.replace("text", huge) + self.GOOD, encoding="utf-8")
+        extra = (["--variant", "imgsen", "--checkpoint", str(tmp_path / "x.ckpt")]
+                 if command == "train" else [])
+        rc = cli.main([command, "--dataset", str(path), *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["annotation-row", "schema", "checkpoint", "embeddings"])
+    def test_deeply_nested_json_exits_2(self, small_csv, trained, tmp_path, capsys, target):
+        # each used to end in a RecursionError traceback
+        nested = "[" * 100_000 + "]" * 100_000
+        if target == "annotation-row":
+            path = tmp_path / "a.jsonl"
+            good = {"image_name": "j.jpg", "text": "yo", "humour": "funny",
+                    "sarcasm": "sarcastic", "motivational": "motivational",
+                    "overall_sentiment": "negative"}
+            path.write_text(json.dumps(good) + "\n" + nested + "\n", encoding="utf-8")
+            args = ["ingest", "--dataset", str(path)]
+            message = "error: row 1: invalid JSON: maximum recursion depth exceeded"
+        elif target == "schema":
+            path = tmp_path / "schema.json"
+            path.write_text(nested, encoding="utf-8")
+            args = ["ingest", "--dataset", str(small_csv), "--schema", str(path)]
+            message = f"error: {path}: schema is not JSON (maximum recursion depth exceeded"
+        elif target == "checkpoint":
+            path = tmp_path / "nested.ckpt"
+            path.write_bytes(nested.encode("utf-8") + b"\n")
+            args = ["eval", "--dataset", str(small_csv), "--checkpoint", str(path)]
+            message = (f"error: {path}: checkpoint header is not JSON "
+                       "(maximum recursion depth exceeded")
+        else:
+            emb = tmp_path / "emb"
+            emb.mkdir()
+            path = emb / "image.jsonl"  # the first file imgsen reads
+            path.write_text(nested + "\n", encoding="utf-8")
+            args = ["eval", "--dataset", str(small_csv), "--checkpoint", str(trained),
+                    "--embeddings", str(emb)]
+            message = f"error: {path}: header is not JSON (maximum recursion depth exceeded"
+        rc = cli.main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(message), err[:300]
+        assert "Traceback" not in err
+
+
 class TestPreprocess:
     def test_writes_sorted_jsonl(self, small_csv, tmp_path, capsys):
         out = tmp_path / "tokens.jsonl"

@@ -8,7 +8,6 @@ import pytest
 from memefuse import TASKS, bundled_data
 from memefuse.dataset import (
     DEFAULT_COLUMNS,
-    LabelSet,
     MemeRecord,
     RowError,
     Schema,
@@ -72,16 +71,16 @@ class TestLoadDataset:
         rec = records[0]
         assert rec.id == "img_1.jpg"
         assert rec.text == "hello world"
-        assert rec.labels.humor == "funny"
-        assert rec.labels.sentiment == "positive"
+        assert rec.labels["humor"] == "funny"
+        assert rec.labels["sentiment"] == "positive"
 
     def test_multi_level_labels_collapse(self, tmp_path):
         row = ("a.jpg", "t", "very_funny", "not_sarcastic",
                "not_motivational", "neutral")
         path = _write_csv(tmp_path / "a.csv", [row])
         rec = load_dataset(path, _schema())[0]
-        assert rec.labels.humor == "funny"
-        assert rec.labels.sarcasm == "not_sarcastic"
+        assert rec.labels["humor"] == "funny"
+        assert rec.labels["sarcasm"] == "not_sarcastic"
 
     def test_empty_file_with_header(self, tmp_path):
         path = _write_csv(tmp_path / "a.csv", [])
@@ -119,7 +118,7 @@ class TestLoadDataset:
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
         records = load_dataset(path, _schema())
         assert records[0].id == "j.jpg"
-        assert records[0].labels.sentiment == "negative"
+        assert records[0].labels["sentiment"] == "negative"
 
     def test_jsonl_byte_order_mark_ignored(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -143,7 +142,8 @@ def _records(n, cls_of):
     for i in range(n):
         h, s, m, o = cls_of(i)
         out.append(MemeRecord(id=str(i), text="",
-                              labels=LabelSet(h, s, m, o)))
+                              labels={"humor": h, "sarcasm": s,
+                                      "motivation": m, "sentiment": o}))
     return out
 
 
@@ -241,7 +241,7 @@ class TestFixtureFile:
         path = tmp_path / "memotion.csv"
         write_annotation_fixture(path)
         records = load_dataset(path, _schema())
-        funny = sum(r.labels.humor == "funny" for r in records)
+        funny = sum(r.labels["humor"] == "funny" for r in records)
         assert (funny, len(records) - funny) == (4160 + 2201, 631)
 
     def test_mismatched_tallies_rejected(self, tmp_path):

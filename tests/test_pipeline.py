@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from memefuse import TASKS, TASK_CLASSES, VARIANTS, pipeline
-from memefuse.dataset import LabelSet, MemeRecord
+from memefuse.dataset import MemeRecord
 from memefuse.encode import (IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, encode_ids,
                              encode_image, generate_captions)
 from memefuse.fusion import VARIANT_PARTS
@@ -259,8 +259,8 @@ class TestLabelsFromRecords:
         return MemeRecord(
             id=rid,
             text="t",
-            labels=LabelSet(humor=humor, sarcasm=sarcasm,
-                            motivation=motivation, sentiment=sentiment),
+            labels={"humor": humor, "sarcasm": sarcasm,
+                    "motivation": motivation, "sentiment": sentiment},
         )
 
     def test_index_mapping(self):
