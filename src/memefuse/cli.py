@@ -14,12 +14,12 @@ import numpy as np
 
 from . import TASKS, VARIANTS, bundled_data
 from .dataset import RowError, Schema, SchemaError, load_dataset, raw_tallies, split
-from .encode import import_embeddings
 from .evalmetrics import build_report
 from .model import (ModelVariant, NumericError, TrainConfig, load_checkpoint,
                     predict_proba, save_checkpoint, save_history, train)
 from .pipeline import (build_feature_space, build_training_set, encode_corpus, exchange_names,
                        fused_from_imported, labels_from_records)
+from .tensorfile import import_embeddings
 from .textprep import PreprocessConfig, load_lexicon, load_vocabulary, preprocess
 
 SPLIT_RATIO = 0.8
@@ -55,7 +55,7 @@ def _corpus_features(records, tokens_by_id, kind, args):
     if args.embeddings:
         root = _require(args.embeddings, "embeddings")
         # only the files the variant fuses are read
-        mappings = {name: import_embeddings(_require(root / f"{name}.jsonl", "embeddings"))
+        mappings = {name: import_embeddings(_require(root / f"{name}.emb", "embeddings"))
                     for name in exchange_names(kind)}
         return fused_from_imported(ids, kind, seed=args.seed, **mappings)
     space = build_feature_space(seed=args.seed)

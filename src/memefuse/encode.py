@@ -9,7 +9,6 @@ these features.
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -330,96 +329,3 @@ def generate_captions(images: np.ndarray, decoder_params: dict) -> list[list[str
                 break
         rows = p["tok_emb"][nxt[going]][:, None]
     return captions
-
-
-# --- embedding exchange ----------------------------------------------------
-
-
-def export_embeddings(path, mapping: dict, kind: str) -> None:
-    """Write id-keyed embeddings as JSON lines: a header then one record per id.
-
-    kind "sequence" stores L x d matrices (shared d, L free); "vector"
-    stores length-d vectors.  Values are rounded to float32.
-    """
-    if kind not in ("sequence", "vector"):
-        raise ValueError(f"kind must be sequence or vector, got {kind!r}")
-    if not mapping:
-        raise ValueError("nothing to export")
-    arrays = {str(k): np.asarray(v, dtype=np.float32) for k, v in mapping.items()}
-    widths = set()
-    for rid, arr in arrays.items():
-        want = 2 if kind == "sequence" else 1
-        if arr.ndim != want:
-            raise ValueError(f"record {rid!r}: expected {want}-d array, got shape {arr.shape}")
-        widths.add(arr.shape[-1])
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent widths {sorted(widths)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": kind, "d": widths.pop(), "count": len(arrays)}) + "\n")
-        for rid, arr in arrays.items():
-            rec = {"id": rid, "shape": list(arr.shape),
-                   "values": [float(x) for x in arr.reshape(-1)]}
-            fh.write(json.dumps(rec) + "\n")
-
-
-def _json_object(path, line: str, what: str) -> dict:
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: {what} is not JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: {what} must be a JSON object, got {obj!r}")
-    return obj
-
-
-def import_embeddings(path) -> dict:
-    """Read an embedding file back into {id: float32 array}.
-
-    Shapes are validated and values must be finite; every defect raises
-    ValueError naming the file and the record.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty embedding file")
-    header = _json_object(path, lines[0], "header")
-    for field in ("kind", "d", "count"):
-        if field not in header:
-            raise ValueError(f"{path}: header missing {field!r}")
-    for field in ("d", "count"):
-        value = header[field]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{path}: header {field!r} {value!r} is not a non-negative integer")
-    if header["kind"] not in ("sequence", "vector"):
-        raise ValueError(f"{path}: unknown kind {header['kind']!r}")
-    want_ndim = 2 if header["kind"] == "sequence" else 1
-    if len(lines) - 1 != header["count"]:
-        raise ValueError(f"{path}: header declares {header['count']} records, found {len(lines) - 1}")
-    out: dict = {}
-    for index, ln in enumerate(lines[1:], start=1):
-        rec = _json_object(path, ln, f"record {index}")
-        for field in ("id", "shape", "values"):
-            if field not in rec:
-                raise ValueError(f"{path}: record {index} missing {field!r}")
-        rid = rec["id"]
-        if not isinstance(rid, str):
-            raise ValueError(f"{path}: record {index} id {rid!r} is not a string")
-        if rid in out:
-            raise ValueError(f"{path}: duplicate id {rid!r}")
-        if not isinstance(rec["shape"], list) or not all(
-                isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in rec["shape"]):
-            raise ValueError(f"{path}: record {rid!r} shape {rec['shape']!r} is not a list "
-                             "of non-negative integers")
-        shape = tuple(rec["shape"])
-        if len(shape) != want_ndim or shape[-1] != header["d"]:
-            raise ValueError(f"{path}: record {rid!r} shape {shape} conflicts with header d={header['d']}")
-        try:
-            values = np.asarray(rec["values"], dtype=np.float32)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: record {rid!r} values are not numbers ({exc})") from exc
-        if values.size != int(np.prod(shape)):
-            raise ValueError(f"{path}: record {rid!r} has {values.size} values for shape {shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{path}: record {rid!r} holds non-finite values")
-        out[rid] = values.reshape(shape)
-    return out

@@ -25,6 +25,7 @@ from .lstm import (Workspace, bilstm_backward, bilstm_forward, init_bilstm_param
                    sequence_feature)
 from .nnops import sub_params
 from .seeds import rng_for
+from .tensorfile import is_int, read_tensors, write_tensors
 
 HEAD_ARITY = {task: len(classes) for task, classes in TASK_CLASSES.items()}
 
@@ -293,37 +294,24 @@ def save_history(path, history: list) -> None:
 
 
 def save_checkpoint(path, variant: ModelVariant, params: dict, seed: int, epoch: int) -> None:
-    """Header line (JSON) then the float32 tensors in manifest order."""
-    names = sorted(params)
+    """A tensor file (``memefuse.tensorfile``) of the tensors in name order."""
     header = {
         "format": CHECKPOINT_MAGIC,
         "variant": {"kind": variant.kind, "bilstm_layers": variant.bilstm_layers,
                     "hidden": variant.hidden, "head_hidden": variant.head_hidden},
         "seed": seed,
         "epoch": epoch,
-        "manifest": [{"name": k, "shape": list(params[k].shape)} for k in names],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for k in names:
-            fh.write(np.ascontiguousarray(params[k], dtype="<f4").tobytes())
+    write_tensors(path, header, {k: params[k] for k in sorted(params)})
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_header(path, header) -> None:
-    """Reject a malformed checkpoint header with a ValueError naming the field."""
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: checkpoint header must be a JSON object")
-    if header.get("format") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    for name in ("variant", "seed", "epoch", "manifest"):
+def _check_header(path, header: dict) -> None:
+    """Reject malformed run fields or a manifest not the variant's, naming either."""
+    for name in ("variant", "seed", "epoch"):
         if name not in header:
             raise ValueError(f"{path}: checkpoint header lacks field {name!r}")
     for name in ("seed", "epoch"):
-        if not _is_int(header[name]):
+        if not is_int(header[name]):
             raise ValueError(f"{path}: header field {name!r} must be an integer")
     variant = header["variant"]
     if not isinstance(variant, dict) or not isinstance(variant.get("kind"), str):
@@ -332,22 +320,9 @@ def _check_header(path, header) -> None:
     for key, value in variant.items():
         if key not in known:
             raise ValueError(f"{path}: unknown header field 'variant.{key}'")
-        if key != "kind" and not _is_int(value):
+        if key != "kind" and not is_int(value):
             raise ValueError(f"{path}: header field 'variant.{key}' must be an integer")
-    if not isinstance(header["manifest"], list):
-        raise ValueError(f"{path}: header field 'manifest' must be a list")
-    seen = set()
-    for entry in header["manifest"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)):
-            raise ValueError(f"{path}: manifest entry {entry!r} needs a string 'name' "
-                             "and a list 'shape'")
-        if entry["name"] in seen:
-            raise ValueError(f"{path}: manifest names {entry['name']!r} twice")
-        seen.add(entry["name"])
-        if not all(_is_int(n) and n >= 0 for n in entry["shape"]):
-            raise ValueError(f"{path}: manifest entry {entry['name']!r} has shape "
-                             f"{entry['shape']}; dims must be non-negative integers")
+    _check_manifest(path, ModelVariant(**variant), header["manifest"])
 
 
 def _param_shapes(variant: ModelVariant, d_in: int):
@@ -401,28 +376,6 @@ def load_checkpoint(path):
     variant's tensors, or a tensor holding NaN or inf raises ValueError
     naming the offending field or tensor.
     """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: checkpoint header is not JSON ({exc})") from exc
-    _check_header(path, header)
-    variant = ModelVariant(**header["variant"])
-    _check_manifest(path, variant, header["manifest"])
-    params = {}
-    offset = 0
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) * 4
-        if offset + size > len(blob):
-            raise ValueError(f"{path}: truncated tensor data at {entry['name']!r}")
-        arr = np.frombuffer(blob[offset:offset + size], dtype="<f4").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
-        params[entry["name"]] = arr.copy()
-        offset += size
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
-    return variant, params, {"seed": header["seed"], "epoch": header["epoch"]}
+    header, params = read_tensors(path, "checkpoint", CHECKPOINT_MAGIC, _check_header)
+    return (ModelVariant(**header["variant"]), params,
+            {"seed": header["seed"], "epoch": header["epoch"]})

@@ -186,13 +186,13 @@ def build_training_set(features: np.ndarray, labels: dict, k: int = 5,
 
 
 def exchange_names(kind: str) -> tuple:
-    """The exchange files (``{name}.jsonl``) that hold the parts a variant fuses."""
+    """The exchange files (``{name}.emb``) that hold the parts a variant fuses."""
     _check_variant(kind)
     return tuple(EXCHANGE_NAMES[part] for part in VARIANT_PARTS[kind])
 
 
 def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> list:
-    """One exchange mapping's arrays in id order, as float64, checked against
+    """One exchange mapping's arrays in id order, as given, checked against
     its role: a *_sentence mapping holds one vector per record, the others
     rows x width, and every record of one mapping has one width."""
     if mapping is None:
@@ -202,7 +202,7 @@ def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> lis
     for rid in ids:
         if rid not in mapping:
             raise ValueError(f"record {rid!r} missing from {name} embeddings")
-        arr = np.asarray(mapping[rid], dtype=np.float64)
+        arr = np.asarray(mapping[rid])
         if arr.ndim != ndim:
             want = "one vector" if ndim == 1 else "rows x width"
             raise ValueError(f"{name} embeddings: record {rid!r} has shape {arr.shape}, "
@@ -243,6 +243,7 @@ def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.n
         raise ValueError(f"{' and '.join(names)} embeddings hold no rows for any record")
     out = np.zeros((len(ids), length, target), dtype=np.float32)
     for key, idx in groups.items():
-        batch = {name: np.stack([arrays[i] for i in idx]) for name, arrays in parts.items()}
+        batch = {name: np.stack([arrays[i] for i in idx], dtype=np.float64)
+                 for name, arrays in parts.items()}
         out[idx, :sum(key)] = assemble_variant_input(kind, projection=projection, **batch)
     return out

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from memefuse import encode
+from memefuse import encode, tensorfile
 
 
 def _toy_image(seed=0):
@@ -108,13 +110,23 @@ class TestBatchedCaptions:
             encode.generate_captions(_toy_image(), _identity_decoder())
 
 
+def _write_exchange(path, header, values=()):
+    """An exchange file from a raw header and the float32 values of its blob."""
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
+                     + np.asarray(values, dtype="<f4").tobytes())
+
+
+def _vector_header(d=2, manifest=({"name": "x", "shape": [2]},)):
+    return {"format": "memefuse-embeddings", "kind": "vector", "d": d, "manifest": list(manifest)}
+
+
 class TestEmbeddingExchange:
     def test_roundtrip_sequences(self, tmp_path):
         rng = np.random.default_rng(42)
         mapping = {f"m{i}": rng.normal(size=(i + 1, 16)).astype(np.float32) for i in range(3)}
-        path = tmp_path / "seq.jsonl"
-        encode.export_embeddings(path, mapping, kind="sequence")
-        back = encode.import_embeddings(path)
+        path = tmp_path / "seq.emb"
+        tensorfile.export_embeddings(path, mapping, kind="sequence")
+        back = tensorfile.import_embeddings(path)
         assert set(back) == set(mapping)
         for rid in mapping:
             np.testing.assert_array_equal(back[rid], mapping[rid])
@@ -124,81 +136,93 @@ class TestEmbeddingExchange:
         rng = np.random.default_rng(7)
         mapping = {"a": rng.normal(size=768).astype(np.float32),
                    "b": rng.normal(size=768).astype(np.float32)}
-        path = tmp_path / "vec.jsonl"
-        encode.export_embeddings(path, mapping, kind="vector")
-        back = encode.import_embeddings(path)
+        path = tmp_path / "vec.emb"
+        tensorfile.export_embeddings(path, mapping, kind="vector")
+        back = tensorfile.import_embeddings(path)
         assert back["a"].shape == (768,)
         np.testing.assert_array_equal(back["b"], mapping["b"])
 
-    def test_header_count_declared(self, tmp_path):
-        path = tmp_path / "three.jsonl"
-        encode.export_embeddings(path, {str(i): np.zeros(4) for i in range(3)}, kind="vector")
-        first = path.read_text().splitlines()[0]
-        assert '"count": 3' in first and '"d": 4' in first
+    def test_header_declares_kind_d_and_manifest(self, tmp_path):
+        # the manifest, one entry per record in mapping order, replaced a record count
+        path = tmp_path / "three.emb"
+        tensorfile.export_embeddings(path, {str(i): np.zeros(4) for i in range(3)},
+                                     kind="vector")
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header_line) == {
+            "format": "memefuse-embeddings", "kind": "vector", "d": 4,
+            "manifest": [{"name": str(i), "shape": [4]} for i in range(3)]}
+        assert blob == bytes(3 * 4 * 4)
 
     def test_width_conflict_rejected_on_read(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"kind": "vector", "d": 768, "count": 1}\n'
-            '{"id": "x", "shape": [512], "values": ' + str([0.0] * 512) + '}\n')
-        with pytest.raises(ValueError, match="conflicts with header"):
-            encode.import_embeddings(path)
+        path = tmp_path / "bad.emb"
+        _write_exchange(path, _vector_header(768, [{"name": "x", "shape": [512]}]),
+                        [0.0] * 512)
+        with pytest.raises(ValueError, match="record 'x' shape \\(512,\\) conflicts with header"):
+            tensorfile.import_embeddings(path)
 
     def test_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "short.jsonl"
-        path.write_text('{"kind": "vector", "d": 2, "count": 2}\n'
-                        '{"id": "x", "shape": [2], "values": [0.0, 1.0]}\n')
-        with pytest.raises(ValueError, match="declares 2"):
-            encode.import_embeddings(path)
+        # the manifest lists two records, the blob holds one
+        path = tmp_path / "short.emb"
+        _write_exchange(path, _vector_header(manifest=[{"name": "x", "shape": [2]},
+                                                       {"name": "y", "shape": [2]}]),
+                        [0.0, 1.0])
+        with pytest.raises(ValueError, match="truncated tensor data at 'y'"):
+            tensorfile.import_embeddings(path)
 
-    @pytest.mark.parametrize("header, record, message", [
-        ('{"kind": "vector", "d": 2, "count": 1}', '{"shape": [2], "values": [0.0, 1.0]}',
-         "record 1 missing 'id'"),
-        ('{"kind": "vector", "d": 2, "count": 1}', '{"id": "x", "values": [0.0, 1.0]}',
-         "record 1 missing 'shape'"),
-        ('5', '{"id": "x", "shape": [2], "values": [0.0, 1.0]}',
-         "header must be a JSON object"),
-        ('{"kind": "vector", "d": 2, "count": 1}', '{"id": "x", "shape": [2], "values": [NaN, 1.0]}',
-         "record 'x' holds non-finite"),
-        ('{"kind": "vector", "d": 2, "count": 1}',
-         '{"id": "x", "shape": [2], "values": [Infinity, 1.0]}', "record 'x' holds non-finite"),
-        ('{"kind": "vector", "d": 2, "count": 1}', '["x", [2], [0.0, 1.0]]',
-         "record 1 must be a JSON object"),
-        ('{"kind": "vector", "d": 2, "count": 1}', '{"id": "x", "shape": [2], "values": ["a", 1]}',
-         "record 'x' values are not numbers"),
-        ('{"kind": "vector", "d": 2, "count": "1"}',
-         '{"id": "x", "shape": [2], "values": [0.0, 1.0]}',
-         "header 'count' '1' is not a non-negative integer"),
-        ('{"kind": "vector", "d": true, "count": 1}', '{"id": "x", "shape": [1], "values": [0.0]}',
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # the blob holds a record more than the manifest lists
+        path = tmp_path / "long.emb"
+        _write_exchange(path, _vector_header(), [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="8 trailing bytes"):
+            tensorfile.import_embeddings(path)
+
+    @pytest.mark.parametrize("header, values, message", [
+        (_vector_header(manifest=[{"shape": [2]}]), [0.0, 1.0],
+         "manifest entry 0 {'shape': \\[2\\]} needs a string 'name'"),
+        (_vector_header(manifest=[{"name": "x"}]), [0.0, 1.0],
+         "manifest entry 0 {'name': 'x'} needs a string 'name' and a list 'shape'"),
+        (5, [0.0, 1.0], "embedding header must be a JSON object"),
+        ([_vector_header()], [0.0, 1.0], "embedding header must be a JSON object"),
+        (_vector_header(), [np.nan, 1.0], "tensor 'x' holds a non-finite"),
+        (_vector_header(), [np.inf, 1.0], "tensor 'x' holds a non-finite"),
+        (_vector_header(manifest=[["x", [2]]]), [0.0, 1.0],
+         "manifest entry 0 \\['x', \\[2\\]\\] needs a string 'name'"),
+        ({**_vector_header(1, [{"name": "x", "shape": [1]}]), "d": True}, [0.0],
          "header 'd' True is not a non-negative integer"),
-        ('{"kind": "vector", "d": 2.0, "count": 1}',
-         '{"id": "x", "shape": [2], "values": [0.0, 1.0]}',
+        ({**_vector_header(), "d": 2.0}, [0.0, 1.0],
          "header 'd' 2.0 is not a non-negative integer"),
-    ], ids=["no-id", "no-shape", "scalar-header", "nan", "infinity", "list-record",
-            "text-values", "text-count", "bool-d", "float-d"])
-    def test_malformed_record_rejected(self, tmp_path, header, record, message):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(header + "\n" + record + "\n")
+        ({**_vector_header(), "d": "2"}, [0.0, 1.0],
+         "header 'd' '2' is not a non-negative integer"),
+        ({**_vector_header(), "format": "memefuse-checkpoint"}, [0.0, 1.0],
+         "not an embedding file"),
+        ({**_vector_header(), "kind": ["vector"]}, [0.0, 1.0], "unknown kind \\['vector'\\]"),
+    ], ids=["no-id", "no-shape", "scalar-header", "list-header", "nan", "infinity",
+            "list-record", "bool-d", "float-d", "text-d", "checkpoint-format", "list-kind"])
+    def test_malformed_record_rejected(self, tmp_path, header, values, message):
+        path = tmp_path / "bad.emb"
+        _write_exchange(path, header, values)
         with pytest.raises(ValueError, match=message) as exc:
-            encode.import_embeddings(path)
+            tensorfile.import_embeddings(path)
         assert str(path) in str(exc.value)
 
     def test_duplicate_id_rejected(self, tmp_path):
-        path = tmp_path / "dup.jsonl"
-        path.write_text('{"kind": "vector", "d": 1, "count": 2}\n'
-                        '{"id": "x", "shape": [1], "values": [0.0]}\n'
-                        '{"id": "x", "shape": [1], "values": [1.0]}\n')
-        with pytest.raises(ValueError, match="duplicate"):
-            encode.import_embeddings(path)
+        path = tmp_path / "dup.emb"
+        _write_exchange(path, _vector_header(1, [{"name": "x", "shape": [1]}] * 2), [0.0, 1.0])
+        with pytest.raises(ValueError, match="manifest names 'x' twice"):
+            tensorfile.import_embeddings(path)
 
     def test_mixed_widths_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError, match="inconsistent"):
-            encode.export_embeddings(tmp_path / "w.jsonl",
-                                     {"a": np.zeros(3), "b": np.zeros(4)}, kind="vector")
+            tensorfile.export_embeddings(tmp_path / "w.emb",
+                                         {"a": np.zeros(3), "b": np.zeros(4)}, kind="vector")
+
+    def test_wrong_rank_rejected_on_write(self, tmp_path):
+        with pytest.raises(ValueError, match=r"record 'a' of shape \(3,\) is not a sequence"):
+            tensorfile.export_embeddings(tmp_path / "r.emb", {"a": np.zeros(3)}, kind="sequence")
 
     def test_values_rounded_to_float32(self, tmp_path):
-        path = tmp_path / "round.jsonl"
+        path = tmp_path / "round.emb"
         exact = np.array([1.0 / 3.0], dtype=np.float64)
-        encode.export_embeddings(path, {"a": exact}, kind="vector")
-        back = encode.import_embeddings(path)
+        tensorfile.export_embeddings(path, {"a": exact}, kind="vector")
+        back = tensorfile.import_embeddings(path)
         assert back["a"][0] == np.float32(1.0 / 3.0)

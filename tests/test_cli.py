@@ -162,16 +162,55 @@ class TestMalformedInput:
         else:
             emb = tmp_path / "emb"
             emb.mkdir()
-            path = emb / "image.jsonl"  # the first file imgsen reads
+            path = emb / "image.emb"  # the first file imgsen reads
             path.write_text(nested + "\n", encoding="utf-8")
             args = ["eval", "--dataset", str(small_csv), "--checkpoint", str(trained),
                     "--embeddings", str(emb)]
-            message = f"error: {path}: header is not JSON (maximum recursion depth exceeded"
+            message = (f"error: {path}: embedding header is not JSON "
+                       "(maximum recursion depth exceeded")
         rc = cli.main(args)
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(message), err[:300]
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("target", ["checkpoint", "embeddings"])
+    def test_shape_past_int64_exits_2_naming_the_tensor(self, small_csv, trained, tmp_path,
+                                                         capsys, target):
+        # a 2**32 x 2**32 tensor's size wrapped to 0 in an int64 product, passed the
+        # length check and failed in a reshape naming neither the file nor the tensor
+        from memefuse.model import ModelVariant, _param_shapes
+
+        huge = 2**32
+        if target == "checkpoint":
+            path = tmp_path / "huge.ckpt"
+            variant = ModelVariant("imgsen", bilstm_layers=1, hidden=huge // 4, head_hidden=1)
+            shapes = dict(_param_shapes(variant, huge))
+            assert shapes["bilstm.0.fwd.wx"] == (huge, huge)
+            # the wrapped tensor first, so no earlier tensor overruns the blob
+            names = ["bilstm.0.fwd.wx"] + sorted(set(shapes) - {"bilstm.0.fwd.wx"})
+            header = {"format": "memefuse-checkpoint",
+                      "variant": {"kind": "imgsen", "bilstm_layers": 1,
+                                  "hidden": huge // 4, "head_hidden": 1},
+                      "seed": 3, "epoch": 2,
+                      "manifest": [{"name": k, "shape": list(shapes[k])} for k in names]}
+            path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+            args = ["--checkpoint", str(path)]
+            tensor = "bilstm.0.fwd.wx"
+        else:
+            emb = tmp_path / "emb"
+            emb.mkdir()
+            path = emb / "image.emb"  # the first file imgsen reads
+            header = {"format": "memefuse-embeddings", "kind": "sequence", "d": huge,
+                      "manifest": [{"name": "x", "shape": [huge, huge]}]}
+            path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+            args = ["--checkpoint", str(trained), "--embeddings", str(emb)]
+            tensor = "x"
+        rc = cli.main(["eval", "--dataset", str(small_csv), *args])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {path}: truncated tensor data at {tensor!r}\n"
 
 
 class TestPreprocess:
@@ -428,7 +467,7 @@ class TestEmbeddingsPath:
         # exchange files drive capsen end to end without the toy encoders
         from memefuse.dataset import Schema, load_dataset
         from memefuse import bundled_data
-        from memefuse.encode import export_embeddings
+        from memefuse.tensorfile import export_embeddings
 
         records = load_dataset(small_csv, Schema.from_json(
             bundled_data("memotion_schema.json")))
@@ -436,10 +475,10 @@ class TestEmbeddingsPath:
         ids = [r.id for r in records]
         emb = tmp_path / "emb"
         emb.mkdir()
-        export_embeddings(emb / "text_sentence.jsonl",
+        export_embeddings(emb / "text_sentence.emb",
                           {rid: rng.normal(size=12).astype(np.float32) for rid in ids},
                           kind="vector")
-        export_embeddings(emb / "caption_sentence.jsonl",
+        export_embeddings(emb / "caption_sentence.emb",
                           {rid: rng.normal(size=12).astype(np.float32) for rid in ids},
                           kind="vector")
         ckpt = tmp_path / "cap.ckpt"
@@ -464,7 +503,7 @@ class TestEmbeddingsPath:
         # used to fuse into longer or shorter inputs and train without complaint
         from memefuse.dataset import Schema, load_dataset
         from memefuse import bundled_data
-        from memefuse.encode import export_embeddings
+        from memefuse.tensorfile import export_embeddings
 
         records = load_dataset(small_csv, Schema.from_json(
             bundled_data("memotion_schema.json")))
@@ -477,7 +516,7 @@ class TestEmbeddingsPath:
                             "text_sentence": ("vector", (12,))}}[variant]
         files[exchange] = (kind, shape)
         for name, (file_kind, file_shape) in files.items():
-            export_embeddings(emb / f"{name}.jsonl",
+            export_embeddings(emb / f"{name}.emb",
                               {r.id: rng.normal(size=file_shape) for r in records},
                               kind=file_kind)
         rc = cli.main(["train", "--dataset", str(small_csv), "--variant", variant,
@@ -496,25 +535,27 @@ class TestEmbeddingsPath:
                        "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"),
                        "--embeddings", str(emb)])
         assert rc == 2
-        assert "image.jsonl" in capsys.readouterr().err
+        assert "image.emb" in capsys.readouterr().err
 
     def test_exchange_files_the_variant_does_not_fuse_are_not_read(self, small_csv, tmp_path,
                                                                    capsys):
         from memefuse.dataset import Schema, load_dataset
         from memefuse import bundled_data
-        from memefuse.encode import export_embeddings
+        from memefuse.tensorfile import export_embeddings
 
         records = load_dataset(small_csv, Schema.from_json(
             bundled_data("memotion_schema.json")))
         rng = np.random.default_rng(2)
         emb = tmp_path / "emb"
         emb.mkdir()
-        export_embeddings(emb / "image.jsonl",
+        export_embeddings(emb / "image.emb",
                           {r.id: rng.normal(size=(4, 12)) for r in records}, kind="sequence")
-        export_embeddings(emb / "tokens.jsonl",
+        export_embeddings(emb / "tokens.emb",
                           {r.id: rng.normal(size=(3, 12)) for r in records}, kind="sequence")
         # a header that promises a record the file lacks
-        (emb / "caption_sentence.jsonl").write_text('{"kind": "vector", "d": 12, "count": 1}\n')
+        (emb / "caption_sentence.emb").write_text(json.dumps(
+            {"format": "memefuse-embeddings", "kind": "vector", "d": 12,
+             "manifest": [{"name": "x", "shape": [12]}]}) + "\n")
         rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgtxt",
                        "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"),
                        "--embeddings", str(emb)])
@@ -533,7 +574,7 @@ class TestEmbeddingsPath:
         # with a traceback, and never named the file
         from memefuse.dataset import Schema, load_dataset
         from memefuse import bundled_data
-        from memefuse.encode import export_embeddings
+        from memefuse.tensorfile import export_embeddings
         from memefuse.model import ModelVariant, init_classifier_params, save_checkpoint
 
         records = load_dataset(small_csv, Schema.from_json(
@@ -541,7 +582,7 @@ class TestEmbeddingsPath:
         emb = tmp_path / "emb"
         emb.mkdir()
         for name, (kind, shape) in files.items():
-            export_embeddings(emb / f"{name}.jsonl",
+            export_embeddings(emb / f"{name}.emb",
                               {r.id: np.zeros(shape) for r in records}, kind=kind)
         ckpt = tmp_path / "x.ckpt"
         if command == "train":

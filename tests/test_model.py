@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -375,6 +376,22 @@ class TestCheckpoint:
         b = model.predict_proba(variant2, x, params2)
         for task in TASKS:
             np.testing.assert_array_equal(a[task], b[task])
+
+    # sha256 of the file save_checkpoint writes for this variant, params from
+    # init_classifier_params(variant, 6, np.random.default_rng(5)), seed 7, epoch 3:
+    # the header line's key order and every tensor byte; recorded with
+    #   python -c "import hashlib, numpy as np; from memefuse.model import *;
+    #   v = ModelVariant('capsen', 2, 4, 3); save_checkpoint('m.ckpt', v,
+    #   init_classifier_params(v, 6, np.random.default_rng(5)), 7, 3);
+    #   print(hashlib.sha256(open('m.ckpt', 'rb').read()).hexdigest())"
+    CHECKPOINT_SHA256 = "ae24a64132f2052aff4f7798f9f5946a24ea8e4d87170b4a84d405e3c1f851f5"
+
+    def test_bytes_pinned(self, tmp_path):
+        variant = ModelVariant("capsen", bilstm_layers=2, hidden=4, head_hidden=3)
+        params = model.init_classifier_params(variant, 6, np.random.default_rng(5))
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, variant, params, seed=7, epoch=3)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CHECKPOINT_SHA256
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"

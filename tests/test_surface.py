@@ -29,7 +29,8 @@ ALLOWED = {
         "gate 4: the encoder block's gradient, with the nnops backward passes it calls",
     ("lstm", "lstm_cell_forward"): "gate 4: the per-cell reference for the fused trunk",
     ("lstm", "lstm_cell_backward"): "gate 4: the per-cell reference for the fused trunk",
-    ("encode", "export_embeddings"): "format writer: the exchange files import_embeddings reads",
+    ("tensorfile", "export_embeddings"):
+        "format writer: the exchange files tensorfile.import_embeddings reads",
     ("fixtures", "write_annotation_fixture"):
         "format writer: the synthetic annotation files of the tests and the benchmark",
 }
