@@ -217,7 +217,8 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int,
     """One Adam update with bias correction; mutates params in place.
 
     ``state`` carries first/second moments; pass None on the first step.
-    Non-finite gradients abort with NumericError.
+    A non-finite gradient, or a parameter the update leaves non-finite (an
+    overflowing learning rate), aborts with NumericError.
     """
     if t < 1:
         raise ValueError("step index t starts at 1")
@@ -234,7 +235,11 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int,
         v = state["v"][name]
         m += (1.0 - beta1) * (g - m)
         v += (1.0 - beta2) * (g * g - v)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        # an overflow is reported below, by name, not as a RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if not np.all(np.isfinite(p)):
+            raise NumericError(f"non-finite parameter {name} after step {t}")
     return params, state
 
 

@@ -91,25 +91,25 @@ def _text_encoder(space: FeatureSpace, sentences: bool):
     return encode
 
 
-def _encode_chunk(images: np.ndarray, texts: list, space: FeatureSpace, kind: str,
-                  encode_texts) -> np.ndarray:
-    """B images and their token lists -> (B, L, d) fused float32 features."""
-    if kind == "capsen":
-        captions = generate_captions(images, space.caption_params)
-        parts = {"caption_sentence": np.stack(encode_texts(captions)),
-                 "txt_sentence": np.stack(encode_texts(texts))}
-    elif kind == "imgtxt":
-        img = encode_image(images, space.image_params)
-        # zero rows after each record's tokens give every record MAX_TOKENS rows
-        tokens = np.zeros((len(texts), MAX_TOKENS, D_MODEL), dtype=np.float32)
-        for row, seq in zip(tokens, encode_texts(texts)):
-            row[:len(seq)] = seq
-        parts = {"img": img, "txt_tokens": tokens}
-    else:  # imgsen; encode_corpus has checked the name
-        parts = {"img": encode_image(images, space.image_params),
-                 "txt_sentence": np.stack(encode_texts(texts)),
-                 "projection": space.projections[SENTENCE_PROJECTION]}
-    return assemble_variant_input(kind, **parts).astype(np.float32, copy=False)
+def _rows(arrays) -> tuple:
+    """Row counts of one record's parts; a sentence vector is one row."""
+    return tuple(len(a) if a.ndim == 2 else 1 for a in arrays)
+
+
+def _fuse(out: np.ndarray, kind: str, parts: dict, projection) -> None:
+    """Fuse one slice of records into ``out``, a zeroed (B, L, d) float32 slice.
+
+    ``parts`` maps each of the variant's parts to one array per record.
+    Records whose parts have the same row counts fuse as one float64 batch
+    into their first rows, so any zero rows come after both parts.
+    """
+    groups: dict = {}  # row counts of the parts -> records with them
+    for i, arrays in enumerate(zip(*parts.values())):
+        groups.setdefault(_rows(arrays), []).append(i)
+    for key, idx in groups.items():
+        batch = {name: np.stack([arrays[i] for i in idx], dtype=np.float64)
+                 for name, arrays in parts.items()}
+        out[idx, :sum(key)] = assemble_variant_input(kind, projection=projection, **batch)
 
 
 @single_thread()
@@ -117,21 +117,24 @@ def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
                   kind: str) -> np.ndarray:
     """Encode records in id order -> (N, L, d) float32 tensor.
 
-    Records go through the encoders ENCODE_CHUNK at a time: the images of a
-    chunk as one batch, the captions decoded together, and each distinct
-    token tuple (texts and captions alike) encoded once per call.  Token
-    sequences are zero-padded to MAX_TOKENS after encoding so every record
-    of a variant has its FUSED_SHAPES shape.  Runs on one BLAS thread, so
-    features do not depend on the host's thread count.
+    Records go through the encoders and ``_fuse`` ENCODE_CHUNK at a time:
+    the images of a chunk as one batch, the captions decoded together, and
+    each distinct token tuple (texts and captions alike) encoded once per
+    call.  An imgtxt record with fewer than MAX_TOKENS tokens ends in zero
+    rows, so every record of a variant has its FUSED_SHAPES shape.  Runs on
+    one BLAS thread, so features do not depend on the host's thread count.
     """
     _check_variant(kind)
-    out = np.empty((len(ids), *FUSED_SHAPES[kind]), dtype=np.float32)
+    out = np.zeros((len(ids), *FUSED_SHAPES[kind]), dtype=np.float32)
     encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
     for start in range(0, len(ids), ENCODE_CHUNK):
         chunk = ids[start:start + ENCODE_CHUNK]
         images = np.stack([toy_image(rid) for rid in chunk])
-        texts = [tokens_by_id.get(rid, []) for rid in chunk]
-        out[start:start + len(chunk)] = _encode_chunk(images, texts, space, kind, encode_texts)
+        first = (encode_texts(generate_captions(images, space.caption_params))
+                 if kind == "capsen" else encode_image(images, space.image_params))
+        texts = encode_texts([tokens_by_id.get(rid, []) for rid in chunk])
+        _fuse(out[start:start + len(chunk)], kind, dict(zip(VARIANT_PARTS[kind], (first, texts))),
+              space.projections[SENTENCE_PROJECTION])
     return out
 
 
@@ -216,15 +219,16 @@ def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> lis
     return arrays
 
 
+@single_thread()
 def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.ndarray:
     """Fused features built from externally computed embeddings.
 
     ``mappings`` are keyed by exchange name (``exchange_names(kind)``):
     ``image``/``tokens`` map record id -> sequence (rows x width); the
     sentence mappings map id -> one vector.  Width mismatches are aligned
-    by a seeded projection to the wider side.  Records whose parts have
-    the same row counts fuse in one batch; shorter fused sequences end in
-    zero rows so the whole corpus stacks into one (N, L, d) tensor.
+    by a seeded projection to the wider side.  Records are fused
+    ENCODE_CHUNK at a time, on one BLAS thread; shorter fused sequences end
+    in zero rows so the whole corpus stacks into one (N, L, d) tensor.
     """
     if not ids:
         raise ValueError("no record ids to assemble")
@@ -234,16 +238,11 @@ def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.n
     narrow, target = sorted(arrays[0].shape[-1] for arrays in parts.values())
     projection = None if narrow == target else init_projection(
         narrow, target, rng_for(seed, f"projection.{narrow}to{target}"))
-    groups: dict = {}  # row counts of the parts -> records with them
-    for i in range(len(ids)):
-        key = tuple(len(arrays[i]) if arrays[i].ndim == 2 else 1 for arrays in parts.values())
-        groups.setdefault(key, []).append(i)
-    length = max(map(sum, groups))
+    length = max(sum(_rows(arrays)) for arrays in zip(*parts.values()))
     if not length:
         raise ValueError(f"{' and '.join(names)} embeddings hold no rows for any record")
     out = np.zeros((len(ids), length, target), dtype=np.float32)
-    for key, idx in groups.items():
-        batch = {name: np.stack([arrays[i] for i in idx], dtype=np.float64)
-                 for name, arrays in parts.items()}
-        out[idx, :sum(key)] = assemble_variant_input(kind, projection=projection, **batch)
+    for start in range(0, len(ids), ENCODE_CHUNK):
+        chunk = slice(start, start + ENCODE_CHUNK)
+        _fuse(out[chunk], kind, {part: arrays[chunk] for part, arrays in parts.items()}, projection)
     return out

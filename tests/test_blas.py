@@ -1,5 +1,6 @@
-"""The one-thread BLAS scope: its thread count, its no-op fallback, and
-training output that does not depend on OPENBLAS_NUM_THREADS."""
+"""The one-thread BLAS scope: its thread count, its no-op fallback, the
+scopes of encoding and of imported fusion, and training output that does
+not depend on OPENBLAS_NUM_THREADS."""
 
 import os
 import subprocess
@@ -66,6 +67,27 @@ def test_encode_corpus_runs_on_one_thread_and_restores_the_count(controls, monke
     space = pipeline.build_feature_space(seed=0)
     feats = pipeline.encode_corpus(["a", "b"], {"a": ["cat"]}, space, "capsen")
     assert feats.shape == (2, 2, encode.SENTENCE_DIM)
+    assert seen == [1]
+    assert get() == outer
+
+
+def test_fused_from_imported_runs_on_one_thread_and_restores_the_count(controls, monkeypatch):
+    get, put = controls
+    put(2)
+    outer = get()
+    seen = []
+    assemble = pipeline.assemble_variant_input
+
+    def recording(kind, **parts):
+        seen.append(get())
+        return assemble(kind, **parts)
+
+    monkeypatch.setattr(pipeline, "assemble_variant_input", recording)
+    image = {rid: np.ones((3, 4), dtype=np.float32) for rid in "ab"}
+    sentence = {rid: np.ones(6, dtype=np.float32) for rid in "ab"}
+    feats = pipeline.fused_from_imported(["a", "b"], "imgsen", image=image,
+                                         text_sentence=sentence)
+    assert feats.shape == (2, 4, 6)
     assert seen == [1]
     assert get() == outer
 

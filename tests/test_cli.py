@@ -360,6 +360,15 @@ class TestTrain:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflowing_learning_rate_exits_3_without_checkpoint(self, small_csv, tmp_path,
+                                                                  capsys):
+        ckpt = tmp_path / "x.ckpt"
+        rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgsen",
+                       "--epochs", "1", "--checkpoint", str(ckpt), "--lr", "1e308"])
+        assert rc == 3
+        assert "non-finite parameter bilstm.0.fwd.wx after step 1" in capsys.readouterr().err
+        assert not ckpt.exists() and not ckpt.with_suffix(".history.jsonl").exists()
+
 
 class TestEval:
     def test_reports_written_and_valid(self, small_csv, trained, tmp_path, capsys):

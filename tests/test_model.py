@@ -224,6 +224,14 @@ class TestAdam:
         with pytest.raises(NumericError, match="w"):
             model.adam_step(params, {"w": np.array([1.0, np.nan])}, None, lr=0.1, t=1)
 
+    # float32: lr overflows in its cast; float64: the parameter overflows in the update
+    @pytest.mark.parametrize("dtype, start", [(np.float32, 1.0), (np.float64, -1.5e308)])
+    def test_overflowing_update_aborts_naming_the_parameter(self, dtype, start):
+        params = {"w": np.full(2, start, dtype=dtype), "b": np.ones(2, dtype=dtype)}
+        grads = {"w": np.ones(2, dtype=dtype), "b": np.zeros(2, dtype=dtype)}
+        with pytest.raises(NumericError, match="non-finite parameter w after step 1"):
+            model.adam_step(params, grads, None, lr=1e308, t=1)
+
     def test_bad_step_index(self):
         with pytest.raises(ValueError):
             model.adam_step({"w": np.ones(1)}, {"w": np.ones(1)}, None, lr=0.1, t=0)

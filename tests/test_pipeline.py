@@ -444,8 +444,13 @@ def _imported_case(name, n=23):
 
 
 class TestFusedFromImported:
-    @pytest.mark.parametrize("name", sorted(_IMPORTED_CASES))
-    def test_matches_recorded_digest(self, name):
+    # ENCODE_CHUNK = 7 puts chunk boundaries inside every case's 23 records
+    @pytest.mark.parametrize("name, chunk", [
+        pytest.param(name, chunk, id=name if chunk is None else f"{name}-chunk{chunk}")
+        for chunk in (None, 7) for name in sorted(_IMPORTED_CASES)])
+    def test_matches_recorded_digest(self, name, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(pipeline, "ENCODE_CHUNK", chunk)
         ids, kind, mappings = _imported_case(name)
         out = fused_from_imported(ids, kind, seed=3, **mappings)
         shape, digest = _GOLDEN_IMPORTED[name]
@@ -491,3 +496,34 @@ class TestFusedFromImported:
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} embeddings: record 'rec_02' has shape {shape}, expected")):
             fused_from_imported(ids, kind, **mappings)
+
+
+class TestFusionBatches:
+    """Both paths fuse through one function, at most ENCODE_CHUNK records per call."""
+
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        sizes = []
+        assemble = pipeline.assemble_variant_input
+
+        def spying(kind, projection=None, **parts):
+            sizes.append({len(value) for value in parts.values()})
+            return assemble(kind, projection=projection, **parts)
+
+        monkeypatch.setattr(pipeline, "assemble_variant_input", spying)
+        monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        return sizes
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
+    def test_encoded_path(self, space, kind, batch_sizes):
+        ids, toks = _golden_corpus()
+        encode_corpus(ids, toks, space, kind)
+        assert all(len(sizes) == 1 and max(sizes) <= 7 for sizes in batch_sizes)
+        assert sum(max(sizes) for sizes in batch_sizes) == len(ids)
+
+    @pytest.mark.parametrize("name", sorted(_IMPORTED_CASES))
+    def test_imported_path(self, name, batch_sizes):
+        ids, kind, mappings = _imported_case(name)
+        fused_from_imported(ids, kind, seed=3, **mappings)
+        assert all(len(sizes) == 1 and max(sizes) <= 7 for sizes in batch_sizes)
+        assert sum(max(sizes) for sizes in batch_sizes) == len(ids)
