@@ -2,8 +2,9 @@
 
 Synthetic rows are drawn on the segment between a class member and one
 of its k nearest same-class neighbors: s = x + lambda (x_nn - x) with
-lambda uniform in [0, 1].  Only the synthetic rows are returned; the
-caller places them after the originals.
+lambda uniform in [0, 1].  They are written into rows the caller
+provides, INTERP_BLOCK at a time, so the scratch does not grow with the
+deficit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ def knn_indices(points: np.ndarray, query_index: int, k: int) -> np.ndarray:
 GRAM_BLOCK = 512
 # Elements per chunk of the exact rerank's differences (4 MB of float64).
 RERANK_ELEMENTS = 1 << 19
+# Synthetic rows interpolated together: the float64 scratch of a class is
+# bounded by this many rows, whatever its deficit.
+INTERP_BLOCK = 256
 _UNIT_ROUNDOFF = 2.0 ** -53
 _NORM_GUARD = np.finfo(np.float64).max / 16
 
@@ -204,17 +208,33 @@ def _overflowing_row(members: np.ndarray, neighbors: np.ndarray):
     return int(query[np.argmax(bad)]) if bad.any() else None
 
 
+def _interpolate(members: np.ndarray, pick: np.ndarray, near: np.ndarray,
+                 lam: np.ndarray) -> np.ndarray:
+    """x + lam (x_nn - x) in that order, so each row's bytes are those of the
+    same expression on one row."""
+    grown = members[near]
+    x = members[pick]
+    grown -= x
+    grown *= lam[:, None]
+    grown += x
+    return grown
+
+
 def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k: int,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, row_labels): deficits[cls] synthetic rows per class, classes in str order.
+                     seed: int, dest: np.ndarray) -> np.ndarray:
+    """Write deficits[cls] synthetic rows per class, classes in str order, into
+    ``dest``; return their labels.
 
     Draw order per synthetic row: class member, then neighbor, then
     lambda, all from one stream seeded by seed.  Each class's members are
-    interpolated in float64 with min(k, members - 1) neighbors, and its
-    synthetic rows are cast back to the input dtype.
+    interpolated in float64 with min(k, members - 1) neighbors,
+    INTERP_BLOCK rows at a time, and each block is cast to dest's dtype
+    as astype would.
     """
     total = sum(deficits.values())
-    rows = np.empty((total, features.shape[1]), dtype=features.dtype)
+    if dest.shape != (total, features.shape[1]):
+        raise ValueError(f"destination of shape {dest.shape} for {total} synthetic rows "
+                         f"of width {features.shape[1]}")
     row_labels = np.empty(total, dtype=labels.dtype)
     rng = rng_for(seed, "smote")
     start = 0
@@ -244,15 +264,10 @@ def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k
             pick[r] = rng.integers(len(member_idx))
             near[r] = neighbors[pick[r]][int(rng.integers(kk))]
             lam[r] = rng.uniform()
-        # x + lam (x_nn - x) in that order, so each row's bytes are those
-        # of the same expression on one row
-        grown = members[near]
-        x = members[pick]
-        grown -= x
-        grown *= lam[:, None]
-        grown += x
-        stop = start + deficit
-        rows[start:stop] = grown  # casts as astype(features.dtype) would
-        row_labels[start:stop] = cls
-        start = stop
-    return rows, row_labels
+        for lo in range(0, deficit, INTERP_BLOCK):
+            hi = min(lo + INTERP_BLOCK, deficit)
+            dest[start + lo:start + hi] = _interpolate(members, pick[lo:hi], near[lo:hi],
+                                                       lam[lo:hi])
+        row_labels[start:start + deficit] = cls
+        start += deficit
+    return row_labels

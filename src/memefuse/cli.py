@@ -17,8 +17,8 @@ from .dataset import RowError, Schema, SchemaError, load_dataset, raw_tallies, s
 from .evalmetrics import build_report
 from .model import (ModelVariant, NumericError, TrainConfig, load_checkpoint,
                     predict_proba, save_checkpoint, save_history, train)
-from .pipeline import (build_feature_space, build_training_set, encode_corpus, exchange_names,
-                       fused_from_imported, labels_from_records)
+from .pipeline import (build_feature_space, build_training_set, class_deficits, encode_corpus,
+                       exchange_names, fused_from_imported, labels_from_records)
 from .tensorfile import import_embeddings
 from .textprep import PreprocessConfig, load_lexicon, load_vocabulary, preprocess
 
@@ -50,16 +50,17 @@ def _tokens_for(records, config):
     return {r.id: preprocess(r.text, config).tokens for r in records}
 
 
-def _corpus_features(records, tokens_by_id, kind, args):
+def _corpus_features(records, tokens_by_id, kind, args, spare):
+    """The records' fused features, followed by ``spare`` zero rows."""
     ids = [r.id for r in records]
     if args.embeddings:
         root = _require(args.embeddings, "embeddings")
         # only the files the variant fuses are read
         mappings = {name: import_embeddings(_require(root / f"{name}.emb", "embeddings"))
                     for name in exchange_names(kind)}
-        return fused_from_imported(ids, kind, seed=args.seed, **mappings)
+        return fused_from_imported(ids, kind, spare, seed=args.seed, **mappings)
     space = build_feature_space(seed=args.seed)
-    return encode_corpus(ids, tokens_by_id, space, kind)
+    return encode_corpus(ids, tokens_by_id, space, kind, spare)
 
 
 def cmd_ingest(args) -> int:
@@ -93,16 +94,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    schema = _load_schema(args)
-    records = load_dataset(_require(args.dataset, "dataset"), schema)
-    parts = split(records, SPLIT_RATIO, args.seed)
-    config = _preprocess_config(args)
-    tokens_by_id = _tokens_for(parts.train, config)
-    # the encoded corpus is left unnamed, so it is freed once it is copied
-    train_set = build_training_set(
-        _corpus_features(parts.train, tokens_by_id, args.variant, args),
-        labels_from_records(parts.train), k=args.k, seed=args.seed)
-
+    # the training flags are checked before any record is read or encoded
     variant = ModelVariant(kind=args.variant)
     overrides = {"seed": args.seed}
     if args.epochs is not None:
@@ -112,6 +104,19 @@ def cmd_train(args) -> int:
     if args.batch_size is not None:
         overrides["batch_size"] = args.batch_size
     train_config = TrainConfig.for_variant(args.variant, **overrides)
+
+    schema = _load_schema(args)
+    records = load_dataset(_require(args.dataset, "dataset"), schema)
+    parts = split(records, SPLIT_RATIO, args.seed)
+    config = _preprocess_config(args)
+    tokens_by_id = _tokens_for(parts.train, config)
+    labels = labels_from_records(parts.train)
+    # the corpus is encoded into the training set's first rows, and
+    # balancing writes the synthetic rows into the spare rows after them
+    spare = sum(sum(d.values()) for d in class_deficits(labels).values())
+    train_set = build_training_set(
+        _corpus_features(parts.train, tokens_by_id, args.variant, args, spare),
+        labels, k=args.k, seed=args.seed)
     params, history = train(variant, train_set, train_config)
 
     checkpoint = Path(args.checkpoint)
@@ -149,7 +154,7 @@ def cmd_eval(args) -> int:
     parts = split(records, SPLIT_RATIO, args.seed)
     config = _preprocess_config(args)
     tokens_by_id = _tokens_for(parts.test, config)
-    features = _corpus_features(parts.test, tokens_by_id, variant.kind, args)
+    features = _corpus_features(parts.test, tokens_by_id, variant.kind, args, 0)
     gold = labels_from_records(parts.test)
     probs = predict_proba(variant, features, params)
     preds = {task: np.argmax(probs[task], axis=1) for task in TASKS}

@@ -3,7 +3,9 @@
 Toy encoders stand in for the pretrained image/text models: weights are
 derived from a seed and frozen, images are synthesized deterministically
 per record id when no real pixels are available.  Oversampling happens
-here, after encoding, on flattened fused sequences.
+here, after encoding, on flattened fused sequences: the corpus is encoded
+into the first rows of the training set and each task's synthetic rows
+are written into the rows after them.
 """
 
 from __future__ import annotations
@@ -100,23 +102,30 @@ def _fuse(out: np.ndarray, kind: str, parts: dict, projection) -> None:
     """Fuse one slice of records into ``out``, a zeroed (B, L, d) float32 slice.
 
     ``parts`` maps each of the variant's parts to one array per record.
-    Records whose parts have the same row counts fuse as one float64 batch
-    into their first rows, so any zero rows come after both parts.
+    Records whose parts have the same row counts fuse as one batch into
+    their first rows, so any zero rows come after both parts.  The batch
+    is float64 when the widths differ, so the projection runs in double
+    precision; otherwise the parts keep their dtype, since concatenating
+    is exact in any of them.
     """
+    widths = {arrays[0].shape[-1] for arrays in parts.values()}
+    dtype = np.float64 if len(widths) > 1 else None
     groups: dict = {}  # row counts of the parts -> records with them
     for i, arrays in enumerate(zip(*parts.values())):
         groups.setdefault(_rows(arrays), []).append(i)
     for key, idx in groups.items():
-        batch = {name: np.stack([arrays[i] for i in idx], dtype=np.float64)
+        batch = {name: np.stack([arrays[i] for i in idx], dtype=dtype)
                  for name, arrays in parts.items()}
         out[idx, :sum(key)] = assemble_variant_input(kind, projection=projection, **batch)
 
 
 @single_thread()
 def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
-                  kind: str) -> np.ndarray:
-    """Encode records in id order -> (N, L, d) float32 tensor.
+                  kind: str, spare: int) -> np.ndarray:
+    """Encode records in id order into the first N rows of a zeroed
+    (N + spare, L, d) float32 tensor.
 
+    The spare rows are left for ``build_training_set``'s synthetic rows.
     Records go through the encoders and ``_fuse`` ENCODE_CHUNK at a time:
     the images of a chunk as one batch, the captions decoded together, and
     each distinct token tuple (texts and captions alike) encoded once per
@@ -125,7 +134,7 @@ def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
     one BLAS thread, so features do not depend on the host's thread count.
     """
     _check_variant(kind)
-    out = np.zeros((len(ids), *FUSED_SHAPES[kind]), dtype=np.float32)
+    out = np.zeros((len(ids) + spare, *FUSED_SHAPES[kind]), dtype=np.float32)
     encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
     for start in range(0, len(ids), ENCODE_CHUNK):
         chunk = ids[start:start + ENCODE_CHUNK]
@@ -148,44 +157,60 @@ def labels_from_records(records) -> dict:
     return out
 
 
-def build_training_set(features: np.ndarray, labels: dict, k: int = 5,
-                       seed: int = 0) -> TrainSet:
-    """Balance each task to majority parity: originals first, then each
-    task's synthetic rows, in one float32 array sized up front.
+def class_deficits(labels: dict) -> dict:
+    """task -> {class: rows that raise it to the task's largest class}.
+
+    Only classes with at least one row and fewer rows than the largest
+    are listed; a row labelled -1 belongs to no class.
+    """
+    out = {}
+    for task in TASKS:
+        y = np.asarray(labels[task], dtype=np.int64)
+        counts = np.bincount(y[y >= 0], minlength=HEAD_ARITY[task])
+        target = int(counts.max())
+        out[task] = {cls: target - int(c) for cls, c in enumerate(counts) if c and target > c}
+    return out
+
+
+def build_training_set(features: np.ndarray, labels: dict, k: int, seed: int) -> TrainSet:
+    """Balance each task to majority parity inside ``features``.
+
+    ``features`` holds the originals in its first n rows (n = len(labels'
+    rows)) and exactly one spare row per synthetic row after them, as
+    ``class_deficits`` counts them.  Each task's synthetic rows are
+    written into its slice of the spare rows, tasks in TASKS order, and
+    the returned TrainSet holds that same array.
 
     Synthetic rows are interpolated in flattened fused space (double
-    precision, one class at a time) and carry only the balanced task's
-    label; the other tasks see -1 and mask them out of their losses.
-    Rows a task labels -1 belong to none of its classes, so they are never
-    drawn or used as neighbours.
+    precision, one class at a time) from the originals only, and carry
+    only the balanced task's label; the other tasks see -1 and mask them
+    out of their losses.  Rows a task labels -1 belong to none of its
+    classes, so they are never drawn or used as neighbours.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, length, width = features.shape
-    flat = features.reshape(n, length * width)
     ys = {task: np.asarray(labels[task], dtype=np.int64) for task in TASKS}
-    deficits = {}
-    for task, y in ys.items():
-        counts = np.bincount(y[y >= 0], minlength=HEAD_ARITY[task])
-        target = int(counts.max())
-        deficits[task] = {cls: target - int(c) for cls, c in enumerate(counts) if c and target > c}
+    deficits = class_deficits(ys)
+    n = len(ys[TASKS[0]])
     total = n + sum(sum(d.values()) for d in deficits.values())
-    out = np.empty((total, length, width), dtype=np.float32)
+    features = np.ascontiguousarray(features)
+    if len(features) != total:
+        raise ValueError(f"features hold {len(features)} rows; {n} originals and "
+                         f"{total - n} synthetic rows need {total}")
+    _, length, width = features.shape
+    flat = features.reshape(total, length * width)  # a view: writes land in features
     out_labels = {task: np.full(total, -1, dtype=np.int64) for task in TASKS}
     start = n
     for task in TASKS:
         out_labels[task][:n] = ys[task]
         if not deficits[task]:
             continue
-        rows, row_labels = smote_oversample(flat, ys[task], deficits[task], k,
-                                            derive_seed(seed, f"balance.{task}"))
-        stop = start + len(rows)
-        out[start:stop] = rows.reshape(-1, length, width)
-        out_labels[task][start:stop] = row_labels
+        stop = start + sum(deficits[task].values())
+        out_labels[task][start:stop] = smote_oversample(
+            flat[:n], ys[task], deficits[task], k, derive_seed(seed, f"balance.{task}"),
+            flat[start:stop])
         start = stop
-    # after the draws, so an input that cannot be balanced fails before any cast
-    out[:n] = features
-    return TrainSet(out, out_labels)
+    return TrainSet(features, out_labels)
 
 
 def exchange_names(kind: str) -> tuple:
@@ -220,15 +245,18 @@ def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> lis
 
 
 @single_thread()
-def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.ndarray:
-    """Fused features built from externally computed embeddings.
+def fused_from_imported(ids: list, kind: str, spare: int, seed: int = 0,
+                        **mappings) -> np.ndarray:
+    """Fused features built from externally computed embeddings, in the first
+    rows of a zeroed (N + spare, L, d) float32 tensor.
 
     ``mappings`` are keyed by exchange name (``exchange_names(kind)``):
     ``image``/``tokens`` map record id -> sequence (rows x width); the
     sentence mappings map id -> one vector.  Width mismatches are aligned
     by a seeded projection to the wider side.  Records are fused
     ENCODE_CHUNK at a time, on one BLAS thread; shorter fused sequences end
-    in zero rows so the whole corpus stacks into one (N, L, d) tensor.
+    in zero rows so the whole corpus stacks into one tensor; the spare rows
+    are left for ``build_training_set``'s synthetic rows.
     """
     if not ids:
         raise ValueError("no record ids to assemble")
@@ -241,7 +269,7 @@ def fused_from_imported(ids: list, kind: str, seed: int = 0, **mappings) -> np.n
     length = max(sum(_rows(arrays)) for arrays in zip(*parts.values()))
     if not length:
         raise ValueError(f"{' and '.join(names)} embeddings hold no rows for any record")
-    out = np.zeros((len(ids), length, target), dtype=np.float32)
+    out = np.zeros((len(ids) + spare, length, target), dtype=np.float32)
     for start in range(0, len(ids), ENCODE_CHUNK):
         chunk = slice(start, start + ENCODE_CHUNK)
         _fuse(out[chunk], kind, {part: arrays[chunk] for part, arrays in parts.items()}, projection)

@@ -55,12 +55,13 @@ def test_oversampling_full_scale_with_independent_oracle():
     rng = np.random.default_rng(20240817)
     feats = rng.normal(size=(6992, 64))  # float64: the 1e-9 recovery needs it
     labels = np.array([0] * 5341 + [1] * 1651, dtype=np.int64)
+    rows = np.empty((5341 - 1651, 64))
     before = (feats.copy(), labels.copy())
     start = time.monotonic()
-    synthetic = smote_oversample(feats, labels, {1: 5341 - 1651}, k=5, seed=7)
-    counts = np.bincount(np.concatenate([labels, synthetic[1]]))
+    row_labels = smote_oversample(feats, labels, {1: 5341 - 1651}, k=5, seed=7, dest=rows)
+    counts = np.bincount(np.concatenate([labels, row_labels]))
     assert counts.tolist() == [5341, 5341]
-    verified = verify_oversampled(feats, labels, 5, synthetic, before, tol=1e-9)
+    verified = verify_oversampled(feats, labels, 5, (rows, row_labels), before, tol=1e-9)
     elapsed = time.monotonic() - start
     assert verified == 3690
     assert elapsed < 30.0, f"balance + verification took {elapsed:.2f}s"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,12 @@ class _StubRng:
         return self._floats.pop(0)
 
 
+def _oversample(features, labels, deficits, k, seed):
+    """smote_oversample into fresh rows of the input's dtype; (rows, row_labels)."""
+    rows = np.empty((sum(deficits.values()), features.shape[1]), dtype=features.dtype)
+    return rows, smote_oversample(features, labels, deficits, k, seed, rows)
+
+
 def _majority_deficits(labels):
     """{class: rows to add} raising every present class to the largest one."""
     values, counts = np.unique(labels, return_counts=True)
@@ -115,7 +123,7 @@ def _majority_deficits(labels):
 def _balanced(feats, labels, k=5, seed=0):
     """smote_oversample to majority parity, verified by the oracle; its (rows, labels)."""
     before = (feats.copy(), labels.copy())
-    out = smote_oversample(feats, labels, _majority_deficits(labels), k, seed)
+    out = _oversample(feats, labels, _majority_deficits(labels), k, seed)
     verify_oversampled(feats, labels, k, out, before)
     return out
 
@@ -123,32 +131,52 @@ def _balanced(feats, labels, k=5, seed=0):
 class TestSmoteOversample:
     def test_midpoint_with_forced_lambda(self, monkeypatch):
         monkeypatch.setattr(balance, "rng_for", lambda *_: _StubRng([0, 0], [0.5]))
-        rows, row_labels = smote_oversample(np.array([[0.0, 0.0], [1.0, 1.0]]),
-                                            np.array([0, 0]), {0: 1}, 1, 0)
+        rows, row_labels = _oversample(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                                       np.array([0, 0]), {0: 1}, 1, 0)
         np.testing.assert_allclose(rows, [[0.5, 0.5]], atol=1e-12)
         assert row_labels.tolist() == [0]
 
     def test_zero_deficit_identity(self):
         feats = np.arange(8.0).reshape(4, 2)
-        rows, row_labels = smote_oversample(feats, np.array([0, 0, 1, 1]), {0: 0, 1: 0}, 5, 0)
+        rows, row_labels = _oversample(feats, np.array([0, 0, 1, 1]), {0: 0, 1: 0}, 5, 0)
         assert rows.shape == (0, 2) and row_labels.shape == (0,)
         np.testing.assert_array_equal(feats, np.arange(8.0).reshape(4, 2))
 
     def test_singleton_class_with_deficit_rejected(self):
         with pytest.raises(ValueError, match="need 2"):
-            smote_oversample(np.arange(6.0).reshape(3, 2), np.array([0, 0, 1]), {1: 2}, 5, 0)
+            _oversample(np.arange(6.0).reshape(3, 2), np.array([0, 0, 1]), {1: 2}, 5, 0)
 
     def test_originals_first_and_verbatim(self):
-        # only synthetic rows come back and the input stays verbatim; the
+        # only synthetic rows are written and the input stays verbatim; the
         # originals-first layout is build_training_set's (test_pipeline)
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(20, 4)).astype(np.float32)
         labels = np.array([0] * 14 + [1] * 6)
         before = feats.copy()
-        rows, row_labels = smote_oversample(feats, labels, {1: 8}, 3, 11)
+        rows, row_labels = _oversample(feats, labels, {1: 8}, 3, 11)
         assert rows.shape == (8, 4) and rows.dtype == np.float32
         np.testing.assert_array_equal(feats, before)
         assert row_labels.tolist() == [1] * 8
+
+    def test_rows_written_into_the_destination_cast_as_astype(self):
+        # float64 draws into a float32 slice of a larger array: the slice gets
+        # the float64 rows cast by astype, the rows around it stay untouched
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(20, 4))
+        labels = np.array([0] * 14 + [1] * 6)
+        rows, row_labels = _oversample(feats, labels, {1: 8}, 3, 11)
+        buffer = np.full((12, 4), 7.0, dtype=np.float32)
+        assert smote_oversample(feats, labels, {1: 8}, 3, 11, buffer[2:10]).tolist() == [1] * 8
+        assert buffer[2:10].tobytes() == rows.astype(np.float32).tobytes()
+        assert (buffer[:2] == 7.0).all() and (buffer[10:] == 7.0).all()
+        assert row_labels.tolist() == [1] * 8
+
+    @pytest.mark.parametrize("shape", [(7, 4), (9, 4), (8, 3)])
+    def test_destination_shape_checked(self, shape):
+        labels = np.array([0] * 14 + [1] * 6)
+        with pytest.raises(ValueError, match=re.escape(
+                f"destination of shape {shape} for 8 synthetic rows of width 4")):
+            smote_oversample(np.zeros((20, 4)), labels, {1: 8}, 3, 11, np.empty(shape))
 
     def test_synthetics_pass_independent_oracle(self):
         rng = np.random.default_rng(5)
@@ -161,7 +189,7 @@ class TestSmoteOversample:
         duplicated[34:] = far
         for features in (feats, duplicated):
             before = (features.copy(), labels.copy())
-            out = smote_oversample(features, labels, {1: 16}, 5, 9)
+            out = _oversample(features, labels, {1: 16}, 5, 9)
             assert verify_oversampled(features, labels, 5, out, before) == 16
         assert (out[0] == far).all(axis=1).any()  # the w = 0 witnesses were needed
 
@@ -172,7 +200,7 @@ class TestSmoteOversample:
         feats = rng.normal(size=(40, 6))
         labels = np.array([0] * 28 + [1] * 12)
         before = (feats.copy(), labels.copy())
-        rows, row_labels = smote_oversample(feats, labels, {1: 16}, 5, 9)
+        rows, row_labels = _oversample(feats, labels, {1: 16}, 5, 9)
         members = feats[labels == 1]
         x = members[0]
         ranked = brute_force_neighbors(members, 6)[0]  # k + 1 nearest
@@ -229,7 +257,7 @@ class TestBalanceToMajority:
     def test_single_class_rejected(self):
         # a class absent from the input has nothing to interpolate between
         with pytest.raises(ValueError, match="class 1 has 0 member"):
-            smote_oversample(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), {1: 3}, 5, 0)
+            _oversample(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), {1: 3}, 5, 0)
 
     def test_string_labels_supported(self):
         rng = np.random.default_rng(19)

@@ -65,7 +65,7 @@ def test_encode_corpus_runs_on_one_thread_and_restores_the_count(controls, monke
 
     monkeypatch.setattr(pipeline, "generate_captions", recording)
     space = pipeline.build_feature_space(seed=0)
-    feats = pipeline.encode_corpus(["a", "b"], {"a": ["cat"]}, space, "capsen")
+    feats = pipeline.encode_corpus(["a", "b"], {"a": ["cat"]}, space, "capsen", 0)
     assert feats.shape == (2, 2, encode.SENTENCE_DIM)
     assert seen == [1]
     assert get() == outer
@@ -85,7 +85,7 @@ def test_fused_from_imported_runs_on_one_thread_and_restores_the_count(controls,
     monkeypatch.setattr(pipeline, "assemble_variant_input", recording)
     image = {rid: np.ones((3, 4), dtype=np.float32) for rid in "ab"}
     sentence = {rid: np.ones(6, dtype=np.float32) for rid in "ab"}
-    feats = pipeline.fused_from_imported(["a", "b"], "imgsen", image=image,
+    feats = pipeline.fused_from_imported(["a", "b"], "imgsen", 0, image=image,
                                          text_sentence=sentence)
     assert feats.shape == (2, 4, 6)
     assert seen == [1]

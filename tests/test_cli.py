@@ -1,7 +1,6 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import json
-import weakref
 
 import jsonschema
 import numpy as np
@@ -261,20 +260,20 @@ class TestTrain:
         for task in ("humor", "sarcasm", "motivation", "sentiment"):
             assert task in out
 
-    def test_encoded_corpus_freed_before_training(self, small_csv, tmp_path, monkeypatch):
-        # build_training_set copies the corpus; holding it through train and
-        # predict_proba would keep a second copy of the real rows alive
+    def test_training_set_is_the_encoded_corpus(self, small_csv, tmp_path, monkeypatch):
+        # the corpus is encoded into the training set's first rows, so train
+        # and predict_proba never hold a second copy of the real rows
         corpus = []
         encode, fit = cli._corpus_features, cli.train
 
         def encoding(*args):
             out = encode(*args)
-            corpus.append(weakref.ref(out))
+            corpus.append(out)
             return out
 
-        def training(*args):
-            assert corpus and corpus[0]() is None, "encoded corpus alive during train"
-            return fit(*args)
+        def training(variant, train_set, config):
+            assert len(corpus) == 1 and train_set.features is corpus[0]
+            return fit(variant, train_set, config)
 
         monkeypatch.setattr(cli, "_corpus_features", encoding)
         monkeypatch.setattr(cli, "train", training)
@@ -340,6 +339,23 @@ class TestTrain:
                        "--epochs", "1", "--checkpoint", str(tmp_path / "x.ckpt"), "--k", "0"])
         assert rc == 2
         assert "k must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--epochs=0", "epochs must be >= 1"),
+        ("--lr=nan", "learning_rate must be finite and > 0"),
+        ("--batch-size=0", "batch_size must be >= 1"),
+    ])
+    def test_bad_training_flag_exits_2_before_encoding(self, small_csv, tmp_path, capsys,
+                                                       monkeypatch, flag, message):
+        def encoding(*args):
+            raise AssertionError("corpus encoded before the training flags were checked")
+
+        monkeypatch.setattr(cli, "encode_corpus", encoding)
+        rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgtxt",
+                       "--checkpoint", str(tmp_path / "x.ckpt"), flag])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.ckpt").exists()
 
     @pytest.mark.parametrize("lr", ["0", "-1e-3", "nan", "inf", "1e400"])

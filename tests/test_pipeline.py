@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from memefuse import TASKS, TASK_CLASSES, VARIANTS, pipeline
+from memefuse import TASKS, TASK_CLASSES, VARIANTS, balance, pipeline
 from memefuse.dataset import MemeRecord
 from memefuse.encode import (IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, encode_ids,
                              encode_image, generate_captions)
@@ -41,24 +42,24 @@ class TestFeatureSpace:
 
 class TestFusedShapes:
     def test_imgtxt_shape(self, space):
-        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgtxt")[0]
+        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgtxt", 0)[0]
         assert out.shape == (N_PATCHES + MAX_TOKENS, 64)
         assert out.shape == (20, 64)
         assert out.dtype == np.float32
 
     def test_imgsen_shape(self, space):
-        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgsen")[0]
+        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgsen", 0)[0]
         assert out.shape == (5, 64)
         assert out.dtype == np.float32
 
     def test_capsen_shape(self, space):
-        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "capsen")[0]
+        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "capsen", 0)[0]
         assert out.shape == (2, 768)
         assert out.dtype == np.float32
 
     def test_fused_length_matches_arrays(self, space):
         for kind in ("imgtxt", "imgsen", "capsen"):
-            out = encode_corpus(["m7"], {"m7": ["one"]}, space, kind)[0]
+            out = encode_corpus(["m7"], {"m7": ["one"]}, space, kind, 0)[0]
             assert out.shape == FUSED_SHAPES[kind]
 
     def test_one_variant_list(self):
@@ -66,29 +67,29 @@ class TestFusedShapes:
 
     def test_unknown_kind_rejected(self, space):
         with pytest.raises(ValueError):
-            encode_corpus(["m1"], {"m1": ["x"]}, space, "bogus")
+            encode_corpus(["m1"], {"m1": ["x"]}, space, "bogus", 0)
 
     def test_unknown_kind_rejected_for_an_empty_corpus(self, space):
         # no chunk is encoded, so only the check ahead of the allocation can
         # reject the name
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-            encode_corpus([], {}, space, "bogus")
+            encode_corpus([], {}, space, "bogus", 0)
 
 
 class TestRecordFeatures:
     def test_deterministic(self, space):
-        a = encode_corpus(["m3"], {"m3": ["some", "words"]}, space, "imgtxt")[0]
-        b = encode_corpus(["m3"], {"m3": ["some", "words"]}, space, "imgtxt")[0]
+        a = encode_corpus(["m3"], {"m3": ["some", "words"]}, space, "imgtxt", 0)[0]
+        b = encode_corpus(["m3"], {"m3": ["some", "words"]}, space, "imgtxt", 0)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_image_rows_prefix(self, space):
         # first N_PATCHES rows are exactly the image encoding
-        out = encode_corpus(["m4"], {"m4": ["abc"]}, space, "imgtxt")[0]
+        out = encode_corpus(["m4"], {"m4": ["abc"]}, space, "imgtxt", 0)[0]
         img = encode_image(toy_image("m4"), space.image_params)
         np.testing.assert_array_equal(out[:N_PATCHES], img.astype(np.float32))
 
     def test_short_token_list_zero_padded(self, space):
-        out = encode_corpus(["m5"], {"m5": ["only", "two"]}, space, "imgtxt")[0]
+        out = encode_corpus(["m5"], {"m5": ["only", "two"]}, space, "imgtxt", 0)[0]
         tail = out[N_PATCHES + 2 :]
         assert tail.shape[0] == MAX_TOKENS - 2
         assert np.all(tail == 0.0)
@@ -97,8 +98,8 @@ class TestRecordFeatures:
         assert np.any(out[N_PATCHES + 1] != 0.0)
 
     def test_text_changes_output(self, space):
-        a = encode_corpus(["m8"], {"m8": ["happy"]}, space, "imgsen")[0]
-        b = encode_corpus(["m8"], {"m8": ["angry"]}, space, "imgsen")[0]
+        a = encode_corpus(["m8"], {"m8": ["happy"]}, space, "imgsen", 0)[0]
+        b = encode_corpus(["m8"], {"m8": ["angry"]}, space, "imgsen", 0)[0]
         assert not np.array_equal(a, b)
 
 
@@ -141,14 +142,23 @@ class TestEncodeCorpus:
     def test_rows_follow_id_order(self, space):
         ids = ["b", "a", "c"]
         toks = {"a": ["one"], "b": ["two"], "c": ["three"]}
-        feats = encode_corpus(ids, toks, space, "imgsen")
+        feats = encode_corpus(ids, toks, space, "imgsen", 0)
         assert feats.shape == (3, 5, 64)
         for i, rid in enumerate(ids):
             np.testing.assert_array_equal(
-                feats[i], encode_corpus([rid], {rid: toks[rid]}, space, "imgsen")[0])
+                feats[i], encode_corpus([rid], {rid: toks[rid]}, space, "imgsen", 0)[0])
+
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_spare_rows_follow_as_zeros(self, space, kind):
+        ids, toks = _golden_corpus()
+        alone = encode_corpus(ids[:9], toks, space, kind, 0)
+        feats = encode_corpus(ids[:9], toks, space, kind, 4)
+        assert feats.shape == (13, *FUSED_SHAPES[kind]) and feats.dtype == np.float32
+        assert feats[:9].tobytes() == alone.tobytes()
+        assert not feats[9:].any()
 
     def test_empty_corpus_keeps_declared_shape(self, space):
-        feats = encode_corpus([], {}, space, "capsen")
+        feats = encode_corpus([], {}, space, "capsen", 0)
         assert feats.shape == (0, 2, 768)
         assert feats.dtype == np.float32
 
@@ -171,7 +181,7 @@ def _golden_corpus():
     return ids, toks
 
 
-# sha256 of encode_corpus(...).tobytes() on _golden_corpus(), build_feature_space(seed=0),
+# sha256 of encode_corpus(..., 0).tobytes() on _golden_corpus(), build_feature_space(seed=0),
 # as produced by the record-at-a-time encoders the batched path replaced.
 _GOLDEN_FEATURES = {
     "imgtxt": ((40, 20, 64), "493ba8f888fbbe69157df28dedaf2ed32b9036d746a341d13433807b31a8fcd6"),
@@ -190,15 +200,23 @@ def _golden_labels():
     return out
 
 
-# sha256 of build_training_set(encode_corpus(...), _golden_labels(), k=5, seed=0):
+# sha256 of build_training_set(encode_corpus(..., spare), _golden_labels(), k=5, seed=0):
 # its features' bytes, then each task's labels' bytes in TASKS order, as produced
-# when the neighbor table still called knn_indices once per row.  The capsen
-# corpus holds 31 distinct rows among 40.
+# when the neighbor table still called knn_indices once per row and each class
+# was interpolated in one piece.  The capsen corpus holds 31 distinct rows among 40.
 _GOLDEN_TRAINING_SETS = {
     "imgtxt": (155, "d3d0aabc345da243c0908be840a0913324ab59dcce303f6557058991d320295a"),
     "imgsen": (155, "683a8861d90c9b7e8c106c940738330b916f0c743daf22b4056d0d641503ff01"),
     "capsen": (155, "f7d51376dd7d76435cafb86ca54ee4b3d6d058e4050e5545cae12f74dc4bff06"),
 }
+
+
+def _training_set_digest(ts):
+    """sha256 of a training set's features, then each task's labels in TASKS order."""
+    digest = hashlib.sha256(ts.features.tobytes())
+    for task in TASKS:
+        digest.update(ts.labels[task].tobytes())
+    return digest.hexdigest()
 
 
 class TestGoldenFeatures:
@@ -212,7 +230,7 @@ class TestGoldenFeatures:
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
     def test_features_match_recorded_digest(self, space, kind):
         ids, toks = _golden_corpus()
-        feats = encode_corpus(ids, toks, space, kind)
+        feats = encode_corpus(ids, toks, space, kind, 0)
         shape, digest = _GOLDEN_FEATURES[kind]
         assert feats.shape == shape and feats.dtype == np.float32
         assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
@@ -221,7 +239,7 @@ class TestGoldenFeatures:
     def test_chunk_boundaries_change_nothing(self, space, kind, monkeypatch):
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         ids, toks = _golden_corpus()
-        feats = encode_corpus(ids, toks, space, kind)
+        feats = encode_corpus(ids, toks, space, kind, 0)
         assert hashlib.sha256(feats.tobytes()).hexdigest() == _GOLDEN_FEATURES[kind][1]
 
     @pytest.mark.parametrize("kind", ["imgtxt", "imgsen"])
@@ -235,7 +253,7 @@ class TestGoldenFeatures:
         monkeypatch.setattr(pipeline, "encode_ids", counting)
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         ids, toks = _golden_corpus()
-        encode_corpus(ids, toks, space, kind)
+        encode_corpus(ids, toks, space, kind, 0)
         clipped = {tuple(toks.get(rid, [])[:MAX_TOKENS]) for rid in ids}
         assert sum(rows for rows, _ in batches) == len(clipped)
         # at most one batch per id count in each of the 6 chunks
@@ -244,14 +262,23 @@ class TestGoldenFeatures:
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_TRAINING_SETS))
     def test_training_set_matches_recorded_digest(self, space, kind):
         ids, toks = _golden_corpus()
-        ts = build_training_set(encode_corpus(ids, toks, space, kind), _golden_labels(),
-                                k=5, seed=0)
-        digest = hashlib.sha256(ts.features.tobytes())
-        for task in TASKS:
-            digest.update(ts.labels[task].tobytes())
         rows, expected = _GOLDEN_TRAINING_SETS[kind]
+        ts = build_training_set(encode_corpus(ids, toks, space, kind, rows - len(ids)),
+                                _golden_labels(), k=5, seed=0)
         assert ts.features.shape[0] == rows
-        assert digest.hexdigest() == expected
+        assert _training_set_digest(ts) == expected
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_TRAINING_SETS))
+    @pytest.mark.parametrize("block", [7, 1])
+    def test_interpolation_blocks_change_nothing(self, space, kind, block, monkeypatch):
+        # the golden labels give class deficits of 12 to 30 rows, so both
+        # block sizes split every class
+        monkeypatch.setattr(balance, "INTERP_BLOCK", block)
+        ids, toks = _golden_corpus()
+        rows, expected = _GOLDEN_TRAINING_SETS[kind]
+        ts = build_training_set(encode_corpus(ids, toks, space, kind, rows - len(ids)),
+                                _golden_labels(), k=5, seed=0)
+        assert _training_set_digest(ts) == expected
 
 
 class TestLabelsFromRecords:
@@ -302,10 +329,21 @@ def _toy_imbalanced(n_major=12, n_minor=4, length=3, width=5, seed=11):
     return feats, labels
 
 
+def _with_room(feats, labels):
+    """``feats`` followed by one zero row per synthetic row: the rows that raise
+    every class with members to its task's largest class, counted here."""
+    spare = 0
+    for y in labels.values():
+        counts = [int(np.sum(y == cls)) for cls in set(y.tolist()) - {-1}]
+        spare += sum(max(counts) - c for c in counts)
+    room = np.zeros((spare, *feats.shape[1:]), dtype=feats.dtype)
+    return np.concatenate([feats, room])
+
+
 class TestBuildTrainingSet:
     def test_minority_grows_to_majority(self):
         feats, labels = _toy_imbalanced()
-        ts = build_training_set(feats, labels, k=3, seed=0)
+        ts = build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
         grown = ts.labels["humor"]
         assert int(np.sum(grown == 0)) == 12
         assert int(np.sum(grown == 1)) == 12
@@ -313,14 +351,14 @@ class TestBuildTrainingSet:
 
     def test_originals_come_first_verbatim(self):
         feats, labels = _toy_imbalanced()
-        ts = build_training_set(feats, labels, k=3, seed=0)
+        ts = build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
         np.testing.assert_array_equal(ts.features[:16], feats)
         for task in TASKS:
             np.testing.assert_array_equal(ts.labels[task][:16], labels[task])
 
     def test_synthetics_masked_for_other_tasks(self):
         feats, labels = _toy_imbalanced()
-        ts = build_training_set(feats, labels, k=3, seed=0)
+        ts = build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
         synth = slice(16, None)
         assert np.all(ts.labels["humor"][synth] == 1)
         for other in ("sarcasm", "motivation", "sentiment"):
@@ -333,7 +371,7 @@ class TestBuildTrainingSet:
                   ("humor", "sarcasm", "motivation")}
         labels["sentiment"] = np.array([0, 1, 2] * 2 + [0, 1], dtype=np.int64)
         # sentiment is uneven: 3/3/2 -> one synthetic for class 2
-        ts = build_training_set(feats, labels, k=2, seed=1)
+        ts = build_training_set(_with_room(feats, labels), labels, k=2, seed=1)
         assert ts.features.shape[0] == 9
         np.testing.assert_array_equal(ts.features[:8], feats)
         assert ts.labels["sentiment"][8] == 2
@@ -341,9 +379,9 @@ class TestBuildTrainingSet:
 
     def test_deterministic_per_seed(self):
         feats, labels = _toy_imbalanced()
-        a = build_training_set(feats, labels, k=3, seed=7)
-        b = build_training_set(feats, labels, k=3, seed=7)
-        c = build_training_set(feats, labels, k=3, seed=8)
+        a = build_training_set(_with_room(feats, labels), labels, k=3, seed=7)
+        b = build_training_set(_with_room(feats, labels), labels, k=3, seed=7)
+        c = build_training_set(_with_room(feats, labels), labels, k=3, seed=8)
         np.testing.assert_array_equal(a.features, b.features)
         for task in TASKS:
             np.testing.assert_array_equal(a.labels[task], b.labels[task])
@@ -358,7 +396,7 @@ class TestBuildTrainingSet:
             "motivation": np.zeros(10, dtype=np.int64),
             "sentiment": np.zeros(10, dtype=np.int64),
         }
-        ts = build_training_set(feats, labels, k=2, seed=2)
+        ts = build_training_set(_with_room(feats, labels), labels, k=2, seed=2)
         # humor adds 4, sarcasm adds 2
         assert ts.features.shape[0] == 16
         hum = ts.labels["humor"]
@@ -370,7 +408,7 @@ class TestBuildTrainingSet:
         feats, labels = _toy_imbalanced()
         feats[13, 1, 2] = np.nan
         with pytest.raises(NumericError, match="class 1: non-finite feature in row 13"):
-            build_training_set(feats, labels, k=3, seed=0)
+            build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
 
     def test_overflowing_neighbor_distance_rejected(self):
         # finite rows 1e155 apart square to inf: the neighbor ranking breaks
@@ -379,7 +417,7 @@ class TestBuildTrainingSet:
         feats = feats.astype(np.float64)
         feats[[13, 15]] *= 1e155
         with pytest.raises(NumericError, match="class 1: squared distance from row 12 "):
-            build_training_set(feats, labels, k=3, seed=0)
+            build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected_without_deficit(self, k):
@@ -387,12 +425,53 @@ class TestBuildTrainingSet:
         feats = rng.normal(size=(4, 2, 3)).astype(np.float32)
         labels = {task: np.array([0, 1, 0, 1], dtype=np.int64) for task in TASKS}
         with pytest.raises(ValueError, match="k must be >= 1"):
-            build_training_set(feats, labels, k=k, seed=0)
+            build_training_set(_with_room(feats, labels), labels, k=k, seed=0)
+
+    def test_balanced_inside_the_given_array(self):
+        feats, labels = _toy_imbalanced()
+        room = _with_room(feats, labels)
+        ts = build_training_set(room, labels, k=3, seed=0)
+        assert ts.features is room
+        np.testing.assert_array_equal(room[:16], feats)
+
+    @pytest.mark.parametrize("rows", [16, 23, 25])
+    def test_rows_must_match_originals_plus_synthetic_rows(self, rows):
+        feats, labels = _toy_imbalanced()
+        features = np.zeros((rows, 3, 5), dtype=np.float32)
+        features[:16] = feats
+        with pytest.raises(ValueError, match=f"features hold {rows} rows; 16 originals and "
+                                             "8 synthetic rows need 24"):
+            build_training_set(features, labels, k=3, seed=0)
+
+    def test_default_block_boundaries_change_nothing(self, monkeypatch):
+        # a deficit of 570 rows spans three INTERP_BLOCK blocks
+        feats, labels = _toy_imbalanced(n_major=600, n_minor=30)
+        blocked = build_training_set(_with_room(feats, labels), labels, k=3, seed=5)
+        monkeypatch.setattr(balance, "INTERP_BLOCK", 1)
+        single = build_training_set(_with_room(feats, labels), labels, k=3, seed=5)
+        assert blocked.features.tobytes() == single.features.tobytes()
+
+    def test_balancing_scratch_does_not_grow_with_the_deficit(self):
+        # interpolation scratch is bounded by INTERP_BLOCK rows and the rows
+        # go straight into the input array, so an 8x deficit (both above one
+        # block) leaves the traced peak above the input array nearly flat
+        def peak(deficit):
+            feats, labels = _toy_imbalanced(n_major=20 + deficit, n_minor=20, length=2,
+                                            width=256)
+            room = _with_room(feats, labels)
+            tracemalloc.start()
+            try:
+                build_training_set(room, labels, k=3, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * 300) <= 1.25 * peak(300)
 
     def test_synthetics_lie_between_members(self):
         # every synthetic coordinate stays inside the minority bounding box
         feats, labels = _toy_imbalanced()
-        ts = build_training_set(feats, labels, k=3, seed=4)
+        ts = build_training_set(_with_room(feats, labels), labels, k=3, seed=4)
         minority = feats[12:].reshape(4, -1).astype(np.float64)
         lo, hi = minority.min(axis=0), minority.max(axis=0)
         synth = ts.features[16:].reshape(-1, 15).astype(np.float64)
@@ -452,36 +531,47 @@ class TestFusedFromImported:
         if chunk is not None:
             monkeypatch.setattr(pipeline, "ENCODE_CHUNK", chunk)
         ids, kind, mappings = _imported_case(name)
-        out = fused_from_imported(ids, kind, seed=3, **mappings)
+        out = fused_from_imported(ids, kind, 0, seed=3, **mappings)
         shape, digest = _GOLDEN_IMPORTED[name]
         assert out.shape == shape and out.dtype == np.float32
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(_IMPORTED_CASES))
+    def test_spare_rows_follow_as_zeros(self, name, monkeypatch):
+        # in 7-record chunks the last chunk holds 2 records; the spare rows follow it
+        monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        ids, kind, mappings = _imported_case(name)
+        shape, digest = _GOLDEN_IMPORTED[name]
+        out = fused_from_imported(ids, kind, 5, seed=3, **mappings)
+        assert out.shape == (shape[0] + 5, *shape[1:]) and out.dtype == np.float32
+        assert hashlib.sha256(out[:shape[0]].tobytes()).hexdigest() == digest
+        assert not out[shape[0]:].any()
 
     def test_missing_record_named(self):
         ids, kind, mappings = _imported_case("imgtxt-same-width")
         del mappings["tokens"][ids[4]]
         with pytest.raises(ValueError, match="record 'rec_04' missing from tokens embeddings"):
-            fused_from_imported(ids, kind, **mappings)
+            fused_from_imported(ids, kind, 0, **mappings)
 
     def test_missing_mapping_named(self):
         ids, kind, mappings = _imported_case("capsen-same-width")
         del mappings["caption_sentence"]
         with pytest.raises(ValueError, match="'capsen' needs caption_sentence embeddings"):
-            fused_from_imported(ids, kind, **mappings)
+            fused_from_imported(ids, kind, 0, **mappings)
 
     def test_width_disagreement_within_mapping_rejected(self):
         ids, kind, mappings = _imported_case("imgsen-same-width")
         mappings["image"][ids[7]] = np.zeros((2, 9), dtype=np.float32)
         with pytest.raises(ValueError, match=r"image embeddings: record 'rec_07' has shape "
                                              r"\(2, 9\), width 16 expected"):
-            fused_from_imported(ids, kind, **mappings)
+            fused_from_imported(ids, kind, 0, **mappings)
 
     def test_one_record_without_rows_still_fuses(self):
         # only a corpus with no rows at all has nothing to fuse
         ids, kind, mappings = _imported_case("imgtxt-same-width")
         for name in ("image", "tokens"):
             mappings[name][ids[5]] = np.zeros((0, 16), dtype=np.float32)
-        out = fused_from_imported(ids, kind, **mappings)
+        out = fused_from_imported(ids, kind, 0, **mappings)
         assert out.shape[1] > 0 and not out[5].any() and out[4].any()
 
     @pytest.mark.parametrize("case, name, shape", [
@@ -495,7 +585,7 @@ class TestFusedFromImported:
         mappings[name][ids[2]] = np.ones(shape, dtype=np.float32)
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} embeddings: record 'rec_02' has shape {shape}, expected")):
-            fused_from_imported(ids, kind, **mappings)
+            fused_from_imported(ids, kind, 0, **mappings)
 
 
 class TestFusionBatches:
@@ -517,13 +607,13 @@ class TestFusionBatches:
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
     def test_encoded_path(self, space, kind, batch_sizes):
         ids, toks = _golden_corpus()
-        encode_corpus(ids, toks, space, kind)
+        encode_corpus(ids, toks, space, kind, 0)
         assert all(len(sizes) == 1 and max(sizes) <= 7 for sizes in batch_sizes)
         assert sum(max(sizes) for sizes in batch_sizes) == len(ids)
 
     @pytest.mark.parametrize("name", sorted(_IMPORTED_CASES))
     def test_imported_path(self, name, batch_sizes):
         ids, kind, mappings = _imported_case(name)
-        fused_from_imported(ids, kind, seed=3, **mappings)
+        fused_from_imported(ids, kind, 0, seed=3, **mappings)
         assert all(len(sizes) == 1 and max(sizes) <= 7 for sizes in batch_sizes)
         assert sum(max(sizes) for sizes in batch_sizes) == len(ids)
