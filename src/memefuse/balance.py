@@ -137,12 +137,24 @@ def _shortlist(distinct, bounds, counts, lo, hi, k):
 
 
 def _exact_d2(points, queries, candidates):
-    """knn_indices' squared distance for each (query, candidate) pair."""
+    """knn_indices' squared distance for each (query, candidate) pair.
+
+    The pairs' rows are gathered into two float64 buffers of at most
+    RERANK_ELEMENTS, reused from chunk to chunk.
+    """
     out = np.empty(len(queries))
     step = max(1, RERANK_ELEMENTS // points.shape[1])
+    diff = np.empty((min(step, len(queries)), points.shape[1]))
+    rows = np.empty_like(diff)
     for lo in range(0, len(queries), step):
         part = slice(lo, lo + step)
-        out[part] = np.sum((points[candidates[part]] - points[queries[part]]) ** 2, axis=1)
+        n = len(queries[part])
+        # mode="clip" (the indices are in range) lets take write to out unbuffered
+        np.take(points, candidates[part], axis=0, out=diff[:n], mode="clip")
+        np.take(points, queries[part], axis=0, out=rows[:n], mode="clip")
+        np.subtract(diff[:n], rows[:n], out=diff[:n])
+        np.square(diff[:n], out=diff[:n])
+        out[part] = np.sum(diff[:n], axis=1)
     return out
 
 
@@ -209,11 +221,13 @@ def _overflowing_row(members: np.ndarray, neighbors: np.ndarray):
 
 
 def _interpolate(members: np.ndarray, pick: np.ndarray, near: np.ndarray,
-                 lam: np.ndarray) -> np.ndarray:
+                 lam: np.ndarray, grown: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x + lam (x_nn - x) in that order, so each row's bytes are those of the
-    same expression on one row."""
-    grown = members[near]
-    x = members[pick]
+    same expression on one row; ``grown`` and ``x`` are float64 scratch of
+    len(pick) rows, and ``grown`` is returned."""
+    # mode="clip" (the indices are in range) lets take write to out unbuffered
+    np.take(members, near, axis=0, out=grown, mode="clip")
+    np.take(members, pick, axis=0, out=x, mode="clip")
     grown -= x
     grown *= lam[:, None]
     grown += x
@@ -228,8 +242,8 @@ def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k
     Draw order per synthetic row: class member, then neighbor, then
     lambda, all from one stream seeded by seed.  Each class's members are
     interpolated in float64 with min(k, members - 1) neighbors,
-    INTERP_BLOCK rows at a time, and each block is cast to dest's dtype
-    as astype would.
+    INTERP_BLOCK rows at a time in two scratch blocks allocated once per
+    class, and each block is cast to dest's dtype as astype would.
     """
     total = sum(deficits.values())
     if dest.shape != (total, features.shape[1]):
@@ -264,10 +278,12 @@ def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k
             pick[r] = rng.integers(len(member_idx))
             near[r] = neighbors[pick[r]][int(rng.integers(kk))]
             lam[r] = rng.uniform()
+        grown = np.empty((min(INTERP_BLOCK, deficit), members.shape[1]))
+        x = np.empty_like(grown)
         for lo in range(0, deficit, INTERP_BLOCK):
             hi = min(lo + INTERP_BLOCK, deficit)
             dest[start + lo:start + hi] = _interpolate(members, pick[lo:hi], near[lo:hi],
-                                                       lam[lo:hi])
+                                                       lam[lo:hi], grown[:hi - lo], x[:hi - lo])
         row_labels[start:start + deficit] = cls
         start += deficit
     return row_labels

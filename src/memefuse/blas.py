@@ -6,9 +6,12 @@ frozen encoders' GEMMs are small too, and the captioner's convolution
 GEMMs, the only ones large enough to wake a second thread, gain no wall
 time from it.  A threaded GEMM also splits its sums by the thread count,
 so features and trained weights would depend on the host's core count.
-Encoding, the fusion of imported embeddings, training and prediction run
-inside ``single_thread``, which pins OpenBLAS to one thread while its body
-runs and restores the previous count after.
+Balancing's Gram GEMM only shortlists neighbours for an exact float64
+rerank, so its bytes do not depend on the count, but a second thread
+doubled its CPU time for no wall time.  Encoding, the fusion of imported
+embeddings, balancing, training and prediction run inside
+``single_thread``, which pins OpenBLAS to one thread while its body runs
+and restores the previous count after.
 With any other BLAS (MKL, Accelerate, a system OpenBLAS that numpy does
 not bundle) it does nothing.  The count is process-wide: scopes must not
 run concurrently in threads of one process.

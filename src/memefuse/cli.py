@@ -104,6 +104,8 @@ def cmd_train(args) -> int:
     if args.batch_size is not None:
         overrides["batch_size"] = args.batch_size
     train_config = TrainConfig.for_variant(args.variant, **overrides)
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
 
     schema = _load_schema(args)
     records = load_dataset(_require(args.dataset, "dataset"), schema)

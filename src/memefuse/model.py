@@ -34,9 +34,9 @@ DEFAULT_LR = {"imgtxt": 1e-3, "imgsen": 1e-3, "capsen": 3e-4}
 
 CHECKPOINT_MAGIC = "memefuse-checkpoint"
 
-# Rows per forward pass in predict_proba: the training batch size, which
-# bounds the forward caches to one batch's worth.
-PREDICT_CHUNK = 256
+# Rows per forward pass in predict_proba: bounds the forward caches to a
+# quarter of a training batch's worth.
+PREDICT_CHUNK = 64
 
 
 class NumericError(RuntimeError):

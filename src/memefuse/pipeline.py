@@ -28,9 +28,14 @@ from .seeds import derive_seed, rng_for
 # variant -> (rows, width) of one record's fused features
 FUSED_SHAPES = {"imgtxt": (N_PATCHES + MAX_TOKENS, D_MODEL), "imgsen": (N_PATCHES + 1, D_MODEL),
                 "capsen": (2, SENTENCE_DIM)}
-# Records encoded together: enough to amortise numpy's per-call cost, few
-# enough that a chunk's activations stay small next to the corpus tensor.
+# Records whose texts are encoded together: enough distinct texts per id
+# count to amortise numpy's per-call cost (64-record chunks encoded 1398
+# distinct texts about 20% slower).
 ENCODE_CHUNK = 256
+# Images per forward pass of the image encoder or the captioner, and
+# records per fusion batch: the activations of one pass, not the corpus
+# tensor, set encoding's high-water mark.
+IMAGE_BLOCK = 64
 # fusion part -> the exchange file name that holds it
 EXCHANGE_NAMES = {"img": "image", "txt_tokens": "tokens", "txt_sentence": "text_sentence",
                   "caption_sentence": "caption_sentence"}
@@ -66,6 +71,13 @@ def toy_image(record_id: str) -> np.ndarray:
     """Deterministic pixel stand-in for a record whose image file is absent."""
     rng = rng_for(0, f"toy_image.{record_id}")
     return rng.uniform(size=IMAGE_HW + (IMAGE_CHANNELS,)).astype(np.float32)
+
+
+def _toy_images(ids: list, pixels: np.ndarray) -> np.ndarray:
+    """The records' toy images, written into the first rows of ``pixels``."""
+    for i, rid in enumerate(ids):
+        pixels[i] = toy_image(rid)
+    return pixels[:len(ids)]
 
 
 def _text_encoder(space: FeatureSpace, sentences: bool):
@@ -126,24 +138,35 @@ def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
     (N + spare, L, d) float32 tensor.
 
     The spare rows are left for ``build_training_set``'s synthetic rows.
-    Records go through the encoders and ``_fuse`` ENCODE_CHUNK at a time:
-    the images of a chunk as one batch, the captions decoded together, and
-    each distinct token tuple (texts and captions alike) encoded once per
-    call.  An imgtxt record with fewer than MAX_TOKENS tokens ends in zero
-    rows, so every record of a variant has its FUSED_SHAPES shape.  Runs on
-    one BLAS thread, so features do not depend on the host's thread count.
+    Texts go through the text encoder ENCODE_CHUNK records at a time, each
+    distinct token tuple (texts and captions alike) encoded once per call.
+    Images go through the image encoder or the captioner, and records
+    through ``_fuse``, IMAGE_BLOCK at a time, the toy pixels drawn into
+    one reused buffer; a chunk's captions are encoded together.  Every
+    encoder runs per-sample stacked GEMMs, so neither size changes a byte.
+    An imgtxt record with fewer than MAX_TOKENS tokens ends in zero rows,
+    so every record of a variant has its FUSED_SHAPES shape.  Runs on one
+    BLAS thread, so features do not depend on the host's thread count.
     """
     _check_variant(kind)
     out = np.zeros((len(ids) + spare, *FUSED_SHAPES[kind]), dtype=np.float32)
     encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
+    pixels = np.empty((IMAGE_BLOCK, *IMAGE_HW, IMAGE_CHANNELS), dtype=np.float32)
     for start in range(0, len(ids), ENCODE_CHUNK):
         chunk = ids[start:start + ENCODE_CHUNK]
-        images = np.stack([toy_image(rid) for rid in chunk])
-        first = (encode_texts(generate_captions(images, space.caption_params))
-                 if kind == "capsen" else encode_image(images, space.image_params))
+        rows = out[start:start + len(chunk)]
+        blocks = [slice(lo, lo + IMAGE_BLOCK) for lo in range(0, len(chunk), IMAGE_BLOCK)]
         texts = encode_texts([tokens_by_id.get(rid, []) for rid in chunk])
-        _fuse(out[start:start + len(chunk)], kind, dict(zip(VARIANT_PARTS[kind], (first, texts))),
-              space.projections[SENTENCE_PROJECTION])
+        if kind == "capsen":
+            captions = encode_texts([
+                caption for block in blocks
+                for caption in generate_captions(_toy_images(chunk[block], pixels),
+                                                 space.caption_params)])
+        for block in blocks:
+            first = (captions[block] if kind == "capsen"
+                     else encode_image(_toy_images(chunk[block], pixels), space.image_params))
+            _fuse(rows[block], kind, dict(zip(VARIANT_PARTS[kind], (first, texts[block]))),
+                  space.projections[SENTENCE_PROJECTION])
     return out
 
 
@@ -172,6 +195,7 @@ def class_deficits(labels: dict) -> dict:
     return out
 
 
+@single_thread()
 def build_training_set(features: np.ndarray, labels: dict, k: int, seed: int) -> TrainSet:
     """Balance each task to majority parity inside ``features``.
 
@@ -185,7 +209,8 @@ def build_training_set(features: np.ndarray, labels: dict, k: int, seed: int) ->
     precision, one class at a time) from the originals only, and carry
     only the balanced task's label; the other tasks see -1 and mask them
     out of their losses.  Rows a task labels -1 belong to none of its
-    classes, so they are never drawn or used as neighbours.
+    classes, so they are never drawn or used as neighbours.  Runs on one
+    BLAS thread, like encoding and training.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -1,6 +1,6 @@
 """The one-thread BLAS scope: its thread count, its no-op fallback, the
-scopes of encoding and of imported fusion, and training output that does
-not depend on OPENBLAS_NUM_THREADS."""
+scopes of encoding, of balancing and of imported fusion, and training
+output that does not depend on OPENBLAS_NUM_THREADS."""
 
 import os
 import subprocess
@@ -67,6 +67,29 @@ def test_encode_corpus_runs_on_one_thread_and_restores_the_count(controls, monke
     space = pipeline.build_feature_space(seed=0)
     feats = pipeline.encode_corpus(["a", "b"], {"a": ["cat"]}, space, "capsen", 0)
     assert feats.shape == (2, 2, encode.SENTENCE_DIM)
+    assert seen == [1]
+    assert get() == outer
+
+
+def test_build_training_set_runs_on_one_thread_and_restores_the_count(controls, monkeypatch):
+    get, put = controls
+    put(2)
+    outer = get()
+    seen = []
+    oversample = pipeline.smote_oversample
+
+    def recording(*args):
+        seen.append(get())
+        return oversample(*args)
+
+    monkeypatch.setattr(pipeline, "smote_oversample", recording)
+    # one task short of parity by two rows: one oversampled class
+    labels = {task: np.zeros(6, dtype=np.int64) for task in TASKS}
+    labels[TASKS[0]][4:] = 1
+    features = np.zeros((8, 2, 3), dtype=np.float32)
+    features[:6] = np.random.default_rng(0).normal(size=(6, 2, 3))
+    ts = pipeline.build_training_set(features, labels, k=1, seed=0)
+    assert ts.features.shape == (8, 2, 3)
     assert seen == [1]
     assert get() == outer
 

@@ -345,6 +345,7 @@ class TestTrain:
         ("--epochs=0", "epochs must be >= 1"),
         ("--lr=nan", "learning_rate must be finite and > 0"),
         ("--batch-size=0", "batch_size must be >= 1"),
+        ("--k=0", "k must be >= 1"),
     ])
     def test_bad_training_flag_exits_2_before_encoding(self, small_csv, tmp_path, capsys,
                                                        monkeypatch, flag, message):

@@ -120,6 +120,20 @@ class TestPredictChunks:
             for task in TASKS:
                 np.testing.assert_allclose(whole[task][row], one[task][0], atol=1e-6)
 
+    def test_chunk_size_changes_no_byte(self, monkeypatch):
+        # imgtxt's fused shape and the default trunk; every chunk size splits
+        # the 300 rows unevenly
+        variant = ModelVariant("imgtxt")
+        rng = np.random.default_rng(13)
+        params = model.init_classifier_params(variant, 64, rng)
+        x = rng.normal(size=(300, 20, 64)).astype(np.float32)
+        probs = {}
+        for chunk in (256, 64, 32):
+            monkeypatch.setattr(model, "PREDICT_CHUNK", chunk)
+            out = model.predict_proba(variant, x, params)
+            probs[chunk] = b"".join(out[task].tobytes() for task in TASKS)
+        assert probs[64] == probs[256] and probs[32] == probs[256]
+
     def test_zero_rows(self):
         variant, params, _ = self._setup()
         probs = model.predict_proba(variant, np.zeros((0, 4, 6), np.float32), params)

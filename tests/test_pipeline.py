@@ -242,6 +242,57 @@ class TestGoldenFeatures:
         feats = encode_corpus(ids, toks, space, kind, 0)
         assert hashlib.sha256(feats.tobytes()).hexdigest() == _GOLDEN_FEATURES[kind][1]
 
+    # IMAGE_BLOCK = 3 puts block boundaries inside the one 256-record chunk
+    # and inside every 7-record chunk
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_image_blocks_change_nothing(self, space, kind, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(pipeline, "ENCODE_CHUNK", chunk)
+        monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 3)
+        ids, toks = _golden_corpus()
+        feats = encode_corpus(ids, toks, space, kind, 0)
+        assert hashlib.sha256(feats.tobytes()).hexdigest() == _GOLDEN_FEATURES[kind][1]
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
+    def test_images_pass_through_the_encoders_one_block_at_a_time(self, space, kind,
+                                                                  monkeypatch):
+        batches = []
+        encoders = {"imgtxt": "encode_image", "imgsen": "encode_image",
+                    "capsen": "generate_captions"}
+        forward = getattr(pipeline, encoders[kind])
+
+        def counting(images, params):
+            batches.append(len(images))
+            return forward(images, params)
+
+        monkeypatch.setattr(pipeline, encoders[kind], counting)
+        monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 3)
+        ids, toks = _golden_corpus()
+        encode_corpus(ids, toks, space, kind, 0)
+        # five 7-record chunks in blocks of 3, 3 and 1, then 5 records in 3 and 2
+        assert batches == [3, 3, 1] * 5 + [3, 2]
+
+    def test_encoding_scratch_does_not_grow_with_the_chunk(self, space):
+        # images go through the encoder 64 at a time, so a full 256-record
+        # chunk needs about the scratch of 64 records above its output
+        # array; one pass over the chunk's 256 images needed 3x as much
+        words = [f"w{i}" for i in range(200)]
+
+        def scratch(n):
+            ids = [f"rec_{i:04d}" for i in range(n)]
+            toks = {rid: [words[(7 * i + j) % 200] for j in range(i % 17)]
+                    for i, rid in enumerate(ids)}
+            tracemalloc.start()
+            try:
+                out = encode_corpus(ids, toks, space, "imgtxt", 0)
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert scratch(256) <= 1.5 * scratch(64)
+
     @pytest.mark.parametrize("kind", ["imgtxt", "imgsen"])
     def test_each_distinct_text_encoded_once(self, space, kind, monkeypatch):
         batches = []
@@ -589,7 +640,8 @@ class TestFusedFromImported:
 
 
 class TestFusionBatches:
-    """Both paths fuse through one function, at most ENCODE_CHUNK records per call."""
+    """Both paths fuse through one function, at most ENCODE_CHUNK records per call
+    (the encoded path at most IMAGE_BLOCK)."""
 
     @pytest.fixture
     def batch_sizes(self, monkeypatch):
