@@ -158,8 +158,9 @@ def _exact_d2(points, queries, candidates):
     return out
 
 
-def _neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
-    """Row i lists i's k nearest neighbors: knn_indices(points, i, k) for every i.
+def _neighbor_table(points: np.ndarray, k: int):
+    """(table, d2): row i of table is knn_indices(points, i, k) for every i,
+    and d2[i, j] is knn_indices' squared distance from row i to table[i, j].
 
     Same metric (squared Euclidean, float64, the same expression) and tie
     rule (lower index first).  Identical rows are grouped by their bytes,
@@ -167,7 +168,8 @@ def _neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
     from Gram-form distances, one GEMM per GRAM_BLOCK queries, under a
     rounding bound that keeps every row the exact metric could rank in
     the first k; the shortlist is then ranked by the exact metric.  Rows
-    must be finite.
+    must be finite.  knn_indices ranks row i itself at distance inf, so
+    a row lists itself only when distances overflow, and d2 is inf there.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
@@ -177,6 +179,7 @@ def _neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
     distinct = points[members[starts]]
     bounds = _norm_bounds(distinct)
     table = np.empty((m, k), dtype=np.intp)
+    table_d2 = np.empty((m, k))
     for lo in range(0, len(distinct), GRAM_BLOCK):
         hi = min(lo + GRAM_BLOCK, len(distinct))
         query, cand = _shortlist(distinct, bounds, counts, lo, hi, k)
@@ -198,26 +201,8 @@ def _neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
         ranked_d2 = np.column_stack([ranked_d2, np.full(len(row), np.inf)])
         order = np.lexsort((ranked, ranked_d2), axis=1)
         table[row] = np.take_along_axis(ranked, order, axis=1)[:, :k]
-    return table
-
-
-def _overflowing_row(members: np.ndarray, neighbors: np.ndarray):
-    """First row whose table lists a neighbor at infinite squared distance, or None.
-
-    knn_indices ranks the query itself at distance inf, so a row can list
-    itself only when distances overflow; such an entry counts as well.
-    When no coordinate is large enough for any squared distance to
-    overflow, the pairs are not checked one by one.
-    """
-    m, k = neighbors.shape
-    with np.errstate(over="ignore"):
-        top = float(np.abs(members).max())
-        if 4.0 * members.shape[1] * top * top < _NORM_GUARD:
-            return None
-        query = np.repeat(np.arange(m), k)
-        cand = neighbors.reshape(-1)
-        bad = np.isinf(_exact_d2(members, query, cand)) | (cand == query)
-    return int(query[np.argmax(bad)]) if bad.any() else None
+        table_d2[row] = np.take_along_axis(ranked_d2, order, axis=1)[:, :k]
+    return table, table_d2
 
 
 def _interpolate(members: np.ndarray, pick: np.ndarray, near: np.ndarray,
@@ -243,7 +228,10 @@ def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k
     lambda, all from one stream seeded by seed.  Each class's members are
     interpolated in float64 with min(k, members - 1) neighbors,
     INTERP_BLOCK rows at a time in two scratch blocks allocated once per
-    class, and each block is cast to dest's dtype as astype would.
+    class, and each block is cast to dest's dtype as astype would.  A
+    class whose neighbor table lists a distance that overflows, as the
+    table's own distances show, raises NumericError naming its lowest
+    such row.
     """
     total = sum(deficits.values())
     if dest.shape != (total, features.shape[1]):
@@ -266,11 +254,12 @@ def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k
             raise NumericError(f"class {cls!r}: non-finite feature in row "
                                f"{int(member_idx[np.argmin(finite)])}")
         with np.errstate(over="ignore"):  # overflow is reported just below
-            neighbors = _neighbor_table(members, kk)
-        row = _overflowing_row(members, neighbors)
-        if row is not None:
-            raise NumericError(f"class {cls!r}: squared distance from row "
-                               f"{int(member_idx[row])} to a listed neighbor overflows")
+            neighbors, d2 = _neighbor_table(members, kk)
+        overflows = np.isinf(d2).any(axis=1)
+        if overflows.any():
+            row = int(member_idx[np.argmax(overflows)])
+            raise NumericError(f"class {cls!r}: squared distance from row {row} "
+                               "to a listed neighbor overflows")
         pick = np.empty(deficit, dtype=np.intp)
         near = np.empty(deficit, dtype=np.intp)
         lam = np.empty(deficit)

@@ -46,6 +46,12 @@ def _preprocess_config(args) -> PreprocessConfig:
                             vocabulary=load_vocabulary(vocab))
 
 
+def _check_seed(seed):
+    # numpy's own error for a negative seed names neither the flag nor the value
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _tokens_for(records, config):
     return {r.id: preprocess(r.text, config).tokens for r in records}
 
@@ -106,6 +112,7 @@ def cmd_train(args) -> int:
     train_config = TrainConfig.for_variant(args.variant, **overrides)
     if args.k < 1:
         raise ValueError("k must be >= 1")
+    _check_seed(args.seed)
 
     schema = _load_schema(args)
     records = load_dataset(_require(args.dataset, "dataset"), schema)
@@ -145,6 +152,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.seed is not None:
+        _check_seed(args.seed)
     variant, params, meta = load_checkpoint(_require(args.checkpoint, "checkpoint"))
     if args.variant and args.variant != variant.kind:
         raise ValueError(f"checkpoint holds variant {variant.kind!r}, "
@@ -176,10 +185,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_common(sub, *, dataset=True, textprep=False, encoding=False):
-    if dataset:
-        sub.add_argument("--dataset", required=True, help="annotation CSV or JSONL")
-        sub.add_argument("--schema", help="schema JSON (default: bundled Memotion schema)")
+def _add_common(sub, *, textprep=False, encoding=False):
+    sub.add_argument("--dataset", required=True, help="annotation CSV or JSONL")
+    sub.add_argument("--schema", help="schema JSON (default: bundled Memotion schema)")
     if textprep:
         sub.add_argument("--lexicon", help="emoji lexicon TSV (default: bundled)")
         sub.add_argument("--vocab", help="vocabulary list (default: bundled)")

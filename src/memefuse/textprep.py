@@ -82,7 +82,6 @@ class PreprocessConfig:
 @dataclass
 class CleanText:
     tokens: list[str]
-    original: str
 
 
 def demojize(text: str, config: PreprocessConfig) -> str:
@@ -153,7 +152,7 @@ def preprocess(raw: str, config: PreprocessConfig) -> CleanText:
             kept[word] = stem if stem in config._filter_set else None
         if kept[word] is not None:
             tokens.append(kept[word])
-    return CleanText(tokens=tokens, original=raw)
+    return CleanText(tokens=tokens)
 
 
 def load_lexicon(path: str | Path) -> dict[str, str]:

@@ -5,6 +5,7 @@ import pytest
 
 from memefuse import balance
 from memefuse.balance import knn_indices, smote_oversample
+from memefuse.model import NumericError
 from smote_oracle import brute_force_neighbors, verify_oversampled
 
 
@@ -56,6 +57,18 @@ def _family(name, rng, k):
     raise ValueError(name)
 
 
+def _listed_d2(points, table):
+    """knn_indices' squared distance from each row to each neighbor it lists:
+    the row's own entry is inf, as knn_indices ranks it."""
+    out = np.empty(table.shape)
+    with np.errstate(over="ignore"):
+        for i, listed in enumerate(table):
+            d2 = np.sum((points - points[i]) ** 2, axis=1)
+            d2[i] = np.inf
+            out[i] = d2[listed]
+    return out
+
+
 class TestNeighborTable:
     @pytest.mark.parametrize("family", ["large_offset", "integer_grid", "equidistant",
                                         "duplicate_heavy", "signed_zeros", "float32_scaled"])
@@ -64,9 +77,12 @@ class TestNeighborTable:
             rng = np.random.default_rng(seed)
             k = int(rng.integers(1, 9))
             points = _family(family, rng, k)
-            table = balance._neighbor_table(points, k)
+            table, d2 = balance._neighbor_table(points, k)
             assert table.shape == (len(points), k) and table.dtype == np.intp
-            np.testing.assert_array_equal(table, brute_force_neighbors(points, k),
+            assert d2.shape == table.shape and d2.dtype == np.float64
+            oracle = brute_force_neighbors(points, k)
+            np.testing.assert_array_equal(table, oracle, err_msg=f"{family}, seed {seed}")
+            np.testing.assert_array_equal(d2, _listed_d2(points, np.array(oracle)),
                                           err_msg=f"{family}, seed {seed}")
 
     def test_block_and_chunk_sizes_change_nothing(self, monkeypatch):
@@ -75,7 +91,9 @@ class TestNeighborTable:
         expected = brute_force_neighbors(points, 6)
         monkeypatch.setattr(balance, "GRAM_BLOCK", 7)
         monkeypatch.setattr(balance, "RERANK_ELEMENTS", 5)
-        np.testing.assert_array_equal(balance._neighbor_table(points, 6), expected)
+        table, d2 = balance._neighbor_table(points, 6)
+        np.testing.assert_array_equal(table, expected)
+        np.testing.assert_array_equal(d2, _listed_d2(points, np.array(expected)))
 
     def test_overflowing_distances_follow_knn_indices(self):
         # a distance that overflows ties with knn_indices' own inf entry, which
@@ -85,9 +103,10 @@ class TestNeighborTable:
         points[5] = points[2]
         with np.errstate(over="ignore"):
             expected = np.stack([knn_indices(points, i, 6) for i in range(12)])
-            table = balance._neighbor_table(points, 6)
+            table, d2 = balance._neighbor_table(points, 6)
         assert any(i in expected[i] for i in range(12))
         np.testing.assert_array_equal(table, expected)
+        np.testing.assert_array_equal(d2, _listed_d2(points, expected))
 
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k=3 needs at least 4 points"):
@@ -220,6 +239,39 @@ class TestSmoteOversample:
             message = "input features were modified"
         with pytest.raises(AssertionError, match=message):
             verify_oversampled(feats, labels, 5, synthetic, before)
+
+    def test_overflow_reports_the_lowest_row_whose_list_overflows(self, monkeypatch):
+        # one distinct row per Gram block, and copies of each row scattered
+        # through the class, so the table is filled out of row order; the
+        # class's members are interleaved with another class's rows
+        monkeypatch.setattr(balance, "GRAM_BLOCK", 1)
+        raised = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            distinct = rng.normal(size=(int(rng.integers(3, 7)), 3))
+            distinct[rng.random(len(distinct)) < 0.4] *= 1e155
+            members = distinct[rng.permutation(
+                np.repeat(np.arange(len(distinct)), rng.integers(1, 4, len(distinct))))]
+            m, k = len(members), int(rng.integers(1, 6))
+            kk = min(k, m - 1)
+            feats = np.zeros((2 * m, 3))
+            feats[1::2] = members
+            labels = np.tile([0, 1], m)
+            bad = []
+            with np.errstate(over="ignore"):
+                for i in range(m):
+                    listed = knn_indices(members, i, kk)
+                    d2 = np.sum((members[listed] - members[i]) ** 2, axis=1)
+                    bad.append(bool(np.isinf(d2).any() or i in listed))
+            if not any(bad):
+                _oversample(feats, labels, {1: 3}, k, seed)
+                continue
+            row = 2 * bad.index(True) + 1  # the member's index in feats
+            with pytest.raises(NumericError, match=re.escape(
+                    f"class 1: squared distance from row {row} to a listed neighbor overflows")):
+                _oversample(feats, labels, {1: 3}, k, seed)
+            raised += 1
+        assert 5 <= raised < 20
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(7)

@@ -346,6 +346,7 @@ class TestTrain:
         ("--lr=nan", "learning_rate must be finite and > 0"),
         ("--batch-size=0", "batch_size must be >= 1"),
         ("--k=0", "k must be >= 1"),
+        ("--seed=-1", "--seed must be >= 0, got -1"),
     ])
     def test_bad_training_flag_exits_2_before_encoding(self, small_csv, tmp_path, capsys,
                                                        monkeypatch, flag, message):
@@ -422,6 +423,17 @@ class TestEval:
                        "--checkpoint", str(trained), "--seed", "3"])
         assert rc == 0
         assert capsys.readouterr().out == implicit
+
+    def test_negative_seed_exits_2_before_loading(self, small_csv, trained, capsys,
+                                                  monkeypatch):
+        def loading(*args):
+            raise AssertionError("checkpoint loaded before --seed was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", loading)
+        rc = cli.main(["eval", "--dataset", str(small_csv),
+                       "--checkpoint", str(trained), "--seed", "-5"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
 
     def test_eval_deterministic(self, small_csv, trained, capsys):
         outs = []

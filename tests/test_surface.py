@@ -93,8 +93,9 @@ def test_a_wrapper_called_only_by_an_unused_wrapper_is_reported(tmp_path):
 # Defaulted parameters, dataclass fields and command-line arguments in the
 # package; 108 before the encoder sizes became constants, 94 before the
 # captioner sizes became constants, 85 before the attention mask went, 81
-# before fusion's d_target keyword and the four LabelSet fields went.
-SETTABLE_BUDGET = 76
+# before fusion's d_target keyword and the four LabelSet fields went, 76
+# before `_add_common`'s `dataset` and `CleanText.original` went.
+SETTABLE_BUDGET = 72
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
