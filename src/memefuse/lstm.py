@@ -1,9 +1,12 @@
 """LSTM cell and bidirectional sequence layer with explicit backward passes.
 
-Gate layout inside the packed 4H weight matrices, as checkpoints and the
-cell functions keep them, is input, forget, candidate, output.  The
-bidirectional layer permutes its weights per call into a gate-major
-layout of its own (see bilstm_forward).  It takes and returns
+The cell functions, the per-cell reference, take packed (d, 4H), (H, 4H)
+and (4H,) weights with gates i, f, g, o.  The bidirectional trunk keeps a
+layer as three tensors indexed by direction (forward, backward) and gate
+(i, f, o, g: the three sigmoid gates side by side): ``wx`` (d, 2, 4, H),
+``wh`` (2, 4, H, H) and ``b`` (2, 4, H).  Checkpoints store them and the
+step loop multiplies them as they are; ``init_bilstm_params`` reorders
+each direction's cell gates once.  The trunk takes and returns
 batch-major (B, L, .) arrays and keeps its caches time-major.
 """
 
@@ -15,9 +18,7 @@ import numpy as np
 
 from .nnops import sigmoid
 
-DIRECTIONS = ("fwd", "bwd")
-# The trunk's gate order i, f, o, g as positions of the packed i, f, g, o:
-# the three sigmoid gates sit side by side.  The permutation is its own inverse.
+# The trunk's gate order i, f, o, g as positions of the cell's packed i, f, g, o.
 TRUNK_GATES = [0, 1, 3, 2]
 # Rows (time steps x batch) per block of the input projection and of the
 # weight-gradient GEMMs: their scratch stays a fraction of the gate buffer,
@@ -105,36 +106,20 @@ def lstm_cell_backward(d_h: np.ndarray, d_c: np.ndarray, cache):
 
 def init_bilstm_params(d_in: int, hidden: int, rng: np.random.Generator,
                        dtype=np.float32) -> dict:
-    params = {}
-    for direction in DIRECTIONS:
-        for k, v in init_lstm_params(d_in, hidden, rng, dtype).items():
-            params[f"{direction}.{k}"] = v
-    return params
+    """One trunk layer's ``wx``, ``wh`` and ``b`` (see the module docstring).
 
-
-def _trunk_weights(params: dict, batch: int, ws: Workspace, dtype):
-    """Both directions' packed weights in the trunk's gate order.
-
-    wx (d, 2, 4, H) so that x @ wx is one GEMM; wh (2, 4, H, H) with one
-    (H, H) block of h @ wh per direction and gate; the bias repeated over
-    the batch as a (2, 4, B, H) step block, since a contiguous add costs a
-    third of a broadcast one.
+    Each direction is drawn by init_lstm_params, forward first, and its
+    gates reordered into the trunk's; the arrays are C-contiguous.
     """
-    d_in, hidden = params["fwd.wx"].shape[0], params["fwd.wh"].shape[0]
-    wx = ws.buffer("wx", (d_in, 2, 4, hidden), dtype)
-    wh = ws.buffer("wh", (2, 4, hidden, hidden), dtype)
-    bias = ws.scratch("bias", (2, 4, batch, hidden), dtype)
-    for k, direction in enumerate(DIRECTIONS):
-        wx[:, k] = params[f"{direction}.wx"].reshape(d_in, 4, hidden)[:, TRUNK_GATES]
-        wh[k] = params[f"{direction}.wh"].reshape(hidden, 4, hidden)[:, TRUNK_GATES].transpose(1, 0, 2)
-        bias[k] = params[f"{direction}.b"].reshape(4, 1, hidden)[TRUNK_GATES]
-    return wx, wh, bias
-
-
-def _packed(trunk: np.ndarray) -> np.ndarray:
-    """A (.., 4, H) array in the trunk's gate order as a fresh packed (.., 4H) one."""
-    block = trunk[..., TRUNK_GATES, :]
-    return block.reshape(block.shape[:-2] + (-1,))
+    wx = np.empty((d_in, 2, 4, hidden), dtype=dtype)
+    wh = np.empty((2, 4, hidden, hidden), dtype=dtype)
+    b = np.empty((2, 4, hidden), dtype=dtype)
+    for k in range(2):
+        p = init_lstm_params(d_in, hidden, rng, dtype)
+        wx[:, k] = p["wx"].reshape(d_in, 4, hidden)[:, TRUNK_GATES]
+        wh[k] = p["wh"].reshape(hidden, 4, hidden)[:, TRUNK_GATES].transpose(1, 0, 2)
+        b[k] = p["b"].reshape(4, hidden)[TRUNK_GATES]
+    return {"wx": wx, "wh": wh, "b": b}
 
 
 def _sig(a: np.ndarray) -> None:
@@ -162,9 +147,11 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
     direction at time s and the backward direction at time L-1-s as a
     (2, 4, B, H) block of gates i, f, o, g: each gate of each direction is
     a contiguous (B, H) block, one pass activates the three sigmoid gates,
-    and the recurrent step is one batched matmul plus the bias.  Before
-    the loop, x @ wx of both directions runs as one GEMM per block of
-    PROJECTION_ROWS rows and is copied into the step blocks.  Buffers come
+    and the recurrent step is one batched matmul of h by ``wh`` plus the
+    bias.  Before the loop, x @ wx of both directions runs as one GEMM per
+    block of PROJECTION_ROWS rows and is copied into the step blocks.  The
+    weights are multiplied where they lie: the cache holds ``params``'
+    ``wx`` and ``wh`` themselves, not copies.  Buffers come
     from ``ws`` (fresh ones when None); the output and the cache are views
     of them, valid until the workspace serves this layer again.  The
     output is a view of time-major memory, so a stacked layer reads it as
@@ -172,13 +159,16 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
     """
     ws = Workspace() if ws is None else ws
     batch, length, d_in = x.shape
-    dtype = np.result_type(x, params["fwd.wx"])
+    wx, wh = params["wx"], params["wh"]
+    hidden = wh.shape[-1]
+    dtype = np.result_type(x, wx)
     xt = x.transpose(1, 0, 2)
     if not (xt.flags.c_contiguous and xt.dtype == dtype):
         xt = ws.buffer("x", xt.shape, dtype)
         xt[...] = x.transpose(1, 0, 2)
-    wx, wh, bias = _trunk_weights(params, batch, ws, dtype)
-    hidden = wh.shape[-1]
+    # the bias repeated over the batch: a contiguous add costs a third of a broadcast one
+    bias = ws.scratch("bias", (2, 4, batch, hidden), dtype)
+    bias[...] = params["b"][:, :, None]
     gates = ws.buffer("gates", (length, 2, 4, batch, hidden), dtype)
     for t0, t1 in _time_blocks(length, batch):
         zx = ws.scratch("blocks", ((t1 - t0) * batch, 8 * hidden), dtype)
@@ -222,8 +212,9 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,
     forward values no longer need.  Blocks of PROJECTION_ROWS rows of them
     are then copied into packed, natural-time (rows, 8H) form, from which
     dx and dwx are one GEMM each over both directions, dwh one GEMM per
-    direction and db one sum.  Layer 0 of a stack has no use for dx: with
-    ``need_dx`` False it is None.
+    direction and db one sum.  The gradients come back in the layout of
+    the parameters (``wh``'s as a view).  Layer 0 of a stack has no use
+    for dx: with ``need_dx`` False it is None.
     """
     ws = Workspace() if ws is None else ws
     xt, gates, cs, tc, out, wx, wh = cache
@@ -290,13 +281,9 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,
                    @ by_time[:max(hi - t0, 0), :, 1].reshape(-1, 4 * hidden))
         if need_dx:
             np.matmul(packed, wx.reshape(d_in, 8 * hidden).T, out=dx[t0:t1].reshape(rows, d_in))
-    dwx = dwx.reshape(d_in, 2, 4, hidden)
-    db = db.reshape(2, 4, hidden)
-    d_params = {}
-    for k, direction in enumerate(DIRECTIONS):
-        d_params[f"{direction}.wx"] = _packed(dwx[:, k])
-        d_params[f"{direction}.wh"] = _packed(dwh[k].reshape(hidden, 4, hidden))
-        d_params[f"{direction}.b"] = _packed(db[k])
+    d_params = {"wx": dwx.reshape(d_in, 2, 4, hidden),
+                "wh": dwh.reshape(2, hidden, 4, hidden).transpose(0, 2, 1, 3),
+                "b": db.reshape(2, 4, hidden)}
     return (None if dx is None else dx.transpose(1, 0, 2)), d_params
 
 

@@ -316,8 +316,8 @@ def _check_header(path, header: dict) -> None:
         if name not in header:
             raise ValueError(f"{path}: checkpoint header lacks field {name!r}")
     for name in ("seed", "epoch"):
-        if not is_int(header[name]):
-            raise ValueError(f"{path}: header field {name!r} must be an integer")
+        if not (is_int(header[name]) and header[name] >= 0):
+            raise ValueError(f"{path}: header field {name!r} must be a non-negative integer")
     variant = header["variant"]
     if not isinstance(variant, dict) or not isinstance(variant.get("kind"), str):
         raise ValueError(f"{path}: header field 'variant' must be an object with a string 'kind'")
@@ -335,11 +335,10 @@ def _param_shapes(variant: ModelVariant, d_in: int):
     hidden, head = variant.hidden, variant.head_hidden
     width = d_in
     for i in range(variant.bilstm_layers):
-        for direction in ("fwd", "bwd"):
-            pre = f"bilstm.{i}.{direction}."
-            yield pre + "wx", (width, 4 * hidden)
-            yield pre + "wh", (hidden, 4 * hidden)
-            yield pre + "b", (4 * hidden,)
+        pre = f"bilstm.{i}."
+        yield pre + "wx", (width, 2, 4, hidden)
+        yield pre + "wh", (2, 4, hidden, hidden)
+        yield pre + "b", (2, 4, hidden)
         width = 2 * hidden
     for task in TASKS:
         pre = f"head.{task}."
@@ -357,7 +356,7 @@ def _check_manifest(path, variant: ModelVariant, manifest: list) -> None:
     claiming absurdly many layers costs no more than its manifest.
     """
     have = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
-    first = have.get("bilstm.0.fwd.wx") or (0,)
+    first = have.get("bilstm.0.wx") or (0,)
     want = {}
     for name, shape in _param_shapes(variant, first[0]):
         if name not in have:

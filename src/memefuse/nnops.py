@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+LAYERNORM_EPS = 1e-5
 
 
 def sub_params(params: dict, prefix: str) -> dict:
@@ -28,14 +29,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def softmax_backward(d_out: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
-    inner = np.sum(d_out * probs, axis=axis, keepdims=True)
+def softmax_backward(d_out: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    inner = np.sum(d_out * probs, axis=-1, keepdims=True)
     return probs * (d_out - inner)
 
 
@@ -65,10 +67,10 @@ def linear_backward(d_y: np.ndarray, cache):
     return dx, dw, db
 
 
-def layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+def layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (x - mu) * inv_std
     return xhat * gain + bias, (xhat, inv_std, gain)
 
@@ -99,7 +101,7 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray):
         raise ValueError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
-    probs = softmax(scores, axis=-1)
+    probs = softmax(scores)
     out = probs @ v
     return out, (q, k, v, probs, scale)
 

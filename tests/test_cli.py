@@ -177,7 +177,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("target", ["checkpoint", "embeddings"])
     def test_shape_past_int64_exits_2_naming_the_tensor(self, small_csv, trained, tmp_path,
                                                          capsys, target):
-        # a 2**32 x 2**32 tensor's size wrapped to 0 in an int64 product, passed the
+        # a tensor of 2**65 values wrapped to size 0 in an int64 product, passed the
         # length check and failed in a reshape naming neither the file nor the tensor
         from memefuse.model import ModelVariant, _param_shapes
 
@@ -186,9 +186,9 @@ class TestMalformedInput:
             path = tmp_path / "huge.ckpt"
             variant = ModelVariant("imgsen", bilstm_layers=1, hidden=huge // 4, head_hidden=1)
             shapes = dict(_param_shapes(variant, huge))
-            assert shapes["bilstm.0.fwd.wx"] == (huge, huge)
+            assert shapes["bilstm.0.wx"] == (huge, 2, 4, huge // 4)
             # the wrapped tensor first, so no earlier tensor overruns the blob
-            names = ["bilstm.0.fwd.wx"] + sorted(set(shapes) - {"bilstm.0.fwd.wx"})
+            names = ["bilstm.0.wx"] + sorted(set(shapes) - {"bilstm.0.wx"})
             header = {"format": "memefuse-checkpoint",
                       "variant": {"kind": "imgsen", "bilstm_layers": 1,
                                   "hidden": huge // 4, "head_hidden": 1},
@@ -196,7 +196,7 @@ class TestMalformedInput:
                       "manifest": [{"name": k, "shape": list(shapes[k])} for k in names]}
             path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
             args = ["--checkpoint", str(path)]
-            tensor = "bilstm.0.fwd.wx"
+            tensor = "bilstm.0.wx"
         else:
             emb = tmp_path / "emb"
             emb.mkdir()
@@ -384,8 +384,26 @@ class TestTrain:
         rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgsen",
                        "--epochs", "1", "--checkpoint", str(ckpt), "--lr", "1e308"])
         assert rc == 3
-        assert "non-finite parameter bilstm.0.fwd.wx after step 1" in capsys.readouterr().err
+        assert "non-finite parameter bilstm.0.wx after step 1" in capsys.readouterr().err
         assert not ckpt.exists() and not ckpt.with_suffix(".history.jsonl").exists()
+
+
+def _per_direction_manifest(header):
+    """``header`` with each trunk tensor listed as checkpoints listed it before
+    the trunk layout: per direction, packed gates, bilstm.{i}.{fwd,bwd}.{wx,wh,b}
+    of shapes (d, 4H), (H, 4H), (4H,)."""
+    manifest = []
+    for entry in header["manifest"]:
+        name, shape = entry["name"], entry["shape"]
+        if not name.startswith("bilstm."):
+            manifest.append(entry)
+            continue
+        layer, tensor = name.rsplit(".", 1)
+        hidden = shape[-1]
+        packed = {"wx": [shape[0], 4 * hidden], "wh": [hidden, 4 * hidden], "b": [4 * hidden]}
+        manifest += [{"name": f"{layer}.{direction}.{tensor}", "shape": packed[tensor]}
+                     for direction in ("fwd", "bwd")]
+    return {**header, "manifest": sorted(manifest, key=lambda entry: entry["name"])}
 
 
 class TestEval:
@@ -457,10 +475,13 @@ class TestEval:
                     + [{**h["manifest"][-1], "shape": h["manifest"][-1]["shape"][::-1]}]},
          "tensor 'head.sentiment.w2' has shape"),
         (lambda h: {**h, "variant": {**h["variant"], "bilstm_layers": 10**9}},
-         "lacks tensor 'bilstm.2.fwd.wx'"),
+         "lacks tensor 'bilstm.2.wx'"),
+        (lambda h: {**h, "seed": -1}, "field 'seed' must be a non-negative integer"),
+        (lambda h: {**h, "epoch": -1}, "field 'epoch' must be a non-negative integer"),
+        (_per_direction_manifest, "lacks tensor 'bilstm.0.wx'"),
     ], ids=["extra-variant-key", "no-manifest", "variant-string", "list-header",
             "negative-shape", "missing-tensor", "unexpected-tensor", "wrong-shape",
-            "absurd-layer-count"])
+            "absurd-layer-count", "negative-seed", "negative-epoch", "per-direction-layout"])
     def test_malformed_checkpoint_header_exits_2(self, small_csv, trained, tmp_path,
                                                  capsys, defect, field):
         header_line, blob = trained.read_bytes().split(b"\n", 1)

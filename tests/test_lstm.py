@@ -13,6 +13,27 @@ def _params(rng, d_in, hidden):
     }
 
 
+# The cell packs its gates i, f, g, o; the trunk orders them i, f, o, g.
+CELL_GATES = "ifgo"
+TRUNK_GATES = "ifog"
+
+
+def _trunk(fwd, bwd):
+    """Per-direction cell params (or their gradients) in the trunk's layout:
+    wx (d, 2, 4, H), wh (2, 4, H, H), b (2, 4, H), indexed direction (fwd,
+    bwd) by gate in TRUNK_GATES order, wh's blocks (H_in, H_out)."""
+    d_in, hidden = fwd["wx"].shape[0], fwd["wh"].shape[0]
+    out = {"wx": np.empty((d_in, 2, 4, hidden)), "wh": np.empty((2, 4, hidden, hidden)),
+           "b": np.empty((2, 4, hidden))}
+    for k, p in enumerate((fwd, bwd)):
+        for g, gate in enumerate(TRUNK_GATES):
+            cols = slice(CELL_GATES.index(gate) * hidden, (CELL_GATES.index(gate) + 1) * hidden)
+            out["wx"][:, k, g] = p["wx"][:, cols]
+            out["wh"][k, g] = p["wh"][:, cols]
+            out["b"][k, g] = p["b"][cols]
+    return out
+
+
 def test_cell_shapes_and_state_range():
     rng = np.random.default_rng(42)
     p = _params(rng, 5, 3)
@@ -85,41 +106,67 @@ def test_bilstm_matches_cell_loop(rows, monkeypatch):
     rng = np.random.default_rng(19)
     batch, length, d_in, hidden = 3, 5, 4, 2
     halves = {"fwd": _params(rng, d_in, hidden), "bwd": _params(rng, d_in, hidden)}
-    params = {f"{direction}.{k}": v for direction, p in halves.items() for k, v in p.items()}
+    params = _trunk(halves["fwd"], halves["bwd"])
     x = rng.normal(size=(batch, length, d_in))
     d_out = rng.normal(size=(batch, length, 2 * hidden))
     out, cache = lstm.bilstm_forward(x, params)
     dx, dp = lstm.bilstm_backward(d_out, cache)
 
     want_dx = np.zeros_like(x)
+    want_dp = {}
     orders = {"fwd": range(length), "bwd": range(length - 1, -1, -1)}
     for k, (direction, p) in enumerate(halves.items()):
         half = slice(k * hidden, (k + 1) * hidden)
-        hs, dx_half, dp_half = _cell_loop(x, p, d_out[..., half], orders[direction])
+        hs, dx_half, want_dp[direction] = _cell_loop(x, p, d_out[..., half], orders[direction])
         np.testing.assert_allclose(out[..., half], hs, rtol=0, atol=1e-12, err_msg=direction)
         want_dx += dx_half
-        for name in p:
-            np.testing.assert_allclose(dp[f"{direction}.{name}"], dp_half[name], rtol=0,
-                                       atol=1e-12, err_msg=f"{direction}.{name}")
+    want = _trunk(want_dp["fwd"], want_dp["bwd"])
+    assert sorted(dp) == sorted(want)
+    for name in want:
+        assert dp[name].shape == want[name].shape, name
+        np.testing.assert_allclose(dp[name], want[name], rtol=0, atol=1e-12, err_msg=name)
     np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
 
 
 def test_bilstm_output_layout():
     rng = np.random.default_rng(13)
     d_in, hidden = 3, 2
-    params = lstm.init_bilstm_params(d_in, hidden, rng, dtype=np.float64)
+    fwd = lstm.init_lstm_params(d_in, hidden, rng, dtype=np.float64)
+    bwd = lstm.init_lstm_params(d_in, hidden, rng, dtype=np.float64)
     x = rng.normal(size=(1, 5, d_in))
-    out, _ = lstm.bilstm_forward(x, params)
+    out, _ = lstm.bilstm_forward(x, _trunk(fwd, bwd))
     assert out.shape == (1, 5, 2 * hidden)
     no_grad = np.zeros((1, 5, hidden))
     # forward half equals a plain forward LSTM over x
-    fwd = {k[4:]: v for k, v in params.items() if k.startswith("fwd.")}
     hs_f, _, _ = _cell_loop(x, fwd, no_grad, range(5))
     np.testing.assert_allclose(out[..., :hidden], hs_f, atol=1e-12)
     # backward half at row t is the reversed pass after reading x[t:]
-    bwd = {k[4:]: v for k, v in params.items() if k.startswith("bwd.")}
     hs_b, _, _ = _cell_loop(x[:, ::-1, :], bwd, no_grad, range(5))
     np.testing.assert_allclose(out[:, 0, hidden:], hs_b[:, -1, :], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_draws_cells_forward_first_in_trunk_layout(dtype):
+    # the random stream of two init_lstm_params draws, forward first, laid
+    # out by the documented permutation; contiguous, so a finite-difference
+    # check that perturbs entries through reshape(-1) perturbs the weights
+    params = lstm.init_bilstm_params(3, 2, np.random.default_rng(21), dtype=dtype)
+    rng = np.random.default_rng(21)
+    fwd = lstm.init_lstm_params(3, 2, rng, dtype=dtype)
+    bwd = lstm.init_lstm_params(3, 2, rng, dtype=dtype)
+    want = _trunk(fwd, bwd)
+    assert sorted(params) == sorted(want)
+    for name, v in params.items():
+        assert v.dtype == dtype and v.flags.c_contiguous, name
+        np.testing.assert_array_equal(v, want[name].astype(dtype), err_msg=name)
+
+
+def test_forward_multiplies_the_parameters_in_place():
+    # the cache holds the weights themselves: no per-call copy or permutation
+    rng = np.random.default_rng(25)
+    params = lstm.init_bilstm_params(3, 2, rng, dtype=np.float64)
+    _, (*_, wx, wh) = lstm.bilstm_forward(rng.normal(size=(2, 4, 3)), params)
+    assert np.shares_memory(wx, params["wx"]) and np.shares_memory(wh, params["wh"])
 
 
 def test_layer_zero_skips_dx():
@@ -155,8 +202,7 @@ def test_palindrome_symmetry_with_tied_directions():
     one = lstm.init_lstm_params(3, 2, rng, dtype=np.float64)
     x = rng.normal(size=(3, 3))
     pal = np.concatenate([x, x[::-1][1:]], axis=0)  # length 5 palindrome
-    tied = {f"{direction}.{k}": v for direction in ("fwd", "bwd") for k, v in one.items()}
-    batched, _ = lstm.bilstm_forward(pal[None], tied)
+    batched, _ = lstm.bilstm_forward(pal[None], _trunk(one, one))
     out = batched[0]
     length, hidden = pal.shape[0], 2
     for t in range(length):

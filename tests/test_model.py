@@ -406,7 +406,7 @@ class TestCheckpoint:
     #   v = ModelVariant('capsen', 2, 4, 3); save_checkpoint('m.ckpt', v,
     #   init_classifier_params(v, 6, np.random.default_rng(5)), 7, 3);
     #   print(hashlib.sha256(open('m.ckpt', 'rb').read()).hexdigest())"
-    CHECKPOINT_SHA256 = "ae24a64132f2052aff4f7798f9f5946a24ea8e4d87170b4a84d405e3c1f851f5"
+    CHECKPOINT_SHA256 = "12ffefcee2ead240132a1db80dfc77e567b19bdb60d1f39ba55f2c0023999468"
 
     def test_bytes_pinned(self, tmp_path):
         variant = ModelVariant("capsen", bilstm_layers=2, hidden=4, head_hidden=3)
@@ -414,6 +414,20 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         model.save_checkpoint(path, variant, params, seed=7, epoch=3)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CHECKPOINT_SHA256
+
+    def test_trunk_tensors_load_contiguous_in_trunk_layout(self, tmp_path):
+        # bilstm_forward multiplies the loaded arrays as they lie
+        variant = ModelVariant("imgtxt", bilstm_layers=2, hidden=3, head_hidden=2)
+        params = model.init_classifier_params(variant, 5, np.random.default_rng(43))
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, variant, params, seed=0, epoch=1)
+        _, loaded, _ = model.load_checkpoint(path)
+        for i, width in enumerate((5, 6)):
+            shapes = {"wx": (width, 2, 4, 3), "wh": (2, 4, 3, 3), "b": (2, 4, 3)}
+            for name, shape in shapes.items():
+                for source in (params, loaded):
+                    arr = source[f"bilstm.{i}.{name}"]
+                    assert arr.shape == shape and arr.flags.c_contiguous, (i, name)
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -94,8 +94,10 @@ def test_a_wrapper_called_only_by_an_unused_wrapper_is_reported(tmp_path):
 # package; 108 before the encoder sizes became constants, 94 before the
 # captioner sizes became constants, 85 before the attention mask went, 81
 # before fusion's d_target keyword and the four LabelSet fields went, 76
-# before `_add_common`'s `dataset` and `CleanText.original` went.
-SETTABLE_BUDGET = 72
+# before `_add_common`'s `dataset` and `CleanText.original` went, 72 before
+# the `axis` of `softmax` and `softmax_backward` and `layernorm_forward`'s
+# `eps` went.
+SETTABLE_BUDGET = 69
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
