@@ -2,9 +2,11 @@
 
 Synthetic rows are drawn on the segment between a class member and one
 of its k nearest same-class neighbors: s = x + lambda (x_nn - x) with
-lambda uniform in [0, 1].  They are written into rows the caller
-provides, INTERP_BLOCK at a time, so the scratch does not grow with the
-deficit.
+lambda uniform in [0, 1].  A class is read from the caller's features
+by row index, and float64 exists only in blocks cast from the rows they
+read, so no float64 buffer grows with the class or its deficit; the
+synthetic rows are written into rows the caller provides, INTERP_BLOCK
+at a time.
 """
 
 from __future__ import annotations
@@ -30,28 +32,38 @@ def knn_indices(points: np.ndarray, query_index: int, k: int) -> np.ndarray:
     return order[:k]
 
 
-# Distinct query rows per Gram block: every (block, distinct rows)
-# temporary of the shortlist is bounded by this many rows.
-GRAM_BLOCK = 512
-# Elements per chunk of the exact rerank's differences (4 MB of float64).
-RERANK_ELEMENTS = 1 << 19
+# Distinct rows per Gram tile, queries and candidates alike: each tile's
+# float64 operands are this many rows (1.5 MB each at width 1536).
+GRAM_BLOCK = 128
+# Elements per chunk of the exact rerank's pair blocks (512 KB of float64).
+RERANK_ELEMENTS = 1 << 16
 # Synthetic rows interpolated together: the float64 scratch of a class is
-# bounded by this many rows, whatever its deficit.
-INTERP_BLOCK = 256
+# bounded by this many rows, whatever its size or deficit.
+INTERP_BLOCK = 64
 _UNIT_ROUNDOFF = 2.0 ** -53
 _NORM_GUARD = np.finfo(np.float64).max / 16
 
 
-def _group_rows(points: np.ndarray):
-    """Group identical rows by their bytes.
+def _gather(points: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """points[rows] cast to out's dtype (exactly, for float32 into float64),
+    written into out's first len(rows) rows; that slice is returned."""
+    block = out[:len(rows)]
+    block[...] = points[rows]
+    return block
+
+
+def _group_rows(points: np.ndarray, rows: np.ndarray):
+    """Group identical rows points[rows[i]] by their bytes.
 
     Returns (members, starts, counts): ``members[starts[g]:starts[g] +
-    counts[g]]`` are the rows of group g in ascending order, and groups
-    are numbered in order of first appearance.
+    counts[g]]`` are the positions i in ``rows`` of group g in ascending
+    order, and groups are numbered in order of first appearance.  A cast
+    from float32 to float64 is exact and injective, so float32 rows group
+    as their float64 casts would.
     """
     first: dict = {}
-    group = np.fromiter((first.setdefault(row.tobytes(), len(first)) for row in points),
-                        dtype=np.intp, count=len(points))
+    group = np.fromiter((first.setdefault(points[i].tobytes(), len(first)) for i in rows),
+                        dtype=np.intp, count=len(rows))
     counts = np.bincount(group)
     return np.argsort(group, kind="stable"), np.cumsum(counts) - counts, counts
 
@@ -63,8 +75,9 @@ def _expand(members, starts, counts):
     return members[starts[owner] + offset], owner
 
 
-def _norm_bounds(distinct: np.ndarray):
-    """Squared norms shifted down and up by a rounding slack, and rows with no bound.
+def _norm_bounds(points: np.ndarray, distinct: np.ndarray):
+    """Squared norms of the rows points[distinct], shifted down and up by a
+    rounding slack, and the rows with no bound.
 
     For rows a, b with computed squared norms na ~ A = |a|^2, nb ~ B = |b|^2
     and BLAS dot product p ~ P = a.b, the shortlist evaluates
@@ -74,7 +87,8 @@ def _norm_bounds(distinct: np.ndarray):
 
     With unit roundoff u and gamma_n = n u / (1 - n u) (Higham, *Accuracy
     and Stability of Numerical Algorithms*, ch. 3), each bound below holds
-    for any summation order, so also for BLAS and numpy's pairwise sums.
+    for any summation order, so also for BLAS and numpy's pairwise sums,
+    and for any tiling of the norms and the Gram product.
     Let D = A + B - 2P = sum_j (a_j - b_j)^2 exactly.
 
     - |na - A| <= gamma_d A, |nb - B| <= gamma_d B and |p - P| <=
@@ -93,53 +107,98 @@ def _norm_bounds(distinct: np.ndarray):
     E), each off by at most 2^-1075 (doubled in 2p); tiny covers them.
     Below _NORM_GUARD nothing overflows (|p| <= (na + nb) / 2 and
     D <= 2 (A + B)); rows whose norm is not below it get no bound.
+    The rows are cast to float64 GRAM_BLOCK at a time.
     """
-    d = distinct.shape[1]
+    d = points.shape[1]
     n = 5 * d + 8
     rel = 2.0 * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    norms = np.empty(len(distinct))
+    block = np.empty((min(GRAM_BLOCK, len(distinct)), d))
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.einsum("ij,ij->i", distinct, distinct)
+        for lo in range(0, len(distinct), GRAM_BLOCK):
+            rows = _gather(points, distinct[lo:lo + GRAM_BLOCK], block)
+            norms[lo:lo + len(rows)] = np.einsum("ij,ij->i", rows, rows)
         slack = rel * norms + 16.0 * (d + 1) * 2.0 ** -1074
         return norms - slack, norms + slack, ~(norms < _NORM_GUARD)
 
 
-def _shortlist(distinct, bounds, counts, lo, hi, k):
-    """(query, candidate) pairs of distinct rows for queries lo..hi-1.
+def _shortlist(points, distinct, bounds, counts, k):
+    """(query, candidate) pairs of distinct rows, ordered by query.
 
     Keeps every distinct row whose lower bound on the exact distance is at
     most the (k+1)-th smallest upper bound, counting each distinct row
     once per copy and including the query's own group (distance exactly
     0).  At least k copies other than the query itself lie within that
     threshold, so no row beyond it can be among the k nearest.
+
+    The Gram matrix is formed in tiles of GRAM_BLOCK by GRAM_BLOCK
+    distinct rows, each once: _norm_bounds' slack is symmetric in the two
+    rows, so a tile's bounds hold with either block as the queries, and
+    the tile serves both.  Each query carries its k+1 smallest upper
+    bounds so far (each distinct row stands for at least one copy, so the
+    threshold lies among them); a tile keeps the pairs within the
+    threshold so far, which only falls, and the kept pairs are cut to the
+    final threshold at the end.
     """
     low, high, unbounded = bounds
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower = distinct[lo:hi] @ distinct.T
-        lower *= -2.0
-        upper = lower + high[lo:hi, None]
-        upper += high
-        lower += low[lo:hi, None]
-        lower += low
-    lower[:, unbounded] = lower[unbounded[lo:hi]] = -np.inf
-    upper[:, unbounded] = upper[unbounded[lo:hi]] = np.inf
-    own = (np.arange(hi - lo), np.arange(lo, hi))
-    lower[own] = upper[own] = 0.0
-    # (k+1)-th smallest upper bound with multiplicity: it lies among the k+1
-    # smallest distinct rows, since each stands for at least one copy
-    kk = min(k, upper.shape[1] - 1)
-    near = np.argpartition(upper, kk, axis=1)[:, :kk + 1]
-    near_upper = np.take_along_axis(upper, near, axis=1)
-    order = np.argsort(near_upper, axis=1)
-    covered = np.cumsum(counts[np.take_along_axis(near, order, axis=1)], axis=1)
-    reach = np.argmax(covered > k, axis=1)
-    threshold = np.take_along_axis(near_upper, order, axis=1)[own[0], reach]
-    return np.nonzero(lower <= threshold[:, None])
+    n = len(distinct)
+    best = np.full((n, k + 1), np.inf)
+    best_counts = np.zeros(best.shape, dtype=counts.dtype)
+    threshold = np.full(n, np.inf)
+    kept = []
+
+    def keep(queries, cands, lower, upper):
+        """Fold a tile's upper bounds into best, then keep its pairs within
+        the threshold."""
+        pool = np.hstack([best[queries], upper])
+        pool_counts = np.hstack([best_counts[queries],
+                                 np.broadcast_to(counts[cands], upper.shape)])
+        near = np.argpartition(pool, k, axis=1)[:, :k + 1]
+        near = np.take_along_axis(near, np.argsort(np.take_along_axis(pool, near, axis=1),
+                                                   axis=1), axis=1)
+        best[queries] = np.take_along_axis(pool, near, axis=1)
+        best_counts[queries] = np.take_along_axis(pool_counts, near, axis=1)
+        covered = np.cumsum(best_counts[queries], axis=1) > k
+        reach = np.argmax(covered, axis=1)
+        threshold[queries] = np.where(covered[:, -1],
+                                      best[queries][np.arange(len(reach)), reach], np.inf)
+        q, c = np.nonzero(lower <= threshold[queries, None])
+        kept.append((queries.start + q, cands.start + c, lower[q, c]))
+
+    left = np.empty((min(GRAM_BLOCK, n), points.shape[1]))
+    right = np.empty_like(left)
+    for lo in range(0, n, GRAM_BLOCK):
+        a = slice(lo, min(lo + GRAM_BLOCK, n))
+        rows_a = _gather(points, distinct[a], left)
+        for c_lo in range(lo, n, GRAM_BLOCK):
+            b = slice(c_lo, min(c_lo + GRAM_BLOCK, n))
+            rows_b = rows_a if b == a else _gather(points, distinct[b], right)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lower = rows_a @ rows_b.T
+                lower *= -2.0
+                upper = lower + high[a, None]
+                upper += high[b]
+                lower += low[a, None]
+                lower += low[b]
+            lower[unbounded[a]] = lower[:, unbounded[b]] = -np.inf
+            upper[unbounded[a]] = upper[:, unbounded[b]] = np.inf
+            if b == a:
+                np.fill_diagonal(lower, 0.0)
+                np.fill_diagonal(upper, 0.0)
+            keep(a, b, lower, upper)
+            if b != a:
+                keep(b, a, lower.T, upper.T)
+    query, cand, bound = (np.concatenate(part) for part in zip(*kept))
+    inside = bound <= threshold[query]
+    order = np.argsort(query[inside], kind="stable")
+    return query[inside][order], cand[inside][order]
 
 
-def _exact_d2(points, queries, candidates):
-    """knn_indices' squared distance for each (query, candidate) pair.
+def _exact_d2(points, distinct, queries, candidates):
+    """knn_indices' squared distance for each (query, candidate) pair of
+    rows points[distinct[...]].
 
-    The pairs' rows are gathered into two float64 buffers of at most
+    The pairs' rows are cast into two float64 buffers of at most
     RERANK_ELEMENTS, reused from chunk to chunk.
     """
     out = np.empty(len(queries))
@@ -148,42 +207,48 @@ def _exact_d2(points, queries, candidates):
     rows = np.empty_like(diff)
     for lo in range(0, len(queries), step):
         part = slice(lo, lo + step)
-        n = len(queries[part])
-        # mode="clip" (the indices are in range) lets take write to out unbuffered
-        np.take(points, candidates[part], axis=0, out=diff[:n], mode="clip")
-        np.take(points, queries[part], axis=0, out=rows[:n], mode="clip")
-        np.subtract(diff[:n], rows[:n], out=diff[:n])
-        np.square(diff[:n], out=diff[:n])
-        out[part] = np.sum(diff[:n], axis=1)
+        block = _gather(points, distinct[candidates[part]], diff)
+        block -= _gather(points, distinct[queries[part]], rows)
+        np.square(block, out=block)
+        out[part] = np.sum(block, axis=1)
     return out
 
 
-def _neighbor_table(points: np.ndarray, k: int):
-    """(table, d2): row i of table is knn_indices(points, i, k) for every i,
-    and d2[i, j] is knn_indices' squared distance from row i to table[i, j].
+def _neighbor_table(points: np.ndarray, k: int, rows: np.ndarray | None = None):
+    """(table, d2) for the class of rows points[rows] (default: every row),
+    numbered 0..m-1 in that order: row i of table is knn_indices(class, i,
+    k) for every i, and d2[i, j] is knn_indices' squared distance from row
+    i to table[i, j], with the class cast to float64.
 
     Same metric (squared Euclidean, float64, the same expression) and tie
-    rule (lower index first).  Identical rows are grouped by their bytes,
-    since they share every distance; the distinct rows are shortlisted
-    from Gram-form distances, one GEMM per GRAM_BLOCK queries, under a
-    rounding bound that keeps every row the exact metric could rank in
-    the first k; the shortlist is then ranked by the exact metric.  Rows
-    must be finite.  knn_indices ranks row i itself at distance inf, so
-    a row lists itself only when distances overflow, and d2 is inf there.
+    rule (lower index first).  The class is never copied: float64 exists
+    only in blocks cast from rows gathered by index (float32 to float64
+    is exact, so a float32 class gives the bytes of its float64 cast).
+    Identical rows are grouped by their bytes, since they share every
+    distance; the distinct rows are shortlisted from Gram-form distances,
+    one GEMM per tile of GRAM_BLOCK queries by GRAM_BLOCK candidates,
+    under a rounding bound that keeps every row the exact metric could
+    rank in the first k; the shortlist is then ranked by the exact
+    metric.  Rows must be finite.  knn_indices ranks row i itself at
+    distance inf, so a row lists itself only when distances overflow, and
+    d2 is inf there.
     """
-    points = np.asarray(points, dtype=np.float64)
-    m = points.shape[0]
+    points = np.asarray(points)
+    rows = np.arange(len(points)) if rows is None else np.asarray(rows)
+    m = len(rows)
     if k >= m:
         raise ValueError(f"k={k} needs at least {k + 1} points, have {m}")
-    members, starts, counts = _group_rows(points)
-    distinct = points[members[starts]]
-    bounds = _norm_bounds(distinct)
+    members, starts, counts = _group_rows(points, rows)
+    distinct = rows[members[starts]]
+    bounds = _norm_bounds(points, distinct)
     table = np.empty((m, k), dtype=np.intp)
     table_d2 = np.empty((m, k))
+    shortlist = _shortlist(points, distinct, bounds, counts, k)
     for lo in range(0, len(distinct), GRAM_BLOCK):
         hi = min(lo + GRAM_BLOCK, len(distinct))
-        query, cand = _shortlist(distinct, bounds, counts, lo, hi, k)
-        d2 = _exact_d2(distinct, lo + query, cand)
+        part = slice(*np.searchsorted(shortlist[0], [lo, hi]))
+        query, cand = shortlist[0][part] - lo, shortlist[1][part]
+        d2 = _exact_d2(points, distinct, lo + query, cand)
         # every copy of each candidate, ranked per query by (distance, index)
         idx, pair = _expand(members, starts[cand], counts[cand])
         owner = query[pair]
@@ -205,14 +270,15 @@ def _neighbor_table(points: np.ndarray, k: int):
     return table, table_d2
 
 
-def _interpolate(members: np.ndarray, pick: np.ndarray, near: np.ndarray,
+def _interpolate(points: np.ndarray, pick: np.ndarray, near: np.ndarray,
                  lam: np.ndarray, grown: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x + lam (x_nn - x) in that order, so each row's bytes are those of the
+    """x + lam (x_nn - x) in that order, x = points[pick] and x_nn =
+    points[near] cast to float64, so each row's bytes are those of the
     same expression on one row; ``grown`` and ``x`` are float64 scratch of
-    len(pick) rows, and ``grown`` is returned."""
-    # mode="clip" (the indices are in range) lets take write to out unbuffered
-    np.take(members, near, axis=0, out=grown, mode="clip")
-    np.take(members, pick, axis=0, out=x, mode="clip")
+    at least len(pick) rows, and ``grown``'s first len(pick) rows are
+    returned."""
+    grown = _gather(points, near, grown)
+    x = _gather(points, pick, x)
     grown -= x
     grown *= lam[:, None]
     grown += x
@@ -225,13 +291,15 @@ def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k
     ``dest``; return their labels.
 
     Draw order per synthetic row: class member, then neighbor, then
-    lambda, all from one stream seeded by seed.  Each class's members are
+    lambda, all from one stream seeded by seed.  A class is the indices
+    of its rows in ``features``, never a copy of them: its neighbor table
+    reads them by index (_neighbor_table), and its members are
     interpolated in float64 with min(k, members - 1) neighbors,
-    INTERP_BLOCK rows at a time in two scratch blocks allocated once per
-    class, and each block is cast to dest's dtype as astype would.  A
-    class whose neighbor table lists a distance that overflows, as the
-    table's own distances show, raises NumericError naming its lowest
-    such row.
+    INTERP_BLOCK rows at a time, each block cast from the rows it reads
+    into two scratch blocks allocated once per class and then cast to
+    dest's dtype as astype would.  A class whose neighbor table lists a
+    distance that overflows, as the table's own distances show, raises
+    NumericError naming its lowest such row.
     """
     total = sum(deficits.values())
     if dest.shape != (total, features.shape[1]):
@@ -248,13 +316,14 @@ def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k
         if len(member_idx) < 2:
             raise ValueError(f"class {cls!r} has {len(member_idx)} member(s); need 2 to interpolate")
         kk = min(k, len(member_idx) - 1)
-        members = features[member_idx].astype(np.float64, copy=False)
-        finite = np.isfinite(members).all(axis=1)
-        if not finite.all():
-            raise NumericError(f"class {cls!r}: non-finite feature in row "
-                               f"{int(member_idx[np.argmin(finite)])}")
+        for lo in range(0, len(member_idx), INTERP_BLOCK):
+            rows = member_idx[lo:lo + INTERP_BLOCK]
+            finite = np.isfinite(features[rows]).all(axis=1)
+            if not finite.all():
+                raise NumericError(f"class {cls!r}: non-finite feature in row "
+                                   f"{int(rows[np.argmin(finite)])}")
         with np.errstate(over="ignore"):  # overflow is reported just below
-            neighbors, d2 = _neighbor_table(members, kk)
+            neighbors, d2 = _neighbor_table(features, kk, member_idx)
         overflows = np.isinf(d2).any(axis=1)
         if overflows.any():
             row = int(member_idx[np.argmax(overflows)])
@@ -267,12 +336,12 @@ def smote_oversample(features: np.ndarray, labels: np.ndarray, deficits: dict, k
             pick[r] = rng.integers(len(member_idx))
             near[r] = neighbors[pick[r]][int(rng.integers(kk))]
             lam[r] = rng.uniform()
-        grown = np.empty((min(INTERP_BLOCK, deficit), members.shape[1]))
+        grown = np.empty((min(INTERP_BLOCK, deficit), features.shape[1]))
         x = np.empty_like(grown)
         for lo in range(0, deficit, INTERP_BLOCK):
             hi = min(lo + INTERP_BLOCK, deficit)
-            dest[start + lo:start + hi] = _interpolate(members, pick[lo:hi], near[lo:hi],
-                                                       lam[lo:hi], grown[:hi - lo], x[:hi - lo])
+            dest[start + lo:start + hi] = _interpolate(
+                features, member_idx[pick[lo:hi]], member_idx[near[lo:hi]], lam[lo:hi], grown, x)
         row_labels[start:start + deficit] = cls
         start += deficit
     return row_labels

@@ -166,6 +166,10 @@ def cmd_eval(args) -> int:
     config = _preprocess_config(args)
     tokens_by_id = _tokens_for(parts.test, config)
     features = _corpus_features(parts.test, tokens_by_id, variant.kind, args, 0)
+    width = params["bilstm.0.wx"].shape[0]
+    if features.shape[2] != width:
+        raise ValueError(f"checkpoint {args.checkpoint} takes features of width {width}; "
+                         f"eval built features of width {features.shape[2]}")
     gold = labels_from_records(parts.test)
     probs = predict_proba(variant, features, params)
     preds = {task: np.argmax(probs[task], axis=1) for task in TASKS}

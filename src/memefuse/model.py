@@ -233,11 +233,26 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int,
             raise NumericError(f"non-finite gradient for {name}")
         m = state["m"][name]
         v = state["v"][name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
+        # m += (1 - beta1) (g - m), v += (1 - beta2) (g g - v) and
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), operation by operation
+        # in that order, in place; the quotient needs its numerator (step)
+        # and its denominator (scratch) at once
+        scratch = np.subtract(g, m)
+        scratch *= 1.0 - beta1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch -= v
+        scratch *= 1.0 - beta2
+        v += scratch
         # an overflow is reported below, by name, not as a RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += eps
+            step = m / bc1
+            step *= lr
+            step /= scratch
+            p -= step
         if not np.all(np.isfinite(p)):
             raise NumericError(f"non-finite parameter {name} after step {t}")
     return params, state

@@ -58,7 +58,7 @@ class FeatureSpace:
     projections: dict
 
 
-def build_feature_space(seed: int = 0) -> FeatureSpace:
+def build_feature_space(seed: int) -> FeatureSpace:
     proj_rng = rng_for(seed, "sentence_projection")
     return FeatureSpace(
         image_params=init_image_encoder_params(seed),
@@ -68,9 +68,11 @@ def build_feature_space(seed: int = 0) -> FeatureSpace:
 
 
 def toy_image(record_id: str) -> np.ndarray:
-    """Deterministic pixel stand-in for a record whose image file is absent."""
-    rng = rng_for(0, f"toy_image.{record_id}")
-    return rng.uniform(size=IMAGE_HW + (IMAGE_CHANNELS,)).astype(np.float32)
+    """Deterministic pixel stand-in for a record whose image file is absent:
+    a uniform [0, 1) draw, rounded to float32 by assigning it."""
+    pixels = np.empty(IMAGE_HW + (IMAGE_CHANNELS,), dtype=np.float32)
+    pixels[...] = rng_for(0, f"toy_image.{record_id}").random(size=pixels.shape)
+    return pixels
 
 
 def _toy_images(ids: list, pixels: np.ndarray) -> np.ndarray:

@@ -85,6 +85,25 @@ class TestNeighborTable:
             np.testing.assert_array_equal(d2, _listed_d2(points, np.array(oracle)),
                                           err_msg=f"{family}, seed {seed}")
 
+    @pytest.mark.parametrize("family", ["large_offset", "integer_grid", "equidistant",
+                                        "duplicate_heavy", "signed_zeros", "float32_scaled"])
+    def test_float32_rows_by_index_match_their_float64_cast(self, family):
+        # the class as float32 rows read by index from a larger array, between
+        # rows of other classes, gives the bytes of the same rows cast to
+        # float64 and passed whole
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 9))
+            points = _family(family, rng, k).astype(np.float32)
+            mixed = rng.normal(size=(2 * len(points) + 3, points.shape[1])).astype(np.float32)
+            rows = np.sort(rng.choice(len(mixed), size=len(points), replace=False))
+            mixed[rows] = points
+            table, d2 = balance._neighbor_table(mixed, k, rows)
+            expected, expected_d2 = balance._neighbor_table(points.astype(np.float64), k)
+            assert table.dtype == expected.dtype and d2.dtype == expected_d2.dtype
+            assert table.tobytes() == expected.tobytes(), f"{family}, seed {seed}"
+            assert d2.tobytes() == expected_d2.tobytes(), f"{family}, seed {seed}"
+
     def test_block_and_chunk_sizes_change_nothing(self, monkeypatch):
         rng = np.random.default_rng(21)
         points = np.vstack([rng.integers(-1, 2, size=(40, 3)).astype(np.float64)] * 2)

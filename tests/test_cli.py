@@ -552,6 +552,34 @@ class TestEmbeddingsPath:
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, REPORT_SCHEMA)
 
+    def test_eval_features_of_another_width_exit_2(self, small_csv, tmp_path, capsys):
+        # trained on 12-wide imported vectors, evaluated on the toy encoders'
+        # 768-wide ones: the checkpoint and both widths are named
+        from memefuse.dataset import Schema, load_dataset
+        from memefuse import bundled_data
+        from memefuse.tensorfile import export_embeddings
+
+        records = load_dataset(small_csv, Schema.from_json(
+            bundled_data("memotion_schema.json")))
+        rng = np.random.default_rng(0)
+        emb = tmp_path / "emb"
+        emb.mkdir()
+        for name in ("text_sentence", "caption_sentence"):
+            export_embeddings(emb / f"{name}.emb",
+                              {r.id: rng.normal(size=12).astype(np.float32) for r in records},
+                              kind="vector")
+        ckpt = tmp_path / "cap.ckpt"
+        assert cli.main(["train", "--dataset", str(small_csv), "--variant", "capsen",
+                         "--epochs", "1", "--checkpoint", str(ckpt),
+                         "--embeddings", str(emb)]) == 0
+        capsys.readouterr()  # drop the train summary
+        rc = cli.main(["eval", "--dataset", str(small_csv), "--checkpoint", str(ckpt)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: checkpoint {ckpt} takes features of width 12; "
+                                "eval built features of width 768\n")
+
     @pytest.mark.parametrize("variant, exchange, kind, shape", [
         ("capsen", "text_sentence", "sequence", (3, 12)),
         ("imgsen", "image", "vector", (12,)),

@@ -495,7 +495,7 @@ class TestBuildTrainingSet:
             build_training_set(features, labels, k=3, seed=0)
 
     def test_default_block_boundaries_change_nothing(self, monkeypatch):
-        # a deficit of 570 rows spans three INTERP_BLOCK blocks
+        # a deficit of 570 rows spans nine INTERP_BLOCK blocks
         feats, labels = _toy_imbalanced(n_major=600, n_minor=30)
         blocked = build_training_set(_with_room(feats, labels), labels, k=3, seed=5)
         monkeypatch.setattr(balance, "INTERP_BLOCK", 1)
@@ -518,6 +518,24 @@ class TestBuildTrainingSet:
                 tracemalloc.stop()
 
         assert peak(8 * 300) <= 1.25 * peak(300)
+
+    def test_balancing_scratch_does_not_grow_with_the_class(self):
+        # a class is read from the input by index and cast to float64 only in
+        # blocks of bounded rows, so a 4x larger minority class (each size
+        # above one Gram tile) with the same deficit leaves the traced peak
+        # above the input array nearly flat
+        def peak(members):
+            feats, labels = _toy_imbalanced(n_major=members + 100, n_minor=members, length=2,
+                                            width=384)
+            room = _with_room(feats, labels)
+            tracemalloc.start()
+            try:
+                build_training_set(room, labels, k=3, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * 200) <= 1.25 * peak(200)
 
     def test_synthetics_lie_between_members(self):
         # every synthetic coordinate stays inside the minority bounding box
