@@ -17,8 +17,8 @@ from .dataset import RowError, Schema, SchemaError, load_dataset, raw_tallies, s
 from .evalmetrics import build_report
 from .model import (ModelVariant, NumericError, TrainConfig, load_checkpoint,
                     predict_proba, save_checkpoint, save_history, train)
-from .pipeline import (build_feature_space, build_training_set, class_deficits, encode_corpus,
-                       exchange_names, fused_from_imported, labels_from_records)
+from .pipeline import (VARIANT_PARTS, build_feature_space, build_training_set, class_deficits,
+                       encode_corpus, fused_from_imported, labels_from_records)
 from .tensorfile import import_embeddings
 from .textprep import PreprocessConfig, load_lexicon, load_vocabulary, preprocess
 
@@ -63,7 +63,7 @@ def _corpus_features(records, tokens_by_id, kind, args, spare):
         root = _require(args.embeddings, "embeddings")
         # only the files the variant fuses are read
         mappings = {name: import_embeddings(_require(root / f"{name}.emb", "embeddings"))
-                    for name in exchange_names(kind)}
+                    for name in VARIANT_PARTS[kind]}
         return fused_from_imported(ids, kind, spare, seed=args.seed, **mappings)
     space = build_feature_space(seed=args.seed)
     return encode_corpus(ids, tokens_by_id, space, kind, spare)

@@ -2,10 +2,12 @@
 
 Toy encoders stand in for the pretrained image/text models: weights are
 derived from a seed and frozen, images are synthesized deterministically
-per record id when no real pixels are available.  Oversampling happens
-here, after encoding, on flattened fused sequences: the corpus is encoded
-into the first rows of the training set and each task's synthetic rows
-are written into the rows after them.
+per record id when no real pixels are available.  The three variants all
+reduce to stacking two embedding sequences along their row axis; a
+sentence vector is a one-row sequence.  Oversampling happens here, after
+encoding, on flattened fused sequences: the corpus is encoded into the
+first rows of the training set and each task's synthetic rows are written
+into the rows after them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ from .encode import (D_MODEL, IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, S
                      encode_ids, encode_image, generate_captions, init_caption_decoder_params,
                      init_image_encoder_params, init_text_encoder_params, pool_sentence,
                      text_ids)
-from .fusion import VARIANT_PARTS, assemble_variant_input, init_projection
 from .model import HEAD_ARITY, TrainSet
 from .seeds import derive_seed, rng_for
 
+# variant -> (first part, second part), each named by the exchange file
+# ({name}.emb) that can hold it; a *_sentence part is one vector per record
+VARIANT_PARTS = {
+    "imgtxt": ("image", "tokens"),
+    "imgsen": ("image", "text_sentence"),
+    "capsen": ("caption_sentence", "text_sentence"),
+}
 # variant -> (rows, width) of one record's fused features
 FUSED_SHAPES = {"imgtxt": (N_PATCHES + MAX_TOKENS, D_MODEL), "imgsen": (N_PATCHES + 1, D_MODEL),
                 "capsen": (2, SENTENCE_DIM)}
@@ -36,9 +44,6 @@ ENCODE_CHUNK = 256
 # records per fusion batch: the activations of one pass, not the corpus
 # tensor, set encoding's high-water mark.
 IMAGE_BLOCK = 64
-# fusion part -> the exchange file name that holds it
-EXCHANGE_NAMES = {"img": "image", "txt_tokens": "tokens", "txt_sentence": "text_sentence",
-                  "caption_sentence": "caption_sentence"}
 # the feature space's one projection: imgsen's sentence down to the image width
 SENTENCE_PROJECTION = f"{SENTENCE_DIM}to{D_MODEL}"
 
@@ -46,6 +51,38 @@ SENTENCE_PROJECTION = f"{SENTENCE_DIM}to{D_MODEL}"
 def _check_variant(kind: str) -> None:
     if kind not in VARIANT_PARTS:
         raise ValueError(f"unknown variant {kind!r}")
+
+
+def init_projection(d_in: int, d_out: int, rng: np.random.Generator,
+                    dtype=np.float32) -> np.ndarray:
+    return (rng.normal(size=(d_in, d_out)) / np.sqrt(d_in)).astype(dtype)
+
+
+def assemble_variant_input(first, second, projection=None) -> np.ndarray:
+    """Stack two (..., L, d) parts with the same batch axes along their row axis.
+
+    Each record of a batch fuses bit for bit as it does alone.  When the
+    widths differ, ``projection`` is one (d_from, d_to) matrix and its
+    shape decides which part it maps to the other's width; when they
+    agree it is not used.
+    """
+    a, b = np.asarray(first), np.asarray(second)
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"fusion needs two (..., L, d) parts with the same batch axes, "
+                         f"got shapes {a.shape} and {b.shape}")
+    da, db = a.shape[-1], b.shape[-1]
+    if da != db:
+        if projection is None:
+            raise ValueError(f"width mismatch: {da} vs {db}, and no projection to align them")
+        projection = np.asarray(projection)
+        if projection.shape == (da, db):
+            a = a @ projection
+        elif projection.shape == (db, da):
+            b = b @ projection
+        else:
+            raise ValueError(f"projection {projection.shape} maps neither width {da} to {db} "
+                             f"nor {db} to {da}")
+    return np.concatenate([a, b], axis=-2)
 
 
 @dataclass
@@ -83,7 +120,8 @@ def _toy_images(ids: list, pixels: np.ndarray) -> np.ndarray:
 
 
 def _text_encoder(space: FeatureSpace, sentences: bool):
-    """texts -> per-text token sequences, or 768-dim sentence vectors.
+    """texts -> per-text token sequences, or 768-dim sentence vectors as
+    one-row sequences.
 
     Each distinct clipped token tuple is encoded once over the encoder's
     life, and the new ones go through as one (G, L) batch per id count L,
@@ -101,36 +139,30 @@ def _text_encoder(space: FeatureSpace, sentences: bool):
         for group in by_length.values():
             ids = np.array([text_ids(key) for key in group])
             out = encode_ids(ids, params)
-            memo.update(zip(group, pool_sentence(out, params) if sentences else out))
+            memo.update(zip(group, pool_sentence(out, params)[:, None] if sentences else out))
         return [memo[key] for key in keys]
 
     return encode
 
 
-def _rows(arrays) -> tuple:
-    """Row counts of one record's parts; a sentence vector is one row."""
-    return tuple(len(a) if a.ndim == 2 else 1 for a in arrays)
-
-
-def _fuse(out: np.ndarray, kind: str, parts: dict, projection) -> None:
+def _fuse(out: np.ndarray, parts, projection) -> None:
     """Fuse one slice of records into ``out``, a zeroed (B, L, d) float32 slice.
 
-    ``parts`` maps each of the variant's parts to one array per record.
-    Records whose parts have the same row counts fuse as one batch into
-    their first rows, so any zero rows come after both parts.  The batch
-    is float64 when the widths differ, so the projection runs in double
-    precision; otherwise the parts keep their dtype, since concatenating
-    is exact in any of them.
+    ``parts`` holds the variant's two parts, each one (rows, width) array
+    per record.  Records whose parts have the same row counts fuse as one
+    batch into their first rows, so any zero rows come after both parts.
+    The batch is float64 when the widths differ, so the projection runs in
+    double precision; otherwise the parts keep their dtype, since
+    concatenating is exact in any of them.
     """
-    widths = {arrays[0].shape[-1] for arrays in parts.values()}
+    widths = {arrays[0].shape[-1] for arrays in parts}
     dtype = np.float64 if len(widths) > 1 else None
     groups: dict = {}  # row counts of the parts -> records with them
-    for i, arrays in enumerate(zip(*parts.values())):
-        groups.setdefault(_rows(arrays), []).append(i)
+    for i, arrays in enumerate(zip(*parts)):
+        groups.setdefault(tuple(map(len, arrays)), []).append(i)
     for key, idx in groups.items():
-        batch = {name: np.stack([arrays[i] for i in idx], dtype=dtype)
-                 for name, arrays in parts.items()}
-        out[idx, :sum(key)] = assemble_variant_input(kind, projection=projection, **batch)
+        first, second = (np.stack([arrays[i] for i in idx], dtype=dtype) for arrays in parts)
+        out[idx, :sum(key)] = assemble_variant_input(first, second, projection=projection)
 
 
 @single_thread()
@@ -167,8 +199,7 @@ def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
         for block in blocks:
             first = (captions[block] if kind == "capsen"
                      else encode_image(_toy_images(chunk[block], pixels), space.image_params))
-            _fuse(rows[block], kind, dict(zip(VARIANT_PARTS[kind], (first, texts[block]))),
-                  space.projections[SENTENCE_PROJECTION])
+            _fuse(rows[block], (first, texts[block]), space.projections[SENTENCE_PROJECTION])
     return out
 
 
@@ -240,16 +271,10 @@ def build_training_set(features: np.ndarray, labels: dict, k: int, seed: int) ->
     return TrainSet(features, out_labels)
 
 
-def exchange_names(kind: str) -> tuple:
-    """The exchange files (``{name}.emb``) that hold the parts a variant fuses."""
-    _check_variant(kind)
-    return tuple(EXCHANGE_NAMES[part] for part in VARIANT_PARTS[kind])
-
-
 def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> list:
-    """One exchange mapping's arrays in id order, as given, checked against
-    its role: a *_sentence mapping holds one vector per record, the others
-    rows x width, and every record of one mapping has one width."""
+    """One exchange mapping's arrays in id order, checked against its role:
+    a *_sentence mapping holds one vector per record, returned as one row,
+    the others rows x width, and every record of one mapping has one width."""
     if mapping is None:
         raise ValueError(f"variant {kind!r} needs {name} embeddings")
     ndim = 1 if name.endswith("_sentence") else 2
@@ -265,7 +290,7 @@ def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> lis
         if arrays and arr.shape[-1] != arrays[0].shape[-1]:
             raise ValueError(f"{name} embeddings: record {rid!r} has shape {arr.shape}, "
                              f"width {arrays[0].shape[-1]} expected")
-        arrays.append(arr)
+        arrays.append(arr[None] if ndim == 1 else arr)
     if not arrays[0].shape[-1]:
         raise ValueError(f"{name} embeddings have width 0")
     return arrays
@@ -277,7 +302,7 @@ def fused_from_imported(ids: list, kind: str, spare: int, seed: int = 0,
     """Fused features built from externally computed embeddings, in the first
     rows of a zeroed (N + spare, L, d) float32 tensor.
 
-    ``mappings`` are keyed by exchange name (``exchange_names(kind)``):
+    ``mappings`` are keyed by exchange name (``VARIANT_PARTS[kind]``):
     ``image``/``tokens`` map record id -> sequence (rows x width); the
     sentence mappings map id -> one vector.  Width mismatches are aligned
     by a seeded projection to the wider side.  Records are fused
@@ -287,17 +312,17 @@ def fused_from_imported(ids: list, kind: str, spare: int, seed: int = 0,
     """
     if not ids:
         raise ValueError("no record ids to assemble")
-    names = exchange_names(kind)
-    parts = {part: _imported_part(name, mappings.get(name), ids, kind)
-             for part, name in zip(VARIANT_PARTS[kind], names)}
-    narrow, target = sorted(arrays[0].shape[-1] for arrays in parts.values())
+    _check_variant(kind)
+    names = VARIANT_PARTS[kind]
+    parts = [_imported_part(name, mappings.get(name), ids, kind) for name in names]
+    narrow, target = sorted(arrays[0].shape[-1] for arrays in parts)
     projection = None if narrow == target else init_projection(
         narrow, target, rng_for(seed, f"projection.{narrow}to{target}"))
-    length = max(sum(_rows(arrays)) for arrays in zip(*parts.values()))
+    length = max(sum(map(len, arrays)) for arrays in zip(*parts))
     if not length:
         raise ValueError(f"{' and '.join(names)} embeddings hold no rows for any record")
     out = np.zeros((len(ids) + spare, length, target), dtype=np.float32)
     for start in range(0, len(ids), ENCODE_CHUNK):
         chunk = slice(start, start + ENCODE_CHUNK)
-        _fuse(out[chunk], kind, {part: arrays[chunk] for part, arrays in parts.items()}, projection)
+        _fuse(out[chunk], [arrays[chunk] for arrays in parts], projection)
     return out

@@ -16,8 +16,8 @@ from memefuse import encode, lstm, model, nnops
 from memefuse.balance import smote_oversample
 from memefuse.evalmetrics import accuracy, confusion, macro_f1
 from memefuse.fixtures import write_annotation_fixture
-from memefuse.fusion import assemble_variant_input
 from memefuse.model import ModelVariant, TrainConfig, TrainSet
+from memefuse.pipeline import assemble_variant_input
 from memefuse.textprep import PreprocessConfig, preprocess
 
 from fdcheck import check_grads
@@ -190,12 +190,11 @@ def test_shapes_and_normalization():
     tok_seq = rng.normal(size=(16, 64))
     sent = rng.normal(size=(64,))
     wide_sent = rng.normal(size=(768,))
-    fused = assemble_variant_input("imgtxt", img=img_seq, txt_tokens=tok_seq)
+    fused = assemble_variant_input(img_seq, tok_seq)
     assert fused.shape[0] == 196 + 16
-    fused = assemble_variant_input("imgsen", img=img_seq, txt_sentence=sent)
+    fused = assemble_variant_input(img_seq, sent[None])
     assert fused.shape[0] == 196 + 1
-    fused = assemble_variant_input("capsen", caption_sentence=wide_sent,
-                                   txt_sentence=wide_sent)
+    fused = assemble_variant_input(wide_sent[None], wide_sent[None])
     assert fused.shape[0] == 2
 
     probs = nnops.softmax(rng.normal(size=(50, 7)))

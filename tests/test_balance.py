@@ -40,6 +40,13 @@ def _family(name, rng, k):
     m, d = int(rng.integers(k + 2, 70)), int(rng.integers(1, 24))
     if name == "large_offset":  # |a|^2 + |b|^2 - 2a.b cancels nearly every digit
         return 1e4 + rng.normal(0.0, 1e-3, size=(m, d))
+    if name == "deep_offset":  # cancels further, so that the bounds' slack decides
+        return 1e4 + rng.normal(0.0, 1e-4, size=(m, d))
+    if name == "far_and_near":  # a far row's Gram rounding dwarfs its near rows' slack
+        points = rng.normal(0.0, 1e-12, size=(m, d))
+        far = rng.random(m) < 0.3
+        points[far] += 1e4 * rng.normal(size=(int(far.sum()), d))
+        return points
     if name == "integer_grid":  # dozens of distinct rows at exactly equal distances
         return rng.integers(-1, 2, size=(m, int(rng.integers(2, 5)))).astype(np.float64)
     if name == "equidistant":  # 1e3 +- 3 e_j: exact ties that the Gram form blurs
@@ -70,8 +77,9 @@ def _listed_d2(points, table):
 
 
 class TestNeighborTable:
-    @pytest.mark.parametrize("family", ["large_offset", "integer_grid", "equidistant",
-                                        "duplicate_heavy", "signed_zeros", "float32_scaled"])
+    @pytest.mark.parametrize("family", ["large_offset", "deep_offset", "far_and_near",
+                                        "integer_grid", "equidistant", "duplicate_heavy",
+                                        "signed_zeros", "float32_scaled"])
     def test_matches_exhaustive_oracle(self, family):
         for seed in range(12):
             rng = np.random.default_rng(seed)

@@ -101,9 +101,9 @@ def test_fused_from_imported_runs_on_one_thread_and_restores_the_count(controls,
     seen = []
     assemble = pipeline.assemble_variant_input
 
-    def recording(kind, **parts):
+    def recording(*parts, **kwargs):
         seen.append(get())
-        return assemble(kind, **parts)
+        return assemble(*parts, **kwargs)
 
     monkeypatch.setattr(pipeline, "assemble_variant_input", recording)
     image = {rid: np.ones((3, 4), dtype=np.float32) for rid in "ab"}

@@ -12,10 +12,10 @@ from memefuse import TASKS, TASK_CLASSES, VARIANTS, balance, pipeline
 from memefuse.dataset import MemeRecord
 from memefuse.encode import (IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, encode_ids,
                              encode_image, generate_captions)
-from memefuse.fusion import VARIANT_PARTS
 from memefuse.model import NumericError
 from memefuse.pipeline import (
     FUSED_SHAPES,
+    VARIANT_PARTS,
     build_feature_space,
     build_training_set,
     encode_corpus,
@@ -628,6 +628,11 @@ class TestFusedFromImported:
         with pytest.raises(ValueError, match="'capsen' needs caption_sentence embeddings"):
             fused_from_imported(ids, kind, 0, **mappings)
 
+    def test_unknown_variant_rejected(self):
+        ids, _, mappings = _imported_case("capsen-same-width")
+        with pytest.raises(ValueError, match="unknown variant 'imgcap'"):
+            fused_from_imported(ids, "imgcap", 0, **mappings)
+
     def test_width_disagreement_within_mapping_rejected(self):
         ids, kind, mappings = _imported_case("imgsen-same-width")
         mappings["image"][ids[7]] = np.zeros((2, 9), dtype=np.float32)
@@ -648,6 +653,7 @@ class TestFusedFromImported:
         ("imgsen-same-width", "image", (16,)),
         ("imgtxt-same-width", "tokens", (1, 2, 16)),
         ("capsen-same-width", "caption_sentence", ()),
+        ("capsen-same-width", "text_sentence", (1, 12)),
     ])
     def test_shape_must_fit_role(self, case, name, shape):
         ids, kind, mappings = _imported_case(case)
@@ -666,9 +672,9 @@ class TestFusionBatches:
         sizes = []
         assemble = pipeline.assemble_variant_input
 
-        def spying(kind, projection=None, **parts):
-            sizes.append({len(value) for value in parts.values()})
-            return assemble(kind, projection=projection, **parts)
+        def spying(*parts, projection=None):
+            sizes.append({len(value) for value in parts})
+            return assemble(*parts, projection=projection)
 
         monkeypatch.setattr(pipeline, "assemble_variant_input", spying)
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
