@@ -7,8 +7,17 @@ randomness fans out from --seed through named streams.  Exit codes:
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# Every BLAS call of a command runs in blas.single_thread(), so the worker
+# thread numpy's OpenBLAS starts for each further core never works, yet it
+# spins for ≈0.13 s of CPU after numpy loads.  OpenBLAS reads the count only
+# while numpy loads, so it is set here, before that import; a count the
+# caller set wins, and a caller that loaded numpy first keeps its own pool.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

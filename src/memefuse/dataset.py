@@ -118,23 +118,33 @@ def _iter_rows(path: str | Path, schema: Schema) -> Iterator[tuple[int, dict[str
         yield from _iter_jsonl(path, schema)
         return
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            header = reader.fieldnames or []
+            header = next(reader, [])
         except csv.Error as exc:
             raise SchemaError(f"unreadable CSV header: {exc}") from exc
+        # a repeated name reads its last column, csv.DictReader's rule
+        position = {name: at for at, name in enumerate(header)}
+        picks = []
         for logical in LOGICAL_COLUMNS:
             actual = schema.columns[logical]
-            if actual not in header:
+            if actual not in position:
                 raise SchemaError(f"file is missing declared column {actual!r}")
+            picks.append((logical, position[actual]))
+        width = max(at for _, at in picks) + 1
+        rows = filter(None, reader)  # blank lines are skipped and not counted
         for index in itertools.count():
             try:
-                row = next(reader)
+                row = next(rows)
             except StopIteration:
                 return
             except csv.Error as exc:  # e.g. a field over the csv module's size limit
                 raise RowError(index, f"unreadable CSV row: {exc}") from exc
-            yield index, _pick_row(index, row, schema)
+            if len(row) >= width:
+                yield index, {logical: row[at] for logical, at in picks}
+            else:  # a short row's absent columns read as missing JSON keys do
+                present = {name: row[at] for name, at in position.items() if at < len(row)}
+                yield index, _pick_row(index, present, schema)
 
 
 def _iter_jsonl(path: Path, schema: Schema) -> Iterator[tuple[int, dict[str, str]]]:

@@ -8,7 +8,9 @@ which masks them out of that head's loss.
 ``train`` and ``predict_proba`` run on one OpenBLAS thread (see
 ``memefuse.blas``): the trunk's GEMMs are too small for a second thread
 to pay, and with one thread the checkpoints do not depend on the host's
-core count.
+core count.  The CLI starts OpenBLAS on one thread in the first place
+unless ``OPENBLAS_NUM_THREADS`` is set; the scope still pins the count for
+callers that imported numpy, and with it a thread pool, first.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """The one-thread BLAS scope: its thread count, its no-op fallback, the
-scopes of encoding, of balancing and of imported fusion, and training
-output that does not depend on OPENBLAS_NUM_THREADS."""
+scopes of encoding, of balancing and of imported fusion, the CLI's
+one-thread start, and training output that does not depend on
+OPENBLAS_NUM_THREADS."""
 
 import os
 import subprocess
@@ -155,3 +156,36 @@ def test_training_bytes_do_not_depend_on_openblas_threads(tmp_path):
         assert run.returncode == 0, run.stderr.decode()
         outputs[threads] = (ckpt.read_bytes(), ckpt.with_suffix(".history.jsonl").read_bytes())
     assert outputs["1"] == outputs["2"]
+
+
+# prints the OpenBLAS thread count, then OPENBLAS_NUM_THREADS as os.environ holds it
+REPORT = "import os; from memefuse import blas; print(blas._thread_controls()[0](), " \
+         "os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+def _fresh(code, **env_vars):
+    """What ``code`` prints in a new interpreter whose environment sets
+    OPENBLAS_NUM_THREADS only as ``env_vars`` say."""
+    if blas._thread_controls() is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    src = str(Path(memefuse.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_cli_starts_openblas_on_one_thread():
+    assert _fresh("import memefuse.cli; " + REPORT) == ["1", "1"]
+
+
+def test_cli_start_keeps_a_thread_count_the_caller_set():
+    assert _fresh("import memefuse.cli; " + REPORT, OPENBLAS_NUM_THREADS="2") == ["2", "2"]
+
+
+def test_cli_imported_after_numpy_leaves_the_pool_and_environment():
+    alone = _fresh("import numpy; " + REPORT)
+    assert alone[1] == "None"
+    assert _fresh("import numpy; import memefuse.cli; " + REPORT) == alone

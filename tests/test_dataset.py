@@ -91,6 +91,40 @@ class TestLoadDataset:
         path = _write_csv(tmp_path / "a.csv", [row])
         assert load_dataset(path, _schema())[0].text == ""
 
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        bad = ("b.jpg", "t", "maybe_funny", "sarcastic", "motivational", "positive")
+        path = _write_csv(tmp_path / "a.csv", [(), GOOD_ROW, (), ()])
+        assert [r.id for r in load_dataset(path, _schema())] == ["img_1.jpg"]
+        path = _write_csv(tmp_path / "b.csv", [(), GOOD_ROW, (), bad])
+        with pytest.raises(RowError, match="^row 1: unmappable humor"):
+            load_dataset(path, _schema())
+
+    def test_short_row_names_the_missing_label_column(self, tmp_path):
+        path = _write_csv(tmp_path / "a.csv", [GOOD_ROW, GOOD_ROW[:4]])
+        with pytest.raises(RowError,
+                           match="^row 1: missing value for column 'motivational'$"):
+            load_dataset(path, _schema())
+
+    def test_short_row_without_text_reads_empty_text(self, tmp_path):
+        header = ("image_name", "humour", "sarcasm", "motivational",
+                  "overall_sentiment", "text")
+        path = _write_csv(tmp_path / "a.csv", [GOOD_ROW[:1] + GOOD_ROW[2:]], header=header)
+        assert load_dataset(path, _schema())[0].text == ""
+
+    def test_extra_fields_ignored(self, tmp_path):
+        path = _write_csv(tmp_path / "a.csv", [GOOD_ROW + ("extra", "more")])
+        rec = load_dataset(path, _schema())[0]
+        assert (rec.id, rec.text, rec.labels["sentiment"]) == ("img_1.jpg", "hello world",
+                                                              "positive")
+
+    def test_duplicate_header_name_takes_the_last_column(self, tmp_path):
+        header = ("image_name", "text", "humour", "sarcasm", "motivational",
+                  "overall_sentiment", "text")
+        path = _write_csv(tmp_path / "a.csv",
+                          [GOOD_ROW + ("second",), ("b.jpg",) + GOOD_ROW[1:]], header=header)
+        # a row too short for the last occurrence reads it as missing
+        assert [r.text for r in load_dataset(path, _schema())] == ["second", ""]
+
     def test_missing_column_names_it(self, tmp_path):
         path = _write_csv(tmp_path / "a.csv", [GOOD_ROW[:5]],
                           header=("image_name", "text", "humour", "sarcasm",
