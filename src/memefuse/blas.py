@@ -42,8 +42,9 @@ THREAD_SYMBOLS = (
 
 
 @functools.cache
-def _thread_controls():
-    """(get, set) thread-count functions of numpy's OpenBLAS, or None if none is found."""
+def _openblas():
+    """(library, get symbol, set symbol) of numpy's OpenBLAS, opened by ctypes,
+    or None if none is found."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
         try:
@@ -51,12 +52,22 @@ def _thread_controls():
         except OSError:
             continue
         for get_name, set_name in THREAD_SYMBOLS:
-            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+            if hasattr(handle, get_name) and hasattr(handle, set_name):
+                return handle, get_name, set_name
     return None
+
+
+@functools.cache
+def _thread_controls():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None if none is found."""
+    found = _openblas()
+    if found is None:
+        return None
+    handle, get_name, set_name = found
+    get, put = getattr(handle, get_name), getattr(handle, set_name)
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 @contextmanager

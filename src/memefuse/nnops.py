@@ -8,6 +8,8 @@ float32 for the training pipeline use the same code path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -99,7 +101,8 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray):
         raise ValueError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ValueError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    # a Python float: a numpy float64 scalar would promote float32 scores
+    scale = 1.0 / math.sqrt(q.shape[-1])
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
     probs = softmax(scores)
     out = probs @ v

@@ -1,0 +1,53 @@
+"""Print the golden digest tables of tests/test_pipeline.py from the current code.
+
+    PYTHONPATH=src python tests/record_golden.py
+
+prints the OpenBLAS kernel family numpy runs on, then ``_GOLDEN_FEATURES``
+and ``_GOLDEN_TRAINING_SETS`` as Python source.  sgemm rounds differently
+per kernel family, so the digests hold for the printed kernel only; to
+record another family on the same host, set ``OPENBLAS_CORETYPE`` (for
+example ``Haswell``) for this process.  pytest does not collect this file.
+"""
+
+import ctypes
+import hashlib
+
+from memefuse import VARIANTS, blas
+from memefuse.pipeline import (build_feature_space, build_training_set, class_deficits,
+                               encode_corpus)
+# a script's own directory leads sys.path, so the test module imports as it is
+from test_pipeline import _golden_corpus, _golden_labels, _training_set_digest
+
+
+def kernel_name() -> str:
+    """The kernel family numpy's OpenBLAS picked (``SkylakeX``, ``Haswell``, ...)."""
+    found = blas._openblas()
+    get = getattr(found[0], "scipy_openblas_get_corename64_", None) if found else None
+    if get is None:
+        return "unknown (no scipy_openblas_get_corename64_ in numpy's BLAS)"
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
+def main() -> None:
+    space = build_feature_space(seed=0)
+    ids, toks = _golden_corpus()
+    labels = _golden_labels()
+    spare = sum(sum(d.values()) for d in class_deficits(labels).values())
+    features, training_sets = {}, {}
+    for kind in sorted(VARIANTS):
+        feats = encode_corpus(ids, toks, space, kind, 0)
+        features[kind] = (feats.shape, hashlib.sha256(feats.tobytes()).hexdigest())
+        ts = build_training_set(encode_corpus(ids, toks, space, kind, spare), labels,
+                                k=5, seed=0)
+        training_sets[kind] = (ts.features.shape[0], _training_set_digest(ts))
+    print(f"# OpenBLAS kernel: {kernel_name()}")
+    for name, table in (("_GOLDEN_FEATURES", features), ("_GOLDEN_TRAINING_SETS", training_sets)):
+        print(f"{name} = {{")
+        for kind, (size, digest) in table.items():
+            print(f'    "{kind}": ({size}, "{digest}"),')
+        print("}")
+
+
+if __name__ == "__main__":
+    main()

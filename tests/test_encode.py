@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from memefuse import encode, nnops
+from memefuse.pipeline import build_feature_space
 from fdcheck import check_grads
 
 
@@ -163,6 +164,42 @@ class TestTextEncoder:
         a = encode.pool_sentence(self._one_text(["dog", "bites", "man"], params), params)
         b = encode.pool_sentence(self._one_text(["man", "bites", "dog"], params), params)
         assert not np.allclose(a, b)
+
+
+class TestFloat32Features:
+    """The frozen encoders compute in the float32 of their weights, end to end."""
+
+    @pytest.fixture(scope="class")
+    def space(self):
+        space = build_feature_space(seed=0)
+        for weights in (space.image_params, space.text_params, space.caption_params):
+            assert {v.dtype for v in weights.values()} == {np.dtype(np.float32)}
+        return space
+
+    def test_image_encoder(self, space):
+        images = np.random.default_rng(2).uniform(size=(3, 32, 32, 3))
+        assert encode.encode_image(images, space.image_params).dtype == np.float32
+
+    def test_text_encoder(self, space):
+        ids = np.array([encode.text_ids(t) for t in (["a", "cat"], ["the", "dog"])])
+        seqs = encode.encode_ids(ids, space.text_params)
+        assert seqs.dtype == np.float32
+        assert encode.pool_sentence(seqs, space.text_params).dtype == np.float32
+
+    def test_captioner(self, space, monkeypatch):
+        steps = []
+        decode_step = encode._decode_step
+
+        def recording(*args):
+            logits, caches = decode_step(*args)
+            steps.append([logits, *(a for cache in caches for a in cache)])
+            return logits, caches
+
+        monkeypatch.setattr(encode, "_decode_step", recording)
+        images = np.random.default_rng(3).uniform(size=(3, 32, 32, 3))
+        assert encode._image_features(images, space.caption_params).dtype == np.float32
+        encode.generate_captions(images, space.caption_params)
+        assert steps and {a.dtype for step in steps for a in step} == {np.dtype(np.float32)}
 
 
 def _conv_loop(x, w, b, stride):

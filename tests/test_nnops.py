@@ -200,6 +200,24 @@ def test_mha_grads_self_attention():
     check_grads(loss, {"x": x, **p})
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_keeps_input_dtype(dtype):
+    # the scale is a Python float: a numpy float64 scalar would promote
+    # float32 scores, and so every encoder step after the first attention
+    rng = np.random.default_rng(37)
+    q, k, v = (rng.normal(size=(2, 3, 4)).astype(dtype) for _ in range(3))
+    out, cache = nnops.attention_forward(q, k, v)
+    assert out.dtype == dtype
+    assert all(g.dtype == dtype for g in nnops.attention_backward(np.ones_like(out), cache))
+    x = rng.normal(size=(5, 4)).astype(dtype)
+    p = {name: value.astype(dtype) for name, value in _mha_params(rng, 4).items()}
+    out, cache = nnops.mha_forward(x, x, p, n_heads=2)
+    assert out.dtype == dtype
+    dq, dkv, dp = nnops.mha_backward(np.ones_like(out), cache)
+    assert dq.dtype == dkv.dtype == dtype
+    assert all(g.dtype == dtype for g in dp.values())
+
+
 def test_mha_grads_cross_attention():
     rng = np.random.default_rng(23)
     d_model = 4

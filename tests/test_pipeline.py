@@ -182,11 +182,13 @@ def _golden_corpus():
 
 
 # sha256 of encode_corpus(..., 0).tobytes() on _golden_corpus(), build_feature_space(seed=0),
-# as produced by the record-at-a-time encoders the batched path replaced.
+# with encoders that compute in float32 throughout.  Recorded on OpenBLAS's
+# SkylakeX kernel by `PYTHONPATH=src python tests/record_golden.py`, which
+# prints this table and _GOLDEN_TRAINING_SETS for the kernel it runs on.
 _GOLDEN_FEATURES = {
-    "imgtxt": ((40, 20, 64), "493ba8f888fbbe69157df28dedaf2ed32b9036d746a341d13433807b31a8fcd6"),
-    "imgsen": ((40, 5, 64), "62f8d6a389b4be83b1ca4a41ee2ee9dee6a220aa7af6818f40ce68cdbb983446"),
-    "capsen": ((40, 2, 768), "1b306996550203c3f699a54eade51c0b4367d19bb00b4e6eb0f54abfe8cefdce"),
+    "capsen": ((40, 2, 768), "73af38118ff21403ef91b6d35a3ceb1ae4895c8865d53a4bbc52a437b322a4e2"),
+    "imgsen": ((40, 5, 64), "54e63ff4bf9a202330669846965dcfc501fcae4be48edb85a06c73b99ed7612e"),
+    "imgtxt": ((40, 20, 64), "72f291e6f09b71f15230dadc6c468fadc426d4c00a64409ab42385b5cfda04ff"),
 }
 
 
@@ -201,13 +203,13 @@ def _golden_labels():
 
 
 # sha256 of build_training_set(encode_corpus(..., spare), _golden_labels(), k=5, seed=0):
-# its features' bytes, then each task's labels' bytes in TASKS order, as produced
-# when the neighbor table still called knn_indices once per row and each class
-# was interpolated in one piece.  The capsen corpus holds 31 distinct rows among 40.
+# its features' bytes, then each task's labels' bytes in TASKS order.  Recorded
+# with _GOLDEN_FEATURES, on the same kernel by the same command.  The capsen
+# corpus holds 31 distinct rows among 40.
 _GOLDEN_TRAINING_SETS = {
-    "imgtxt": (155, "d3d0aabc345da243c0908be840a0913324ab59dcce303f6557058991d320295a"),
-    "imgsen": (155, "683a8861d90c9b7e8c106c940738330b916f0c743daf22b4056d0d641503ff01"),
-    "capsen": (155, "f7d51376dd7d76435cafb86ca54ee4b3d6d058e4050e5545cae12f74dc4bff06"),
+    "capsen": (155, "6038912016376543f5c1b2305618b8e5fbf634aed0df44ba043ab92db059ebfb"),
+    "imgsen": (155, "7e078ab0fbe67274b196a29b67ea3ded55337fbacccee26b39facba060c07e43"),
+    "imgtxt": (155, "4900115fd4f9e53263b22992555be67c74da385c7036d362cee71d38083dd73e"),
 }
 
 
