@@ -26,6 +26,14 @@ TASK_CLASSES = {
 VARIANTS = ("imgtxt", "imgsen", "capsen")
 
 
+class NumericError(RuntimeError):
+    """Raised when training math or prediction input holds non-finite values.
+
+    Defined here, not in ``model``, so the command line can catch it
+    without importing numpy; ``model`` re-exports it.
+    """
+
+
 def bundled_data(name: str):
     """Absolute path of a data file shipped inside the package."""
     from pathlib import Path

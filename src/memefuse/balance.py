@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import NumericError
+from . import NumericError
 from .seeds import rng_for
 
 

@@ -16,12 +16,14 @@ With any other BLAS (MKL, Accelerate, a system OpenBLAS that numpy does
 not bundle) it does nothing.  The count is process-wide: scopes must not
 run concurrently in threads of one process.
 
-``memefuse.cli`` goes further and starts OpenBLAS on one thread, by setting
-``OPENBLAS_NUM_THREADS=1`` before numpy loads unless the caller set it: the
-worker OpenBLAS starts for each further core would never get work in a
-command, yet it spins for about 0.13 s of CPU after start-up, which setting
-the count after the import does not stop.  A program that imported numpy
-before ``memefuse.cli`` keeps its pool; the scopes still guard its calls.
+``memefuse.cli`` goes further and starts OpenBLAS on one thread: it sets
+``OPENBLAS_NUM_THREADS=1`` as it is imported, unless the caller set it, and
+numpy loads only later, when ``train`` or ``eval`` first imports the numpy
+stack (``ingest`` and ``preprocess`` never load it).  The worker OpenBLAS
+starts for each further core would never get work in a command, yet it
+spins for about 0.13 s of CPU after numpy loads, which setting the count
+after the import does not stop.  A program that imported numpy before
+``memefuse.cli`` keeps its pool; the scopes still guard its calls.
 """
 
 from __future__ import annotations

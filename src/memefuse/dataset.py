@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from . import TASKS, TASK_CLASSES
 
 
@@ -232,7 +230,11 @@ def split(records: list[MemeRecord], ratio: float, seed: int) -> DatasetSplit:
     """Seeded uniform shuffle, then cut at floor(ratio * n).
 
     Deterministic for a fixed seed; both splits keep the shuffled order.
+    numpy is imported here, where the permutation is drawn, so loading and
+    counting records need no numpy.
     """
+    import numpy as np
+
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
     if len(records) < 2:

@@ -9,8 +9,10 @@ which masks them out of that head's loss.
 ``memefuse.blas``): the trunk's GEMMs are too small for a second thread
 to pay, and with one thread the checkpoints do not depend on the host's
 core count.  The CLI starts OpenBLAS on one thread in the first place
-unless ``OPENBLAS_NUM_THREADS`` is set; the scope still pins the count for
-callers that imported numpy, and with it a thread pool, first.
+unless ``OPENBLAS_NUM_THREADS`` is set: it sets the variable as it is
+imported, and imports this module, and with it numpy, only when ``train``
+or ``eval`` first runs.  The scope still pins the count for callers that
+imported numpy, and with it a thread pool, first.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import TASKS, TASK_CLASSES, VARIANTS
+from . import TASKS, TASK_CLASSES, VARIANTS, NumericError
 from .blas import single_thread
 from .lstm import (Workspace, bilstm_backward, bilstm_forward, init_bilstm_params,
                    sequence_feature)
@@ -39,10 +41,6 @@ CHECKPOINT_MAGIC = "memefuse-checkpoint"
 # Rows per forward pass in predict_proba: bounds the forward caches to a
 # quarter of a training batch's worth.
 PREDICT_CHUNK = 64
-
-
-class NumericError(RuntimeError):
-    """Raised when training math or prediction input holds non-finite values."""
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,12 @@
 Every ``*_forward`` returns (output, cache) and the matching
 ``*_backward`` consumes (upstream gradient, cache).  All functions work
 in the dtype of their inputs, so float64 for gradient checking and
-float32 for the training pipeline use the same code path.
+float32 for the training pipeline use the same code path.  The
+element-wise forward passes the frozen encoders run (``gelu``,
+``softmax``, ``layernorm_forward``, ``linear_forward`` and the attention
+scale) do their steps in place on the fresh arrays they return, in the
+order of the plain expressions, so the bytes are those of the
+expressions; they never write an input.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(d_out: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -45,9 +51,21 @@ def softmax_backward(d_out: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """tanh-form GELU.  ``x * x * x``, not ``x**3``: numpy's power is 15-40x
-    slower than two products, and it dominated the batched encoders."""
-    u = _GELU_C * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(u))
+    slower than two products, and it dominated the batched encoders.
+
+    ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x)))`` in two buffers.
+    They are given as ``out=``, so a 0-d input's steps also write arrays, not
+    the scalars a ufunc returns for it."""
+    u = np.multiply(x, x, out=np.empty_like(x))
+    u *= x
+    u *= 0.044715
+    u += x
+    u *= _GELU_C
+    np.tanh(u, out=u)
+    u += 1.0
+    y = np.multiply(x, 0.5, out=np.empty_like(x))
+    y *= u
+    return y
 
 
 def gelu_backward(d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -58,7 +76,9 @@ def gelu_backward(d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    return x @ w + b, (x, w)
+    y = x @ w
+    y += b
+    return y, (x, w)
 
 
 def linear_backward(d_y: np.ndarray, cache):
@@ -71,10 +91,15 @@ def linear_backward(d_y: np.ndarray, cache):
 
 def layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (x - mu) * inv_std
-    return xhat * gain + bias, (xhat, inv_std, gain)
+    inv_std = x.var(axis=-1, keepdims=True)
+    inv_std += LAYERNORM_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat = np.subtract(x, mu)
+    xhat *= inv_std
+    y = np.multiply(xhat, gain)
+    y += bias
+    return y, (xhat, inv_std, gain)
 
 
 def layernorm_backward(d_y: np.ndarray, cache):
@@ -103,7 +128,8 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray):
         raise ValueError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     # a Python float: a numpy float64 scalar would promote float32 scores
     scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= scale
     probs = softmax(scores)
     out = probs @ v
     return out, (q, k, v, probs, scale)

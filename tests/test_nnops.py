@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,43 @@ def test_mha_grads_cross_attention():
         return float(np.sum(out * d)), {"xq": dq, "xkv": dkv}
 
     check_grads(loss, {"xq": xq, "xkv": xkv})
+
+
+def _plain_forwards(x, gain, bias, w, q, k, v):
+    """The expressions the in-place forward passes reproduce bit for bit."""
+    c = float(np.sqrt(2.0 / np.pi))
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + nnops.LAYERNORM_EPS))
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    p = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return {"gelu": 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x)))),
+            "softmax": e / np.sum(e, axis=-1, keepdims=True),
+            "layernorm": xhat * gain + bias,
+            "linear": x @ w + bias,
+            "attention": (p / np.sum(p, axis=-1, keepdims=True)) @ v}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_passes_match_plain_expressions_and_write_no_input(dtype):
+    rng = np.random.default_rng(11)
+    # thousands of values, so an operation out of order shows in some last bit
+    x, q, k, v = (rng.normal(size=shape).astype(dtype)
+                  for shape in ((4, 16, 64), (4, 16, 32), (4, 24, 32), (4, 24, 8)))
+    gain, bias = rng.normal(size=64).astype(dtype), rng.normal(size=64).astype(dtype)
+    w = rng.normal(size=(64, 64)).astype(dtype)
+    inputs = (x, gain, bias, w, q, k, v)
+    before = [a.copy() for a in inputs]
+    got = {"gelu": nnops.gelu(x), "softmax": nnops.softmax(x),
+           "layernorm": nnops.layernorm_forward(x, gain, bias)[0],
+           "linear": nnops.linear_forward(x, w, bias)[0],
+           "attention": nnops.attention_forward(q, k, v)[0]}
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    for name, want in _plain_forwards(*inputs).items():
+        assert got[name].dtype == dtype, name
+        assert np.array_equal(got[name], want), name
+        assert not any(np.shares_memory(got[name], a) for a in inputs), name
 
 
 def test_split_merge_heads_roundtrip():
