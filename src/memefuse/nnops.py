@@ -95,9 +95,9 @@ def layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     inv_std += LAYERNORM_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
-    xhat = np.subtract(x, mu)
+    xhat = x - mu
     xhat *= inv_std
-    y = np.multiply(xhat, gain)
+    y = xhat * gain
     y += bias
     return y, (xhat, inv_std, gain)
 
