@@ -214,11 +214,11 @@ def _exact_d2(points, distinct, queries, candidates):
     return out
 
 
-def _neighbor_table(points: np.ndarray, k: int, rows: np.ndarray | None = None):
-    """(table, d2) for the class of rows points[rows] (default: every row),
-    numbered 0..m-1 in that order: row i of table is knn_indices(class, i,
-    k) for every i, and d2[i, j] is knn_indices' squared distance from row
-    i to table[i, j], with the class cast to float64.
+def _neighbor_table(points: np.ndarray, k: int, rows: np.ndarray):
+    """(table, d2) for the class of rows points[rows], numbered 0..m-1 in
+    that order: row i of table is knn_indices(class, i, k) for every i, and
+    d2[i, j] is knn_indices' squared distance from row i to table[i, j],
+    with the class cast to float64.
 
     Same metric (squared Euclidean, float64, the same expression) and tie
     rule (lower index first).  The class is never copied: float64 exists
@@ -234,7 +234,7 @@ def _neighbor_table(points: np.ndarray, k: int, rows: np.ndarray | None = None):
     d2 is inf there.
     """
     points = np.asarray(points)
-    rows = np.arange(len(points)) if rows is None else np.asarray(rows)
+    rows = np.asarray(rows)
     m = len(rows)
     if k >= m:
         raise ValueError(f"k={k} needs at least {k + 1} points, have {m}")

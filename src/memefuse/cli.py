@@ -1,8 +1,9 @@
 """Batch command line: ingest, preprocess, train, eval.
 
 Every command is single-shot and deterministic given its flags; all
-randomness fans out from --seed through named streams.  Exit codes:
-0 success, 2 input or configuration error, 3 numeric failure.
+randomness fans out from train's --seed through named streams, and eval
+reuses the seed its checkpoint records.  Exit codes: 0 success, 2 input
+or configuration error, 3 numeric failure.
 """
 
 import argparse
@@ -82,17 +83,20 @@ def _preprocess_config(args) -> PreprocessConfig:
                             vocabulary=load_vocabulary(vocab))
 
 
-def _check_seed(seed):
-    # numpy's own error for a negative seed names neither the flag nor the value
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
-
-
 def _tokens_for(records, config):
     return {r.id: preprocess(r.text, config).tokens for r in records}
 
 
-def _corpus_features(records, tokens_by_id, kind, args, spare):
+def _split_tokens(args, seed, part):
+    """The records of the dataset's seeded split ``part`` ("train" or
+    "test"), with the tokens of each."""
+    schema = _load_schema(args)
+    records = load_dataset(_require(args.dataset, "dataset"), schema)
+    rows = getattr(split(records, SPLIT_RATIO, seed), part)
+    return rows, _tokens_for(rows, _preprocess_config(args))
+
+
+def _corpus_features(records, tokens_by_id, kind, args, seed, spare):
     """The records' fused features, followed by ``spare`` zero rows."""
     ids = [r.id for r in records]
     if args.embeddings:
@@ -100,8 +104,8 @@ def _corpus_features(records, tokens_by_id, kind, args, spare):
         # only the files the variant fuses are read
         mappings = {name: import_embeddings(_require(root / f"{name}.emb", "embeddings"))
                     for name in VARIANT_PARTS[kind]}
-        return fused_from_imported(ids, kind, spare, seed=args.seed, **mappings)
-    space = build_feature_space(seed=args.seed)
+        return fused_from_imported(ids, kind, spare, seed, **mappings)
+    space = build_feature_space(seed=seed)
     return encode_corpus(ids, tokens_by_id, space, kind, spare)
 
 
@@ -149,19 +153,17 @@ def cmd_train(args) -> int:
     train_config = TrainConfig.for_variant(args.variant, **overrides)
     if args.k < 1:
         raise ValueError("k must be >= 1")
-    _check_seed(args.seed)
+    # numpy's own error for a negative seed names neither the flag nor the value
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
-    schema = _load_schema(args)
-    records = load_dataset(_require(args.dataset, "dataset"), schema)
-    parts = split(records, SPLIT_RATIO, args.seed)
-    config = _preprocess_config(args)
-    tokens_by_id = _tokens_for(parts.train, config)
-    labels = labels_from_records(parts.train)
+    records, tokens_by_id = _split_tokens(args, args.seed, "train")
+    labels = labels_from_records(records)
     # the corpus is encoded into the training set's first rows, and
     # balancing writes the synthetic rows into the spare rows after them
     spare = sum(sum(d.values()) for d in class_deficits(labels).values())
     train_set = build_training_set(
-        _corpus_features(parts.train, tokens_by_id, args.variant, args, spare),
+        _corpus_features(records, tokens_by_id, args.variant, args, args.seed, spare),
         labels, k=args.k, seed=args.seed)
     params, history = train(variant, train_set, train_config)
 
@@ -179,7 +181,7 @@ def cmd_train(args) -> int:
         keep = y >= 0
         hit = np.argmax(probs[task][keep], axis=1) == y[keep]
         cells.append(f"{task} {float(np.mean(hit)):.4f}")
-    synthetic = train_set.features.shape[0] - len(parts.train)
+    synthetic = train_set.features.shape[0] - len(records)
     print(f"trained {args.variant}: {train_config.epochs} epochs, "
           f"{train_set.features.shape[0]} rows ({synthetic} synthetic)")
     print(f"checkpoint: {checkpoint}")
@@ -190,25 +192,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _import_numpy_stack()
-    if args.seed is not None:
-        _check_seed(args.seed)
     variant, params, meta = load_checkpoint(_require(args.checkpoint, "checkpoint"))
-    if args.variant and args.variant != variant.kind:
-        raise ValueError(f"checkpoint holds variant {variant.kind!r}, "
-                         f"--variant asked for {args.variant!r}")
-    if args.seed is None:
-        args.seed = meta["seed"]
-    schema = _load_schema(args)
-    records = load_dataset(_require(args.dataset, "dataset"), schema)
-    parts = split(records, SPLIT_RATIO, args.seed)
-    config = _preprocess_config(args)
-    tokens_by_id = _tokens_for(parts.test, config)
-    features = _corpus_features(parts.test, tokens_by_id, variant.kind, args, 0)
+    # the training run's seed drew both its split and its frozen encoders
+    records, tokens_by_id = _split_tokens(args, meta["seed"], "test")
+    features = _corpus_features(records, tokens_by_id, variant.kind, args, meta["seed"], 0)
     width = params["bilstm.0.wx"].shape[0]
     if features.shape[2] != width:
         raise ValueError(f"checkpoint {args.checkpoint} takes features of width {width}; "
                          f"eval built features of width {features.shape[2]}")
-    gold = labels_from_records(parts.test)
+    gold = labels_from_records(records)
     probs = predict_proba(variant, features, params)
     preds = {task: np.argmax(probs[task], axis=1) for task in TASKS}
     report = build_report({variant.kind: preds}, gold)
@@ -268,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = commands.add_parser("eval", help="score a checkpoint on the held-out split")
     _add_common(ev, textprep=True, encoding=True)
-    ev.add_argument("--variant", choices=VARIANTS,
-                    help="expected variant; mismatch with the checkpoint fails")
-    ev.add_argument("--seed", type=int,
-                    help="split seed (default: the checkpoint's training seed)")
     ev.add_argument("--checkpoint", required=True, help="checkpoint to score")
     ev.add_argument("--out", help="directory for report.txt / report.json")
     ev.add_argument("--json", action="store_true", help="print the JSON report")

@@ -38,6 +38,9 @@ DEFAULT_LR = {"imgtxt": 1e-3, "imgsen": 1e-3, "capsen": 3e-4}
 
 CHECKPOINT_MAGIC = "memefuse-checkpoint"
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # Rows per forward pass in predict_proba: bounds the forward caches to a
 # quarter of a training batch's worth.
 PREDICT_CHUNK = 64
@@ -149,7 +152,9 @@ def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> 
 
     Runs PREDICT_CHUNK rows at a time on one workspace, so memory for the
     forward caches stays that of one chunk whatever B is.  A row with a
-    non-finite feature raises NumericError naming it.
+    non-finite feature, or one the trunk overflows into a non-finite
+    probability, raises NumericError naming it; an overflow the gates
+    saturate away passes without a warning.
     """
     features = np.asarray(features)
     ws = Workspace()
@@ -160,7 +165,13 @@ def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> 
         bad = np.flatnonzero(~np.isfinite(x).all(axis=(1, 2)))
         if bad.size:
             raise NumericError(f"non-finite feature in row {start + int(bad[0])}")
-        chunks.append(_batched_forward(x, variant, params, ws)[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = _batched_forward(x, variant, params, ws)[0]
+        for task in TASKS:
+            bad = np.flatnonzero(~np.isfinite(probs[task]).all(axis=1))
+            if bad.size:
+                raise NumericError(f"non-finite {task} probability in row {start + int(bad[0])}")
+        chunks.append(probs)
     return {task: np.concatenate([c[task] for c in chunks]) for task in TASKS}
 
 
@@ -212,8 +223,7 @@ def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: d
     return total, grads, probs
 
 
-def adam_step(params: dict, grads: dict, state, lr: float, t: int,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params: dict, grads: dict, state, lr: float, t: int):
     """One Adam update with bias correction; mutates params in place.
 
     ``state`` carries first/second moments; pass None on the first step.
@@ -225,8 +235,8 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int,
     if state is None:
         state = {"m": {k: np.zeros_like(v) for k, v in params.items()},
                  "v": {k: np.zeros_like(v) for k, v in params.items()}}
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -238,17 +248,17 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int,
         # in that order, in place; the quotient needs its numerator (step)
         # and its denominator (scratch) at once
         scratch = np.subtract(g, m)
-        scratch *= 1.0 - beta1
+        scratch *= 1.0 - ADAM_BETA1
         m += scratch
         np.multiply(g, g, out=scratch)
         scratch -= v
-        scratch *= 1.0 - beta2
+        scratch *= 1.0 - ADAM_BETA2
         v += scratch
         # an overflow is reported below, by name, not as a RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
             np.divide(v, bc2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += eps
+            scratch += ADAM_EPS
             step = m / bc1
             step *= lr
             step /= scratch

@@ -53,9 +53,8 @@ def _check_variant(kind: str) -> None:
         raise ValueError(f"unknown variant {kind!r}")
 
 
-def init_projection(d_in: int, d_out: int, rng: np.random.Generator,
-                    dtype=np.float32) -> np.ndarray:
-    return (rng.normal(size=(d_in, d_out)) / np.sqrt(d_in)).astype(dtype)
+def init_projection(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarray:
+    return (rng.normal(size=(d_in, d_out)) / np.sqrt(d_in)).astype(np.float32)
 
 
 def assemble_variant_input(first, second, projection=None) -> np.ndarray:
@@ -297,7 +296,7 @@ def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> lis
 
 
 @single_thread()
-def fused_from_imported(ids: list, kind: str, spare: int, seed: int = 0,
+def fused_from_imported(ids: list, kind: str, spare: int, seed: int,
                         **mappings) -> np.ndarray:
     """Fused features built from externally computed embeddings, in the first
     rows of a zeroed (N + spare, L, d) float32 tensor.

@@ -85,7 +85,7 @@ class TestNeighborTable:
             rng = np.random.default_rng(seed)
             k = int(rng.integers(1, 9))
             points = _family(family, rng, k)
-            table, d2 = balance._neighbor_table(points, k)
+            table, d2 = balance._neighbor_table(points, k, np.arange(len(points)))
             assert table.shape == (len(points), k) and table.dtype == np.intp
             assert d2.shape == table.shape and d2.dtype == np.float64
             oracle = brute_force_neighbors(points, k)
@@ -107,7 +107,8 @@ class TestNeighborTable:
             rows = np.sort(rng.choice(len(mixed), size=len(points), replace=False))
             mixed[rows] = points
             table, d2 = balance._neighbor_table(mixed, k, rows)
-            expected, expected_d2 = balance._neighbor_table(points.astype(np.float64), k)
+            expected, expected_d2 = balance._neighbor_table(
+                points.astype(np.float64), k, np.arange(len(points)))
             assert table.dtype == expected.dtype and d2.dtype == expected_d2.dtype
             assert table.tobytes() == expected.tobytes(), f"{family}, seed {seed}"
             assert d2.tobytes() == expected_d2.tobytes(), f"{family}, seed {seed}"
@@ -118,7 +119,7 @@ class TestNeighborTable:
         expected = brute_force_neighbors(points, 6)
         monkeypatch.setattr(balance, "GRAM_BLOCK", 7)
         monkeypatch.setattr(balance, "RERANK_ELEMENTS", 5)
-        table, d2 = balance._neighbor_table(points, 6)
+        table, d2 = balance._neighbor_table(points, 6, np.arange(len(points)))
         np.testing.assert_array_equal(table, expected)
         np.testing.assert_array_equal(d2, _listed_d2(points, np.array(expected)))
 
@@ -130,14 +131,14 @@ class TestNeighborTable:
         points[5] = points[2]
         with np.errstate(over="ignore"):
             expected = np.stack([knn_indices(points, i, 6) for i in range(12)])
-            table, d2 = balance._neighbor_table(points, 6)
+            table, d2 = balance._neighbor_table(points, 6, np.arange(len(points)))
         assert any(i in expected[i] for i in range(12))
         np.testing.assert_array_equal(table, expected)
         np.testing.assert_array_equal(d2, _listed_d2(points, expected))
 
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k=3 needs at least 4 points"):
-            balance._neighbor_table(np.zeros((3, 2)), 3)
+            balance._neighbor_table(np.zeros((3, 2)), 3, np.arange(3))
 
 
 class _StubRng:

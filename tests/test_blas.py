@@ -109,7 +109,7 @@ def test_fused_from_imported_runs_on_one_thread_and_restores_the_count(controls,
     monkeypatch.setattr(pipeline, "assemble_variant_input", recording)
     image = {rid: np.ones((3, 4), dtype=np.float32) for rid in "ab"}
     sentence = {rid: np.ones(6, dtype=np.float32) for rid in "ab"}
-    feats = pipeline.fused_from_imported(["a", "b"], "imgsen", 0, image=image,
+    feats = pipeline.fused_from_imported(["a", "b"], "imgsen", 0, seed=0, image=image,
                                          text_sentence=sentence)
     assert feats.shape == (2, 4, 6)
     assert seen == [1]

@@ -426,32 +426,46 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, REPORT_SCHEMA)
 
-    def test_variant_mismatch_exits_2(self, small_csv, trained, capsys):
-        rc = cli.main(["eval", "--dataset", str(small_csv),
-                       "--checkpoint", str(trained), "--variant", "capsen"])
-        assert rc == 2
-        assert "capsen" in capsys.readouterr().err
-
-    def test_default_seed_comes_from_checkpoint(self, small_csv, trained, capsys):
-        rc = cli.main(["eval", "--dataset", str(small_csv),
-                       "--checkpoint", str(trained)])
-        assert rc == 0
-        implicit = capsys.readouterr().out
-        rc = cli.main(["eval", "--dataset", str(small_csv),
-                       "--checkpoint", str(trained), "--seed", "3"])
-        assert rc == 0
-        assert capsys.readouterr().out == implicit
-
-    def test_negative_seed_exits_2_before_loading(self, small_csv, trained, capsys,
-                                                  monkeypatch):
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--variant", "imgsen"]],
+                             ids=["seed", "variant"])
+    def test_removed_flag_exits_2_before_loading(self, small_csv, trained, capsys,
+                                                 monkeypatch, flag):
+        # the checkpoint records the one seed and variant that score it
         def loading(*args):
-            raise AssertionError("checkpoint loaded before --seed was checked")
+            raise AssertionError(f"checkpoint loaded despite {flag[0]}")
 
         monkeypatch.setattr(cli, "load_checkpoint", loading)
-        rc = cli.main(["eval", "--dataset", str(small_csv),
-                       "--checkpoint", str(trained), "--seed", "-5"])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--dataset", str(small_csv),
+                      "--checkpoint", str(trained), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--help"])
+        assert exc.value.code == 0
+        assert flag[0] not in capsys.readouterr().out
+
+    def test_split_and_features_take_the_checkpoint_seed(self, small_csv, tmp_path,
+                                                         capsys, monkeypatch):
+        ckpt = tmp_path / "seed7.ckpt"
+        assert cli.main(["train", "--dataset", str(small_csv), "--variant", "imgsen",
+                         "--epochs", "1", "--seed", "7", "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()  # drop the train summary
+        seen = {"split": [], "build_feature_space": []}
+        splitting, building = cli.split, cli.build_feature_space
+
+        def split_spy(records, ratio, seed):
+            seen["split"].append(seed)
+            return splitting(records, ratio, seed)
+
+        def space_spy(*, seed):
+            seen["build_feature_space"].append(seed)
+            return building(seed=seed)
+
+        monkeypatch.setattr(cli, "split", split_spy)
+        monkeypatch.setattr(cli, "build_feature_space", space_spy)
+        assert cli.main(["eval", "--dataset", str(small_csv), "--checkpoint", str(ckpt)]) == 0
+        assert seen == {"split": [7], "build_feature_space": [7]}
 
     def test_eval_deterministic(self, small_csv, trained, capsys):
         outs = []

@@ -98,7 +98,7 @@ class TestAssemble:
         rng = np.random.default_rng(3)
         img = rng.normal(size=(4, 64))
         sent = rng.normal(size=(768,))
-        proj = init_projection(768, 64, rng, dtype=np.float64)
+        proj = init_projection(768, 64, rng).astype(np.float64)
         fused = assemble_variant_input(img, sent[None], projection=proj)
         assert fused.shape == (5, 64)
         np.testing.assert_array_equal(fused[:4], img)
@@ -108,7 +108,7 @@ class TestAssemble:
         rng = np.random.default_rng(4)
         img = rng.normal(size=(4, 64))
         sent = rng.normal(size=(768,))
-        proj = init_projection(64, 768, rng, dtype=np.float64)
+        proj = init_projection(64, 768, rng).astype(np.float64)
         fused = assemble_variant_input(img, sent[None], projection=proj)
         assert fused.shape == (5, 768)
         np.testing.assert_allclose(fused[:4], img @ proj, atol=1e-12)
@@ -146,7 +146,7 @@ class TestBatchedAssemble:
         else:
             # the imported case: float64 captions projected up to the text width
             parts = (rng.normal(size=(batch, 1, 32)), rng.normal(size=(batch, 1, 48)))
-            proj = init_projection(32, 48, rng, dtype=np.float64)
+            proj = init_projection(32, 48, rng).astype(np.float64)
         return parts, proj
 
     @pytest.mark.parametrize("kind", VARIANTS)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,30 @@ class TestPredictChunks:
         probs = model.predict_proba(variant, np.zeros((0, 4, 6), np.float32), params)
         assert [probs[t].shape for t in TASKS] == [(0, 2), (0, 2), (0, 2), (0, 3)]
 
+    def test_saturated_overflow_passes_without_a_warning(self):
+        # a weight near float32's largest value overflows the input projection
+        # to inf, which the gates saturate to finite probabilities
+        variant, params, rng = self._setup()
+        x = rng.normal(size=(3, 4, 6)).astype(np.float32)
+        x[..., 0] = 10.0
+        params["bilstm.0.wx"][0, 0] = 3.4e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = model.predict_proba(variant, x, params)
+        assert all(np.isfinite(probs[t]).all() for t in TASKS)
+
+    def test_overflowing_logit_raises_naming_the_row(self):
+        # the humor head's hidden units saturate near 1, so its first logit
+        # sums four extreme products to inf, and softmax gives inf - inf
+        variant, params, rng = self._setup()
+        x = rng.normal(size=(3, 4, 6)).astype(np.float32)
+        params["head.humor.b1"][:] = 10.0
+        params["head.humor.w2"][:, 0] = 3.4e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite humor probability in row 0"):
+                model.predict_proba(variant, x, params)
+
     def test_peak_memory_bounded_by_one_chunk(self):
         variant, params, rng = self._setup()
         x = rng.normal(size=(8 * model.PREDICT_CHUNK, 10, 6)).astype(np.float32)
@@ -205,10 +230,11 @@ class TestAdam:
         updated, _ = model.adam_step(params, grads, None, lr=0.1, t=1)
         np.testing.assert_array_equal(updated["w"], [1.0, -2.0])
 
-    def test_first_step_magnitude_is_lr(self):
+    def test_first_step_magnitude_is_lr(self, monkeypatch):
+        monkeypatch.setattr(model, "ADAM_EPS", 0.0)
         params = {"w": np.array([3.0])}
         grads = {"w": np.array([0.7])}
-        model.adam_step(params, grads, None, lr=0.01, t=1, eps=0.0)
+        model.adam_step(params, grads, None, lr=0.01, t=1)
         np.testing.assert_allclose(params["w"], [3.0 - 0.01], atol=1e-12)
 
     def test_five_steps_match_hand_oracle(self):
@@ -229,8 +255,7 @@ class TestAdam:
         state = None
         for t in range(1, 6):
             grads = {"x": 2.0 * params["x"]}
-            params, state = model.adam_step(params, grads, state, lr=lr, t=t,
-                                            beta1=b1, beta2=b2, eps=eps)
+            params, state = model.adam_step(params, grads, state, lr=lr, t=t)
             np.testing.assert_allclose(params["x"][0], trajectory[t - 1], atol=1e-10)
 
     def test_non_finite_gradient_aborts(self):

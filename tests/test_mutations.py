@@ -1,12 +1,17 @@
-"""Mutated inputs of the cheap commands keep the exit contract.
+"""Mutated inputs keep the exit contract.
 
 Byte and structure mutations of the annotation CSV and JSON-lines files,
 the schema, the emoji lexicon and the vocabulary run through
 ``cli.main(["ingest", ...])`` and ``cli.main(["preprocess", ...])`` in
-process.  Whatever the input, the command returns 0, 2 or 3, no
-exception escapes, an exit of 2 or 3 writes an ``error:`` line to
-stderr, and an exit of 0 writes nothing there.  The seeds are fixed, so
-every run tries the same cases.
+process.  Byte mutations of the header and of the tensor data of a
+checkpoint, and of an embedding exchange file, run through
+``cli.main(["eval", ...])``.  Whatever the input, the command returns 0,
+2 or 3, no exception escapes, an exit of 2 or 3 writes one ``error:``
+line to stderr, and an exit of 0 writes nothing there.  The seeds are
+fixed, so every run tries the same cases.
+
+A mutated checkpoint may still exit 0: nothing checks the tensor bytes
+against a digest yet.
 """
 
 import csv
@@ -14,10 +19,13 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from memefuse import bundled_data, cli
+from memefuse.dataset import Schema, load_dataset
 from memefuse.fixtures import write_annotation_fixture
+from memefuse.tensorfile import export_embeddings
 
 SEEDS = range(40)
 
@@ -26,6 +34,15 @@ TALLIES = {
     "sarcasm": (("sarcastic", 6), ("not_sarcastic", 4)),
     "motivational": (("motivational", 4), ("not_motivational", 6)),
     "overall_sentiment": (("positive", 4), ("negative", 4), ("neutral", 2)),
+}
+
+# 16 rows, so the 12-row training split leaves a class that train
+# oversamples members to interpolate between
+TRAIN_TALLIES = {
+    "humour": (("funny", 8), ("not_funny", 4), ("very_funny", 4)),
+    "sarcasm": (("sarcastic", 10), ("not_sarcastic", 6)),
+    "motivational": (("motivational", 7), ("not_motivational", 9)),
+    "overall_sentiment": (("positive", 6), ("negative", 6), ("neutral", 4)),
 }
 
 # bytes a mutation splices in: delimiters, quotes, line ends, a BOM, NUL,
@@ -76,6 +93,34 @@ def mutate_bytes(data: bytes, rng: random.Random) -> bytes:
             out[at:at] = out[at:at + rng.randint(1, 60)]
         else:
             del out[rng.randrange(at + 1):]
+    return bytes(out)
+
+
+# float32 values a tensor mutation writes over one: non-finite, extreme,
+# signed zero, subnormal
+FLOAT32_VALUES = tuple(np.array([np.nan, np.inf, -np.inf, 3.4e38, -3.4e38, 1e30, -0.0, 1e-45],
+                                dtype="<f4").view(np.uint8).reshape(-1, 4))
+
+
+def mutate_tensor_bytes(data: bytes, rng: random.Random) -> bytes:
+    """One to three edits that keep the length, so the tensors still read:
+    a bit flip, a float32 overwritten by an extreme value, or a span copied
+    over another."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(out))
+        op = rng.randrange(3)
+        if op == 0:
+            out[at] ^= 1 << rng.randrange(8)
+        elif op == 1:
+            at -= at % 4
+            out[at:at + 4] = bytes(rng.choice(FLOAT32_VALUES))
+        else:
+            span = rng.randint(1, 64)
+            source = rng.randrange(len(out))
+            piece = out[source:source + span]
+            out[at:at + len(piece)] = piece
+            del out[len(data):]
     return bytes(out)
 
 
@@ -151,6 +196,19 @@ def _argv(command, paths, out):
     return argv
 
 
+def _keeps_exit_contract(argv, case, capsys):
+    try:
+        rc = cli.main(argv)
+    except Exception as exc:  # the contract: nothing escapes main
+        pytest.fail(f"{case}: {type(exc).__name__} escaped: {exc}")
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3), case
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1, f"{case}: {err!r}"
+    else:
+        assert err == "", case
+
+
 @pytest.mark.parametrize("kind", sorted(COMMANDS))
 @pytest.mark.parametrize("how", ["bytes", "structure"])
 def test_mutated_input_keeps_the_exit_contract(kind, how, tmp_path, capsys):
@@ -169,13 +227,58 @@ def test_mutated_input_keeps_the_exit_contract(kind, how, tmp_path, capsys):
             paths[role] = path
         for command in COMMANDS[kind]:
             case = f"seed {seed}, {command} of mutated {kind}: {mutated[:200]!r}"
-            try:
-                rc = cli.main(_argv(command, paths, tmp_path / "tokens.jsonl"))
-            except Exception as exc:  # the contract: nothing escapes main
-                pytest.fail(f"{case}: {type(exc).__name__} escaped: {exc}")
-            err = capsys.readouterr().err
-            assert rc in (0, 2, 3), case
-            if rc:
-                assert err.startswith("error: "), case
-            else:
-                assert err == "", case
+            _keeps_exit_contract(_argv(command, paths, tmp_path / "tokens.jsonl"), case, capsys)
+
+
+@pytest.fixture(scope="module")
+def trained_files(tmp_path_factory):
+    """A 1-epoch imgsen checkpoint, and a 1-epoch capsen checkpoint trained on
+    imported sentence vectors, with the annotation file both read."""
+    tmp = tmp_path_factory.mktemp("trained")
+    data = tmp / "memes.csv"
+    write_annotation_fixture(data, TRAIN_TALLIES)
+    emb = tmp / "emb"
+    emb.mkdir()
+    rng = np.random.default_rng(0)
+    schema = Schema.from_json(bundled_data("memotion_schema.json"))
+    ids = [r.id for r in load_dataset(data, schema)]
+    for name in ("caption_sentence", "text_sentence"):
+        export_embeddings(emb / f"{name}.emb",
+                          {rid: rng.normal(size=12).astype(np.float32) for rid in ids},
+                          kind="vector")
+    for variant, extra in (("imgsen", []), ("capsen", ["--embeddings", str(emb)])):
+        assert cli.main(["train", "--dataset", str(data), "--variant", variant,
+                         "--epochs", "1", "--checkpoint", str(tmp / f"{variant}.ckpt"),
+                         *extra]) == 0
+    return data, tmp / "imgsen.ckpt", tmp / "capsen.ckpt", emb
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "embeddings"])
+@pytest.mark.parametrize("part", ["header", "tensors"])
+def test_mutated_tensor_file_keeps_the_exit_contract(target, part, trained_files, tmp_path,
+                                                     capsys):
+    data, imgsen, capsen, emb = trained_files
+    capsys.readouterr()  # drop the train summaries
+    original = (imgsen if target == "checkpoint" else emb / "text_sentence.emb").read_bytes()
+    header, blob = original.split(b"\n", 1)
+    mutated_emb = tmp_path / "emb"
+    mutated_emb.mkdir()
+    (mutated_emb / "caption_sentence.emb").write_bytes(
+        (emb / "caption_sentence.emb").read_bytes())
+    for seed in SEEDS:
+        rng = random.Random(f"{target}/{part}/{seed}")
+        if part == "header":
+            mutated = mutate_bytes(header, rng) + b"\n" + blob
+        else:
+            # one case in four changes the length, which the reader refuses
+            mutate = mutate_bytes if seed % 4 == 0 else mutate_tensor_bytes
+            mutated = header + b"\n" + mutate(blob, rng)
+        if target == "checkpoint":
+            path = tmp_path / "mutated.ckpt"
+            argv = ["eval", "--dataset", str(data), "--checkpoint", str(path)]
+        else:
+            path = mutated_emb / "text_sentence.emb"
+            argv = ["eval", "--dataset", str(data), "--checkpoint", str(capsen),
+                    "--embeddings", str(mutated_emb)]
+        path.write_bytes(mutated)
+        _keeps_exit_contract(argv, f"seed {seed}, eval of mutated {target} {part}", capsys)

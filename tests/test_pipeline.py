@@ -622,32 +622,32 @@ class TestFusedFromImported:
         ids, kind, mappings = _imported_case("imgtxt-same-width")
         del mappings["tokens"][ids[4]]
         with pytest.raises(ValueError, match="record 'rec_04' missing from tokens embeddings"):
-            fused_from_imported(ids, kind, 0, **mappings)
+            fused_from_imported(ids, kind, 0, seed=0, **mappings)
 
     def test_missing_mapping_named(self):
         ids, kind, mappings = _imported_case("capsen-same-width")
         del mappings["caption_sentence"]
         with pytest.raises(ValueError, match="'capsen' needs caption_sentence embeddings"):
-            fused_from_imported(ids, kind, 0, **mappings)
+            fused_from_imported(ids, kind, 0, seed=0, **mappings)
 
     def test_unknown_variant_rejected(self):
         ids, _, mappings = _imported_case("capsen-same-width")
         with pytest.raises(ValueError, match="unknown variant 'imgcap'"):
-            fused_from_imported(ids, "imgcap", 0, **mappings)
+            fused_from_imported(ids, "imgcap", 0, seed=0, **mappings)
 
     def test_width_disagreement_within_mapping_rejected(self):
         ids, kind, mappings = _imported_case("imgsen-same-width")
         mappings["image"][ids[7]] = np.zeros((2, 9), dtype=np.float32)
         with pytest.raises(ValueError, match=r"image embeddings: record 'rec_07' has shape "
                                              r"\(2, 9\), width 16 expected"):
-            fused_from_imported(ids, kind, 0, **mappings)
+            fused_from_imported(ids, kind, 0, seed=0, **mappings)
 
     def test_one_record_without_rows_still_fuses(self):
         # only a corpus with no rows at all has nothing to fuse
         ids, kind, mappings = _imported_case("imgtxt-same-width")
         for name in ("image", "tokens"):
             mappings[name][ids[5]] = np.zeros((0, 16), dtype=np.float32)
-        out = fused_from_imported(ids, kind, 0, **mappings)
+        out = fused_from_imported(ids, kind, 0, seed=0, **mappings)
         assert out.shape[1] > 0 and not out[5].any() and out[4].any()
 
     @pytest.mark.parametrize("case, name, shape", [
@@ -662,7 +662,7 @@ class TestFusedFromImported:
         mappings[name][ids[2]] = np.ones(shape, dtype=np.float32)
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} embeddings: record 'rec_02' has shape {shape}, expected")):
-            fused_from_imported(ids, kind, 0, **mappings)
+            fused_from_imported(ids, kind, 0, seed=0, **mappings)
 
 
 class TestFusionBatches:

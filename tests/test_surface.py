@@ -98,8 +98,11 @@ def test_a_wrapper_called_only_by_an_unused_wrapper_is_reported(tmp_path):
 # before fusion's d_target keyword and the four LabelSet fields went, 76
 # before `_add_common`'s `dataset` and `CleanText.original` went, 72 before
 # the `axis` of `softmax` and `softmax_backward` and `layernorm_forward`'s
-# `eps` went, 69 before fusion's four part keywords went.
-SETTABLE_BUDGET = 65
+# `eps` went, 69 before fusion's four part keywords went, 65 before eval's
+# `--seed` and `--variant`, Adam's `beta1`, `beta2` and `eps`, and the
+# test-only defaults of `fused_from_imported`'s `seed`, `_neighbor_table`'s
+# `rows` and `init_projection`'s `dtype` went.
+SETTABLE_BUDGET = 57
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
