@@ -8,6 +8,12 @@ layer as three tensors indexed by direction (forward, backward) and gate
 step loop multiplies them as they are; ``init_bilstm_params`` reorders
 each direction's cell gates once.  The trunk takes and returns
 batch-major (B, L, .) arrays and keeps its caches time-major.
+
+A forward cache holds only what the backward pass reads: the time-major
+input, the gate activations, the cell states and the outputs.  tanh(c)
+is recomputed from the cell states, not kept.  The backward pass takes
+either the gradient of every output row, (B, L, 2H), or the gradient of
+``sequence_feature``'s end states alone, (B, 2H).
 """
 
 from __future__ import annotations
@@ -155,7 +161,12 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
     from ``ws`` (fresh ones when None); the output and the cache are views
     of them, valid until the workspace serves this layer again.  The
     output is a view of time-major memory, so a stacked layer reads it as
-    it is.
+    it is, and so is an input that is such a view (``model.gather_batch``'s
+    batch); any other input is copied time-major into the workspace.
+
+    The cache is (x, gates, cs, out, wx, wh): the time-major input, each
+    step's activated gates, the L + 1 cell states from the zero initial
+    one, and the time-major output.
     """
     ws = Workspace() if ws is None else ws
     batch, length, d_in = x.shape
@@ -177,10 +188,9 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
         gates[t0:t1, 0] = zx[:, 0]
         gates[length - t1:length - t0, 1] = zx[::-1, 1]
     cs = ws.buffer("cs", (length + 1, 2, batch, hidden), dtype)
-    tc = ws.buffer("tc", (length, 2, batch, hidden), dtype)
     out = ws.buffer("out", (length, batch, 2 * hidden), dtype)
     rec = ws.scratch("rec", (2, 4, batch, hidden), dtype)
-    h, ig = ws.scratch("state", (2, 2, batch, hidden), dtype)
+    h, ig, tc = ws.scratch("state", (3, 2, batch, hidden), dtype)
     cs[0] = 0.0
     for s in range(length):
         a = gates[s]
@@ -196,16 +206,21 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
         np.multiply(f, cs[s], out=cs[s + 1])
         np.multiply(i, g, out=ig)
         cs[s + 1] += ig
-        np.tanh(cs[s + 1], out=tc[s])
-        np.multiply(o, tc[s], out=h)
+        np.tanh(cs[s + 1], out=tc)
+        np.multiply(o, tc, out=h)
         out[s, :, :hidden] = h[0]
         out[length - 1 - s, :, hidden:] = h[1]
-    return out.transpose(1, 0, 2), (xt, gates, cs, tc, out, wx, wh)
+    return out.transpose(1, 0, 2), (xt, gates, cs, out, wx, wh)
 
 
 def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,
                     need_dx: bool = True):
-    """d_out: (B, L, 2H) -> (dx (B, L, d), param grads) for bilstm_forward.
+    """d_out -> (dx (B, L, d), param grads) for bilstm_forward.
+
+    ``d_out`` is the gradient of the output, (B, L, 2H), or of its
+    ``sequence_feature`` alone, (B, 2H): the forward half of row L-1 and
+    the backward half of row 0, which start the recurrence's state
+    gradient, and no other row takes one.
 
     The step loop runs both directions' recurrence backwards and writes
     each step's pre-activation gradients over its gate block, which the
@@ -217,25 +232,32 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,
     for dx: with ``need_dx`` False it is None.
     """
     ws = Workspace() if ws is None else ws
-    xt, gates, cs, tc, out, wx, wh = cache
+    xt, gates, cs, out, wx, wh = cache
     length, _, _, batch, hidden = gates.shape
     d_in = xt.shape[-1]
     dtype = gates.dtype
-    d_tm = d_out.transpose(1, 0, 2)
+    every_row = d_out.ndim == 3
     wh_t = ws.scratch("wh_t", wh.shape, dtype)
     wh_t[...] = wh.swapaxes(-1, -2)
     rec = ws.scratch("rec", (2, 4, batch, hidden), dtype)
-    dh, dc, dc_prev, u, v = ws.scratch("state", (5, 2, batch, hidden), dtype)
-    dh[...] = 0.0
+    dh, dc, dc_prev, u, v, tc = ws.scratch("state", (6, 2, batch, hidden), dtype)
+    if every_row:
+        d_tm = d_out.transpose(1, 0, 2)
+        dh[...] = 0.0
+    else:
+        dh[0] = d_out[:, :hidden]
+        dh[1] = d_out[:, hidden:]
     dc[...] = 0.0
     for s in reversed(range(length)):
         a = gates[s]
         i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-        dh[0] += d_tm[s, :, :hidden]
-        dh[1] += d_tm[length - 1 - s, :, hidden:]
-        # dc += dh * o * (1 - tanh(c)^2)
+        if every_row:
+            dh[0] += d_tm[s, :, :hidden]
+            dh[1] += d_tm[length - 1 - s, :, hidden:]
+        # dc += dh * o * (1 - tanh(c)^2), with the forward pass's tanh(c)
+        np.tanh(cs[s + 1], out=tc)
         np.multiply(dh, o, out=u)
-        np.multiply(tc[s], tc[s], out=v)
+        np.multiply(tc, tc, out=v)
         np.subtract(1.0, v, out=v)
         u *= v
         dc += u
@@ -250,7 +272,7 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,
         f *= dc
         f *= cs[s]
         o *= dh
-        o *= tc[s]
+        o *= tc
         np.multiply(g, g, out=u)
         np.subtract(1.0, u, out=u)
         np.multiply(v, u, out=g)

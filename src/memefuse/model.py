@@ -85,13 +85,17 @@ class TrainConfig:
 
 @dataclass
 class TrainSet:
-    """Training samples: fused sequences plus per-task integer labels (-1 = missing)."""
+    """Training samples: fused sequences plus per-task integer labels (-1 = missing).
+
+    ``features`` is C-contiguous (a copy when given otherwise), so a batch
+    gathers from its rows of time steps without a copy of the whole set.
+    """
 
     features: np.ndarray
     labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features)
+        self.features = np.ascontiguousarray(self.features)
         if self.features.ndim != 3:
             raise ValueError(f"features must be (N, L, d), got shape {self.features.shape}")
         n = self.features.shape[0]
@@ -143,7 +147,7 @@ def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict, ws: Wor
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         probs[task] = np.exp(logp)
         heads[task] = (hidden, logp)
-    return probs, (layer_caches, feat, heads, x.shape)
+    return probs, (layer_caches, feat, heads)
 
 
 @single_thread()
@@ -181,11 +185,12 @@ def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: d
 
     Each head averages over its labeled samples; label -1 masks a sample
     out of that head.  Gradients cover every parameter (flat dict).  The
-    trunk's buffers come from ``ws`` (fresh ones when None).
+    trunk's buffers come from ``ws`` (fresh ones when None); an ``x`` from
+    ``gather_batch`` on the same workspace enters the trunk without a copy.
     """
     ws = Workspace() if ws is None else ws
-    probs, (layer_caches, feat, heads, out_shape) = _batched_forward(x, variant, params, ws)
-    batch, length, _ = out_shape
+    probs, (layer_caches, feat, heads) = _batched_forward(x, variant, params, ws)
+    batch = len(feat)
     grads = {k: np.zeros_like(v) for k, v in params.items() if k.startswith("head.")}
     d_feat = np.zeros_like(feat)
     total = 0.0
@@ -208,13 +213,9 @@ def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: d
         grads[f"head.{task}.w1"] += feat.T @ d_hidden
         grads[f"head.{task}.b1"] += d_hidden.sum(axis=0)
         d_feat += d_hidden @ hp["w1"].T
-    half = variant.hidden
-    # time-major, as the trunk reads it one step at a time
-    d_out = ws.buffer("d_out", (length, batch, 2 * half), feat.dtype)
-    d_out[...] = 0.0
-    d_out[-1, :, :half] = d_feat[:, :half]
-    d_out[0, :, half:] = d_feat[:, half:]
-    d_out = d_out.transpose(1, 0, 2)
+    # the top layer takes the gradient of its sequence_feature, the others
+    # that of every output row
+    d_out = d_feat
     for i in reversed(range(variant.bilstm_layers)):
         # layer 0's input gradient has no use
         d_out, layer_grads = bilstm_backward(d_out, layer_caches[i], ws, need_dx=i > 0)
@@ -228,7 +229,8 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int):
 
     ``state`` carries first/second moments; pass None on the first step.
     A non-finite gradient, or a parameter the update leaves non-finite (an
-    overflowing learning rate), aborts with NumericError.
+    overflowing learning rate), aborts with NumericError; an overflow
+    raises no RuntimeWarning.
     """
     if t < 1:
         raise ValueError("step index t starts at 1")
@@ -246,16 +248,16 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int):
         # m += (1 - beta1) (g - m), v += (1 - beta2) (g g - v) and
         # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), operation by operation
         # in that order, in place; the quotient needs its numerator (step)
-        # and its denominator (scratch) at once
-        scratch = np.subtract(g, m)
-        scratch *= 1.0 - ADAM_BETA1
-        m += scratch
-        np.multiply(g, g, out=scratch)
-        scratch -= v
-        scratch *= 1.0 - ADAM_BETA2
-        v += scratch
-        # an overflow is reported below, by name, not as a RuntimeWarning
+        # and its denominator (scratch) at once.  An overflow (of g g, say)
+        # is reported below, by name, not as a RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
+            scratch = np.subtract(g, m)
+            scratch *= 1.0 - ADAM_BETA1
+            m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch -= v
+            scratch *= 1.0 - ADAM_BETA2
+            v += scratch
             np.divide(v, bc2, out=scratch)
             np.sqrt(scratch, out=scratch)
             scratch += ADAM_EPS
@@ -268,12 +270,28 @@ def adam_step(params: dict, grads: dict, state, lr: float, t: int):
     return params, state
 
 
+def gather_batch(feats: np.ndarray, idx: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Rows ``idx`` of C-contiguous ``feats`` (N, L, d), gathered time-major
+    into the workspace in one pass and returned as a batch-major (B, L, d)
+    view, which ``bilstm_forward`` reads without a copy."""
+    _, length, d_in = feats.shape
+    xt = ws.buffer("batch", (length, len(idx), d_in), feats.dtype)
+    # row t of sample j is row j * L + t of the (N * L, d) view; mode="clip"
+    # (the rows are in range) lets take write to out unbuffered
+    rows = ws.scratch("rows", (length, len(idx)), np.intp)
+    np.add(idx * length, np.arange(length)[:, None], out=rows)
+    np.take(feats.reshape(-1, d_in), rows, axis=0, out=xt, mode="clip")
+    return xt.transpose(1, 0, 2)
+
+
 @single_thread()
 def train(variant: ModelVariant, dataset: TrainSet, config: TrainConfig):
     """Mini-batch Adam training; returns (params, history).
 
     History holds one record per epoch: mean loss plus running train
-    accuracy per task.  Fully deterministic for a fixed config.seed.
+    accuracy per task.  Fully deterministic for a fixed config.seed.  An
+    overflow in a step raises no RuntimeWarning: a non-finite loss, or
+    the non-finite gradient or parameter it leads to, raises NumericError.
     """
     feats = dataset.features
     n = feats.shape[0]
@@ -294,11 +312,11 @@ def train(variant: ModelVariant, dataset: TrainSet, config: TrainConfig):
         counted = {task: 0 for task in TASKS}
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            # mode="clip" (idx is in range) lets take write to out unbuffered
-            xb = ws.buffer("batch", (len(idx),) + feats.shape[1:], feats.dtype)
-            np.take(feats, idx, axis=0, out=xb, mode="clip")
             yb = {task: dataset.labels[task][idx] for task in TASKS}
-            loss, grads, probs = loss_and_grads(xb, yb, variant, params, ws=ws)
+            # overflows are reported below and in adam_step, as NumericError
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads, probs = loss_and_grads(gather_batch(feats, idx, ws), yb,
+                                                    variant, params, ws=ws)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             t += 1

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -628,6 +629,36 @@ class TestEmbeddingsPath:
         assert err.startswith(f"error: {exchange} embeddings: record ")
         assert f"has shape {shape}" in err
         assert "Traceback" not in err
+
+    def test_overflowing_imported_vectors_train_without_a_warning(self, small_csv, tmp_path,
+                                                                   capsys):
+        # 3.4e38 is finite, so the exchange reader takes it, and the trunk's
+        # input GEMM overflows on it; that used to escape train as a
+        # RuntimeWarning.  The gates saturate the overflow away and the loss,
+        # gradients and parameters stay finite, so train exits 0
+        from memefuse.dataset import Schema, load_dataset
+        from memefuse import bundled_data
+        from memefuse.tensorfile import export_embeddings
+
+        records = load_dataset(small_csv, Schema.from_json(
+            bundled_data("memotion_schema.json")))
+        rng = np.random.default_rng(0)
+        emb = tmp_path / "emb"
+        emb.mkdir()
+        for name in ("caption_sentence", "text_sentence"):
+            vectors = {r.id: rng.normal(size=12).astype(np.float32) for r in records}
+            if name == "text_sentence":
+                for r in records[:3]:
+                    vectors[r.id] = np.full(12, 3.4e38, dtype=np.float32)
+            export_embeddings(emb / f"{name}.emb", vectors, kind="vector")
+        ckpt = tmp_path / "x.ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "capsen",
+                           "--epochs", "1", "--checkpoint", str(ckpt),
+                           "--embeddings", str(emb)])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert ckpt.exists()
 
     def test_missing_required_embedding_file_exits_2(self, small_csv, tmp_path, capsys):
         emb = tmp_path / "emb"

@@ -181,6 +181,28 @@ def test_layer_zero_skips_dx():
         np.testing.assert_array_equal(dp_skip[k], dp[k])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_final_state_gradient_matches_the_padded_form(dtype):
+    # sequence_feature reads row L-1 of the forward half and row 0 of the
+    # backward half; its (B, 2H) gradient, given as it is, must give the
+    # bytes of the (B, L, 2H) gradient that is zero elsewhere
+    rng = np.random.default_rng(27)
+    batch, length, d_in, hidden = 3, 5, 4, 2
+    params = lstm.init_bilstm_params(d_in, hidden, rng, dtype=dtype)
+    x = rng.normal(size=(batch, length, d_in)).astype(dtype)
+    d_feat = rng.normal(size=(batch, 2 * hidden)).astype(dtype)
+    padded = np.zeros((batch, length, 2 * hidden), dtype=dtype)
+    padded[:, -1, :hidden] = d_feat[:, :hidden]
+    padded[:, 0, hidden:] = d_feat[:, hidden:]
+    # the backward pass writes over its gate cache, so each takes a fresh forward
+    want_dx, want = lstm.bilstm_backward(padded, lstm.bilstm_forward(x, params)[1])
+    dx, got = lstm.bilstm_backward(d_feat, lstm.bilstm_forward(x, params)[1])
+    assert dx.tobytes() == want_dx.tobytes()
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def test_bilstm_grads():
     rng = np.random.default_rng(17)
     params = {k: v * 2.0 for k, v in lstm.init_bilstm_params(3, 2, rng, dtype=np.float64).items()}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memefuse import TASKS, model
-from memefuse.lstm import Workspace, lstm_cell_forward
+from memefuse.lstm import Workspace, bilstm_forward, init_bilstm_params, lstm_cell_forward
 from memefuse.model import ModelVariant, NumericError, TrainConfig, TrainSet
 from fdcheck import check_grads
 
@@ -271,6 +271,19 @@ class TestAdam:
         with pytest.raises(NumericError, match="non-finite parameter w after step 1"):
             model.adam_step(params, grads, None, lr=1e308, t=1)
 
+    def test_overflowing_moment_raises_no_warning(self):
+        # a finite float32 gradient whose square overflows: the second moment
+        # turns inf, the step 0, and the next step's inf - inf reaches the
+        # parameter, which is reported by name
+        params = {"w": np.ones(2, dtype=np.float32)}
+        grads = {"w": np.full(2, 1e20, dtype=np.float32)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, state = model.adam_step(params, grads, None, lr=0.1, t=1)
+            np.testing.assert_array_equal(params["w"], [1.0, 1.0])
+            with pytest.raises(NumericError, match="non-finite parameter w after step 2"):
+                model.adam_step(params, grads, state, lr=0.1, t=2)
+
     def test_bad_step_index(self):
         with pytest.raises(ValueError):
             model.adam_step({"w": np.ones(1)}, {"w": np.ones(1)}, None, lr=0.1, t=0)
@@ -367,6 +380,36 @@ class TestWorkspace:
         assert hist == want_hist
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_batch_is_gathered_once_time_major(self):
+        rng = np.random.default_rng(41)
+        feats = rng.normal(size=(9, 5, 6)).astype(np.float32)
+        idx = rng.permutation(9)[:4]
+        ws = Workspace()
+        x = model.gather_batch(feats, idx, ws)
+        # batch-major view of time-major memory: bilstm_forward reads it in place
+        assert x.shape == (4, 5, 6) and x.transpose(1, 0, 2).flags.c_contiguous
+        np.testing.assert_array_equal(x.transpose(1, 0, 2),
+                                      np.take(feats, idx, axis=0).transpose(1, 0, 2))
+        bilstm_forward(x, init_bilstm_params(6, 2, rng), ws.scope("bilstm.0"))
+        assert "bilstm.0.x" not in ws._flat
+
+    def test_training_step_workspace_bytes(self):
+        # one train step at B=256, L=20, d=64, H=32: per layer the gate cache
+        # (5 MiB), the cell states (L + 1 of them) and the outputs; the batch
+        # once, time-major, and its row index; the shared scratch.  Neither a
+        # transposed copy of the batch, nor a zero-padded top-layer gradient,
+        # nor a tanh(c) history: 24.47 MiB with them
+        batch, length, d_in = 256, 20, 64
+        variant = ModelVariant("imgtxt")
+        rng = np.random.default_rng(43)
+        params = model.init_classifier_params(variant, d_in, rng)
+        feats = rng.normal(size=(batch, length, d_in)).astype(np.float32)
+        ws = Workspace()
+        x = model.gather_batch(feats, np.arange(batch), ws)
+        model.loss_and_grads(x, _labels(rng, batch), variant, params, ws=ws)
+        total = sum(flat.nbytes for flat in ws._flat.values())
+        assert total == 20_520_960  # 19.57 MiB
 
     @staticmethod
     def _steady_step_memory(monkeypatch, length, batch, hidden):

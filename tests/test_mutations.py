@@ -4,8 +4,9 @@ Byte and structure mutations of the annotation CSV and JSON-lines files,
 the schema, the emoji lexicon and the vocabulary run through
 ``cli.main(["ingest", ...])`` and ``cli.main(["preprocess", ...])`` in
 process.  Byte mutations of the header and of the tensor data of a
-checkpoint, and of an embedding exchange file, run through
-``cli.main(["eval", ...])``.  Whatever the input, the command returns 0,
+checkpoint run through ``cli.main(["eval", ...])``, and those of an
+embedding exchange file through ``cli.main(["eval", ...])`` and
+``cli.main(["train", ...])``.  Whatever the input, the command returns 0,
 2 or 3, no exception escapes, an exit of 2 or 3 writes one ``error:``
 line to stderr, and an exit of 0 writes nothing there.  The seeds are
 fixed, so every run tries the same cases.
@@ -275,10 +276,13 @@ def test_mutated_tensor_file_keeps_the_exit_contract(target, part, trained_files
             mutated = header + b"\n" + mutate(blob, rng)
         if target == "checkpoint":
             path = tmp_path / "mutated.ckpt"
-            argv = ["eval", "--dataset", str(data), "--checkpoint", str(path)]
+            runs = {"eval": ["--checkpoint", str(path)]}
         else:
             path = mutated_emb / "text_sentence.emb"
-            argv = ["eval", "--dataset", str(data), "--checkpoint", str(capsen),
-                    "--embeddings", str(mutated_emb)]
+            runs = {"eval": ["--checkpoint", str(capsen), "--embeddings", str(mutated_emb)],
+                    "train": ["--variant", "capsen", "--epochs", "1", "--embeddings",
+                              str(mutated_emb), "--checkpoint", str(tmp_path / "t.ckpt")]}
         path.write_bytes(mutated)
-        _keeps_exit_contract(argv, f"seed {seed}, eval of mutated {target} {part}", capsys)
+        for command, args in runs.items():
+            _keeps_exit_contract([command, "--dataset", str(data), *args],
+                                 f"seed {seed}, {command} of mutated {target} {part}", capsys)
