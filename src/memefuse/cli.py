@@ -31,11 +31,11 @@ from .textprep import PreprocessConfig, load_lexicon, load_vocabulary, preproces
 # first runs, and ingest, preprocess and --help start without numpy.
 NUMPY_STACK = {
     ".evalmetrics": ("build_report",),
-    ".model": ("ModelVariant", "TrainConfig", "load_checkpoint", "predict_proba",
-               "save_checkpoint", "save_history", "train"),
+    ".model": ("ModelVariant", "TrainConfig", "load_checkpoint", "predict_blocks",
+               "predict_proba", "save_checkpoint", "save_history", "train"),
     ".pipeline": ("VARIANT_PARTS", "build_feature_space", "build_training_set",
-                  "class_deficits", "encode_corpus", "fused_from_imported",
-                  "labels_from_records"),
+                  "class_deficits", "encode_corpus", "encoded_blocks", "fused_from_imported",
+                  "imported_blocks", "labels_from_records"),
     ".tensorfile": ("import_embeddings",),
 }
 
@@ -96,17 +96,28 @@ def _split_tokens(args, seed, part):
     return rows, _tokens_for(rows, _preprocess_config(args))
 
 
+def _exchange_mappings(args, kind):
+    """The exchange mappings of --embeddings; only the files the variant fuses are read."""
+    root = _require(args.embeddings, "embeddings")
+    return {name: import_embeddings(_require(root / f"{name}.emb", "embeddings"))
+            for name in VARIANT_PARTS[kind]}
+
+
 def _corpus_features(records, tokens_by_id, kind, args, seed, spare):
     """The records' fused features, followed by ``spare`` zero rows."""
     ids = [r.id for r in records]
     if args.embeddings:
-        root = _require(args.embeddings, "embeddings")
-        # only the files the variant fuses are read
-        mappings = {name: import_embeddings(_require(root / f"{name}.emb", "embeddings"))
-                    for name in VARIANT_PARTS[kind]}
-        return fused_from_imported(ids, kind, spare, seed, **mappings)
-    space = build_feature_space(seed=seed)
-    return encode_corpus(ids, tokens_by_id, space, kind, spare)
+        return fused_from_imported(ids, kind, spare, seed, **_exchange_mappings(args, kind))
+    return encode_corpus(ids, tokens_by_id, build_feature_space(seed=seed), kind, spare)
+
+
+def _corpus_blocks(records, tokens_by_id, kind, args, seed):
+    """(row shape, blocks) of the records' fused features; a block is
+    encoded or fused only as it is drawn."""
+    ids = [r.id for r in records]
+    if args.embeddings:
+        return imported_blocks(ids, kind, seed, **_exchange_mappings(args, kind))
+    return encoded_blocks(ids, tokens_by_id, build_feature_space(seed=seed), kind)
 
 
 def cmd_ingest(args) -> int:
@@ -195,13 +206,15 @@ def cmd_eval(args) -> int:
     variant, params, meta = load_checkpoint(_require(args.checkpoint, "checkpoint"))
     # the training run's seed drew both its split and its frozen encoders
     records, tokens_by_id = _split_tokens(args, meta["seed"], "test")
-    features = _corpus_features(records, tokens_by_id, variant.kind, args, meta["seed"], 0)
+    (_, built), blocks = _corpus_blocks(records, tokens_by_id, variant.kind, args,
+                                        meta["seed"])
     width = params["bilstm.0.wx"].shape[0]
-    if features.shape[2] != width:
+    if built != width:
         raise ValueError(f"checkpoint {args.checkpoint} takes features of width {width}; "
-                         f"eval built features of width {features.shape[2]}")
+                         f"eval built features of width {built}")
     gold = labels_from_records(records)
-    probs = predict_proba(variant, features, params)
+    # each block is encoded, fused and scored before the next one is encoded
+    probs = predict_blocks(variant, blocks, params)
     preds = {task: np.argmax(probs[task], axis=1) for task in TASKS}
     report = build_report({variant.kind: preds}, gold)
 

@@ -51,7 +51,7 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def init_block_params(d_model: int, n_heads: int, rng: np.random.Generator,
-                      dtype=np.float32) -> dict:
+                      dtype) -> dict:
     def mat(rows, cols):
         return (rng.normal(size=(rows, cols)) / np.sqrt(rows)).astype(dtype)
 
@@ -111,7 +111,7 @@ def transformer_block_backward(d_y: np.ndarray, cache):
 def _stack_params(rng: np.random.Generator) -> dict:
     params = {}
     for i in range(N_LAYERS):
-        for k, v in init_block_params(D_MODEL, N_HEADS, rng).items():
+        for k, v in init_block_params(D_MODEL, N_HEADS, rng, np.float32).items():
             params[f"blocks.{i}.{k}"] = v
     return params
 
@@ -246,7 +246,7 @@ def init_caption_decoder_params(seed: int) -> dict:
         "out.b": np.zeros(vocab, dtype=np.float32),
     }
     for i in range(CAPTION_LAYERS):
-        for k, v in init_block_params(d, CAPTION_HEADS, rng).items():
+        for k, v in init_block_params(d, CAPTION_HEADS, rng, np.float32).items():
             params[f"self.{i}.{k}"] = v
         p = f"cross.{i}"
         params[f"{p}.ln.g"] = np.ones(d, dtype=np.float32)
@@ -267,7 +267,7 @@ def _image_features(images: np.ndarray, p: dict) -> np.ndarray:
     return h2.reshape(h2.shape[0], -1, h2.shape[-1])
 
 
-def _decode_step(x: np.ndarray, caches: list, memory: list, p: dict):
+def _decode_step(x: np.ndarray, caches: list, memory: list, layers: list, p: dict):
     """Run the decoder stack over each live caption's newest row (B x 1 x
     d_model); returns B x vocab logits and the grown caches.
 
@@ -275,19 +275,17 @@ def _decode_step(x: np.ndarray, caches: list, memory: list, p: dict):
     cache, which holds every earlier row of the same captions, and the rows
     attend over it: nothing later is cached, so no causal mask is needed.
     ``memory`` holds each layer's cross-attention (keys, values) heads over
-    the image features.
+    the image features; ``layers`` each layer's (self-attention block,
+    its attention, cross-attention) parameter views.
     """
     grown = []
-    for i, (cache, kv) in enumerate(zip(caches, memory)):
-        sp = nnops.sub_params(p, f"self.{i}")
-        attn = nnops.sub_params(sp, "attn")
+    for (sp, attn, cp), cache, kv in zip(layers, caches, memory):
         n1, _ = nnops.layernorm_forward(x, sp["ln1.g"], sp["ln1.b"])
         new, _ = nnops.mha_kv(n1, attn, CAPTION_HEADS)
         cache = tuple(np.concatenate(pair, axis=-2) for pair in zip(cache, new))
         grown.append(cache)
         a, _ = nnops.mha_attend(n1, cache, attn, CAPTION_HEADS)
         x, _ = _ffn_residual(x + a, sp)
-        cp = nnops.sub_params(p, f"cross.{i}")
         n, _ = nnops.layernorm_forward(x, cp["ln.g"], cp["ln.b"])
         a, _ = nnops.mha_attend(n, kv, cp, CAPTION_HEADS)
         x = x + a
@@ -308,15 +306,19 @@ def generate_captions(images: np.ndarray, decoder_params: dict) -> list[list[str
     p = decoder_params
     feats = _image_features(images, p)
     n = feats.shape[0]
-    memory = [nnops.mha_kv(feats, nnops.sub_params(p, f"cross.{i}"), CAPTION_HEADS)[0]
-              for i in range(CAPTION_LAYERS)]
+    # each layer's parameter views, sliced once for every step
+    layers = []
+    for i in range(CAPTION_LAYERS):
+        sp = nnops.sub_params(p, f"self.{i}")
+        layers.append((sp, nnops.sub_params(sp, "attn"), nnops.sub_params(p, f"cross.{i}")))
+    memory = [nnops.mha_kv(feats, cp, CAPTION_HEADS)[0] for _, _, cp in layers]
     empty = np.zeros((n, CAPTION_HEADS, 0, CAPTION_D_MODEL // CAPTION_HEADS), dtype=feats.dtype)
     caches = [(empty, empty)] * CAPTION_LAYERS
     captions: list[list[str]] = [[] for _ in range(n)]
     live = np.arange(n)
     rows = np.broadcast_to(p["start_emb"], (n, 1, p["start_emb"].shape[0]))
     for step in range(CAPTION_LEN):
-        logits, caches = _decode_step(rows + p["pos"][step], caches, memory, p)
+        logits, caches = _decode_step(rows + p["pos"][step], caches, memory, layers, p)
         nxt = np.argmax(logits, axis=-1)
         going = nxt != END_TOKEN
         for row, word in zip(live[going], nxt[going]):

@@ -13,7 +13,10 @@ A forward cache holds only what the backward pass reads: the time-major
 input, the gate activations, the cell states and the outputs.  tanh(c)
 is recomputed from the cell states, not kept.  The backward pass takes
 either the gradient of every output row, (B, L, 2H), or the gradient of
-``sequence_feature``'s end states alone, (B, 2H).
+``sequence_feature``'s end states alone, (B, 2H).  Prediction runs the
+same step loop without a cache: it keeps each step's gates and cell
+state only until the next step, and projects the input a time block at
+a time, with the same bytes out.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class Workspace:
 
     Each name owns a flat array that grows to the largest request made of
     it; a request returns a contiguous view of its first elements, so a
-    smaller batch (the tail batch of an epoch, a short predict chunk)
+    smaller batch (such as the tail batch of an epoch)
     reuses the memory of a full one.  ``scope(prefix)`` gives a view whose
     ``buffer`` names carry the prefix (what one layer's backward pass reads
     from its forward pass), while ``scratch`` names are shared by every
@@ -143,7 +146,49 @@ def _time_blocks(length: int, batch: int):
         yield t0, min(t0 + step, length)
 
 
-def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
+def _project(xt: np.ndarray, wx: np.ndarray, t0: int, t1: int, zx: np.ndarray) -> np.ndarray:
+    """x @ wx of time steps t0..t1 of time-major ``xt``, both directions in
+    one GEMM into ``zx`` ((t1 - t0) * B, 8H), as (t1 - t0, 2, 4, B, H) gate blocks."""
+    d_in, hidden = xt.shape[-1], wx.shape[-1]
+    np.matmul(xt[t0:t1].reshape(-1, d_in), wx.reshape(d_in, 8 * hidden), out=zx)
+    return zx.reshape(t1 - t0, xt.shape[1], 2, 4, hidden).transpose(0, 2, 3, 1, 4)
+
+
+def _streamed_gates(xt: np.ndarray, wx: np.ndarray, ws: Workspace):
+    """Yield step s's (2, 4, B, H) input projections, the forward direction's
+    of time s beside the backward direction's of time L-1-s, in one scratch
+    block.
+
+    The projections are _project's, one GEMM per block of _time_blocks as in
+    the cached pass, so they are its bytes on any BLAS kernel.  At most two
+    blocks are held, in two slots: the forward direction walks the blocks up
+    and the backward direction walks them down, so a block is projected into
+    the slot the other direction is not reading, and once more if it was
+    dropped before the other direction reached it.
+    """
+    length, batch, _ = xt.shape
+    hidden = wx.shape[-1]
+    spans = list(_time_blocks(length, batch))
+    block_of = [k for k, (t0, t1) in enumerate(spans) for _ in range(t0, t1)]
+    held = {}  # block index -> (slot, its projections)
+    step = ws.scratch("step", (2, 4, batch, hidden), xt.dtype)
+    for s in range(length):
+        wanted = block_of[s], block_of[length - 1 - s]
+        for k in wanted:
+            if k not in held:
+                slot = min({0, 1} - {held[j][0] for j in wanted if j in held})
+                held = {j: v for j, v in held.items() if v[0] != slot}
+                t0, t1 = spans[k]
+                zx = ws.scratch(f"slot{slot}", ((t1 - t0) * batch, 8 * hidden), xt.dtype)
+                held[k] = slot, _project(xt, wx, t0, t1, zx)
+        fwd, bwd = (held[k][1] for k in wanted)
+        step[0] = fwd[s - spans[wanted[0]][0], 0]
+        step[1] = bwd[length - 1 - s - spans[wanted[1]][0], 1]
+        yield step
+
+
+def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None,
+                   cache: bool = True):
     """x: (B, L, d) -> (B, L, 2H): forward states beside backward states, and a cache.
 
     Row t holds the forward pass's state after reading x[..t] and the
@@ -154,19 +199,27 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
     (2, 4, B, H) block of gates i, f, o, g: each gate of each direction is
     a contiguous (B, H) block, one pass activates the three sigmoid gates,
     and the recurrent step is one batched matmul of h by ``wh`` plus the
-    bias.  Before the loop, x @ wx of both directions runs as one GEMM per
-    block of PROJECTION_ROWS rows and is copied into the step blocks.  The
-    weights are multiplied where they lie: the cache holds ``params``'
-    ``wx`` and ``wh`` themselves, not copies.  Buffers come
-    from ``ws`` (fresh ones when None); the output and the cache are views
-    of them, valid until the workspace serves this layer again.  The
-    output is a view of time-major memory, so a stacked layer reads it as
-    it is, and so is an input that is such a view (``model.gather_batch``'s
-    batch); any other input is copied time-major into the workspace.
+    bias.  x @ wx of both directions runs as one GEMM per block of
+    PROJECTION_ROWS rows.  The weights are multiplied where they lie: the
+    cache holds ``params``' ``wx`` and ``wh`` themselves, not copies.
+    Buffers come from ``ws`` (fresh ones when None); the output and the
+    cache are views of them, valid until the workspace serves this layer
+    again.  The output is a view of time-major memory, so a stacked layer
+    reads it as it is, and so is an input that is such a view
+    (``model.gather_batch``'s batch, ``model.predict_blocks``' chunk); any
+    other input is copied time-major into the workspace.
 
-    The cache is (x, gates, cs, out, wx, wh): the time-major input, each
-    step's activated gates, the L + 1 cell states from the zero initial
-    one, and the time-major output.
+    With ``cache`` the projections are copied into every step's gate block
+    before the loop, and the cache is (x, gates, cs, out, wx, wh): the
+    time-major input, each step's activated gates, the L + 1 cell states
+    from the zero initial one, and the time-major output.  Without it (the
+    pass ``model.predict_blocks`` runs) the cache is None: each step's gates are
+    computed in one scratch block from the projections of at most two time
+    blocks (``_streamed_gates``), and the cell states in a ring of two, so
+    no (L, 2, 4, B, H) gate history and no (L + 1)-step cell-state history
+    is kept, and the scratch is shared by every layer of a stack.  The
+    GEMMs and the element-wise passes are the same in both, so are the
+    output's bytes.
     """
     ws = Workspace() if ws is None else ws
     batch, length, d_in = x.shape
@@ -180,20 +233,24 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
     # the bias repeated over the batch: a contiguous add costs a third of a broadcast one
     bias = ws.scratch("bias", (2, 4, batch, hidden), dtype)
     bias[...] = params["b"][:, :, None]
-    gates = ws.buffer("gates", (length, 2, 4, batch, hidden), dtype)
-    for t0, t1 in _time_blocks(length, batch):
-        zx = ws.scratch("blocks", ((t1 - t0) * batch, 8 * hidden), dtype)
-        np.matmul(xt[t0:t1].reshape(-1, d_in), wx.reshape(d_in, 8 * hidden), out=zx)
-        zx = zx.reshape(t1 - t0, batch, 2, 4, hidden).transpose(0, 2, 3, 1, 4)
-        gates[t0:t1, 0] = zx[:, 0]
-        gates[length - t1:length - t0, 1] = zx[::-1, 1]
-    cs = ws.buffer("cs", (length + 1, 2, batch, hidden), dtype)
+    if cache:
+        gates = ws.buffer("gates", (length, 2, 4, batch, hidden), dtype)
+        for t0, t1 in _time_blocks(length, batch):
+            zx = _project(xt, wx, t0, t1,
+                          ws.scratch("blocks", ((t1 - t0) * batch, 8 * hidden), dtype))
+            gates[t0:t1, 0] = zx[:, 0]
+            gates[length - t1:length - t0, 1] = zx[::-1, 1]
+        cs = ws.buffer("cs", (length + 1, 2, batch, hidden), dtype)
+    else:
+        gates = _streamed_gates(xt, wx, ws)
+        cs = ws.scratch("cs", (2, 2, batch, hidden), dtype)
     out = ws.buffer("out", (length, batch, 2 * hidden), dtype)
     rec = ws.scratch("rec", (2, 4, batch, hidden), dtype)
     h, ig, tc = ws.scratch("state", (3, 2, batch, hidden), dtype)
     cs[0] = 0.0
-    for s in range(length):
-        a = gates[s]
+    for s, a in enumerate(gates):
+        # step s reads cell state s and writes s + 1, of the history or the ring
+        c_prev, c = cs[s % len(cs)], cs[(s + 1) % len(cs)]
         if s:  # h is zero before the first step
             np.matmul(h[:, None], wh, out=rec)
             rec += bias
@@ -203,14 +260,14 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None):
         _sig(a[:, :3])
         i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
         np.tanh(g, out=g)
-        np.multiply(f, cs[s], out=cs[s + 1])
+        np.multiply(f, c_prev, out=c)
         np.multiply(i, g, out=ig)
-        cs[s + 1] += ig
-        np.tanh(cs[s + 1], out=tc)
+        c += ig
+        np.tanh(c, out=tc)
         np.multiply(o, tc, out=h)
         out[s, :, :hidden] = h[0]
         out[length - 1 - s, :, hidden:] = h[1]
-    return out.transpose(1, 0, 2), (xt, gates, cs, out, wx, wh)
+    return out.transpose(1, 0, 2), ((xt, gates, cs, out, wx, wh) if cache else None)
 
 
 def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,

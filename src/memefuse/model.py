@@ -5,7 +5,7 @@ The four heads (humor, sarcasm, motivation, sentiment) share the trunk
 and train jointly.  Samples may miss labels for some tasks (label -1),
 which masks them out of that head's loss.
 
-``train`` and ``predict_proba`` run on one OpenBLAS thread (see
+``train`` and ``predict_blocks`` run on one OpenBLAS thread (see
 ``memefuse.blas``): the trunk's GEMMs are too small for a second thread
 to pay, and with one thread the checkpoints do not depend on the host's
 core count.  The CLI starts OpenBLAS on one thread in the first place
@@ -41,8 +41,11 @@ CHECKPOINT_MAGIC = "memefuse-checkpoint"
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# Rows per forward pass in predict_proba: bounds the forward caches to a
-# quarter of a training batch's worth.
+# Rows per trunk pass in prediction, gathered from whatever blocks the rows
+# come in.  A pass holds one chunk's input and outputs and at most two time
+# blocks of its input projections, not a backward cache.  The row count of a
+# GEMM moves its last bits on AVX2 kernels (ROADMAP item 8), so every caller
+# scores the same 64-row groups of its rows.
 PREDICT_CHUNK = 64
 
 
@@ -130,12 +133,15 @@ def init_classifier_params(variant: ModelVariant, d_in: int,
     return params
 
 
-def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict, ws: Workspace):
-    """x: (B, L, d) -> per-task probabilities and caches for backward."""
+def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict, ws: Workspace,
+                     cache: bool):
+    """x: (B, L, d) -> per-task probabilities and the caches for backward
+    (the trunk's are None without ``cache``)."""
     layer_caches = []
     for i in range(variant.bilstm_layers):
-        x, cache = bilstm_forward(x, sub_params(params, f"bilstm.{i}"), ws.scope(f"bilstm.{i}"))
-        layer_caches.append(cache)
+        x, layer = bilstm_forward(x, sub_params(params, f"bilstm.{i}"), ws.scope(f"bilstm.{i}"),
+                                  cache=cache)
+        layer_caches.append(layer)
     feat = sequence_feature(x)
     heads = {}
     probs = {}
@@ -150,33 +156,69 @@ def _batched_forward(x: np.ndarray, variant: ModelVariant, params: dict, ws: Wor
     return probs, (layer_caches, feat, heads)
 
 
-@single_thread()
-def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> dict:
-    """Batch of fused sequences (B, L, d) -> {task: (B, K) probabilities}.
-
-    Runs PREDICT_CHUNK rows at a time on one workspace, so memory for the
-    forward caches stays that of one chunk whatever B is.  A row with a
-    non-finite feature, or one the trunk overflows into a non-finite
-    probability, raises NumericError naming it; an overflow the gates
-    saturate away passes without a warning.
-    """
-    features = np.asarray(features)
-    ws = Workspace()
-    chunks = []
-    # max(.., 1): zero rows still take one (empty) pass, for the output shapes
-    for start in range(0, max(features.shape[0], 1), PREDICT_CHUNK):
-        x = features[start:start + PREDICT_CHUNK]
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=(1, 2)))
+def _predict_chunk(variant: ModelVariant, x: np.ndarray, params: dict, start: int) -> dict:
+    """Probabilities of the rows of ``x``, the caller's rows from ``start``
+    on, through the trunk's cache-free pass; NumericError names a
+    non-finite row by its index among the caller's rows."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=(1, 2)))
+    if bad.size:
+        raise NumericError(f"non-finite feature in row {start + int(bad[0])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _batched_forward(x, variant, params, Workspace(), cache=False)[0]
+    for task in TASKS:
+        bad = np.flatnonzero(~np.isfinite(probs[task]).all(axis=1))
         if bad.size:
-            raise NumericError(f"non-finite feature in row {start + int(bad[0])}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            probs = _batched_forward(x, variant, params, ws)[0]
-        for task in TASKS:
-            bad = np.flatnonzero(~np.isfinite(probs[task]).all(axis=1))
-            if bad.size:
-                raise NumericError(f"non-finite {task} probability in row {start + int(bad[0])}")
-        chunks.append(probs)
-    return {task: np.concatenate([c[task] for c in chunks]) for task in TASKS}
+            raise NumericError(f"non-finite {task} probability in row {start + int(bad[0])}")
+    return probs
+
+
+@single_thread()
+def predict_blocks(variant: ModelVariant, blocks, params: dict) -> dict:
+    """One or more (b, L, d) blocks of fused sequences -> {task: (N, K)
+    probabilities} of their rows, in order.
+
+    The rows are copied, time-major, into one chunk of PREDICT_CHUNK rows,
+    and each full chunk goes through the trunk's cache-free pass, so the
+    groups scored, and with them the bytes, are those of the stacked rows
+    whatever the blocks' sizes.  ``blocks`` may be a generator, such as
+    ``pipeline.encoded_blocks``': its body runs as it is iterated, inside
+    this function's one-thread BLAS scope, so a block is encoded only when
+    the rows before it are scored.  Only the chunk persists from one block
+    to the next: the trunk's buffers are made for each chunk and freed after
+    it, so the encoders reuse that memory instead of adding to it.  A row
+    with a non-finite feature, or one the trunk overflows into a non-finite
+    probability, raises NumericError naming its index among all the rows;
+    an overflow the gates saturate away passes without a warning.
+    """
+    scored = []
+    chunk = None
+    filled = 0  # rows waiting in the chunk
+    for block in blocks:
+        if chunk is None:
+            chunk = np.empty((block.shape[1], PREDICT_CHUNK, block.shape[2]), block.dtype)
+        lo = 0
+        while lo < len(block):
+            take = min(PREDICT_CHUNK - filled, len(block) - lo)
+            chunk[:, filled:filled + take] = block[lo:lo + take].transpose(1, 0, 2)
+            filled += take
+            lo += take
+            if filled == PREDICT_CHUNK:
+                scored.append(_predict_chunk(variant, chunk.transpose(1, 0, 2), params,
+                                             PREDICT_CHUNK * len(scored)))
+                filled = 0
+        # the chunk holds its rows: let the block go before the next is built
+        del block
+    # zero rows still take one (empty) pass, for the output shapes
+    if filled or not scored:
+        scored.append(_predict_chunk(variant, chunk[:, :filled].transpose(1, 0, 2), params,
+                                     PREDICT_CHUNK * len(scored)))
+    return {task: np.concatenate([c[task] for c in scored]) for task in TASKS}
+
+
+def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> dict:
+    """Batch of fused sequences (B, L, d) -> {task: (B, K) probabilities}:
+    ``predict_blocks`` over the batch as one block."""
+    return predict_blocks(variant, [np.asarray(features)], params)
 
 
 def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: dict,
@@ -189,7 +231,8 @@ def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: d
     ``gather_batch`` on the same workspace enters the trunk without a copy.
     """
     ws = Workspace() if ws is None else ws
-    probs, (layer_caches, feat, heads) = _batched_forward(x, variant, params, ws)
+    probs, (layer_caches, feat, heads) = _batched_forward(x, variant, params, ws,
+                                                                 cache=True)
     batch = len(feat)
     grads = {k: np.zeros_like(v) for k, v in params.items() if k.startswith("head.")}
     d_feat = np.zeros_like(feat)

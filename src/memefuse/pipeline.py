@@ -4,7 +4,9 @@ Toy encoders stand in for the pretrained image/text models: weights are
 derived from a seed and frozen, images are synthesized deterministically
 per record id when no real pixels are available.  The three variants all
 reduce to stacking two embedding sequences along their row axis; a
-sentence vector is a one-row sequence.  Oversampling happens here, after
+sentence vector is a one-row sequence.  Encoded or imported, fused
+features come as a stream of blocks of IMAGE_BLOCK records, which eval
+scores one by one and train stacks.  Oversampling happens here, after
 encoding, on flattened fused sequences: the corpus is encoded into the
 first rows of the training set and each task's synthetic rows are written
 into the rows after them.
@@ -144,8 +146,9 @@ def _text_encoder(space: FeatureSpace, sentences: bool):
     return encode
 
 
-def _fuse(out: np.ndarray, parts, projection) -> None:
-    """Fuse one slice of records into ``out``, a zeroed (B, L, d) float32 slice.
+def _fused(shape: tuple, parts, projection) -> np.ndarray:
+    """One block of records fused into a zeroed (B, L, d) float32 array of
+    row shape ``shape``.
 
     ``parts`` holds the variant's two parts, each one (rows, width) array
     per record.  Records whose parts have the same row counts fuse as one
@@ -154,6 +157,7 @@ def _fuse(out: np.ndarray, parts, projection) -> None:
     double precision; otherwise the parts keep their dtype, since
     concatenating is exact in any of them.
     """
+    out = np.zeros((len(parts[0]), *shape), dtype=np.float32)
     widths = {arrays[0].shape[-1] for arrays in parts}
     dtype = np.float64 if len(widths) > 1 else None
     groups: dict = {}  # row counts of the parts -> records with them
@@ -162,32 +166,34 @@ def _fuse(out: np.ndarray, parts, projection) -> None:
     for key, idx in groups.items():
         first, second = (np.stack([arrays[i] for i in idx], dtype=dtype) for arrays in parts)
         out[idx, :sum(key)] = assemble_variant_input(first, second, projection=projection)
+    return out
 
 
-@single_thread()
-def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
-                  kind: str, spare: int) -> np.ndarray:
-    """Encode records in id order into the first N rows of a zeroed
-    (N + spare, L, d) float32 tensor.
+def encoded_blocks(ids: list[str], tokens_by_id: dict, space: FeatureSpace, kind: str):
+    """(row shape, blocks): the records' fused features in id order, as a
+    generator of (B, L, d) float32 blocks of IMAGE_BLOCK records.
 
-    The spare rows are left for ``build_training_set``'s synthetic rows.
     Texts go through the text encoder ENCODE_CHUNK records at a time, each
     distinct token tuple (texts and captions alike) encoded once per call.
     Images go through the image encoder or the captioner, and records
-    through ``_fuse``, IMAGE_BLOCK at a time, the toy pixels drawn into
+    through ``_fused``, IMAGE_BLOCK at a time, the toy pixels drawn into
     one reused buffer; a chunk's captions are encoded together.  Every
     encoder runs per-sample stacked GEMMs, so neither size changes a byte.
     An imgtxt record with fewer than MAX_TOKENS tokens ends in zero rows,
-    so every record of a variant has its FUSED_SHAPES shape.  Runs on one
-    BLAS thread, so features do not depend on the host's thread count.
+    so every record of a variant has its FUSED_SHAPES shape, the row shape.
+    The blocks' body runs as they are drawn, so the caller draws them in
+    a ``single_thread`` scope (``encode_corpus``, ``model.predict_blocks``):
+    features then do not depend on the host's thread count.
     """
     _check_variant(kind)
-    out = np.zeros((len(ids) + spare, *FUSED_SHAPES[kind]), dtype=np.float32)
+    return FUSED_SHAPES[kind], _encoded(ids, tokens_by_id, space, kind)
+
+
+def _encoded(ids: list, tokens_by_id: dict, space: FeatureSpace, kind: str):
     encode_texts = _text_encoder(space, sentences=kind != "imgtxt")
     pixels = np.empty((IMAGE_BLOCK, *IMAGE_HW, IMAGE_CHANNELS), dtype=np.float32)
     for start in range(0, len(ids), ENCODE_CHUNK):
         chunk = ids[start:start + ENCODE_CHUNK]
-        rows = out[start:start + len(chunk)]
         blocks = [slice(lo, lo + IMAGE_BLOCK) for lo in range(0, len(chunk), IMAGE_BLOCK)]
         texts = encode_texts([tokens_by_id.get(rid, []) for rid in chunk])
         if kind == "capsen":
@@ -198,8 +204,31 @@ def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
         for block in blocks:
             first = (captions[block] if kind == "capsen"
                      else encode_image(_toy_images(chunk[block], pixels), space.image_params))
-            _fuse(rows[block], (first, texts[block]), space.projections[SENTENCE_PROJECTION])
+            yield _fused(FUSED_SHAPES[kind], (first, texts[block]),
+                         space.projections[SENTENCE_PROJECTION])
+
+
+def _stacked(shape: tuple, blocks, rows: int) -> np.ndarray:
+    """The blocks' records in the first rows of a zeroed (rows, *shape) float32 array."""
+    out = np.zeros((rows, *shape), dtype=np.float32)
+    start = 0
+    for block in blocks:
+        out[start:start + len(block)] = block
+        start += len(block)
     return out
+
+
+@single_thread()
+def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
+                  kind: str, spare: int) -> np.ndarray:
+    """Encode records in id order into the first N rows of a zeroed
+    (N + spare, L, d) float32 tensor, block by block from ``encoded_blocks``.
+
+    The spare rows are left for ``build_training_set``'s synthetic rows.
+    Runs on one BLAS thread, so features do not depend on the host's
+    thread count.
+    """
+    return _stacked(*encoded_blocks(ids, tokens_by_id, space, kind), len(ids) + spare)
 
 
 def labels_from_records(records) -> dict:
@@ -295,19 +324,19 @@ def _imported_part(name: str, mapping: dict | None, ids: list, kind: str) -> lis
     return arrays
 
 
-@single_thread()
-def fused_from_imported(ids: list, kind: str, spare: int, seed: int,
-                        **mappings) -> np.ndarray:
-    """Fused features built from externally computed embeddings, in the first
-    rows of a zeroed (N + spare, L, d) float32 tensor.
+def imported_blocks(ids: list, kind: str, seed: int, **mappings):
+    """(row shape, blocks): fused features built from externally computed
+    embeddings, in id order, as a generator of (B, L, d) float32 blocks.
 
     ``mappings`` are keyed by exchange name (``VARIANT_PARTS[kind]``):
     ``image``/``tokens`` map record id -> sequence (rows x width); the
-    sentence mappings map id -> one vector.  Width mismatches are aligned
-    by a seeded projection to the wider side.  Records are fused
-    ENCODE_CHUNK at a time, on one BLAS thread; shorter fused sequences end
-    in zero rows so the whole corpus stacks into one tensor; the spare rows
-    are left for ``build_training_set``'s synthetic rows.
+    sentence mappings map id -> one vector.  Every record is checked before
+    the generator is returned, so a malformed mapping fails before any
+    block is fused.  Width mismatches are aligned by a seeded projection to
+    the wider side.  Blocks hold IMAGE_BLOCK records within chunks of
+    ENCODE_CHUNK, as ``encoded_blocks``' do; shorter fused sequences end in
+    zero rows so every record has the row shape.  Draw the blocks in a
+    ``single_thread`` scope, as for ``encoded_blocks``.
     """
     if not ids:
         raise ValueError("no record ids to assemble")
@@ -320,8 +349,22 @@ def fused_from_imported(ids: list, kind: str, spare: int, seed: int,
     length = max(sum(map(len, arrays)) for arrays in zip(*parts))
     if not length:
         raise ValueError(f"{' and '.join(names)} embeddings hold no rows for any record")
-    out = np.zeros((len(ids) + spare, length, target), dtype=np.float32)
-    for start in range(0, len(ids), ENCODE_CHUNK):
-        chunk = slice(start, start + ENCODE_CHUNK)
-        _fuse(out[chunk], [arrays[chunk] for arrays in parts], projection)
-    return out
+    return (length, target), _imported(parts, projection, (length, target))
+
+
+def _imported(parts: list, projection, shape: tuple):
+    n = len(parts[0])
+    for start in range(0, n, ENCODE_CHUNK):
+        stop = min(start + ENCODE_CHUNK, n)
+        for lo in range(start, stop, IMAGE_BLOCK):
+            block = slice(lo, min(lo + IMAGE_BLOCK, stop))
+            yield _fused(shape, [arrays[block] for arrays in parts], projection)
+
+
+@single_thread()
+def fused_from_imported(ids: list, kind: str, spare: int, seed: int,
+                        **mappings) -> np.ndarray:
+    """``imported_blocks``' features in the first rows of a zeroed
+    (N + spare, L, d) float32 tensor, on one BLAS thread; the spare rows
+    are left for ``build_training_set``'s synthetic rows."""
+    return _stacked(*imported_blocks(ids, kind, seed, **mappings), len(ids) + spare)

@@ -1,7 +1,7 @@
 """The one-thread BLAS scope: its thread count, its no-op fallback, the
-scopes of encoding, of balancing and of imported fusion, the CLI's
-one-thread start, and training output that does not depend on
-OPENBLAS_NUM_THREADS."""
+scopes of encoding, of balancing, of imported fusion and of the
+prediction stream, the CLI's one-thread start, and training output that
+does not depend on OPENBLAS_NUM_THREADS."""
 
 import os
 import subprocess
@@ -113,6 +113,38 @@ def test_fused_from_imported_runs_on_one_thread_and_restores_the_count(controls,
                                          text_sentence=sentence)
     assert feats.shape == (2, 4, 6)
     assert seen == [1]
+    assert get() == outer
+
+
+@pytest.mark.parametrize("kind, encoder", [("imgtxt", "encode_image"),
+                                           ("capsen", "generate_captions")])
+def test_prediction_stream_runs_on_one_thread_and_restores_the_count(controls, monkeypatch,
+                                                                     kind, encoder):
+    # the blocks' generator runs inside predict_blocks' scope: a scope
+    # around encoded_blocks itself would close before any block is encoded
+    get, put = controls
+    put(2)
+    outer = get()
+    seen = {"encoder": [], "trunk": []}
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            seen[name].append(get())
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(pipeline, encoder, recording("encoder", getattr(pipeline, encoder)))
+    monkeypatch.setattr(model, "bilstm_forward", recording("trunk", model.bilstm_forward))
+    monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 2)
+    ids = [f"m{i}" for i in range(5)]
+    _, blocks = pipeline.encoded_blocks(ids, {rid: ["cat"] for rid in ids},
+                                        pipeline.build_feature_space(seed=0), kind)
+    variant = ModelVariant(kind, hidden=4, head_hidden=4)
+    params = model.init_classifier_params(variant, pipeline.FUSED_SHAPES[kind][1],
+                                          np.random.default_rng(0))
+    probs = model.predict_blocks(variant, blocks, params)
+    assert len(probs[TASKS[0]]) == 5
+    assert seen == {"encoder": [1, 1, 1], "trunk": [1, 1]}
     assert get() == outer
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
+import itertools
 import json
 import warnings
 
@@ -521,14 +522,15 @@ class TestEval:
         assert "Traceback" not in err
 
     def test_non_finite_features_exit_3(self, small_csv, trained, capsys, monkeypatch):
-        real = cli._corpus_features
+        real = cli._corpus_blocks
 
         def poisoned(*args):
-            features = real(*args).copy()
-            features[1, 0, 0] = np.nan
-            return features
+            shape, blocks = real(*args)
+            first = next(blocks)
+            first[1, 0, 0] = np.nan
+            return shape, itertools.chain([first], blocks)
 
-        monkeypatch.setattr(cli, "_corpus_features", poisoned)
+        monkeypatch.setattr(cli, "_corpus_blocks", poisoned)
         rc = cli.main(["eval", "--dataset", str(small_csv), "--checkpoint", str(trained)])
         err = capsys.readouterr().err
         assert rc == 3
@@ -729,3 +731,153 @@ class TestEmbeddingsPath:
                        "--embeddings", str(emb), *args])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _tallies(rows):
+    """Column tallies of a fixture with ``rows`` rows (a multiple of 20)."""
+    return {"humour": (("funny", rows // 2), ("not_funny", rows // 4),
+                       ("very_funny", rows // 4)),
+            "sarcasm": (("sarcastic", 3 * rows // 5), ("not_sarcastic", 2 * rows // 5)),
+            "motivational": (("motivational", 2 * rows // 5),
+                             ("not_motivational", 3 * rows // 5)),
+            "overall_sentiment": (("positive", 2 * rows // 5), ("negative", 2 * rows // 5),
+                                  ("neutral", rows // 5))}
+
+
+@pytest.fixture(scope="module")
+def streamed(tmp_path_factory):
+    """A 100-row file (20 held-out rows), a 1-epoch checkpoint of each
+    variant, and one of imgtxt on imported image and tokens sequences."""
+    from memefuse import bundled_data
+    from memefuse.dataset import Schema, load_dataset
+    from memefuse.tensorfile import export_embeddings
+
+    root = tmp_path_factory.mktemp("stream")
+    data = root / "memes.csv"
+    write_annotation_fixture(data, _tallies(100))
+    ids = [r.id for r in load_dataset(data, Schema.from_json(
+        bundled_data("memotion_schema.json")))]
+    rng = np.random.default_rng(4)
+    seq = root / "seq"
+    seq.mkdir()
+    export_embeddings(seq / "image.emb", {rid: rng.normal(size=(4, 16)) for rid in ids},
+                      kind="sequence")
+    export_embeddings(seq / "tokens.emb",
+                      {rid: rng.normal(size=(int(rng.integers(1, 6)), 24)) for rid in ids},
+                      kind="sequence")
+    runs = {}
+    for name, variant, extra in [("imgtxt", "imgtxt", []), ("imgsen", "imgsen", []),
+                                 ("capsen", "capsen", []),
+                                 ("imgtxt-embeddings", "imgtxt", ["--embeddings", str(seq)])]:
+        ckpt = root / f"{name}.ckpt"
+        with warnings.catch_warnings():
+            rc = cli.main(["train", "--dataset", str(data), "--variant", variant, "--epochs", "1",
+                           "--checkpoint", str(ckpt), *extra])
+        assert rc == 0
+        runs[name] = ["--dataset", str(data), "--checkpoint", str(ckpt), *extra]
+    return runs
+
+
+class TestEvalStream:
+    """eval encodes, fuses and scores its split one block at a time."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # 3-record blocks in 7-record text chunks, scored in 5-row groups:
+        # every boundary falls inside the 20 held-out rows, and no two agree
+        from memefuse import model, pipeline
+
+        monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 3)
+        monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        monkeypatch.setattr(model, "PREDICT_CHUNK", 5)
+
+    @pytest.mark.parametrize("name", ["imgtxt", "imgsen", "capsen", "imgtxt-embeddings"])
+    def test_report_is_that_of_the_whole_tensor(self, streamed, name, small_blocks,
+                                                capsys, monkeypatch):
+        from memefuse import TASKS
+        from memefuse.evalmetrics import build_report
+        from memefuse.model import load_checkpoint, predict_proba
+        from memefuse.pipeline import labels_from_records
+
+        scored = []
+        predict_blocks = cli.predict_blocks
+
+        def recording(*args):
+            scored.append(predict_blocks(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(cli, "predict_blocks", recording)
+        assert cli.main(["eval", *streamed[name], "--json"]) == 0
+        streamed_out = capsys.readouterr().out
+
+        variant, params, meta = load_checkpoint(streamed[name][3])
+        args = cli.build_parser().parse_args(["eval", *streamed[name]])
+        records, tokens_by_id = cli._split_tokens(args, meta["seed"], "test")
+        features = cli._corpus_features(records, tokens_by_id, variant.kind, args,
+                                        meta["seed"], 0)
+        assert len(features) == 20
+        probs = predict_proba(variant, features, params)
+        report = build_report({variant.kind: {t: np.argmax(probs[t], axis=1) for t in TASKS}},
+                              labels_from_records(records))
+        assert streamed_out == json.dumps(report.to_json(), indent=2) + "\n"
+        (got,) = scored
+        for task in TASKS:
+            assert got[task].tobytes() == probs[task].tobytes(), task
+
+    def test_non_finite_feature_in_a_later_block_names_its_split_row(self, streamed,
+                                                                     small_blocks, capsys,
+                                                                     monkeypatch):
+        real = cli._corpus_blocks
+
+        def poisoned(*args):
+            shape, blocks = real(*args)
+
+            def poisoning():
+                # blocks hold split rows 0-2, 3-5, 6 (a chunk's last), 7-9, ...
+                for k, block in enumerate(blocks):
+                    if k == 3:
+                        block[1, 0, 0] = np.nan
+                    yield block
+
+            return shape, poisoning()
+
+        monkeypatch.setattr(cli, "_corpus_blocks", poisoned)
+        assert cli.main(["eval", *streamed["imgsen"]]) == 3
+        assert capsys.readouterr().err == "error: non-finite feature in row 8\n"
+
+    def test_width_mismatch_exits_2_before_a_block_is_encoded(self, streamed, capsys,
+                                                              monkeypatch):
+        drawn = []
+        real = cli._corpus_blocks
+
+        def counting(*args):
+            shape, blocks = real(*args)
+            return (shape[0], shape[1] + 1), (drawn.append(block) or block for block in blocks)
+
+        monkeypatch.setattr(cli, "_corpus_blocks", counting)
+        assert cli.main(["eval", *streamed["capsen"]]) == 2
+        assert "takes features of width 768; eval built features of width 769" in \
+            capsys.readouterr().err
+        assert not drawn
+
+    @pytest.mark.parametrize("variant", ["imgtxt", "imgsen", "capsen"])
+    def test_peak_memory_does_not_grow_with_the_split(self, streamed, variant, tmp_path,
+                                                      capsys):
+        # 256 and 1024 held-out rows; holding the split's features, as eval
+        # did before it streamed them, took imgtxt's and capsen's peaks up
+        # 1.5-1.7 times
+        import tracemalloc
+
+        peaks = []
+        for rows in (1280, 5120):
+            data = tmp_path / f"{rows}.csv"
+            write_annotation_fixture(data, _tallies(rows))
+            tracemalloc.start()
+            try:
+                assert cli.main(["eval", "--dataset", str(data),
+                                 "--checkpoint", streamed[variant][3]]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] <= 1.3 * peaks[0], peaks

@@ -316,3 +316,20 @@ def test_cached_decoding_matches_full_prefix_oracle(seed, n_layers, monkeypatch)
     for step, got in enumerate(steps):
         expect = np.array([logits[step] for _, logits in oracle if len(logits) > step])
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-10)
+
+
+def test_decoder_slices_its_parameters_once_per_call(monkeypatch):
+    # one set of views per layer for every step, not three per step and layer
+    p, images = _float64_decoder(4, 2)
+    monkeypatch.setattr(encode, "CAPTION_LAYERS", 2)
+    prefixes = []
+    sub_params = nnops.sub_params
+
+    def counting(params, prefix):
+        prefixes.append(prefix)
+        return sub_params(params, prefix)
+
+    monkeypatch.setattr(nnops, "sub_params", counting)
+    captions = encode.generate_captions(images, p)
+    assert max(map(len, captions)) > 1, "the decoder should run several steps"
+    assert prefixes == ["self.0", "attn", "cross.0", "self.1", "attn", "cross.1"]

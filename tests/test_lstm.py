@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,53 @@ def test_final_state_gradient_matches_the_padded_form(dtype):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+# PROJECTION_ROWS 1024 gives B=64 blocks of 16 steps and B=65 blocks of 15,
+# neither dividing L=20; 96 rows give 1-step blocks at B=64 and B=65 and
+# 96-step ones at B=1, so the cache-free pass drops blocks and projects
+# them again
+@pytest.mark.parametrize("rows", [lstm.PROJECTION_ROWS, 96])
+@pytest.mark.parametrize("batch", [0, 1, 64, 65])
+@pytest.mark.parametrize("length", [1, 2, 20])
+def test_cache_free_pass_gives_the_cached_bytes(rows, batch, length, monkeypatch):
+    monkeypatch.setattr(lstm, "PROJECTION_ROWS", rows)
+    rng = np.random.default_rng(33)
+    params = lstm.init_bilstm_params(64, 32, rng)
+    x = rng.normal(size=(batch, length, 64)).astype(np.float32)
+    want, _ = lstm.bilstm_forward(x, params)
+    got, cache = lstm.bilstm_forward(x, params, lstm.Workspace(), cache=False)
+    assert cache is None
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert lstm.sequence_feature(got).tobytes() == lstm.sequence_feature(want).tobytes()
+
+
+def _stack_peak(x, layers, cache):
+    """tracemalloc's peak over one forward pass of a stack of trunk layers
+    on one workspace, as the classifier runs it."""
+    tracemalloc.start()
+    try:
+        ws = lstm.Workspace()
+        for i, params in enumerate(layers):
+            x, _ = lstm.bilstm_forward(x, params, ws.scope(f"bilstm.{i}"), cache=cache)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_free_pass_holds_less_than_half():
+    # (B, L, d, H) = (64, 20, 64, 32), a prediction chunk of imgtxt features
+    # through the classifier's two layers: the cached pass keeps each layer's
+    # gates and cell states for the backward pass, the cache-free pass only
+    # each layer's output and scratch the layers share.  One layer alone
+    # holds 64% of the cached peak: its two time blocks of projections
+    # (16 + 4 steps) are as large as the gate history they replace.
+    rng = np.random.default_rng(35)
+    x = rng.normal(size=(64, 20, 64)).astype(np.float32)
+    layers = [lstm.init_bilstm_params(64, 32, rng), lstm.init_bilstm_params(64, 32, rng)]
+    cached, free = _stack_peak(x, layers, True), _stack_peak(x, layers, False)
+    assert free < cached / 2, (free, cached)
+    assert _stack_peak(x, layers[:1], False) < _stack_peak(x, layers[:1], True)
 
 
 def test_bilstm_grads():

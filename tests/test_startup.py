@@ -32,7 +32,8 @@ TALLIES = {
 TRACED = ("load_dataset", "preprocess", "encode_corpus", "build_training_set", "train",
           "predict_proba", "save_checkpoint", "load_checkpoint", "build_report")
 # the memefuse.cli names tests/test_cli.py patches
-PATCHED = ("_corpus_features", "train", "encode_corpus", "load_checkpoint")
+PATCHED = ("_corpus_features", "_corpus_blocks", "train", "encode_corpus", "load_checkpoint",
+           "predict_blocks")
 
 LIGHT_MODULES = ["memefuse", "memefuse.cli", "memefuse.dataset", "memefuse.porter",
                  "memefuse.textprep"]
