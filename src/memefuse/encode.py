@@ -51,7 +51,7 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def init_block_params(d_model: int, n_heads: int, rng: np.random.Generator,
-                      dtype) -> dict:
+                      dtype=np.float32) -> dict:
     def mat(rows, cols):
         return (rng.normal(size=(rows, cols)) / np.sqrt(rows)).astype(dtype)
 
@@ -111,7 +111,7 @@ def transformer_block_backward(d_y: np.ndarray, cache):
 def _stack_params(rng: np.random.Generator) -> dict:
     params = {}
     for i in range(N_LAYERS):
-        for k, v in init_block_params(D_MODEL, N_HEADS, rng, np.float32).items():
+        for k, v in init_block_params(D_MODEL, N_HEADS, rng).items():
             params[f"blocks.{i}.{k}"] = v
     return params
 
@@ -246,7 +246,7 @@ def init_caption_decoder_params(seed: int) -> dict:
         "out.b": np.zeros(vocab, dtype=np.float32),
     }
     for i in range(CAPTION_LAYERS):
-        for k, v in init_block_params(d, CAPTION_HEADS, rng, np.float32).items():
+        for k, v in init_block_params(d, CAPTION_HEADS, rng).items():
             params[f"self.{i}.{k}"] = v
         p = f"cross.{i}"
         params[f"{p}.ln.g"] = np.ones(d, dtype=np.float32)

@@ -15,8 +15,8 @@ is recomputed from the cell states, not kept.  The backward pass takes
 either the gradient of every output row, (B, L, 2H), or the gradient of
 ``sequence_feature``'s end states alone, (B, 2H).  Prediction runs the
 same step loop without a cache: it keeps each step's gates and cell
-state only until the next step, and projects the input a time block at
-a time, with the same bytes out.
+state only until the next step, in scratch every layer shares, with the
+same bytes out.
 """
 
 from __future__ import annotations
@@ -154,41 +154,30 @@ def _project(xt: np.ndarray, wx: np.ndarray, t0: int, t1: int, zx: np.ndarray) -
     return zx.reshape(t1 - t0, xt.shape[1], 2, 4, hidden).transpose(0, 2, 3, 1, 4)
 
 
-def _streamed_gates(xt: np.ndarray, wx: np.ndarray, ws: Workspace):
+def _projected_steps(xt: np.ndarray, wx: np.ndarray, ws: Workspace):
     """Yield step s's (2, 4, B, H) input projections, the forward direction's
     of time s beside the backward direction's of time L-1-s, in one scratch
     block.
 
-    The projections are _project's, one GEMM per block of _time_blocks as in
-    the cached pass, so they are its bytes on any BLAS kernel.  At most two
-    blocks are held, in two slots: the forward direction walks the blocks up
-    and the backward direction walks them down, so a block is projected into
-    the slot the other direction is not reading, and once more if it was
-    dropped before the other direction reached it.
+    Every block of _time_blocks is projected once, by _project as in the
+    cached pass, into one (L * B, 8H) scratch, so the GEMMs, and with them
+    the bytes, are the cached pass's on any BLAS kernel.
     """
     length, batch, _ = xt.shape
     hidden = wx.shape[-1]
-    spans = list(_time_blocks(length, batch))
-    block_of = [k for k, (t0, t1) in enumerate(spans) for _ in range(t0, t1)]
-    held = {}  # block index -> (slot, its projections)
+    zx = ws.scratch("projections", (length * batch, 8 * hidden), xt.dtype)
+    for t0, t1 in _time_blocks(length, batch):
+        _project(xt, wx, t0, t1, zx[t0 * batch:t1 * batch])
+    steps = zx.reshape(length, batch, 2, 4, hidden).transpose(0, 2, 3, 1, 4)
     step = ws.scratch("step", (2, 4, batch, hidden), xt.dtype)
     for s in range(length):
-        wanted = block_of[s], block_of[length - 1 - s]
-        for k in wanted:
-            if k not in held:
-                slot = min({0, 1} - {held[j][0] for j in wanted if j in held})
-                held = {j: v for j, v in held.items() if v[0] != slot}
-                t0, t1 = spans[k]
-                zx = ws.scratch(f"slot{slot}", ((t1 - t0) * batch, 8 * hidden), xt.dtype)
-                held[k] = slot, _project(xt, wx, t0, t1, zx)
-        fwd, bwd = (held[k][1] for k in wanted)
-        step[0] = fwd[s - spans[wanted[0]][0], 0]
-        step[1] = bwd[length - 1 - s - spans[wanted[1]][0], 1]
+        step[0] = steps[s, 0]
+        step[1] = steps[length - 1 - s, 1]
         yield step
 
 
-def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None,
-                   cache: bool = True):
+def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None, *,
+                   cache: bool):
     """x: (B, L, d) -> (B, L, 2H): forward states beside backward states, and a cache.
 
     Row t holds the forward pass's state after reading x[..t] and the
@@ -213,13 +202,13 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None,
     before the loop, and the cache is (x, gates, cs, out, wx, wh): the
     time-major input, each step's activated gates, the L + 1 cell states
     from the zero initial one, and the time-major output.  Without it (the
-    pass ``model.predict_blocks`` runs) the cache is None: each step's gates are
-    computed in one scratch block from the projections of at most two time
-    blocks (``_streamed_gates``), and the cell states in a ring of two, so
-    no (L, 2, 4, B, H) gate history and no (L + 1)-step cell-state history
-    is kept, and the scratch is shared by every layer of a stack.  The
-    GEMMs and the element-wise passes are the same in both, so are the
-    output's bytes.
+    pass ``model.predict_blocks`` runs) the cache is None: the projections
+    stay in one scratch (``_projected_steps``), each step's gates are
+    computed in one scratch block and the cell states in a ring of two, so
+    no per-layer gate history and no (L + 1)-step cell-state history is
+    kept, and the scratch is shared by every layer of a stack.  The GEMMs
+    and the element-wise passes are the same in both, so are the output's
+    bytes.
     """
     ws = Workspace() if ws is None else ws
     batch, length, d_in = x.shape
@@ -242,7 +231,7 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None,
             gates[length - t1:length - t0, 1] = zx[::-1, 1]
         cs = ws.buffer("cs", (length + 1, 2, batch, hidden), dtype)
     else:
-        gates = _streamed_gates(xt, wx, ws)
+        gates = _projected_steps(xt, wx, ws)
         cs = ws.scratch("cs", (2, 2, batch, hidden), dtype)
     out = ws.buffer("out", (length, batch, 2 * hidden), dtype)
     rec = ws.scratch("rec", (2, 4, batch, hidden), dtype)

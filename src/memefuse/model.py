@@ -42,10 +42,10 @@ CHECKPOINT_MAGIC = "memefuse-checkpoint"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Rows per trunk pass in prediction, gathered from whatever blocks the rows
-# come in.  A pass holds one chunk's input and outputs and at most two time
-# blocks of its input projections, not a backward cache.  The row count of a
-# GEMM moves its last bits on AVX2 kernels (ROADMAP item 8), so every caller
-# scores the same 64-row groups of its rows.
+# come in.  A pass holds one chunk's input, its input projections and
+# outputs, not a backward cache.  The row count of a GEMM moves its last
+# bits on AVX2 kernels (ROADMAP item 8), so every caller scores the same
+# 64-row groups of its rows.
 PREDICT_CHUNK = 64
 
 

@@ -153,7 +153,7 @@ def test_gradient_checks_across_the_stack():
     ds = rng.normal(size=(2, 4, 4))
 
     def bilstm_loss():
-        out, cache = lstm.bilstm_forward(xs, bi_p)
+        out, cache = lstm.bilstm_forward(xs, bi_p, cache=True)
         dx, dp = lstm.bilstm_backward(ds, cache)
         return float(np.sum(out * ds)), {"x": dx, **dp}
 

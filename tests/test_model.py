@@ -391,7 +391,7 @@ class TestWorkspace:
         assert x.shape == (4, 5, 6) and x.transpose(1, 0, 2).flags.c_contiguous
         np.testing.assert_array_equal(x.transpose(1, 0, 2),
                                       np.take(feats, idx, axis=0).transpose(1, 0, 2))
-        bilstm_forward(x, init_bilstm_params(6, 2, rng), ws.scope("bilstm.0"))
+        bilstm_forward(x, init_bilstm_params(6, 2, rng), ws.scope("bilstm.0"), cache=True)
         assert "bilstm.0.x" not in ws._flat
 
     def test_training_step_workspace_bytes(self):
