@@ -8,10 +8,12 @@ time from it.  A threaded GEMM also splits its sums by the thread count,
 so features and trained weights would depend on the host's core count.
 Balancing's Gram GEMM only shortlists neighbours for an exact float64
 rerank, so its bytes do not depend on the count, but a second thread
-doubled its CPU time for no wall time.  Encoding, the fusion of imported
-embeddings, balancing, training and prediction run inside
-``single_thread``, which pins OpenBLAS to one thread while its body runs
-and restores the previous count after.
+doubled its CPU time for no wall time.  Building the training set,
+training and prediction run inside ``single_thread``, which pins OpenBLAS
+to one thread while its body runs and restores the previous count after.
+Encoding and the fusion of imported embeddings come as one stream of
+blocks, whose generator runs as ``pipeline.build_training_set`` or
+``model.predict_blocks`` draws it, so inside their scope.
 With any other BLAS (MKL, Accelerate, a system OpenBLAS that numpy does
 not bundle) it does nothing.  The count is process-wide: scopes must not
 run concurrently in threads of one process.

@@ -34,8 +34,7 @@ NUMPY_STACK = {
     ".model": ("ModelVariant", "TrainConfig", "load_checkpoint", "predict_blocks",
                "predict_proba", "save_checkpoint", "save_history", "train"),
     ".pipeline": ("VARIANT_PARTS", "build_feature_space", "build_training_set",
-                  "class_deficits", "encode_corpus", "encoded_blocks", "fused_from_imported",
-                  "imported_blocks", "labels_from_records"),
+                  "encoded_blocks", "imported_blocks", "labels_from_records"),
     ".tensorfile": ("import_embeddings",),
 }
 
@@ -103,14 +102,6 @@ def _exchange_mappings(args, kind):
             for name in VARIANT_PARTS[kind]}
 
 
-def _corpus_features(records, tokens_by_id, kind, args, seed, spare):
-    """The records' fused features, followed by ``spare`` zero rows."""
-    ids = [r.id for r in records]
-    if args.embeddings:
-        return fused_from_imported(ids, kind, spare, seed, **_exchange_mappings(args, kind))
-    return encode_corpus(ids, tokens_by_id, build_feature_space(seed=seed), kind, spare)
-
-
 def _corpus_blocks(records, tokens_by_id, kind, args, seed):
     """(row shape, blocks) of the records' fused features; a block is
     encoded or fused only as it is drawn."""
@@ -169,13 +160,10 @@ def cmd_train(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
     records, tokens_by_id = _split_tokens(args, args.seed, "train")
-    labels = labels_from_records(records)
-    # the corpus is encoded into the training set's first rows, and
-    # balancing writes the synthetic rows into the spare rows after them
-    spare = sum(sum(d.values()) for d in class_deficits(labels).values())
+    # each block is encoded or fused straight into the training set's first rows
     train_set = build_training_set(
-        _corpus_features(records, tokens_by_id, args.variant, args, args.seed, spare),
-        labels, k=args.k, seed=args.seed)
+        *_corpus_blocks(records, tokens_by_id, args.variant, args, args.seed),
+        labels_from_records(records), k=args.k, seed=args.seed)
     params, history = train(variant, train_set, train_config)
 
     checkpoint = Path(args.checkpoint)

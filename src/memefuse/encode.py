@@ -143,8 +143,10 @@ def init_text_encoder_params(seed: int) -> dict:
 
 
 def _run_blocks(x: np.ndarray, params: dict) -> np.ndarray:
+    # the frozen encoders never run backward: each block's cache goes at once,
+    # before the next block runs
     for i in range(N_LAYERS):
-        x, _ = transformer_block_forward(x, nnops.sub_params(params, f"blocks.{i}"), N_HEADS)
+        x = transformer_block_forward(x, nnops.sub_params(params, f"blocks.{i}"), N_HEADS)[0]
     return x
 
 

@@ -176,8 +176,7 @@ def _projected_steps(xt: np.ndarray, wx: np.ndarray, ws: Workspace):
         yield step
 
 
-def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None, *,
-                   cache: bool):
+def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace, *, cache: bool):
     """x: (B, L, d) -> (B, L, 2H): forward states beside backward states, and a cache.
 
     Row t holds the forward pass's state after reading x[..t] and the
@@ -191,12 +190,12 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None, *,
     bias.  x @ wx of both directions runs as one GEMM per block of
     PROJECTION_ROWS rows.  The weights are multiplied where they lie: the
     cache holds ``params``' ``wx`` and ``wh`` themselves, not copies.
-    Buffers come from ``ws`` (fresh ones when None); the output and the
-    cache are views of them, valid until the workspace serves this layer
-    again.  The output is a view of time-major memory, so a stacked layer
-    reads it as it is, and so is an input that is such a view
-    (``model.gather_batch``'s batch, ``model.predict_blocks``' chunk); any
-    other input is copied time-major into the workspace.
+    Buffers come from ``ws``; the output and the cache are views of them,
+    valid until the workspace serves this layer again.  The output is a
+    view of time-major memory, so a stacked layer reads it as it is, and so
+    is an input that is such a view (``model.gather_batch``'s batch,
+    ``model.predict_blocks``' chunk); any other input is copied time-major
+    into the workspace.
 
     With ``cache`` the projections are copied into every step's gate block
     before the loop, and the cache is (x, gates, cs, out, wx, wh): the
@@ -210,7 +209,6 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None, *,
     and the element-wise passes are the same in both, so are the output's
     bytes.
     """
-    ws = Workspace() if ws is None else ws
     batch, length, d_in = x.shape
     wx, wh = params["wx"], params["wh"]
     hidden = wh.shape[-1]
@@ -259,8 +257,7 @@ def bilstm_forward(x: np.ndarray, params: dict, ws: Workspace | None = None, *,
     return out.transpose(1, 0, 2), ((xt, gates, cs, out, wx, wh) if cache else None)
 
 
-def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,
-                    need_dx: bool = True):
+def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace, need_dx: bool):
     """d_out -> (dx (B, L, d), param grads) for bilstm_forward.
 
     ``d_out`` is the gradient of the output, (B, L, 2H), or of its
@@ -277,7 +274,6 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace | None = None,
     the parameters (``wh``'s as a view).  Layer 0 of a stack has no use
     for dx: with ``need_dx`` False it is None.
     """
-    ws = Workspace() if ws is None else ws
     xt, gates, cs, out, wx, wh = cache
     length, _, _, batch, hidden = gates.shape
     d_in = xt.shape[-1]

@@ -222,15 +222,14 @@ def predict_proba(variant: ModelVariant, features: np.ndarray, params: dict) -> 
 
 
 def loss_and_grads(x: np.ndarray, labels: dict, variant: ModelVariant, params: dict,
-                   ws: Workspace | None = None):
+                   ws: Workspace):
     """Summed masked cross-entropy over task heads; returns (loss, grads, probs).
 
     Each head averages over its labeled samples; label -1 masks a sample
     out of that head.  Gradients cover every parameter (flat dict).  The
-    trunk's buffers come from ``ws`` (fresh ones when None); an ``x`` from
-    ``gather_batch`` on the same workspace enters the trunk without a copy.
+    trunk's buffers come from ``ws``; an ``x`` from ``gather_batch`` on the
+    same workspace enters the trunk without a copy.
     """
-    ws = Workspace() if ws is None else ws
     probs, (layer_caches, feat, heads) = _batched_forward(x, variant, params, ws,
                                                                  cache=True)
     batch = len(feat)

@@ -5,11 +5,12 @@ derived from a seed and frozen, images are synthesized deterministically
 per record id when no real pixels are available.  The three variants all
 reduce to stacking two embedding sequences along their row axis; a
 sentence vector is a one-row sequence.  Encoded or imported, fused
-features come as a stream of blocks of IMAGE_BLOCK records, which eval
-scores one by one and train stacks.  Oversampling happens here, after
-encoding, on flattened fused sequences: the corpus is encoded into the
-first rows of the training set and each task's synthetic rows are written
-into the rows after them.
+features come as one kind of stream, a row shape and a generator of
+blocks of IMAGE_BLOCK records, which eval scores one by one and
+``build_training_set`` writes into the first rows of the training
+tensor it sizes.  Oversampling happens there, after encoding, on
+flattened fused sequences: each task's synthetic rows are written into
+the rows after the originals.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ def encoded_blocks(ids: list[str], tokens_by_id: dict, space: FeatureSpace, kind
     An imgtxt record with fewer than MAX_TOKENS tokens ends in zero rows,
     so every record of a variant has its FUSED_SHAPES shape, the row shape.
     The blocks' body runs as they are drawn, so the caller draws them in
-    a ``single_thread`` scope (``encode_corpus``, ``model.predict_blocks``):
-    features then do not depend on the host's thread count.
+    a ``single_thread`` scope (``build_training_set``,
+    ``model.predict_blocks``): features then do not depend on the host's
+    thread count.
     """
     _check_variant(kind)
     return FUSED_SHAPES[kind], _encoded(ids, tokens_by_id, space, kind)
@@ -206,29 +208,6 @@ def _encoded(ids: list, tokens_by_id: dict, space: FeatureSpace, kind: str):
                      else encode_image(_toy_images(chunk[block], pixels), space.image_params))
             yield _fused(FUSED_SHAPES[kind], (first, texts[block]),
                          space.projections[SENTENCE_PROJECTION])
-
-
-def _stacked(shape: tuple, blocks, rows: int) -> np.ndarray:
-    """The blocks' records in the first rows of a zeroed (rows, *shape) float32 array."""
-    out = np.zeros((rows, *shape), dtype=np.float32)
-    start = 0
-    for block in blocks:
-        out[start:start + len(block)] = block
-        start += len(block)
-    return out
-
-
-@single_thread()
-def encode_corpus(ids: list[str], tokens_by_id: dict, space: FeatureSpace,
-                  kind: str, spare: int) -> np.ndarray:
-    """Encode records in id order into the first N rows of a zeroed
-    (N + spare, L, d) float32 tensor, block by block from ``encoded_blocks``.
-
-    The spare rows are left for ``build_training_set``'s synthetic rows.
-    Runs on one BLAS thread, so features do not depend on the host's
-    thread count.
-    """
-    return _stacked(*encoded_blocks(ids, tokens_by_id, space, kind), len(ids) + spare)
 
 
 def labels_from_records(records) -> dict:
@@ -257,21 +236,25 @@ def class_deficits(labels: dict) -> dict:
 
 
 @single_thread()
-def build_training_set(features: np.ndarray, labels: dict, k: int, seed: int) -> TrainSet:
-    """Balance each task to majority parity inside ``features``.
+def build_training_set(shape: tuple, blocks, labels: dict, k: int, seed: int) -> TrainSet:
+    """The stream's records, then each task's synthetic rows, in one tensor.
 
-    ``features`` holds the originals in its first n rows (n = len(labels'
-    rows)) and exactly one spare row per synthetic row after them, as
-    ``class_deficits`` counts them.  Each task's synthetic rows are
-    written into its slice of the spare rows, tasks in TASKS order, and
-    the returned TrainSet holds that same array.
+    ``(shape, blocks)`` is a stream of ``encoded_blocks`` or
+    ``imported_blocks``: a row shape and (B, *shape) blocks holding one
+    record per row of ``labels``, in order.  The tensor is a zeroed
+    (total, *shape) float32 array of the n originals and one row per
+    synthetic row, as ``class_deficits`` counts them: the blocks are
+    written into its first n rows as they are drawn, and each task's
+    synthetic rows into its slice of the rows after them, tasks in TASKS
+    order.  The returned TrainSet holds that same tensor.  A stream of
+    more or fewer records than labels raises ValueError.
 
     Synthetic rows are interpolated in flattened fused space (double
     precision, one class at a time) from the originals only, and carry
     only the balanced task's label; the other tasks see -1 and mask them
     out of their losses.  Rows a task labels -1 belong to none of its
     classes, so they are never drawn or used as neighbours.  Runs on one
-    BLAS thread, like encoding and training.
+    BLAS thread, the blocks' encoding included, like training.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -279,12 +262,15 @@ def build_training_set(features: np.ndarray, labels: dict, k: int, seed: int) ->
     deficits = class_deficits(ys)
     n = len(ys[TASKS[0]])
     total = n + sum(sum(d.values()) for d in deficits.values())
-    features = np.ascontiguousarray(features)
-    if len(features) != total:
-        raise ValueError(f"features hold {len(features)} rows; {n} originals and "
-                         f"{total - n} synthetic rows need {total}")
-    _, length, width = features.shape
-    flat = features.reshape(total, length * width)  # a view: writes land in features
+    features = np.zeros((total, *shape), dtype=np.float32)
+    drawn = 0
+    for block in blocks:
+        if drawn + len(block) <= n:
+            features[drawn:drawn + len(block)] = block
+        drawn += len(block)
+    if drawn != n:
+        raise ValueError(f"the feature stream holds {drawn} records for {n} labels")
+    flat = features.reshape(total, shape[0] * shape[1])  # a view: writes land in features
     out_labels = {task: np.full(total, -1, dtype=np.int64) for task in TASKS}
     start = n
     for task in TASKS:
@@ -359,12 +345,3 @@ def _imported(parts: list, projection, shape: tuple):
         for lo in range(start, stop, IMAGE_BLOCK):
             block = slice(lo, min(lo + IMAGE_BLOCK, stop))
             yield _fused(shape, [arrays[block] for arrays in parts], projection)
-
-
-@single_thread()
-def fused_from_imported(ids: list, kind: str, spare: int, seed: int,
-                        **mappings) -> np.ndarray:
-    """``imported_blocks``' features in the first rows of a zeroed
-    (N + spare, L, d) float32 tensor, on one BLAS thread; the spare rows
-    are left for ``build_training_set``'s synthetic rows."""
-    return _stacked(*imported_blocks(ids, kind, seed, **mappings), len(ids) + spare)

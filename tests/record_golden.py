@@ -13,10 +13,9 @@ import ctypes
 import hashlib
 
 from memefuse import VARIANTS, blas
-from memefuse.pipeline import (build_feature_space, build_training_set, class_deficits,
-                               encode_corpus)
+from memefuse.pipeline import build_feature_space, build_training_set, encoded_blocks
 # a script's own directory leads sys.path, so the test module imports as it is
-from test_pipeline import _golden_corpus, _golden_labels, _training_set_digest
+from test_pipeline import _golden_corpus, _golden_labels, _stacked, _training_set_digest
 
 
 def kernel_name() -> str:
@@ -33,13 +32,11 @@ def main() -> None:
     space = build_feature_space(seed=0)
     ids, toks = _golden_corpus()
     labels = _golden_labels()
-    spare = sum(sum(d.values()) for d in class_deficits(labels).values())
     features, training_sets = {}, {}
     for kind in sorted(VARIANTS):
-        feats = encode_corpus(ids, toks, space, kind, 0)
+        feats = _stacked(ids, encoded_blocks(ids, toks, space, kind))
         features[kind] = (feats.shape, hashlib.sha256(feats.tobytes()).hexdigest())
-        ts = build_training_set(encode_corpus(ids, toks, space, kind, spare), labels,
-                                k=5, seed=0)
+        ts = build_training_set(*encoded_blocks(ids, toks, space, kind), labels, k=5, seed=0)
         training_sets[kind] = (ts.features.shape[0], _training_set_digest(ts))
     print(f"# OpenBLAS kernel: {kernel_name()}")
     for name, table in (("_GOLDEN_FEATURES", features), ("_GOLDEN_TRAINING_SETS", training_sets)):

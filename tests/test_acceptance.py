@@ -153,8 +153,8 @@ def test_gradient_checks_across_the_stack():
     ds = rng.normal(size=(2, 4, 4))
 
     def bilstm_loss():
-        out, cache = lstm.bilstm_forward(xs, bi_p, cache=True)
-        dx, dp = lstm.bilstm_backward(ds, cache)
+        out, cache = lstm.bilstm_forward(xs, bi_p, lstm.Workspace(), cache=True)
+        dx, dp = lstm.bilstm_backward(ds, cache, lstm.Workspace(), need_dx=True)
         return float(np.sum(out * ds)), {"x": dx, **dp}
 
     check_grads(bilstm_loss, {"x": xs, **bi_p})
@@ -170,7 +170,7 @@ def test_gradient_checks_across_the_stack():
     }
 
     def full_loss():
-        total, grads, _ = model.loss_and_grads(xf, labels, variant, full_p)
+        total, grads, _ = model.loss_and_grads(xf, labels, variant, full_p, lstm.Workspace())
         return total, grads
 
     check_grads(full_loss, full_p)

@@ -1,7 +1,7 @@
 """The one-thread BLAS scope: its thread count, its no-op fallback, the
-scopes of encoding, of balancing, of imported fusion and of the
-prediction stream, the CLI's one-thread start, and training output that
-does not depend on OPENBLAS_NUM_THREADS."""
+scopes of the training set (encoding or imported fusion, and balancing)
+and of the prediction stream, the CLI's one-thread start, and training
+output that does not depend on OPENBLAS_NUM_THREADS."""
 
 import os
 import subprocess
@@ -53,7 +53,10 @@ def test_scope_runs_on_one_thread_and_restores_the_count(controls):
     assert get() == outer
 
 
-def test_encode_corpus_runs_on_one_thread_and_restores_the_count(controls, monkeypatch):
+def test_training_set_draws_encoded_blocks_on_one_thread_and_restores_the_count(controls,
+                                                                              monkeypatch):
+    # the blocks' generator runs inside build_training_set's scope, so the
+    # encoders it calls run on one thread too
     get, put = controls
     put(2)
     outer = get()
@@ -66,8 +69,11 @@ def test_encode_corpus_runs_on_one_thread_and_restores_the_count(controls, monke
 
     monkeypatch.setattr(pipeline, "generate_captions", recording)
     space = pipeline.build_feature_space(seed=0)
-    feats = pipeline.encode_corpus(["a", "b"], {"a": ["cat"]}, space, "capsen", 0)
-    assert feats.shape == (2, 2, encode.SENTENCE_DIM)
+    labels = {task: np.zeros(2, dtype=np.int64) for task in TASKS}
+    ts = pipeline.build_training_set(
+        *pipeline.encoded_blocks(["a", "b"], {"a": ["cat"]}, space, "capsen"), labels, k=1,
+        seed=0)
+    assert ts.features.shape == (2, 2, encode.SENTENCE_DIM)
     assert seen == [1]
     assert get() == outer
 
@@ -87,15 +93,15 @@ def test_build_training_set_runs_on_one_thread_and_restores_the_count(controls, 
     # one task short of parity by two rows: one oversampled class
     labels = {task: np.zeros(6, dtype=np.int64) for task in TASKS}
     labels[TASKS[0]][4:] = 1
-    features = np.zeros((8, 2, 3), dtype=np.float32)
-    features[:6] = np.random.default_rng(0).normal(size=(6, 2, 3))
-    ts = pipeline.build_training_set(features, labels, k=1, seed=0)
+    features = np.random.default_rng(0).normal(size=(6, 2, 3)).astype(np.float32)
+    ts = pipeline.build_training_set((2, 3), [features], labels, k=1, seed=0)
     assert ts.features.shape == (8, 2, 3)
     assert seen == [1]
     assert get() == outer
 
 
-def test_fused_from_imported_runs_on_one_thread_and_restores_the_count(controls, monkeypatch):
+def test_training_set_draws_imported_blocks_on_one_thread_and_restores_the_count(controls,
+                                                                               monkeypatch):
     get, put = controls
     put(2)
     outer = get()
@@ -109,9 +115,11 @@ def test_fused_from_imported_runs_on_one_thread_and_restores_the_count(controls,
     monkeypatch.setattr(pipeline, "assemble_variant_input", recording)
     image = {rid: np.ones((3, 4), dtype=np.float32) for rid in "ab"}
     sentence = {rid: np.ones(6, dtype=np.float32) for rid in "ab"}
-    feats = pipeline.fused_from_imported(["a", "b"], "imgsen", 0, seed=0, image=image,
-                                         text_sentence=sentence)
-    assert feats.shape == (2, 4, 6)
+    labels = {task: np.zeros(2, dtype=np.int64) for task in TASKS}
+    ts = pipeline.build_training_set(
+        *pipeline.imported_blocks(["a", "b"], "imgsen", 0, image=image, text_sentence=sentence),
+        labels, k=1, seed=0)
+    assert ts.features.shape == (2, 4, 6)
     assert seen == [1]
     assert get() == outer
 

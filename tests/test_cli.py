@@ -263,21 +263,28 @@ class TestTrain:
             assert task in out
 
     def test_training_set_is_the_encoded_corpus(self, small_csv, tmp_path, monkeypatch):
-        # the corpus is encoded into the training set's first rows, so train
+        # each block is encoded into the training set's first rows, so train
         # and predict_proba never hold a second copy of the real rows
-        corpus = []
-        encode, fit = cli._corpus_features, cli.train
+        drawn, built = [], []
+        stream, build, fit = cli._corpus_blocks, cli.build_training_set, cli.train
 
-        def encoding(*args):
-            out = encode(*args)
-            corpus.append(out)
-            return out
+        def streaming(*args):
+            shape, blocks = stream(*args)
+            return shape, (drawn.append(block) or block for block in blocks)
+
+        def building(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
 
         def training(variant, train_set, config):
-            assert len(corpus) == 1 and train_set.features is corpus[0]
+            assert len(built) == 1 and train_set is built[0]
+            n = sum(map(len, drawn))  # the 16-row file's 12 training rows
+            assert n == 12 and train_set.features.flags.owndata
+            assert train_set.features[:n].tobytes() == np.concatenate(drawn).tobytes()
             return fit(variant, train_set, config)
 
-        monkeypatch.setattr(cli, "_corpus_features", encoding)
+        monkeypatch.setattr(cli, "_corpus_blocks", streaming)
+        monkeypatch.setattr(cli, "build_training_set", building)
         monkeypatch.setattr(cli, "train", training)
         rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgsen",
                        "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt")])
@@ -355,7 +362,7 @@ class TestTrain:
         def encoding(*args):
             raise AssertionError("corpus encoded before the training flags were checked")
 
-        monkeypatch.setattr(cli, "encode_corpus", encoding)
+        monkeypatch.setattr(cli, "_corpus_blocks", encoding)
         rc = cli.main(["train", "--dataset", str(small_csv), "--variant", "imgtxt",
                        "--checkpoint", str(tmp_path / "x.ckpt"), flag])
         assert rc == 2
@@ -795,6 +802,7 @@ class TestEvalStream:
     def test_report_is_that_of_the_whole_tensor(self, streamed, name, small_blocks,
                                                 capsys, monkeypatch):
         from memefuse import TASKS
+        from memefuse.blas import single_thread
         from memefuse.evalmetrics import build_report
         from memefuse.model import load_checkpoint, predict_proba
         from memefuse.pipeline import labels_from_records
@@ -813,8 +821,9 @@ class TestEvalStream:
         variant, params, meta = load_checkpoint(streamed[name][3])
         args = cli.build_parser().parse_args(["eval", *streamed[name]])
         records, tokens_by_id = cli._split_tokens(args, meta["seed"], "test")
-        features = cli._corpus_features(records, tokens_by_id, variant.kind, args,
-                                        meta["seed"], 0)
+        _, blocks = cli._corpus_blocks(records, tokens_by_id, variant.kind, args, meta["seed"])
+        with single_thread():
+            features = np.concatenate(list(blocks))
         assert len(features) == 20
         probs = predict_proba(variant, features, params)
         report = build_report({variant.kind: {t: np.argmax(probs[t], axis=1) for t in TASKS}},

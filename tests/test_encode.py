@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,23 @@ class TestImageEncoder:
         assert batch.shape == (2, 3, 4, encode.D_MODEL)
         for idx in np.ndindex(2, 3):
             assert batch[idx].tobytes() == encode.encode_image(images[idx], params).tobytes()
+
+    def test_peak_does_not_grow_with_the_block_count(self, monkeypatch):
+        # the frozen encoders never run backward, so each block's cache is
+        # dropped before the next block runs: four blocks peak as one does
+        images = np.random.default_rng(2).uniform(size=(64, 32, 32, 3)).astype(np.float32)
+
+        def peak(layers):
+            monkeypatch.setattr(encode, "N_LAYERS", layers)
+            params = encode.init_image_encoder_params(0)
+            tracemalloc.start()
+            try:
+                encode.encode_image(images, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) <= 1.1 * peak(1)
 
     def test_wrong_image_size_raises(self):
         params = encode.init_image_encoder_params(0)

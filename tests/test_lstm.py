@@ -111,8 +111,8 @@ def test_bilstm_matches_cell_loop(rows, monkeypatch):
     params = _trunk(halves["fwd"], halves["bwd"])
     x = rng.normal(size=(batch, length, d_in))
     d_out = rng.normal(size=(batch, length, 2 * hidden))
-    out, cache = lstm.bilstm_forward(x, params, cache=True)
-    dx, dp = lstm.bilstm_backward(d_out, cache)
+    out, cache = lstm.bilstm_forward(x, params, lstm.Workspace(), cache=True)
+    dx, dp = lstm.bilstm_backward(d_out, cache, lstm.Workspace(), need_dx=True)
 
     want_dx = np.zeros_like(x)
     want_dp = {}
@@ -136,7 +136,7 @@ def test_bilstm_output_layout():
     fwd = lstm.init_lstm_params(d_in, hidden, rng, dtype=np.float64)
     bwd = lstm.init_lstm_params(d_in, hidden, rng, dtype=np.float64)
     x = rng.normal(size=(1, 5, d_in))
-    out, _ = lstm.bilstm_forward(x, _trunk(fwd, bwd), cache=True)
+    out, _ = lstm.bilstm_forward(x, _trunk(fwd, bwd), lstm.Workspace(), cache=True)
     assert out.shape == (1, 5, 2 * hidden)
     no_grad = np.zeros((1, 5, hidden))
     # forward half equals a plain forward LSTM over x
@@ -167,8 +167,14 @@ def test_forward_multiplies_the_parameters_in_place():
     # the cache holds the weights themselves: no per-call copy or permutation
     rng = np.random.default_rng(25)
     params = lstm.init_bilstm_params(3, 2, rng, dtype=np.float64)
-    _, (*_, wx, wh) = lstm.bilstm_forward(rng.normal(size=(2, 4, 3)), params, cache=True)
+    _, (*_, wx, wh) = lstm.bilstm_forward(rng.normal(size=(2, 4, 3)), params, lstm.Workspace(),
+                                          cache=True)
     assert np.shares_memory(wx, params["wx"]) and np.shares_memory(wh, params["wh"])
+
+
+def _cached(x, params):
+    """The cache of a forward pass on a workspace of its own."""
+    return lstm.bilstm_forward(x, params, lstm.Workspace(), cache=True)[1]
 
 
 def test_layer_zero_skips_dx():
@@ -176,8 +182,9 @@ def test_layer_zero_skips_dx():
     params = lstm.init_bilstm_params(3, 2, rng, dtype=np.float64)
     x = rng.normal(size=(2, 4, 3))
     d = rng.normal(size=(2, 4, 4))
-    dx, dp = lstm.bilstm_backward(d, lstm.bilstm_forward(x, params, cache=True)[1])
-    skipped, dp_skip = lstm.bilstm_backward(d, lstm.bilstm_forward(x, params, cache=True)[1], need_dx=False)
+    dx, dp = lstm.bilstm_backward(d, _cached(x, params), lstm.Workspace(), need_dx=True)
+    skipped, dp_skip = lstm.bilstm_backward(d, _cached(x, params), lstm.Workspace(),
+                                            need_dx=False)
     assert skipped is None and dx.shape == x.shape
     for k in dp:
         np.testing.assert_array_equal(dp_skip[k], dp[k])
@@ -197,8 +204,9 @@ def test_final_state_gradient_matches_the_padded_form(dtype):
     padded[:, -1, :hidden] = d_feat[:, :hidden]
     padded[:, 0, hidden:] = d_feat[:, hidden:]
     # the backward pass writes over its gate cache, so each takes a fresh forward
-    want_dx, want = lstm.bilstm_backward(padded, lstm.bilstm_forward(x, params, cache=True)[1])
-    dx, got = lstm.bilstm_backward(d_feat, lstm.bilstm_forward(x, params, cache=True)[1])
+    want_dx, want = lstm.bilstm_backward(padded, _cached(x, params), lstm.Workspace(),
+                                         need_dx=True)
+    dx, got = lstm.bilstm_backward(d_feat, _cached(x, params), lstm.Workspace(), need_dx=True)
     assert dx.tobytes() == want_dx.tobytes()
     assert sorted(got) == sorted(want)
     for name in want:
@@ -216,7 +224,7 @@ def test_cache_free_pass_gives_the_cached_bytes(rows, batch, length, monkeypatch
     rng = np.random.default_rng(33)
     params = lstm.init_bilstm_params(64, 32, rng)
     x = rng.normal(size=(batch, length, 64)).astype(np.float32)
-    want, _ = lstm.bilstm_forward(x, params, cache=True)
+    want, _ = lstm.bilstm_forward(x, params, lstm.Workspace(), cache=True)
     got, cache = lstm.bilstm_forward(x, params, lstm.Workspace(), cache=False)
     assert cache is None
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -258,8 +266,8 @@ def test_bilstm_grads():
     d = rng.normal(size=(2, 4, 4))
 
     def loss():
-        out, cache = lstm.bilstm_forward(x, params, cache=True)
-        dx, dp = lstm.bilstm_backward(d, cache)
+        out, cache = lstm.bilstm_forward(x, params, lstm.Workspace(), cache=True)
+        dx, dp = lstm.bilstm_backward(d, cache, lstm.Workspace(), need_dx=True)
         return float(np.sum(out * d)), {"x": dx, **dp}
 
     check_grads(loss, {"x": x, **params})
@@ -272,7 +280,7 @@ def test_palindrome_symmetry_with_tied_directions():
     one = lstm.init_lstm_params(3, 2, rng, dtype=np.float64)
     x = rng.normal(size=(3, 3))
     pal = np.concatenate([x, x[::-1][1:]], axis=0)  # length 5 palindrome
-    batched, _ = lstm.bilstm_forward(pal[None], _trunk(one, one), cache=True)
+    batched, _ = lstm.bilstm_forward(pal[None], _trunk(one, one), lstm.Workspace(), cache=True)
     out = batched[0]
     length, hidden = pal.shape[0], 2
     for t in range(length):

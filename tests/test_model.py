@@ -188,7 +188,7 @@ class TestLossAndGrads:
         labels = _labels(rng, 3, missing={"sarcasm": [1]})
 
         def loss():
-            total, grads, _ = model.loss_and_grads(x, labels, variant, params)
+            total, grads, _ = model.loss_and_grads(x, labels, variant, params, Workspace())
             return total, {"x": None, **grads}
 
         check_grads(loss, params)
@@ -202,9 +202,9 @@ class TestLossAndGrads:
         # only the humor head counts, and the last two samples are masked out of it
         masked = {k: np.full_like(v, -1) for k, v in labels.items()}
         masked["humor"][:2] = labels["humor"][:2]
-        loss_masked, _, _ = model.loss_and_grads(x, masked, variant, params)
+        loss_masked, _, _ = model.loss_and_grads(x, masked, variant, params, Workspace())
         sub = {k: v[:2] for k, v in masked.items()}
-        loss_sub, _, _ = model.loss_and_grads(x[:2], sub, variant, params)
+        loss_sub, _, _ = model.loss_and_grads(x[:2], sub, variant, params, Workspace())
         assert abs(loss_masked - loss_sub) < 1e-12
 
     def test_heads_gradient_independent(self):
@@ -213,9 +213,9 @@ class TestLossAndGrads:
         params = model.init_classifier_params(variant, 4, rng, dtype=np.float64)
         x = rng.normal(size=(4, 3, 4))
         labels = _labels(rng, 4)
-        _, g_all, _ = model.loss_and_grads(x, labels, variant, params)
+        _, g_all, _ = model.loss_and_grads(x, labels, variant, params, Workspace())
         no_humor = {**labels, "humor": np.full_like(labels["humor"], -1)}
-        _, g_some, _ = model.loss_and_grads(x, no_humor, variant, params)
+        _, g_some, _ = model.loss_and_grads(x, no_humor, variant, params, Workspace())
         for name in g_all:
             if name.startswith("head.humor."):
                 np.testing.assert_array_equal(g_some[name], np.zeros_like(g_some[name]))
@@ -301,13 +301,13 @@ class TestTrain:
         ds = _tiny_trainset(rng)
         params = model.init_classifier_params(variant, 4, np.random.default_rng(1))
         labels = ds.labels
-        first, _, _ = model.loss_and_grads(ds.features, labels, variant, params)
+        first, _, _ = model.loss_and_grads(ds.features, labels, variant, params, Workspace())
         state, t = None, 0
         for _ in range(50):
-            loss, grads, _ = model.loss_and_grads(ds.features, labels, variant, params)
+            loss, grads, _ = model.loss_and_grads(ds.features, labels, variant, params, Workspace())
             t += 1
             params, state = model.adam_step(params, grads, state, lr=1e-2, t=t)
-        final, _, _ = model.loss_and_grads(ds.features, labels, variant, params)
+        final, _, _ = model.loss_and_grads(ds.features, labels, variant, params, Workspace())
         assert final < first
 
     def test_history_shape_and_determinism(self):
@@ -356,7 +356,8 @@ class TestWorkspace:
             x = rng.normal(size=(batch, 5, 6)).astype(np.float32)
             labels = _labels(rng, batch, missing={"humor": [1]})
             loss, grads, probs = model.loss_and_grads(x, labels, variant, params, ws=ws)
-            want_loss, want_grads, want_probs = model.loss_and_grads(x, labels, variant, params)
+            want_loss, want_grads, want_probs = model.loss_and_grads(x, labels, variant, params,
+                                                                     Workspace())
             assert loss == want_loss
             assert sorted(grads) == sorted(want_grads) == sorted(params)
             for name, g in want_grads.items():

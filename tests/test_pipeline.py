@@ -18,11 +18,24 @@ from memefuse.pipeline import (
     VARIANT_PARTS,
     build_feature_space,
     build_training_set,
-    encode_corpus,
-    fused_from_imported,
+    encoded_blocks,
+    imported_blocks,
     labels_from_records,
     toy_image,
 )
+
+
+def _stacked(ids, stream):
+    """The records of ``ids``' feature stream in one (N, L, d) array, as
+    ``build_training_set`` writes them: with one class per task no
+    synthetic row follows them."""
+    labels = {task: np.zeros(len(ids), dtype=np.int64) for task in TASKS}
+    return build_training_set(*stream, labels, k=1, seed=0).features
+
+
+def _record(rid, tokens, space, kind):
+    """One record's fused features."""
+    return _stacked([rid], encoded_blocks([rid], {rid: tokens}, space, kind))[0]
 
 
 @pytest.fixture(scope="module")
@@ -42,24 +55,24 @@ class TestFeatureSpace:
 
 class TestFusedShapes:
     def test_imgtxt_shape(self, space):
-        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgtxt", 0)[0]
+        out = _record("m1", ["hello", "world"], space, "imgtxt")
         assert out.shape == (N_PATCHES + MAX_TOKENS, 64)
         assert out.shape == (20, 64)
         assert out.dtype == np.float32
 
     def test_imgsen_shape(self, space):
-        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "imgsen", 0)[0]
+        out = _record("m1", ["hello", "world"], space, "imgsen")
         assert out.shape == (5, 64)
         assert out.dtype == np.float32
 
     def test_capsen_shape(self, space):
-        out = encode_corpus(["m1"], {"m1": ["hello", "world"]}, space, "capsen", 0)[0]
+        out = _record("m1", ["hello", "world"], space, "capsen")
         assert out.shape == (2, 768)
         assert out.dtype == np.float32
 
     def test_fused_length_matches_arrays(self, space):
         for kind in ("imgtxt", "imgsen", "capsen"):
-            out = encode_corpus(["m7"], {"m7": ["one"]}, space, kind, 0)[0]
+            out = _record("m7", ["one"], space, kind)
             assert out.shape == FUSED_SHAPES[kind]
 
     def test_one_variant_list(self):
@@ -67,29 +80,29 @@ class TestFusedShapes:
 
     def test_unknown_kind_rejected(self, space):
         with pytest.raises(ValueError):
-            encode_corpus(["m1"], {"m1": ["x"]}, space, "bogus", 0)
+            encoded_blocks(["m1"], {"m1": ["x"]}, space, "bogus")
 
     def test_unknown_kind_rejected_for_an_empty_corpus(self, space):
-        # no chunk is encoded, so only the check ahead of the allocation can
+        # no chunk is encoded, so only the check ahead of the generator can
         # reject the name
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-            encode_corpus([], {}, space, "bogus", 0)
+            encoded_blocks([], {}, space, "bogus")
 
 
 class TestRecordFeatures:
     def test_deterministic(self, space):
-        a = encode_corpus(["m3"], {"m3": ["some", "words"]}, space, "imgtxt", 0)[0]
-        b = encode_corpus(["m3"], {"m3": ["some", "words"]}, space, "imgtxt", 0)[0]
+        a = _record("m3", ["some", "words"], space, "imgtxt")
+        b = _record("m3", ["some", "words"], space, "imgtxt")
         np.testing.assert_array_equal(a, b)
 
     def test_image_rows_prefix(self, space):
         # first N_PATCHES rows are exactly the image encoding
-        out = encode_corpus(["m4"], {"m4": ["abc"]}, space, "imgtxt", 0)[0]
+        out = _record("m4", ["abc"], space, "imgtxt")
         img = encode_image(toy_image("m4"), space.image_params)
         np.testing.assert_array_equal(out[:N_PATCHES], img.astype(np.float32))
 
     def test_short_token_list_zero_padded(self, space):
-        out = encode_corpus(["m5"], {"m5": ["only", "two"]}, space, "imgtxt", 0)[0]
+        out = _record("m5", ["only", "two"], space, "imgtxt")
         tail = out[N_PATCHES + 2 :]
         assert tail.shape[0] == MAX_TOKENS - 2
         assert np.all(tail == 0.0)
@@ -98,8 +111,8 @@ class TestRecordFeatures:
         assert np.any(out[N_PATCHES + 1] != 0.0)
 
     def test_text_changes_output(self, space):
-        a = encode_corpus(["m8"], {"m8": ["happy"]}, space, "imgsen", 0)[0]
-        b = encode_corpus(["m8"], {"m8": ["angry"]}, space, "imgsen", 0)[0]
+        a = _record("m8", ["happy"], space, "imgsen")
+        b = _record("m8", ["angry"], space, "imgsen")
         assert not np.array_equal(a, b)
 
 
@@ -142,23 +155,28 @@ class TestEncodeCorpus:
     def test_rows_follow_id_order(self, space):
         ids = ["b", "a", "c"]
         toks = {"a": ["one"], "b": ["two"], "c": ["three"]}
-        feats = encode_corpus(ids, toks, space, "imgsen", 0)
+        feats = _stacked(ids, encoded_blocks(ids, toks, space, "imgsen"))
         assert feats.shape == (3, 5, 64)
         for i, rid in enumerate(ids):
             np.testing.assert_array_equal(
-                feats[i], encode_corpus([rid], {rid: toks[rid]}, space, "imgsen", 0)[0])
+                feats[i], _record(rid, toks[rid], space, "imgsen"))
 
     @pytest.mark.parametrize("kind", VARIANTS)
-    def test_spare_rows_follow_as_zeros(self, space, kind):
+    def test_spare_rows_follow_as_zeros(self, space, kind, monkeypatch):
+        # with balancing writing nothing, the synthetic rows' room after the
+        # stream's records stays as build_training_set allocates it
         ids, toks = _golden_corpus()
-        alone = encode_corpus(ids[:9], toks, space, kind, 0)
-        feats = encode_corpus(ids[:9], toks, space, kind, 4)
-        assert feats.shape == (13, *FUSED_SHAPES[kind]) and feats.dtype == np.float32
+        alone = _stacked(ids[:9], encoded_blocks(ids[:9], toks, space, kind))
+        monkeypatch.setattr(pipeline, "smote_oversample", _no_synthetic_rows)
+        feats = build_training_set(*encoded_blocks(ids[:9], toks, space, kind),
+                                   _golden_labels(9), k=5, seed=0).features
+        # the first 9 golden labels fall 23 rows short of parity
+        assert feats.shape == (9 + 23, *FUSED_SHAPES[kind]) and feats.dtype == np.float32
         assert feats[:9].tobytes() == alone.tobytes()
         assert not feats[9:].any()
 
     def test_empty_corpus_keeps_declared_shape(self, space):
-        feats = encode_corpus([], {}, space, "capsen", 0)
+        feats = _stacked([], encoded_blocks([], {}, space, "capsen"))
         assert feats.shape == (0, 2, 768)
         assert feats.dtype == np.float32
 
@@ -181,8 +199,9 @@ def _golden_corpus():
     return ids, toks
 
 
-# sha256 of encode_corpus(..., 0).tobytes() on _golden_corpus(), build_feature_space(seed=0),
-# with encoders that compute in float32 throughout.  Recorded on OpenBLAS's
+# sha256 of _stacked(ids, encoded_blocks(...)).tobytes() on _golden_corpus() and
+# build_feature_space(seed=0), with encoders that compute in float32
+# throughout.  Recorded on OpenBLAS's
 # SkylakeX kernel by `PYTHONPATH=src python tests/record_golden.py`, which
 # prints this table and _GOLDEN_TRAINING_SETS for the kernel it runs on.
 _GOLDEN_FEATURES = {
@@ -192,17 +211,23 @@ _GOLDEN_FEATURES = {
 }
 
 
-def _golden_labels():
-    """Skewed labels for _golden_corpus(): class 0 leads every task."""
+def _golden_labels(n=40):
+    """Skewed labels for the first ``n`` records of _golden_corpus(): class 0
+    leads every task."""
     out = {}
     for t, task in enumerate(TASKS):
         arity, step = len(TASK_CLASSES[task]), t + 3
         out[task] = np.array([0 if i % step else 1 + (i // step) % (arity - 1)
-                              for i in range(40)], dtype=np.int64)
+                              for i in range(n)], dtype=np.int64)
     return out
 
 
-# sha256 of build_training_set(encode_corpus(..., spare), _golden_labels(), k=5, seed=0):
+def _no_synthetic_rows(features, labels, deficits, k, seed, dest):
+    """``smote_oversample`` that writes no row: each row is labelled class 0."""
+    return np.zeros(len(dest), dtype=labels.dtype)
+
+
+# sha256 of build_training_set(*encoded_blocks(...), _golden_labels(), k=5, seed=0):
 # its features' bytes, then each task's labels' bytes in TASKS order.  Recorded
 # with _GOLDEN_FEATURES, on the same kernel by the same command.  The capsen
 # corpus holds 31 distinct rows among 40.
@@ -232,7 +257,7 @@ class TestGoldenFeatures:
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
     def test_features_match_recorded_digest(self, space, kind):
         ids, toks = _golden_corpus()
-        feats = encode_corpus(ids, toks, space, kind, 0)
+        feats = _stacked(ids, encoded_blocks(ids, toks, space, kind))
         shape, digest = _GOLDEN_FEATURES[kind]
         assert feats.shape == shape and feats.dtype == np.float32
         assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
@@ -241,7 +266,7 @@ class TestGoldenFeatures:
     def test_chunk_boundaries_change_nothing(self, space, kind, monkeypatch):
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         ids, toks = _golden_corpus()
-        feats = encode_corpus(ids, toks, space, kind, 0)
+        feats = _stacked(ids, encoded_blocks(ids, toks, space, kind))
         assert hashlib.sha256(feats.tobytes()).hexdigest() == _GOLDEN_FEATURES[kind][1]
 
     # IMAGE_BLOCK = 3 puts block boundaries inside the one 256-record chunk
@@ -253,7 +278,7 @@ class TestGoldenFeatures:
             monkeypatch.setattr(pipeline, "ENCODE_CHUNK", chunk)
         monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 3)
         ids, toks = _golden_corpus()
-        feats = encode_corpus(ids, toks, space, kind, 0)
+        feats = _stacked(ids, encoded_blocks(ids, toks, space, kind))
         assert hashlib.sha256(feats.tobytes()).hexdigest() == _GOLDEN_FEATURES[kind][1]
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
@@ -272,7 +297,7 @@ class TestGoldenFeatures:
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 3)
         ids, toks = _golden_corpus()
-        encode_corpus(ids, toks, space, kind, 0)
+        _stacked(ids, encoded_blocks(ids, toks, space, kind))
         # five 7-record chunks in blocks of 3, 3 and 1, then 5 records in 3 and 2
         assert batches == [3, 3, 1] * 5 + [3, 2]
 
@@ -288,7 +313,7 @@ class TestGoldenFeatures:
                     for i, rid in enumerate(ids)}
             tracemalloc.start()
             try:
-                out = encode_corpus(ids, toks, space, "imgtxt", 0)
+                out = _stacked(ids, encoded_blocks(ids, toks, space, "imgtxt"))
                 return tracemalloc.get_traced_memory()[1] - out.nbytes
             finally:
                 tracemalloc.stop()
@@ -306,7 +331,7 @@ class TestGoldenFeatures:
         monkeypatch.setattr(pipeline, "encode_ids", counting)
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         ids, toks = _golden_corpus()
-        encode_corpus(ids, toks, space, kind, 0)
+        _stacked(ids, encoded_blocks(ids, toks, space, kind))
         clipped = {tuple(toks.get(rid, [])[:MAX_TOKENS]) for rid in ids}
         assert sum(rows for rows, _ in batches) == len(clipped)
         # at most one batch per id count in each of the 6 chunks
@@ -316,8 +341,8 @@ class TestGoldenFeatures:
     def test_training_set_matches_recorded_digest(self, space, kind):
         ids, toks = _golden_corpus()
         rows, expected = _GOLDEN_TRAINING_SETS[kind]
-        ts = build_training_set(encode_corpus(ids, toks, space, kind, rows - len(ids)),
-                                _golden_labels(), k=5, seed=0)
+        ts = build_training_set(*encoded_blocks(ids, toks, space, kind), _golden_labels(),
+                                k=5, seed=0)
         assert ts.features.shape[0] == rows
         assert _training_set_digest(ts) == expected
 
@@ -329,8 +354,8 @@ class TestGoldenFeatures:
         monkeypatch.setattr(balance, "INTERP_BLOCK", block)
         ids, toks = _golden_corpus()
         rows, expected = _GOLDEN_TRAINING_SETS[kind]
-        ts = build_training_set(encode_corpus(ids, toks, space, kind, rows - len(ids)),
-                                _golden_labels(), k=5, seed=0)
+        ts = build_training_set(*encoded_blocks(ids, toks, space, kind), _golden_labels(),
+                                k=5, seed=0)
         assert _training_set_digest(ts) == expected
 
 
@@ -382,21 +407,10 @@ def _toy_imbalanced(n_major=12, n_minor=4, length=3, width=5, seed=11):
     return feats, labels
 
 
-def _with_room(feats, labels):
-    """``feats`` followed by one zero row per synthetic row: the rows that raise
-    every class with members to its task's largest class, counted here."""
-    spare = 0
-    for y in labels.values():
-        counts = [int(np.sum(y == cls)) for cls in set(y.tolist()) - {-1}]
-        spare += sum(max(counts) - c for c in counts)
-    room = np.zeros((spare, *feats.shape[1:]), dtype=feats.dtype)
-    return np.concatenate([feats, room])
-
-
 class TestBuildTrainingSet:
     def test_minority_grows_to_majority(self):
         feats, labels = _toy_imbalanced()
-        ts = build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
+        ts = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=0)
         grown = ts.labels["humor"]
         assert int(np.sum(grown == 0)) == 12
         assert int(np.sum(grown == 1)) == 12
@@ -404,14 +418,14 @@ class TestBuildTrainingSet:
 
     def test_originals_come_first_verbatim(self):
         feats, labels = _toy_imbalanced()
-        ts = build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
+        ts = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=0)
         np.testing.assert_array_equal(ts.features[:16], feats)
         for task in TASKS:
             np.testing.assert_array_equal(ts.labels[task][:16], labels[task])
 
     def test_synthetics_masked_for_other_tasks(self):
         feats, labels = _toy_imbalanced()
-        ts = build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
+        ts = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=0)
         synth = slice(16, None)
         assert np.all(ts.labels["humor"][synth] == 1)
         for other in ("sarcasm", "motivation", "sentiment"):
@@ -424,7 +438,7 @@ class TestBuildTrainingSet:
                   ("humor", "sarcasm", "motivation")}
         labels["sentiment"] = np.array([0, 1, 2] * 2 + [0, 1], dtype=np.int64)
         # sentiment is uneven: 3/3/2 -> one synthetic for class 2
-        ts = build_training_set(_with_room(feats, labels), labels, k=2, seed=1)
+        ts = build_training_set(feats.shape[1:], [feats], labels, k=2, seed=1)
         assert ts.features.shape[0] == 9
         np.testing.assert_array_equal(ts.features[:8], feats)
         assert ts.labels["sentiment"][8] == 2
@@ -432,9 +446,9 @@ class TestBuildTrainingSet:
 
     def test_deterministic_per_seed(self):
         feats, labels = _toy_imbalanced()
-        a = build_training_set(_with_room(feats, labels), labels, k=3, seed=7)
-        b = build_training_set(_with_room(feats, labels), labels, k=3, seed=7)
-        c = build_training_set(_with_room(feats, labels), labels, k=3, seed=8)
+        a = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=7)
+        b = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=7)
+        c = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=8)
         np.testing.assert_array_equal(a.features, b.features)
         for task in TASKS:
             np.testing.assert_array_equal(a.labels[task], b.labels[task])
@@ -449,7 +463,7 @@ class TestBuildTrainingSet:
             "motivation": np.zeros(10, dtype=np.int64),
             "sentiment": np.zeros(10, dtype=np.int64),
         }
-        ts = build_training_set(_with_room(feats, labels), labels, k=2, seed=2)
+        ts = build_training_set(feats.shape[1:], [feats], labels, k=2, seed=2)
         # humor adds 4, sarcasm adds 2
         assert ts.features.shape[0] == 16
         hum = ts.labels["humor"]
@@ -461,16 +475,7 @@ class TestBuildTrainingSet:
         feats, labels = _toy_imbalanced()
         feats[13, 1, 2] = np.nan
         with pytest.raises(NumericError, match="class 1: non-finite feature in row 13"):
-            build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
-
-    def test_overflowing_neighbor_distance_rejected(self):
-        # finite rows 1e155 apart square to inf: the neighbor ranking breaks
-        # (a row may list itself), so the class stops instead of interpolating
-        feats, labels = _toy_imbalanced()
-        feats = feats.astype(np.float64)
-        feats[[13, 15]] *= 1e155
-        with pytest.raises(NumericError, match="class 1: squared distance from row 12 "):
-            build_training_set(_with_room(feats, labels), labels, k=3, seed=0)
+            build_training_set(feats.shape[1:], [feats], labels, k=3, seed=0)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected_without_deficit(self, k):
@@ -478,62 +483,73 @@ class TestBuildTrainingSet:
         feats = rng.normal(size=(4, 2, 3)).astype(np.float32)
         labels = {task: np.array([0, 1, 0, 1], dtype=np.int64) for task in TASKS}
         with pytest.raises(ValueError, match="k must be >= 1"):
-            build_training_set(_with_room(feats, labels), labels, k=k, seed=0)
+            build_training_set(feats.shape[1:], [feats], labels, k=k, seed=0)
 
-    def test_balanced_inside_the_given_array(self):
+    def test_features_are_the_tensor_the_blocks_were_written_into(self, monkeypatch):
+        # balancing reads the originals from, and writes its rows into, views
+        # of the one tensor the blocks fill, and the TrainSet holds that
+        # tensor itself: no second copy of the rows is made
         feats, labels = _toy_imbalanced()
-        room = _with_room(feats, labels)
-        ts = build_training_set(room, labels, k=3, seed=0)
-        assert ts.features is room
-        np.testing.assert_array_equal(room[:16], feats)
+        views = []
+        oversample = pipeline.smote_oversample
 
-    @pytest.mark.parametrize("rows", [16, 23, 25])
-    def test_rows_must_match_originals_plus_synthetic_rows(self, rows):
+        def recording(members, y, deficits, k, seed, dest):
+            views.append((members, dest))
+            return oversample(members, y, deficits, k, seed, dest)
+
+        monkeypatch.setattr(pipeline, "smote_oversample", recording)
+        ts = build_training_set(feats.shape[1:], [feats[:10], feats[10:]], labels, k=3, seed=0)
+        assert ts.features.flags.owndata and ts.features.dtype == np.float32
+        ((members, dest),) = views
+        assert np.shares_memory(members, ts.features) and np.shares_memory(dest, ts.features)
+        np.testing.assert_array_equal(ts.features[:16], feats)
+        assert ts.features[16:].any()
+
+    @pytest.mark.parametrize("records", [15, 17])
+    def test_stream_must_hold_one_record_per_label(self, records):
+        # the 17th record arrives in a block the first 16 rows cannot hold
         feats, labels = _toy_imbalanced()
-        features = np.zeros((rows, 3, 5), dtype=np.float32)
-        features[:16] = feats
-        with pytest.raises(ValueError, match=f"features hold {rows} rows; 16 originals and "
-                                             "8 synthetic rows need 24"):
-            build_training_set(features, labels, k=3, seed=0)
+        rows = np.concatenate([feats, feats])[:records]
+        with pytest.raises(ValueError, match=f"the feature stream holds {records} records "
+                                             "for 16 labels"):
+            build_training_set((3, 5), [rows[:10], rows[10:]], labels, k=3, seed=0)
 
     def test_default_block_boundaries_change_nothing(self, monkeypatch):
         # a deficit of 570 rows spans nine INTERP_BLOCK blocks
         feats, labels = _toy_imbalanced(n_major=600, n_minor=30)
-        blocked = build_training_set(_with_room(feats, labels), labels, k=3, seed=5)
+        blocked = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=5)
         monkeypatch.setattr(balance, "INTERP_BLOCK", 1)
-        single = build_training_set(_with_room(feats, labels), labels, k=3, seed=5)
+        single = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=5)
         assert blocked.features.tobytes() == single.features.tobytes()
 
     def test_balancing_scratch_does_not_grow_with_the_deficit(self):
         # interpolation scratch is bounded by INTERP_BLOCK rows and the rows
-        # go straight into the input array, so an 8x deficit (both above one
-        # block) leaves the traced peak above the input array nearly flat
+        # go straight into the training tensor, so an 8x deficit (both above
+        # one block) leaves the traced peak above the tensor nearly flat
         def peak(deficit):
             feats, labels = _toy_imbalanced(n_major=20 + deficit, n_minor=20, length=2,
                                             width=256)
-            room = _with_room(feats, labels)
             tracemalloc.start()
             try:
-                build_training_set(room, labels, k=3, seed=0)
-                return tracemalloc.get_traced_memory()[1]
+                ts = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=0)
+                return tracemalloc.get_traced_memory()[1] - ts.features.nbytes
             finally:
                 tracemalloc.stop()
 
         assert peak(8 * 300) <= 1.25 * peak(300)
 
     def test_balancing_scratch_does_not_grow_with_the_class(self):
-        # a class is read from the input by index and cast to float64 only in
-        # blocks of bounded rows, so a 4x larger minority class (each size
+        # a class is read from the tensor by index and cast to float64 only
+        # in blocks of bounded rows, so a 4x larger minority class (each size
         # above one Gram tile) with the same deficit leaves the traced peak
-        # above the input array nearly flat
+        # above the tensor nearly flat
         def peak(members):
             feats, labels = _toy_imbalanced(n_major=members + 100, n_minor=members, length=2,
                                             width=384)
-            room = _with_room(feats, labels)
             tracemalloc.start()
             try:
-                build_training_set(room, labels, k=3, seed=0)
-                return tracemalloc.get_traced_memory()[1]
+                ts = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=0)
+                return tracemalloc.get_traced_memory()[1] - ts.features.nbytes
             finally:
                 tracemalloc.stop()
 
@@ -542,7 +558,7 @@ class TestBuildTrainingSet:
     def test_synthetics_lie_between_members(self):
         # every synthetic coordinate stays inside the minority bounding box
         feats, labels = _toy_imbalanced()
-        ts = build_training_set(_with_room(feats, labels), labels, k=3, seed=4)
+        ts = build_training_set(feats.shape[1:], [feats], labels, k=3, seed=4)
         minority = feats[12:].reshape(4, -1).astype(np.float64)
         lo, hi = minority.min(axis=0), minority.max(axis=0)
         synth = ts.features[16:].reshape(-1, 15).astype(np.float64)
@@ -566,7 +582,7 @@ _IMPORTED_CASES = {
                                          "text_sentence": (None, 10)}),
 }
 
-# sha256 of fused_from_imported(...).tobytes() on _imported_case(name) with
+# sha256 of _stacked(ids, imported_blocks(...)).tobytes() on _imported_case(name) with
 # seed=3, as produced by the record-at-a-time assembly the batched one replaced.
 _GOLDEN_IMPORTED = {
     "capsen-same-width": ((23, 2, 12), "0472b2218b4b691e2f5f7edd776122bcdf262ffacc1110eda60b7a36cbbb4668"),
@@ -602,19 +618,23 @@ class TestFusedFromImported:
         if chunk is not None:
             monkeypatch.setattr(pipeline, "ENCODE_CHUNK", chunk)
         ids, kind, mappings = _imported_case(name)
-        out = fused_from_imported(ids, kind, 0, seed=3, **mappings)
+        out = _stacked(ids, imported_blocks(ids, kind, 3, **mappings))
         shape, digest = _GOLDEN_IMPORTED[name]
         assert out.shape == shape and out.dtype == np.float32
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", sorted(_IMPORTED_CASES))
     def test_spare_rows_follow_as_zeros(self, name, monkeypatch):
-        # in 7-record chunks the last chunk holds 2 records; the spare rows follow it
+        # in 7-record chunks the last chunk holds 2 records; with balancing
+        # writing nothing, the synthetic rows' room follows it as allocated
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        monkeypatch.setattr(pipeline, "smote_oversample", _no_synthetic_rows)
         ids, kind, mappings = _imported_case(name)
         shape, digest = _GOLDEN_IMPORTED[name]
-        out = fused_from_imported(ids, kind, 5, seed=3, **mappings)
-        assert out.shape == (shape[0] + 5, *shape[1:]) and out.dtype == np.float32
+        out = build_training_set(*imported_blocks(ids, kind, 3, **mappings),
+                                 _golden_labels(23), k=5, seed=0).features
+        # the first 23 golden labels fall 65 rows short of parity
+        assert out.shape == (shape[0] + 65, *shape[1:]) and out.dtype == np.float32
         assert hashlib.sha256(out[:shape[0]].tobytes()).hexdigest() == digest
         assert not out[shape[0]:].any()
 
@@ -622,32 +642,32 @@ class TestFusedFromImported:
         ids, kind, mappings = _imported_case("imgtxt-same-width")
         del mappings["tokens"][ids[4]]
         with pytest.raises(ValueError, match="record 'rec_04' missing from tokens embeddings"):
-            fused_from_imported(ids, kind, 0, seed=0, **mappings)
+            imported_blocks(ids, kind, 0, **mappings)
 
     def test_missing_mapping_named(self):
         ids, kind, mappings = _imported_case("capsen-same-width")
         del mappings["caption_sentence"]
         with pytest.raises(ValueError, match="'capsen' needs caption_sentence embeddings"):
-            fused_from_imported(ids, kind, 0, seed=0, **mappings)
+            imported_blocks(ids, kind, 0, **mappings)
 
     def test_unknown_variant_rejected(self):
         ids, _, mappings = _imported_case("capsen-same-width")
         with pytest.raises(ValueError, match="unknown variant 'imgcap'"):
-            fused_from_imported(ids, "imgcap", 0, seed=0, **mappings)
+            imported_blocks(ids, "imgcap", 0, **mappings)
 
     def test_width_disagreement_within_mapping_rejected(self):
         ids, kind, mappings = _imported_case("imgsen-same-width")
         mappings["image"][ids[7]] = np.zeros((2, 9), dtype=np.float32)
         with pytest.raises(ValueError, match=r"image embeddings: record 'rec_07' has shape "
                                              r"\(2, 9\), width 16 expected"):
-            fused_from_imported(ids, kind, 0, seed=0, **mappings)
+            imported_blocks(ids, kind, 0, **mappings)
 
     def test_one_record_without_rows_still_fuses(self):
         # only a corpus with no rows at all has nothing to fuse
         ids, kind, mappings = _imported_case("imgtxt-same-width")
         for name in ("image", "tokens"):
             mappings[name][ids[5]] = np.zeros((0, 16), dtype=np.float32)
-        out = fused_from_imported(ids, kind, 0, seed=0, **mappings)
+        out = _stacked(ids, imported_blocks(ids, kind, 0, **mappings))
         assert out.shape[1] > 0 and not out[5].any() and out[4].any()
 
     @pytest.mark.parametrize("case, name, shape", [
@@ -662,7 +682,7 @@ class TestFusedFromImported:
         mappings[name][ids[2]] = np.ones(shape, dtype=np.float32)
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} embeddings: record 'rec_02' has shape {shape}, expected")):
-            fused_from_imported(ids, kind, 0, seed=0, **mappings)
+            imported_blocks(ids, kind, 0, **mappings)
 
 
 class TestFusionBatches:
@@ -685,13 +705,13 @@ class TestFusionBatches:
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
     def test_encoded_path(self, space, kind, batch_sizes):
         ids, toks = _golden_corpus()
-        encode_corpus(ids, toks, space, kind, 0)
+        _stacked(ids, encoded_blocks(ids, toks, space, kind))
         assert all(len(sizes) == 1 and max(sizes) <= 7 for sizes in batch_sizes)
         assert sum(max(sizes) for sizes in batch_sizes) == len(ids)
 
     @pytest.mark.parametrize("name", sorted(_IMPORTED_CASES))
     def test_imported_path(self, name, batch_sizes):
         ids, kind, mappings = _imported_case(name)
-        fused_from_imported(ids, kind, 0, seed=3, **mappings)
+        _stacked(ids, imported_blocks(ids, kind, 3, **mappings))
         assert all(len(sizes) == 1 and max(sizes) <= 7 for sizes in batch_sizes)
         assert sum(max(sizes) for sizes in batch_sizes) == len(ids)
