@@ -23,7 +23,8 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import TASKS, VARIANTS, NumericError, bundled_data
-from .dataset import RowError, Schema, SchemaError, load_dataset, raw_tallies, split
+from .dataset import (RowError, Schema, SchemaError, count_records, load_dataset, raw_tallies,
+                      records_at, split)
 from .textprep import PreprocessConfig, load_lexicon, load_vocabulary, preprocess
 
 # The names train and eval compute with, by the module that defines them.
@@ -88,11 +89,14 @@ def _tokens_for(records, config):
 
 def _split_tokens(args, seed, part):
     """The records of the dataset's seeded split ``part`` ("train" or
-    "test"), with the tokens of each."""
+    "test"), with the tokens of each.  The other part's rows are checked
+    but never become records."""
     schema = _load_schema(args)
-    records = load_dataset(_require(args.dataset, "dataset"), schema)
-    rows = getattr(split(records, SPLIT_RATIO, seed), part)
-    return rows, _tokens_for(rows, _preprocess_config(args))
+    path = _require(args.dataset, "dataset")
+    rows = count_records(path, schema)
+    records = records_at(path, schema, getattr(split(range(rows), SPLIT_RATIO, seed), part),
+                         rows)
+    return records, _tokens_for(records, _preprocess_config(args))
 
 
 def _exchange_mappings(args, kind):
@@ -108,7 +112,7 @@ def _corpus_blocks(records, tokens_by_id, kind, args, seed):
     ids = [r.id for r in records]
     if args.embeddings:
         return imported_blocks(ids, kind, seed, **_exchange_mappings(args, kind))
-    return encoded_blocks(ids, tokens_by_id, build_feature_space(seed=seed), kind)
+    return encoded_blocks(ids, tokens_by_id, build_feature_space(kind, seed), kind)
 
 
 def cmd_ingest(args) -> int:

@@ -4,6 +4,11 @@ The annotation file is CSV or JSON-lines.  Column names and the
 raw-label -> class mapping are not hard-coded: both come from a schema
 config (JSON), because the source labels carry more levels than the
 classifier's classes and the collapse belongs in reviewable config.
+
+A command that needs one part of a split holds only that part's
+records: ``count_records`` checks and counts every row, splitting
+``range(n)`` deals out the part's data-row positions, and
+``records_at`` reads the file again and builds the records at them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import TASKS, TASK_CLASSES
 
@@ -61,8 +66,8 @@ class MemeRecord:
 
 @dataclass
 class DatasetSplit:
-    train: list[MemeRecord]
-    test: list[MemeRecord]
+    train: list  # the split's items: records, or the positions of a range
+    test: list
 
 
 @dataclass
@@ -192,16 +197,50 @@ def _checked_rows(path: str | Path, schema: Schema) -> Iterator[tuple[int, dict[
         yield index, row
 
 
+def _record(row: dict[str, str], schema: Schema) -> MemeRecord:
+    labels = {task: schema.labels[task][row[task]] for task in TASKS}
+    return MemeRecord(id=row["id"], text=row["text"], labels=labels)
+
+
 def load_dataset(path: str | Path, schema: Schema) -> list[MemeRecord]:
     """Read the annotation file into validated records.
 
     Raw labels are collapsed through the schema's label tables; a raw
     value absent from its table fails with the offending row index.
     """
-    records: list[MemeRecord] = []
-    for _, row in _checked_rows(path, schema):
-        labels = {task: schema.labels[task][row[task]] for task in TASKS}
-        records.append(MemeRecord(id=row["id"], text=row["text"], labels=labels))
+    return [_record(row, schema) for _, row in _checked_rows(path, schema)]
+
+
+def count_records(path: str | Path, schema: Schema) -> int:
+    """The number of data rows, every row checked as load_dataset checks it."""
+    return sum(1 for _ in _checked_rows(path, schema))
+
+
+def records_at(path: str | Path, schema: Schema, positions: Sequence[int],
+               rows: int) -> list[MemeRecord]:
+    """The records at 0-based data-row ``positions``, in that order.
+
+    The file is read and checked once more, and the records of the other
+    rows are never built, so a caller that keeps part of a file holds only
+    that part.  ``rows`` is the count an earlier read found
+    (``count_records``), which ``positions`` were drawn from: a read that
+    finds another count, or a row that no longer passes the checks, means
+    the file changed in between (or was a pipe, read out the first time),
+    and raises ValueError.
+    """
+    slots = {at: i for i, at in enumerate(positions)}
+    records: list = [None] * len(slots)
+    found = 0
+    try:
+        for index, row in _checked_rows(path, schema):
+            found = index + 1
+            if index in slots:
+                records[slots[index]] = _record(row, schema)
+    except (SchemaError, RowError) as exc:
+        raise ValueError(f"{path} changed while it was read: {exc}") from exc
+    if found != rows:
+        raise ValueError(f"{path} changed while it was read: {rows} data rows, "
+                         f"then {found}")
     return records
 
 
@@ -226,12 +265,14 @@ def raw_tallies(path: str | Path, schema: Schema) -> dict[str, dict[str, int]]:
     return tallies
 
 
-def split(records: list[MemeRecord], ratio: float, seed: int) -> DatasetSplit:
+def split(records: Sequence, ratio: float, seed: int) -> DatasetSplit:
     """Seeded uniform shuffle, then cut at floor(ratio * n).
 
     Deterministic for a fixed seed; both splits keep the shuffled order.
-    numpy is imported here, where the permutation is drawn, so loading and
-    counting records need no numpy.
+    Only the count decides the order, so splitting ``range(n)`` deals out
+    the data-row positions of an n-record split (``records_at`` builds the
+    records at them).  numpy is imported here, where the permutation is
+    drawn, so loading and counting records need no numpy.
     """
     import numpy as np
 

@@ -161,7 +161,9 @@ def encode_image(image: np.ndarray, params: dict) -> np.ndarray:
     if patches.shape[-2] != params["pos"].shape[0]:
         raise ValueError(
             f"{patches.shape[-2]} patches but positions for {params['pos'].shape[0]}")
-    x = patches @ params["patch_embed.w"] + params["patch_embed.b"] + params["pos"]
+    x = patches @ params["patch_embed.w"]
+    x += params["patch_embed.b"]
+    x += params["pos"]
     return _run_blocks(x, params)
 
 
@@ -182,7 +184,8 @@ def encode_ids(ids: np.ndarray, params: dict) -> np.ndarray:
 
     Every row of a batch has the same L, so no padding or mask is needed.
     """
-    x = params["tok_emb"][ids] + params["pos"][:ids.shape[-1]]
+    x = params["tok_emb"][ids]  # indexing copies, so the add can land in place
+    x += params["pos"][:ids.shape[-1]]
     return _run_blocks(x, params)
 
 
@@ -193,7 +196,9 @@ def pool_sentence(seq: np.ndarray, params: dict) -> np.ndarray:
     matmul; a 2-D (B, d_model) GEMM would round differently from one text.
     """
     pooled = seq.mean(axis=-2)[..., None, :]
-    return (pooled @ params["sent_proj.w"])[..., 0, :] + params["sent_proj.b"]
+    out = (pooled @ params["sent_proj.w"])[..., 0, :]
+    out += params["sent_proj.b"]
+    return out
 
 
 # --- caption generation ----------------------------------------------------
@@ -220,7 +225,8 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndar
     batch, h, wd = win.shape[:3]
     cols = win.reshape(batch * h * wd, cin * kh * kw)
     out = cols @ w.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
-    return out.reshape(batch, h, wd, cout) + b
+    out += b  # in place: a second output-sized array would set the captioner's peak
+    return out.reshape(batch, h, wd, cout)
 
 
 def init_caption_decoder_params(seed: int) -> dict:
@@ -292,7 +298,9 @@ def _decode_step(x: np.ndarray, caches: list, memory: list, layers: list, p: dic
         a, _ = nnops.mha_attend(n, kv, cp, CAPTION_HEADS)
         x = x + a
     # a stacked (B, 1, d) matmul rounds each row as a single image's would
-    return (x @ p["out.w"])[:, 0] + p["out.b"], grown
+    logits = (x @ p["out.w"])[:, 0]
+    logits += p["out.b"]
+    return logits, grown
 
 
 def generate_captions(images: np.ndarray, decoder_params: dict) -> list[list[str]]:

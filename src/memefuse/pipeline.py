@@ -1,7 +1,8 @@
 """Glue from meme records to per-variant fused feature tensors.
 
 Toy encoders stand in for the pretrained image/text models: weights are
-derived from a seed and frozen, images are synthesized deterministically
+derived from a seed and frozen, and a run draws only the ones its variant
+reads (``build_feature_space``); images are synthesized deterministically
 per record id when no real pixels are available.  The three variants all
 reduce to stacking two embedding sequences along their row axis; a
 sentence vector is a one-row sequence.  Encoded or imported, fused
@@ -47,8 +48,6 @@ ENCODE_CHUNK = 256
 # records per fusion batch: the activations of one pass, not the corpus
 # tensor, set encoding's high-water mark.
 IMAGE_BLOCK = 64
-# the feature space's one projection: imgsen's sentence down to the image width
-SENTENCE_PROJECTION = f"{SENTENCE_DIM}to{D_MODEL}"
 
 
 def _check_variant(kind: str) -> None:
@@ -89,21 +88,28 @@ def assemble_variant_input(first, second, projection=None) -> np.ndarray:
 
 @dataclass
 class FeatureSpace:
-    """Frozen encoder weights shared by every record of a run."""
+    """Frozen encoder weights shared by every record of a run; the ones its
+    variant does not read are None."""
 
-    image_params: dict
+    image_params: dict | None
     text_params: dict
-    caption_params: dict
-    projections: dict
+    caption_params: dict | None
+    projection: np.ndarray | None  # imgsen's sentence down to the image width
 
 
-def build_feature_space(seed: int) -> FeatureSpace:
-    proj_rng = rng_for(seed, "sentence_projection")
+def build_feature_space(kind: str, seed: int) -> FeatureSpace:
+    """The frozen encoders variant ``kind`` reads, drawn from ``seed``: the
+    text encoder, the image encoder (imgtxt, imgsen) or the captioner
+    (capsen), and imgsen's sentence projection.  Each draws from its own
+    named stream, so it is the same whichever others are built."""
+    _check_variant(kind)
     return FeatureSpace(
-        image_params=init_image_encoder_params(seed),
+        image_params=init_image_encoder_params(seed) if kind != "capsen" else None,
         text_params=init_text_encoder_params(seed),
-        caption_params=init_caption_decoder_params(seed=derive_seed(seed, "caption")),
-        projections={SENTENCE_PROJECTION: init_projection(SENTENCE_DIM, D_MODEL, proj_rng)})
+        caption_params=(init_caption_decoder_params(seed=derive_seed(seed, "caption"))
+                        if kind == "capsen" else None),
+        projection=(init_projection(SENTENCE_DIM, D_MODEL, rng_for(seed, "sentence_projection"))
+                    if kind == "imgsen" else None))
 
 
 def toy_image(record_id: str) -> np.ndarray:
@@ -206,8 +212,7 @@ def _encoded(ids: list, tokens_by_id: dict, space: FeatureSpace, kind: str):
         for block in blocks:
             first = (captions[block] if kind == "capsen"
                      else encode_image(_toy_images(chunk[block], pixels), space.image_params))
-            yield _fused(FUSED_SHAPES[kind], (first, texts[block]),
-                         space.projections[SENTENCE_PROJECTION])
+            yield _fused(FUSED_SHAPES[kind], (first, texts[block]), space.projection)
 
 
 def labels_from_records(records) -> dict:

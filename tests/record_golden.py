@@ -29,11 +29,11 @@ def kernel_name() -> str:
 
 
 def main() -> None:
-    space = build_feature_space(seed=0)
     ids, toks = _golden_corpus()
     labels = _golden_labels()
     features, training_sets = {}, {}
     for kind in sorted(VARIANTS):
+        space = build_feature_space(kind, 0)
         feats = _stacked(ids, encoded_blocks(ids, toks, space, kind))
         features[kind] = (feats.shape, hashlib.sha256(feats.tobytes()).hexdigest())
         ts = build_training_set(*encoded_blocks(ids, toks, space, kind), labels, k=5, seed=0)

@@ -68,7 +68,7 @@ def test_training_set_draws_encoded_blocks_on_one_thread_and_restores_the_count(
         return decode(images, params)
 
     monkeypatch.setattr(pipeline, "generate_captions", recording)
-    space = pipeline.build_feature_space(seed=0)
+    space = pipeline.build_feature_space("capsen", 0)
     labels = {task: np.zeros(2, dtype=np.int64) for task in TASKS}
     ts = pipeline.build_training_set(
         *pipeline.encoded_blocks(["a", "b"], {"a": ["cat"]}, space, "capsen"), labels, k=1,
@@ -146,7 +146,7 @@ def test_prediction_stream_runs_on_one_thread_and_restores_the_count(controls, m
     monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 2)
     ids = [f"m{i}" for i in range(5)]
     _, blocks = pipeline.encoded_blocks(ids, {rid: ["cat"] for rid in ids},
-                                        pipeline.build_feature_space(seed=0), kind)
+                                        pipeline.build_feature_space(kind, 0), kind)
     variant = ModelVariant(kind, hidden=4, head_hidden=4)
     params = model.init_classifier_params(variant, pipeline.FUSED_SHAPES[kind][1],
                                           np.random.default_rng(0))

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import os
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -463,18 +465,20 @@ class TestEval:
         seen = {"split": [], "build_feature_space": []}
         splitting, building = cli.split, cli.build_feature_space
 
-        def split_spy(records, ratio, seed):
-            seen["split"].append(seed)
-            return splitting(records, ratio, seed)
+        def split_spy(positions, ratio, seed):
+            seen["split"].append((list(positions), seed))
+            return splitting(positions, ratio, seed)
 
-        def space_spy(*, seed):
-            seen["build_feature_space"].append(seed)
-            return building(seed=seed)
+        def space_spy(kind, seed):
+            seen["build_feature_space"].append((kind, seed))
+            return building(kind, seed)
 
         monkeypatch.setattr(cli, "split", split_spy)
         monkeypatch.setattr(cli, "build_feature_space", space_spy)
         assert cli.main(["eval", "--dataset", str(small_csv), "--checkpoint", str(ckpt)]) == 0
-        assert seen == {"split": [7], "build_feature_space": [7]}
+        # the split deals out the positions of the file's 16 rows
+        assert seen == {"split": [(list(range(16)), 7)],
+                        "build_feature_space": [("imgsen", 7)]}
 
     def test_eval_deterministic(self, small_csv, trained, capsys):
         outs = []
@@ -543,6 +547,168 @@ class TestEval:
         assert rc == 3
         assert err.startswith("error: ") and "row 1" in err
         assert "Traceback" not in err
+
+
+# a header whose last column is the text, so a row without it is a short row
+_PART_HEADER = ("image_name", "humour", "sarcasm", "motivational", "overall_sentiment", "text")
+_PART_LEVELS = (("funny", "not_funny", "very_funny"), ("sarcastic", "not_sarcastic"),
+                ("motivational", "not_motivational"), ("positive", "negative", "neutral"))
+
+
+def _part_rows(n):
+    """``n`` rows in _PART_HEADER order; every fourth one has no text."""
+    rows = []
+    for i in range(n):
+        labels = tuple(levels[(i * (t + 2)) % len(levels)]
+                       for t, levels in enumerate(_PART_LEVELS))
+        rows.append((f"m{i:03d}.jpg", *labels) + (() if i % 4 == 3 else (f"text {i}",)))
+    return rows
+
+
+def _write_part_file(path, rows):
+    """``rows`` as CSV or JSON lines, by the suffix, with blank lines among them."""
+    lines = [] if path.suffix == ".jsonl" else [",".join(_PART_HEADER)]
+    for i, row in enumerate(rows):
+        if i % 5 == 2:
+            lines.append("")
+        lines.append(json.dumps(dict(zip(_PART_HEADER, row))) if path.suffix == ".jsonl"
+                     else ",".join(row))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    return path
+
+
+def _part_args(path):
+    return cli.build_parser().parse_args(["eval", "--dataset", str(path), "--checkpoint", "x"])
+
+
+class TestSplitPart:
+    """train and eval build records for the rows of their split part only."""
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_parts_are_those_of_the_loaded_file(self, tmp_path, suffix):
+        from memefuse import bundled_data
+        from memefuse.dataset import Schema, load_dataset, split
+
+        path = _write_part_file(tmp_path / f"memes{suffix}", _part_rows(23))
+        loaded = load_dataset(path, Schema.from_json(bundled_data("memotion_schema.json")))
+        assert len(loaded) == 23 and any(r.text == "" for r in loaded)
+        for seed in range(10):
+            expected = split(loaded, cli.SPLIT_RATIO, seed)
+            for part in ("train", "test"):
+                records, tokens_by_id = cli._split_tokens(_part_args(path), seed, part)
+                assert records == getattr(expected, part), (seed, part)
+                assert list(tokens_by_id) == [r.id for r in records]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_too_few_rows_exit_2(self, tmp_path, capsys, suffix, rows):
+        path = _write_part_file(tmp_path / f"memes{suffix}", _part_rows(rows))
+        assert cli.main(["train", "--dataset", str(path), "--variant", "imgsen",
+                         "--checkpoint", str(tmp_path / "x.ckpt")]) == 2
+        assert capsys.readouterr().err == "error: need at least 2 records to split\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_malformed_row_in_either_part_exits_2_naming_it(self, trained, tmp_path, capsys,
+                                                            command, part):
+        from memefuse.dataset import split
+
+        # trained's checkpoint and the train command below both split with seed 3
+        bad = getattr(split(range(20), cli.SPLIT_RATIO, 3), part)[0]
+        rows = _part_rows(20)
+        rows[bad] = (rows[bad][0], "kinda_funny", *rows[bad][2:])
+        path = _write_part_file(tmp_path / "memes.csv", rows)
+        argv = (["train", "--dataset", str(path), "--variant", "imgsen", "--seed", "3",
+                 "--checkpoint", str(tmp_path / "x.ckpt")] if command == "train"
+                else ["eval", "--dataset", str(path), "--checkpoint", str(trained)])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: row {bad}: unmappable humor label 'kinda_funny'\n"
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda rows: rows + _part_rows(21)[20:], "20 data rows, then 21"),
+        (lambda rows: rows[:-1], "20 data rows, then 19"),
+        (lambda rows: rows[:4] + [(rows[4][0], "kinda_funny", *rows[4][2:])] + rows[5:],
+         "row 4: unmappable humor label 'kinda_funny'"),
+        (lambda rows: [], "20 data rows, then 0"),
+    ], ids=["grown", "shrunk", "row-broken", "emptied"])
+    def test_file_changed_between_reads_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                change, message):
+        path = _write_part_file(tmp_path / "memes.csv", _part_rows(20))
+        counting = cli.count_records
+
+        def changing(*args):
+            rows = counting(*args)
+            _write_part_file(path, change(_part_rows(20)))
+            return rows
+
+        monkeypatch.setattr(cli, "count_records", changing)
+        assert cli.main(["train", "--dataset", str(path), "--variant", "imgsen",
+                         "--checkpoint", str(tmp_path / "x.ckpt")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path} changed while it was read: {message}\n"
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
+    def test_pipe_exits_2(self, tmp_path, capsys):
+        # the first read drains the pipe, so the second finds no header
+        content = _write_part_file(tmp_path / "memes.csv", _part_rows(20)).read_bytes()
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, content)
+            os.close(write_end)
+            rc = cli.main(["train", "--dataset", f"/dev/fd/{read_end}", "--variant", "imgsen",
+                           "--checkpoint", str(tmp_path / "x.ckpt")])
+        finally:
+            os.close(read_end)
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: /dev/fd/{read_end} changed while it was "
+                                           "read: file is missing declared column "
+                                           "'image_name'\n")
+
+    def test_only_the_parts_rows_become_records(self, tmp_path, monkeypatch):
+        from memefuse import dataset
+
+        path = tmp_path / "memes.csv"
+        write_annotation_fixture(path, _tallies(200))
+        built = []
+        record = dataset.MemeRecord
+
+        def counting(**fields):
+            built.append(fields["id"])
+            return record(**fields)
+
+        monkeypatch.setattr(dataset, "MemeRecord", counting)
+        for part, size in (("test", 40), ("train", 160)):
+            built.clear()
+            records, _ = cli._split_tokens(_part_args(path), 5, part)
+            assert len(records) == size
+            assert sorted(built) == sorted(r.id for r in records)
+
+    def test_peak_memory_follows_the_part_not_the_file(self, tmp_path):
+        # the held-out fifth of a 4000-row file, against the records of the
+        # whole file, which eval held before it built the part's alone
+        import tracemalloc
+
+        from memefuse import bundled_data
+        from memefuse.dataset import Schema, load_dataset
+
+        path = tmp_path / "memes.csv"
+        write_annotation_fixture(path, _tallies(4000))
+        args = _part_args(path)
+        cli._preprocess_config(args)  # warm up one-time imports and caches
+        peaks = []
+        for load in (lambda: load_dataset(path, Schema.from_json(
+                         bundled_data("memotion_schema.json"))),
+                     lambda: cli._split_tokens(args, 0, "test")):
+            tracemalloc.start()
+            try:
+                load()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 0.42 here, 1.10 when every row became a record first
+        assert peaks[1] <= 0.6 * peaks[0], peaks
 
 
 class TestEmbeddingsPath:

@@ -190,7 +190,10 @@ class TestFloat32Features:
 
     @pytest.fixture(scope="class")
     def space(self):
-        space = build_feature_space(seed=0)
+        # one space with each encoder: imgtxt's image and text encoders, and
+        # capsen's captioner
+        space = build_feature_space("imgtxt", 0)
+        space.caption_params = build_feature_space("capsen", 0).caption_params
         for weights in (space.image_params, space.text_params, space.caption_params):
             assert {v.dtype for v in weights.values()} == {np.dtype(np.float32)}
         return space

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memefuse import TASKS, TASK_CLASSES, VARIANTS, balance, pipeline
+from memefuse import TASKS, TASK_CLASSES, VARIANTS, balance, encode, pipeline
 from memefuse.dataset import MemeRecord
 from memefuse.encode import (IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, encode_ids,
                              encode_image, generate_captions)
@@ -23,6 +23,7 @@ from memefuse.pipeline import (
     labels_from_records,
     toy_image,
 )
+from memefuse.seeds import derive_seed, rng_for
 
 
 def _stacked(ids, stream):
@@ -33,76 +34,129 @@ def _stacked(ids, stream):
     return build_training_set(*stream, labels, k=1, seed=0).features
 
 
-def _record(rid, tokens, space, kind):
+def _record(rid, tokens, spaces, kind):
     """One record's fused features."""
-    return _stacked([rid], encoded_blocks([rid], {rid: tokens}, space, kind))[0]
+    return _stacked([rid], encoded_blocks([rid], {rid: tokens}, spaces[kind], kind))[0]
 
 
 @pytest.fixture(scope="module")
-def space():
+def spaces():
     # 32x32 images with 16x16 patches: 4 image rows, d_model 64
-    return build_feature_space(seed=0)
+    return {kind: build_feature_space(kind, 0) for kind in VARIANTS}
+
+
+# the encoders each variant reads: FeatureSpace field -> its init function
+_INITS = {"image_params": "init_image_encoder_params", "text_params": "init_text_encoder_params",
+          "caption_params": "init_caption_decoder_params", "projection": "init_projection"}
+_READS = {"imgtxt": {"image_params", "text_params"},
+          "imgsen": {"image_params", "text_params", "projection"},
+          "capsen": {"caption_params", "text_params"}}
 
 
 class TestFeatureSpace:
-    def test_weights_are_float32_arrays_only(self, space):
+    def test_weights_are_float32_arrays_only(self, spaces):
         # the sizes are module constants, so a weight dict holds nothing else
-        for field in dataclasses.fields(space):
-            for name, value in getattr(space, field.name).items():
-                assert isinstance(value, np.ndarray), (field.name, name, value)
-                assert value.dtype == np.float32, (field.name, name, value.dtype)
+        for kind, space in spaces.items():
+            for field in _READS[kind]:
+                value = getattr(space, field)
+                weights = value.items() if isinstance(value, dict) else [(field, value)]
+                for name, weight in weights:
+                    assert isinstance(weight, np.ndarray), (kind, field, name, weight)
+                    assert weight.dtype == np.float32, (kind, field, name, weight.dtype)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_built_encoders_are_their_own_draws(self, kind, seed):
+        space = build_feature_space(kind, seed)
+        assert {field.name for field in dataclasses.fields(space)
+                if getattr(space, field.name) is not None} == _READS[kind]
+        expected = {
+            "image_params": lambda: encode.init_image_encoder_params(seed),
+            "text_params": lambda: encode.init_text_encoder_params(seed),
+            "caption_params": lambda: encode.init_caption_decoder_params(
+                derive_seed(seed, "caption")),
+            "projection": lambda: pipeline.init_projection(
+                encode.SENTENCE_DIM, encode.D_MODEL, rng_for(seed, "sentence_projection")),
+        }
+        for field in _READS[kind]:
+            got, want = getattr(space, field), expected[field]()
+            if field == "projection":
+                got, want = {"": got}, {"": want}
+            assert got.keys() == want.keys(), field
+            for name in want:
+                assert got[name].dtype == want[name].dtype, (field, name)
+                assert got[name].tobytes() == want[name].tobytes(), (field, name)
+
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_unused_encoders_are_never_drawn(self, kind, monkeypatch):
+        def refusing(field):
+            def draw(*args, **kwargs):
+                raise AssertionError(f"{kind} drew {field}")
+            return draw
+
+        for field, init in _INITS.items():
+            if field not in _READS[kind]:
+                monkeypatch.setattr(pipeline, init, refusing(field))
+        space = build_feature_space(kind, 0)
+        ids, toks = _golden_corpus()
+        feats = _stacked(ids[:5], encoded_blocks(ids[:5], toks, space, kind))
+        assert feats.shape == (5, *FUSED_SHAPES[kind])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            build_feature_space("bogus", 0)
 
 
 class TestFusedShapes:
-    def test_imgtxt_shape(self, space):
-        out = _record("m1", ["hello", "world"], space, "imgtxt")
+    def test_imgtxt_shape(self, spaces):
+        out = _record("m1", ["hello", "world"], spaces, "imgtxt")
         assert out.shape == (N_PATCHES + MAX_TOKENS, 64)
         assert out.shape == (20, 64)
         assert out.dtype == np.float32
 
-    def test_imgsen_shape(self, space):
-        out = _record("m1", ["hello", "world"], space, "imgsen")
+    def test_imgsen_shape(self, spaces):
+        out = _record("m1", ["hello", "world"], spaces, "imgsen")
         assert out.shape == (5, 64)
         assert out.dtype == np.float32
 
-    def test_capsen_shape(self, space):
-        out = _record("m1", ["hello", "world"], space, "capsen")
+    def test_capsen_shape(self, spaces):
+        out = _record("m1", ["hello", "world"], spaces, "capsen")
         assert out.shape == (2, 768)
         assert out.dtype == np.float32
 
-    def test_fused_length_matches_arrays(self, space):
+    def test_fused_length_matches_arrays(self, spaces):
         for kind in ("imgtxt", "imgsen", "capsen"):
-            out = _record("m7", ["one"], space, kind)
+            out = _record("m7", ["one"], spaces, kind)
             assert out.shape == FUSED_SHAPES[kind]
 
     def test_one_variant_list(self):
         assert tuple(VARIANT_PARTS) == VARIANTS == tuple(FUSED_SHAPES)
 
-    def test_unknown_kind_rejected(self, space):
+    def test_unknown_kind_rejected(self, spaces):
         with pytest.raises(ValueError):
-            encoded_blocks(["m1"], {"m1": ["x"]}, space, "bogus")
+            encoded_blocks(["m1"], {"m1": ["x"]}, spaces["imgtxt"], "bogus")
 
-    def test_unknown_kind_rejected_for_an_empty_corpus(self, space):
+    def test_unknown_kind_rejected_for_an_empty_corpus(self, spaces):
         # no chunk is encoded, so only the check ahead of the generator can
         # reject the name
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-            encoded_blocks([], {}, space, "bogus")
+            encoded_blocks([], {}, spaces["imgtxt"], "bogus")
 
 
 class TestRecordFeatures:
-    def test_deterministic(self, space):
-        a = _record("m3", ["some", "words"], space, "imgtxt")
-        b = _record("m3", ["some", "words"], space, "imgtxt")
+    def test_deterministic(self, spaces):
+        a = _record("m3", ["some", "words"], spaces, "imgtxt")
+        b = _record("m3", ["some", "words"], spaces, "imgtxt")
         np.testing.assert_array_equal(a, b)
 
-    def test_image_rows_prefix(self, space):
+    def test_image_rows_prefix(self, spaces):
         # first N_PATCHES rows are exactly the image encoding
-        out = _record("m4", ["abc"], space, "imgtxt")
-        img = encode_image(toy_image("m4"), space.image_params)
+        out = _record("m4", ["abc"], spaces, "imgtxt")
+        img = encode_image(toy_image("m4"), spaces["imgtxt"].image_params)
         np.testing.assert_array_equal(out[:N_PATCHES], img.astype(np.float32))
 
-    def test_short_token_list_zero_padded(self, space):
-        out = _record("m5", ["only", "two"], space, "imgtxt")
+    def test_short_token_list_zero_padded(self, spaces):
+        out = _record("m5", ["only", "two"], spaces, "imgtxt")
         tail = out[N_PATCHES + 2 :]
         assert tail.shape[0] == MAX_TOKENS - 2
         assert np.all(tail == 0.0)
@@ -110,9 +164,9 @@ class TestRecordFeatures:
         assert np.any(out[N_PATCHES] != 0.0)
         assert np.any(out[N_PATCHES + 1] != 0.0)
 
-    def test_text_changes_output(self, space):
-        a = _record("m8", ["happy"], space, "imgsen")
-        b = _record("m8", ["angry"], space, "imgsen")
+    def test_text_changes_output(self, spaces):
+        a = _record("m8", ["happy"], spaces, "imgsen")
+        b = _record("m8", ["angry"], spaces, "imgsen")
         assert not np.array_equal(a, b)
 
 
@@ -145,38 +199,38 @@ _GOLDEN_CAPTIONS = {
 class TestGoldenCaptions:
     @pytest.mark.parametrize("seed", sorted(_GOLDEN_CAPTIONS))
     def test_fixture_ids_decode_to_recorded_captions(self, seed):
-        space = build_feature_space(seed=seed)
+        space = build_feature_space("capsen", seed)
         for rid, caption in _GOLDEN_CAPTIONS[seed].items():
             image = toy_image(rid)
             assert generate_captions(image[None], space.caption_params)[0] == caption, rid
 
 
 class TestEncodeCorpus:
-    def test_rows_follow_id_order(self, space):
+    def test_rows_follow_id_order(self, spaces):
         ids = ["b", "a", "c"]
         toks = {"a": ["one"], "b": ["two"], "c": ["three"]}
-        feats = _stacked(ids, encoded_blocks(ids, toks, space, "imgsen"))
+        feats = _stacked(ids, encoded_blocks(ids, toks, spaces["imgsen"], "imgsen"))
         assert feats.shape == (3, 5, 64)
         for i, rid in enumerate(ids):
             np.testing.assert_array_equal(
-                feats[i], _record(rid, toks[rid], space, "imgsen"))
+                feats[i], _record(rid, toks[rid], spaces, "imgsen"))
 
     @pytest.mark.parametrize("kind", VARIANTS)
-    def test_spare_rows_follow_as_zeros(self, space, kind, monkeypatch):
+    def test_spare_rows_follow_as_zeros(self, spaces, kind, monkeypatch):
         # with balancing writing nothing, the synthetic rows' room after the
         # stream's records stays as build_training_set allocates it
         ids, toks = _golden_corpus()
-        alone = _stacked(ids[:9], encoded_blocks(ids[:9], toks, space, kind))
+        alone = _stacked(ids[:9], encoded_blocks(ids[:9], toks, spaces[kind], kind))
         monkeypatch.setattr(pipeline, "smote_oversample", _no_synthetic_rows)
-        feats = build_training_set(*encoded_blocks(ids[:9], toks, space, kind),
+        feats = build_training_set(*encoded_blocks(ids[:9], toks, spaces[kind], kind),
                                    _golden_labels(9), k=5, seed=0).features
         # the first 9 golden labels fall 23 rows short of parity
         assert feats.shape == (9 + 23, *FUSED_SHAPES[kind]) and feats.dtype == np.float32
         assert feats[:9].tobytes() == alone.tobytes()
         assert not feats[9:].any()
 
-    def test_empty_corpus_keeps_declared_shape(self, space):
-        feats = _stacked([], encoded_blocks([], {}, space, "capsen"))
+    def test_empty_corpus_keeps_declared_shape(self, spaces):
+        feats = _stacked([], encoded_blocks([], {}, spaces["capsen"], "capsen"))
         assert feats.shape == (0, 2, 768)
         assert feats.dtype == np.float32
 
@@ -200,7 +254,7 @@ def _golden_corpus():
 
 
 # sha256 of _stacked(ids, encoded_blocks(...)).tobytes() on _golden_corpus() and
-# build_feature_space(seed=0), with encoders that compute in float32
+# build_feature_space(kind, 0), with encoders that compute in float32
 # throughout.  Recorded on OpenBLAS's
 # SkylakeX kernel by `PYTHONPATH=src python tests/record_golden.py`, which
 # prints this table and _GOLDEN_TRAINING_SETS for the kernel it runs on.
@@ -255,34 +309,34 @@ class TestGoldenFeatures:
         assert any(rid not in toks for rid in ids)
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
-    def test_features_match_recorded_digest(self, space, kind):
+    def test_features_match_recorded_digest(self, spaces, kind):
         ids, toks = _golden_corpus()
-        feats = _stacked(ids, encoded_blocks(ids, toks, space, kind))
+        feats = _stacked(ids, encoded_blocks(ids, toks, spaces[kind], kind))
         shape, digest = _GOLDEN_FEATURES[kind]
         assert feats.shape == shape and feats.dtype == np.float32
         assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
-    def test_chunk_boundaries_change_nothing(self, space, kind, monkeypatch):
+    def test_chunk_boundaries_change_nothing(self, spaces, kind, monkeypatch):
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         ids, toks = _golden_corpus()
-        feats = _stacked(ids, encoded_blocks(ids, toks, space, kind))
+        feats = _stacked(ids, encoded_blocks(ids, toks, spaces[kind], kind))
         assert hashlib.sha256(feats.tobytes()).hexdigest() == _GOLDEN_FEATURES[kind][1]
 
     # IMAGE_BLOCK = 3 puts block boundaries inside the one 256-record chunk
     # and inside every 7-record chunk
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
     @pytest.mark.parametrize("chunk", [None, 7])
-    def test_image_blocks_change_nothing(self, space, kind, chunk, monkeypatch):
+    def test_image_blocks_change_nothing(self, spaces, kind, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(pipeline, "ENCODE_CHUNK", chunk)
         monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 3)
         ids, toks = _golden_corpus()
-        feats = _stacked(ids, encoded_blocks(ids, toks, space, kind))
+        feats = _stacked(ids, encoded_blocks(ids, toks, spaces[kind], kind))
         assert hashlib.sha256(feats.tobytes()).hexdigest() == _GOLDEN_FEATURES[kind][1]
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
-    def test_images_pass_through_the_encoders_one_block_at_a_time(self, space, kind,
+    def test_images_pass_through_the_encoders_one_block_at_a_time(self, spaces, kind,
                                                                   monkeypatch):
         batches = []
         encoders = {"imgtxt": "encode_image", "imgsen": "encode_image",
@@ -297,11 +351,11 @@ class TestGoldenFeatures:
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 3)
         ids, toks = _golden_corpus()
-        _stacked(ids, encoded_blocks(ids, toks, space, kind))
+        _stacked(ids, encoded_blocks(ids, toks, spaces[kind], kind))
         # five 7-record chunks in blocks of 3, 3 and 1, then 5 records in 3 and 2
         assert batches == [3, 3, 1] * 5 + [3, 2]
 
-    def test_encoding_scratch_does_not_grow_with_the_chunk(self, space):
+    def test_encoding_scratch_does_not_grow_with_the_chunk(self, spaces):
         # images go through the encoder 64 at a time, so a full 256-record
         # chunk needs about the scratch of 64 records above its output
         # array; one pass over the chunk's 256 images needed 3x as much
@@ -313,7 +367,7 @@ class TestGoldenFeatures:
                     for i, rid in enumerate(ids)}
             tracemalloc.start()
             try:
-                out = _stacked(ids, encoded_blocks(ids, toks, space, "imgtxt"))
+                out = _stacked(ids, encoded_blocks(ids, toks, spaces["imgtxt"], "imgtxt"))
                 return tracemalloc.get_traced_memory()[1] - out.nbytes
             finally:
                 tracemalloc.stop()
@@ -321,7 +375,7 @@ class TestGoldenFeatures:
         assert scratch(256) <= 1.5 * scratch(64)
 
     @pytest.mark.parametrize("kind", ["imgtxt", "imgsen"])
-    def test_each_distinct_text_encoded_once(self, space, kind, monkeypatch):
+    def test_each_distinct_text_encoded_once(self, spaces, kind, monkeypatch):
         batches = []
 
         def counting(ids, params):
@@ -331,30 +385,30 @@ class TestGoldenFeatures:
         monkeypatch.setattr(pipeline, "encode_ids", counting)
         monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
         ids, toks = _golden_corpus()
-        _stacked(ids, encoded_blocks(ids, toks, space, kind))
+        _stacked(ids, encoded_blocks(ids, toks, spaces[kind], kind))
         clipped = {tuple(toks.get(rid, [])[:MAX_TOKENS]) for rid in ids}
         assert sum(rows for rows, _ in batches) == len(clipped)
         # at most one batch per id count in each of the 6 chunks
         assert len(batches) <= 6 * len({max(len(t), 1) for t in clipped})
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_TRAINING_SETS))
-    def test_training_set_matches_recorded_digest(self, space, kind):
+    def test_training_set_matches_recorded_digest(self, spaces, kind):
         ids, toks = _golden_corpus()
         rows, expected = _GOLDEN_TRAINING_SETS[kind]
-        ts = build_training_set(*encoded_blocks(ids, toks, space, kind), _golden_labels(),
+        ts = build_training_set(*encoded_blocks(ids, toks, spaces[kind], kind), _golden_labels(),
                                 k=5, seed=0)
         assert ts.features.shape[0] == rows
         assert _training_set_digest(ts) == expected
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_TRAINING_SETS))
     @pytest.mark.parametrize("block", [7, 1])
-    def test_interpolation_blocks_change_nothing(self, space, kind, block, monkeypatch):
+    def test_interpolation_blocks_change_nothing(self, spaces, kind, block, monkeypatch):
         # the golden labels give class deficits of 12 to 30 rows, so both
         # block sizes split every class
         monkeypatch.setattr(balance, "INTERP_BLOCK", block)
         ids, toks = _golden_corpus()
         rows, expected = _GOLDEN_TRAINING_SETS[kind]
-        ts = build_training_set(*encoded_blocks(ids, toks, space, kind), _golden_labels(),
+        ts = build_training_set(*encoded_blocks(ids, toks, spaces[kind], kind), _golden_labels(),
                                 k=5, seed=0)
         assert _training_set_digest(ts) == expected
 
@@ -703,9 +757,9 @@ class TestFusionBatches:
         return sizes
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
-    def test_encoded_path(self, space, kind, batch_sizes):
+    def test_encoded_path(self, spaces, kind, batch_sizes):
         ids, toks = _golden_corpus()
-        _stacked(ids, encoded_blocks(ids, toks, space, kind))
+        _stacked(ids, encoded_blocks(ids, toks, spaces[kind], kind))
         assert all(len(sizes) == 1 and max(sizes) <= 7 for sizes in batch_sizes)
         assert sum(max(sizes) for sizes in batch_sizes) == len(ids)
 
