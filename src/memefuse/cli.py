@@ -93,6 +93,9 @@ def _split_tokens(args, seed, part):
     but never become records."""
     schema = _load_schema(args)
     path = _require(args.dataset, "dataset")
+    # a pipe or FIFO would come back empty, or block, on the second read
+    if not path.is_file():
+        raise ValueError(f"dataset {path} is not a regular file: train and eval read it twice")
     rows = count_records(path, schema)
     records = records_at(path, schema, getattr(split(range(rows), SPLIT_RATIO, seed), part),
                          rows)

@@ -225,8 +225,7 @@ def records_at(path: str | Path, schema: Schema, positions: Sequence[int],
     that part.  ``rows`` is the count an earlier read found
     (``count_records``), which ``positions`` were drawn from: a read that
     finds another count, or a row that no longer passes the checks, means
-    the file changed in between (or was a pipe, read out the first time),
-    and raises ValueError.
+    the file changed in between, and raises ValueError.
     """
     slots = {at: i for i, at in enumerate(positions)}
     records: list = [None] * len(slots)

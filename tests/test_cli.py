@@ -650,8 +650,9 @@ class TestSplitPart:
             f"error: {path} changed while it was read: {message}\n"
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
-    def test_pipe_exits_2(self, tmp_path, capsys):
-        # the first read drains the pipe, so the second finds no header
+    def test_pipe_exits_2_before_it_is_read(self, tmp_path, capsys):
+        # were it read, the first read would drain it and the second find no
+        # header; a FIFO's second open would block for a writer instead
         content = _write_part_file(tmp_path / "memes.csv", _part_rows(20)).read_bytes()
         read_end, write_end = os.pipe()
         try:
@@ -659,12 +660,12 @@ class TestSplitPart:
             os.close(write_end)
             rc = cli.main(["train", "--dataset", f"/dev/fd/{read_end}", "--variant", "imgsen",
                            "--checkpoint", str(tmp_path / "x.ckpt")])
+            assert os.read(read_end, len(content)) == content
         finally:
             os.close(read_end)
         assert rc == 2
-        assert capsys.readouterr().err == (f"error: /dev/fd/{read_end} changed while it was "
-                                           "read: file is missing declared column "
-                                           "'image_name'\n")
+        assert capsys.readouterr().err == (f"error: dataset /dev/fd/{read_end} is not a "
+                                           "regular file: train and eval read it twice\n")
 
     def test_only_the_parts_rows_become_records(self, tmp_path, monkeypatch):
         from memefuse import dataset
