@@ -4,6 +4,15 @@ Every command is single-shot and deterministic given its flags; all
 randomness fans out from train's --seed through named streams, and eval
 reuses the seed its checkpoint records.  Exit codes: 0 success, 2 input
 or configuration error, 3 numeric failure.
+
+Every command computes on one OpenBLAS thread: importing this module sets
+``OPENBLAS_NUM_THREADS=1``, over any value the caller set, unless numpy is
+already loaded.  The encoders' and the trunk's GEMMs are too small for a
+second thread to pay, and a threaded GEMM splits its sums by the thread
+count, so features, checkpoints and reports would depend on the host's
+cores.  A program that imports numpy before this module keeps the pool
+numpy started; for the CLI's bytes it sets the variable itself before
+numpy loads.
 """
 
 import argparse
@@ -13,18 +22,14 @@ import os
 import sys
 from pathlib import Path
 
-# Every BLAS call of a command runs in blas.single_thread(), so the worker
-# thread numpy's OpenBLAS starts for each further core never works, yet it
-# spins for ≈0.13 s of CPU after numpy loads.  OpenBLAS reads the count only
-# while numpy loads, so it is set here, before train or eval first imports
-# it; a count the caller set wins, and a caller that loaded numpy first
-# keeps its own pool.
+# OpenBLAS reads its thread count only while numpy loads, so it is set
+# here, before train or eval first imports numpy.  Each worker past the
+# first would also spin for ≈0.13 s of CPU after the load, and never work.
 if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import TASKS, VARIANTS, NumericError, bundled_data
-from .dataset import (RowError, Schema, SchemaError, count_records, load_dataset, raw_tallies,
-                      records_at, split)
+from .dataset import Schema, count_records, load_dataset, raw_tallies, records_at, split
 from .textprep import PreprocessConfig, load_lexicon, load_vocabulary, preprocess
 
 # The names train and eval compute with, by the module that defines them.
@@ -282,8 +287,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, RowError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    # SchemaError, RowError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

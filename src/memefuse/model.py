@@ -5,14 +5,10 @@ The four heads (humor, sarcasm, motivation, sentiment) share the trunk
 and train jointly.  Samples may miss labels for some tasks (label -1),
 which masks them out of that head's loss.
 
-``train`` and ``predict_blocks`` run on one OpenBLAS thread (see
-``memefuse.blas``): the trunk's GEMMs are too small for a second thread
+The CLI runs ``train`` and ``predict_blocks`` on one OpenBLAS thread (see
+``memefuse.cli``): the trunk's GEMMs are too small for a second thread
 to pay, and with one thread the checkpoints do not depend on the host's
-core count.  The CLI starts OpenBLAS on one thread in the first place
-unless ``OPENBLAS_NUM_THREADS`` is set: it sets the variable as it is
-imported, and imports this module, and with it numpy, only when ``train``
-or ``eval`` first runs.  The scope still pins the count for callers that
-imported numpy, and with it a thread pool, first.
+core count.  This module uses whatever thread count numpy's BLAS has.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import TASKS, TASK_CLASSES, VARIANTS, NumericError
-from .blas import single_thread
 from .lstm import (Workspace, bilstm_backward, bilstm_forward, init_bilstm_params,
                    sequence_feature)
 from .nnops import sub_params
@@ -172,7 +167,6 @@ def _predict_chunk(variant: ModelVariant, x: np.ndarray, params: dict, start: in
     return probs
 
 
-@single_thread()
 def predict_blocks(variant: ModelVariant, blocks, params: dict) -> dict:
     """One or more (b, L, d) blocks of fused sequences -> {task: (N, K)
     probabilities} of their rows, in order.
@@ -181,14 +175,14 @@ def predict_blocks(variant: ModelVariant, blocks, params: dict) -> dict:
     and each full chunk goes through the trunk's cache-free pass, so the
     groups scored, and with them the bytes, are those of the stacked rows
     whatever the blocks' sizes.  ``blocks`` may be a generator, such as
-    ``pipeline.encoded_blocks``': its body runs as it is iterated, inside
-    this function's one-thread BLAS scope, so a block is encoded only when
-    the rows before it are scored.  Only the chunk persists from one block
-    to the next: the trunk's buffers are made for each chunk and freed after
-    it, so the encoders reuse that memory instead of adding to it.  A row
-    with a non-finite feature, or one the trunk overflows into a non-finite
-    probability, raises NumericError naming its index among all the rows;
-    an overflow the gates saturate away passes without a warning.
+    ``pipeline.encoded_blocks``': its body runs as it is iterated, so a
+    block is encoded only when the rows before it are scored.  Only the
+    chunk persists from one block to the next: the trunk's buffers are made
+    for each chunk and freed after it, so the encoders reuse that memory
+    instead of adding to it.  A row with a non-finite feature, or one the
+    trunk overflows into a non-finite probability, raises NumericError
+    naming its index among all the rows; an overflow the gates saturate
+    away passes without a warning.
     """
     scored = []
     chunk = None
@@ -326,7 +320,6 @@ def gather_batch(feats: np.ndarray, idx: np.ndarray, ws: Workspace) -> np.ndarra
     return xt.transpose(1, 0, 2)
 
 
-@single_thread()
 def train(variant: ModelVariant, dataset: TrainSet, config: TrainConfig):
     """Mini-batch Adam training; returns (params, history).
 

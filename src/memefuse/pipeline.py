@@ -11,7 +11,9 @@ blocks of IMAGE_BLOCK records, which eval scores one by one and
 ``build_training_set`` writes into the first rows of the training
 tensor it sizes.  Oversampling happens there, after encoding, on
 flattened fused sequences: each task's synthetic rows are written into
-the rows after the originals.
+the rows after the originals.  A threaded GEMM splits its sums by the
+thread count, so features hold their bytes at one count only; the CLI
+computes on one thread (see ``memefuse.cli``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import TASKS, TASK_CLASSES
 from .balance import smote_oversample
-from .blas import single_thread
 from .encode import (D_MODEL, IMAGE_CHANNELS, IMAGE_HW, MAX_TOKENS, N_PATCHES, SENTENCE_DIM,
                      encode_ids, encode_image, generate_captions, init_caption_decoder_params,
                      init_image_encoder_params, init_text_encoder_params, pool_sentence,
@@ -188,10 +189,8 @@ def encoded_blocks(ids: list[str], tokens_by_id: dict, space: FeatureSpace, kind
     encoder runs per-sample stacked GEMMs, so neither size changes a byte.
     An imgtxt record with fewer than MAX_TOKENS tokens ends in zero rows,
     so every record of a variant has its FUSED_SHAPES shape, the row shape.
-    The blocks' body runs as they are drawn, so the caller draws them in
-    a ``single_thread`` scope (``build_training_set``,
-    ``model.predict_blocks``): features then do not depend on the host's
-    thread count.
+    The blocks' body runs as they are drawn (by ``build_training_set`` or
+    ``model.predict_blocks``).
     """
     _check_variant(kind)
     return FUSED_SHAPES[kind], _encoded(ids, tokens_by_id, space, kind)
@@ -240,7 +239,6 @@ def class_deficits(labels: dict) -> dict:
     return out
 
 
-@single_thread()
 def build_training_set(shape: tuple, blocks, labels: dict, k: int, seed: int) -> TrainSet:
     """The stream's records, then each task's synthetic rows, in one tensor.
 
@@ -258,8 +256,7 @@ def build_training_set(shape: tuple, blocks, labels: dict, k: int, seed: int) ->
     precision, one class at a time) from the originals only, and carry
     only the balanced task's label; the other tasks see -1 and mask them
     out of their losses.  Rows a task labels -1 belong to none of its
-    classes, so they are never drawn or used as neighbours.  Runs on one
-    BLAS thread, the blocks' encoding included, like training.
+    classes, so they are never drawn or used as neighbours.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -326,8 +323,7 @@ def imported_blocks(ids: list, kind: str, seed: int, **mappings):
     block is fused.  Width mismatches are aligned by a seeded projection to
     the wider side.  Blocks hold IMAGE_BLOCK records within chunks of
     ENCODE_CHUNK, as ``encoded_blocks``' do; shorter fused sequences end in
-    zero rows so every record has the row shape.  Draw the blocks in a
-    ``single_thread`` scope, as for ``encoded_blocks``.
+    zero rows so every record has the row shape.
     """
     if not ids:
         raise ValueError("no record ids to assemble")

@@ -6,26 +6,21 @@ prints the OpenBLAS kernel family numpy runs on, then ``_GOLDEN_FEATURES``
 and ``_GOLDEN_TRAINING_SETS`` as Python source.  sgemm rounds differently
 per kernel family, so the digests hold for the printed kernel only; to
 record another family on the same host, set ``OPENBLAS_CORETYPE`` (for
-example ``Haswell``) for this process.  pytest does not collect this file.
+example ``Haswell``) for this process.  Like every memefuse command, it
+computes on one OpenBLAS thread.  pytest does not collect this file.
 """
 
-import ctypes
 import hashlib
+import os
 
-from memefuse import VARIANTS, blas
+# OpenBLAS reads the count only while numpy loads, so before any import loads it
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from memefuse import VARIANTS
 from memefuse.pipeline import build_feature_space, build_training_set, encoded_blocks
-# a script's own directory leads sys.path, so the test module imports as it is
+# a script's own directory leads sys.path, so the test modules import as they are
+from openblas import kernel_name
 from test_pipeline import _golden_corpus, _golden_labels, _stacked, _training_set_digest
-
-
-def kernel_name() -> str:
-    """The kernel family numpy's OpenBLAS picked (``SkylakeX``, ``Haswell``, ...)."""
-    found = blas._openblas()
-    get = getattr(found[0], "scipy_openblas_get_corename64_", None) if found else None
-    if get is None:
-        return "unknown (no scipy_openblas_get_corename64_ in numpy's BLAS)"
-    get.argtypes, get.restype = [], ctypes.c_char_p
-    return get().decode()
 
 
 def main() -> None:

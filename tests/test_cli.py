@@ -969,7 +969,6 @@ class TestEvalStream:
     def test_report_is_that_of_the_whole_tensor(self, streamed, name, small_blocks,
                                                 capsys, monkeypatch):
         from memefuse import TASKS
-        from memefuse.blas import single_thread
         from memefuse.evalmetrics import build_report
         from memefuse.model import load_checkpoint, predict_proba
         from memefuse.pipeline import labels_from_records
@@ -989,8 +988,7 @@ class TestEvalStream:
         args = cli.build_parser().parse_args(["eval", *streamed[name]])
         records, tokens_by_id = cli._split_tokens(args, meta["seed"], "test")
         _, blocks = cli._corpus_blocks(records, tokens_by_id, variant.kind, args, meta["seed"])
-        with single_thread():
-            features = np.concatenate(list(blocks))
+        features = np.concatenate(list(blocks))
         assert len(features) == 20
         probs = predict_proba(variant, features, params)
         report = build_report({variant.kind: {t: np.argmax(probs[t], axis=1) for t in TASKS}},
