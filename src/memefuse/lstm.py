@@ -13,10 +13,11 @@ A forward cache holds only what the backward pass reads: the time-major
 input, the gate activations, the cell states and the outputs.  tanh(c)
 is recomputed from the cell states, not kept.  The backward pass takes
 either the gradient of every output row, (B, L, 2H), or the gradient of
-``sequence_feature``'s end states alone, (B, 2H).  Prediction runs the
-same step loop without a cache: it keeps each step's gates and cell
-state only until the next step, in scratch every layer shares, with the
-same bytes out.
+``sequence_feature``'s end states alone, (B, 2H).  It writes the input
+gradient over the cell states, which its step loop has finished reading
+by then.  Prediction runs the same step loop without a cache: it keeps
+each step's gates and cell state only until the next step, in scratch
+every layer shares, with the same bytes out.
 """
 
 from __future__ import annotations
@@ -272,7 +273,12 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace, need_dx: bool):
     dx and dwx are one GEMM each over both directions, dwh one GEMM per
     direction and db one sum.  The gradients come back in the layout of
     the parameters (``wh``'s as a view).  Layer 0 of a stack has no use
-    for dx: with ``need_dx`` False it is None.
+    for dx: with ``need_dx`` False it is None.  Otherwise dx is written
+    over the cache's cell-state history, which only the step loop reads;
+    an input wider than the history holds (d > 2H (L + 1) / L, never a
+    stacked layer's 2H) takes workspace scratch instead.  Either way dx,
+    like the forward pass's output, is workspace memory, valid until the
+    workspace next serves a pass.
     """
     xt, gates, cs, out, wx, wh = cache
     length, _, _, batch, hidden = gates.shape
@@ -325,7 +331,12 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace, need_dx: bool):
     dwx = np.zeros((d_in, 8 * hidden), dtype=dtype)
     dwh = np.zeros((2, hidden, 4 * hidden), dtype=dtype)
     db = np.zeros(8 * hidden, dtype=dtype)
-    dx = ws.scratch("dx", (length, batch, d_in), dtype) if need_dx else None
+    dx = None
+    if need_dx:
+        # the step loop above was the cell-state history's last reader
+        size, history = length * batch * d_in, cs.reshape(-1)
+        dx = (history[:size] if size <= history.size
+              else ws.scratch("dx", (size,), dtype)).reshape(length, batch, d_in)
     for t0, t1 in _time_blocks(length, batch):
         rows = (t1 - t0) * batch
         packed = ws.scratch("blocks", (rows, 8 * hidden), dtype)

@@ -52,14 +52,17 @@ class PreprocessConfig:
     @cached_property
     def _filter_set(self) -> frozenset[str]:
         # Porter output is often not a dictionary word ("funni"), so the
-        # filter accepts the vocabulary and its stemmed image.
-        stemmed = {porter_stem(w) for w in self.vocabulary if _TOKEN.fullmatch(w)}
-        return frozenset(self.vocabulary | stemmed)
+        # filter accepts the vocabulary and its stemmed image.  A vocabulary
+        # word's stem is in the filter by construction, so it seeds the memo.
+        stems = {w: porter_stem(w) for w in self.vocabulary if _TOKEN.fullmatch(w)}
+        self._kept_stems.update(stems)
+        return frozenset(self.vocabulary.union(stems.values()))
 
     @cached_property
     def _kept_stems(self) -> dict[str, str | None]:
-        """Memo of word -> its stem, or None when the filter drops it; filled
-        by preprocess, so each distinct word is stemmed once per config."""
+        """Memo of word -> its stem, or None when the filter drops it; seeded
+        with the vocabulary by _filter_set and filled by preprocess, so each
+        distinct word is stemmed once per config."""
         return {}
 
     @cached_property
@@ -144,12 +147,13 @@ def preprocess(raw: str, config: PreprocessConfig) -> CleanText:
     text = raw.lower()
     text = demojize(text, config)
     text = strip_handles_and_hashtags(text)
-    kept = config._kept_stems
+    # the filter set first: building it seeds the memo with the vocabulary
+    filter_set, kept = config._filter_set, config._kept_stems
     tokens = []
     for word in _TOKEN.findall(text):
         if word not in kept:
             stem = porter_stem(word)
-            kept[word] = stem if stem in config._filter_set else None
+            kept[word] = stem if stem in filter_set else None
         if kept[word] is not None:
             tokens.append(kept[word])
     return CleanText(tokens=tokens)

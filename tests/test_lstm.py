@@ -99,21 +99,10 @@ def _cell_loop(x, p, d_hs, order):
     return hs, dx, dp
 
 
-@pytest.mark.parametrize("rows", [1024, 6, 1],
-                         ids=["one-block", "two-steps-per-block", "block-per-step"])
-def test_bilstm_matches_cell_loop(rows, monkeypatch):
-    # uneven shapes so a swapped batch, time or feature axis cannot pass; the
-    # projection blocks cover the sequence whole, unevenly, and one step each
-    monkeypatch.setattr(lstm, "PROJECTION_ROWS", rows)
-    rng = np.random.default_rng(19)
-    batch, length, d_in, hidden = 3, 5, 4, 2
-    halves = {"fwd": _params(rng, d_in, hidden), "bwd": _params(rng, d_in, hidden)}
-    params = _trunk(halves["fwd"], halves["bwd"])
-    x = rng.normal(size=(batch, length, d_in))
-    d_out = rng.normal(size=(batch, length, 2 * hidden))
-    out, cache = lstm.bilstm_forward(x, params, lstm.Workspace(), cache=True)
-    dx, dp = lstm.bilstm_backward(d_out, cache, lstm.Workspace(), need_dx=True)
-
+def _assert_matches_cell_loop(x, halves, d_out, out, dx, dp):
+    """The trunk's output, dx and param grads against the cell loop of each
+    direction of ``halves``."""
+    length, hidden = x.shape[1], halves["fwd"]["wh"].shape[0]
     want_dx = np.zeros_like(x)
     want_dp = {}
     orders = {"fwd": range(length), "bwd": range(length - 1, -1, -1)}
@@ -128,6 +117,42 @@ def test_bilstm_matches_cell_loop(rows, monkeypatch):
         assert dp[name].shape == want[name].shape, name
         np.testing.assert_allclose(dp[name], want[name], rtol=0, atol=1e-12, err_msg=name)
     np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1024, 6, 1],
+                         ids=["one-block", "two-steps-per-block", "block-per-step"])
+def test_bilstm_matches_cell_loop(rows, monkeypatch):
+    # uneven shapes so a swapped batch, time or feature axis cannot pass; the
+    # projection blocks cover the sequence whole, unevenly, and one step each
+    monkeypatch.setattr(lstm, "PROJECTION_ROWS", rows)
+    rng = np.random.default_rng(19)
+    batch, length, d_in, hidden = 3, 5, 4, 2
+    halves = {"fwd": _params(rng, d_in, hidden), "bwd": _params(rng, d_in, hidden)}
+    x = rng.normal(size=(batch, length, d_in))
+    d_out = rng.normal(size=(batch, length, 2 * hidden))
+    out, cache = lstm.bilstm_forward(x, _trunk(halves["fwd"], halves["bwd"]), lstm.Workspace(),
+                                     cache=True)
+    dx, dp = lstm.bilstm_backward(d_out, cache, lstm.Workspace(), need_dx=True)
+    _assert_matches_cell_loop(x, halves, d_out, out, dx, dp)
+
+
+# B=3, L=4, H=2: the (L + 1, 2, B, H) cell-state history holds L*B*d values
+# up to d = 2H (L + 1) / L = 5; a stacked layer's d is 2H = 4
+@pytest.mark.parametrize("d_in,in_history", [(4, True), (5, True), (6, False)],
+                         ids=["stacked-width", "fills-history", "wider-than-history"])
+def test_dx_takes_the_spent_cell_states_when_they_hold_it(d_in, in_history):
+    rng = np.random.default_rng(37)
+    batch, length, hidden = 3, 4, 2
+    halves = {"fwd": _params(rng, d_in, hidden), "bwd": _params(rng, d_in, hidden)}
+    x = rng.normal(size=(batch, length, d_in))
+    d_out = rng.normal(size=(batch, length, 2 * hidden))
+    # one workspace for both passes, as the classifier runs them
+    ws = lstm.Workspace()
+    out, cache = lstm.bilstm_forward(x, _trunk(halves["fwd"], halves["bwd"]), ws, cache=True)
+    cs = cache[2]
+    dx, dp = lstm.bilstm_backward(d_out, cache, ws, need_dx=True)
+    assert np.shares_memory(dx, cs) == in_history
+    _assert_matches_cell_loop(x, halves, d_out, out, dx, dp)
 
 
 def test_bilstm_output_layout():

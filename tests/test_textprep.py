@@ -6,9 +6,11 @@ suffix stripping, then the vocabulary filter (which accepts a token when
 it equals a vocabulary word or the stem of one).
 """
 
+from collections import Counter
+
 import pytest
 
-from memefuse import bundled_data
+from memefuse import bundled_data, textprep
 from memefuse.textprep import (CleanText, PreprocessConfig, demojize,
                                load_lexicon, load_vocabulary, preprocess,
                                strip_handles_and_hashtags)
@@ -128,8 +130,26 @@ class TestFastPathAndMemo:
         assert preprocess("cats dogs", cats).tokens == ["cat"]
         assert preprocess("cats dogs", dogs).tokens == ["dog"]
         assert preprocess("cats dogs", cats).tokens == ["cat"]
-        assert cats._kept_stems == {"cats": "cat", "dogs": None}
-        assert dogs._kept_stems == {"cats": None, "dogs": "dog"}
+        # each memo is seeded with its own vocabulary's stems
+        assert cats._kept_stems == {"cat": "cat", "cats": "cat", "dogs": None}
+        assert dogs._kept_stems == {"dog": "dog", "cats": None, "dogs": "dog"}
+
+    def test_vocabulary_words_are_stemmed_once(self, monkeypatch):
+        # building the filter stems every vocabulary word and seeds the memo
+        # with it, so preprocessing them stems nothing again
+        calls = Counter()
+
+        def counted(word):
+            calls[word] += 1
+            return porter_stem(word)
+
+        monkeypatch.setattr(textprep, "porter_stem", counted)
+        config = PreprocessConfig(emoji_lexicon={}, vocabulary=set(VOCAB))
+        texts = [" ".join(sorted(VOCAB)), "Cats running with the dream team", "funny cat " * 3]
+        for text in texts:
+            preprocess(text, config)
+        assert calls and set(calls.values()) == {1}
+        assert set(calls) == VOCAB
 
     @pytest.mark.parametrize("raw,expected", GOLDEN)
     def test_repeat_call_returns_equal_tokens(self, raw, expected):
