@@ -50,25 +50,24 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     return grid.reshape(*lead, (h // p) * (w // p), p * p * c)
 
 
-def init_block_params(d_model: int, n_heads: int, rng: np.random.Generator,
-                      dtype=np.float32) -> dict:
+def init_block_params(d_model: int, rng: np.random.Generator) -> dict:
     def mat(rows, cols):
-        return (rng.normal(size=(rows, cols)) / np.sqrt(rows)).astype(dtype)
+        return (rng.normal(size=(rows, cols)) / np.sqrt(rows)).astype(np.float32)
 
     d_ff = 4 * d_model
     p = {
-        "ln1.g": np.ones(d_model, dtype=dtype),
-        "ln1.b": np.zeros(d_model, dtype=dtype),
-        "ln2.g": np.ones(d_model, dtype=dtype),
-        "ln2.b": np.zeros(d_model, dtype=dtype),
+        "ln1.g": np.ones(d_model, dtype=np.float32),
+        "ln1.b": np.zeros(d_model, dtype=np.float32),
+        "ln2.g": np.ones(d_model, dtype=np.float32),
+        "ln2.b": np.zeros(d_model, dtype=np.float32),
         "ffn.w1": mat(d_model, d_ff),
-        "ffn.b1": np.zeros(d_ff, dtype=dtype),
+        "ffn.b1": np.zeros(d_ff, dtype=np.float32),
         "ffn.w2": mat(d_ff, d_model),
-        "ffn.b2": np.zeros(d_model, dtype=dtype),
+        "ffn.b2": np.zeros(d_model, dtype=np.float32),
     }
     for name in ("wq", "wk", "wv", "wo"):
         p[f"attn.{name}"] = mat(d_model, d_model)
-        p[f"attn.b{name[1]}"] = np.zeros(d_model, dtype=dtype)
+        p[f"attn.b{name[1]}"] = np.zeros(d_model, dtype=np.float32)
     return p
 
 
@@ -111,7 +110,7 @@ def transformer_block_backward(d_y: np.ndarray, cache):
 def _stack_params(rng: np.random.Generator) -> dict:
     params = {}
     for i in range(N_LAYERS):
-        for k, v in init_block_params(D_MODEL, N_HEADS, rng).items():
+        for k, v in init_block_params(D_MODEL, rng).items():
             params[f"blocks.{i}.{k}"] = v
     return params
 
@@ -254,7 +253,7 @@ def init_caption_decoder_params(seed: int) -> dict:
         "out.b": np.zeros(vocab, dtype=np.float32),
     }
     for i in range(CAPTION_LAYERS):
-        for k, v in init_block_params(d, CAPTION_HEADS, rng).items():
+        for k, v in init_block_params(d, rng).items():
             params[f"self.{i}.{k}"] = v
         p = f"cross.{i}"
         params[f"{p}.ln.g"] = np.ones(d, dtype=np.float32)

@@ -15,9 +15,10 @@ is recomputed from the cell states, not kept.  The backward pass takes
 either the gradient of every output row, (B, L, 2H), or the gradient of
 ``sequence_feature``'s end states alone, (B, 2H).  It writes the input
 gradient over the cell states, which its step loop has finished reading
-by then.  Prediction runs the same step loop without a cache: it keeps
-each step's gates and cell state only until the next step, in scratch
-every layer shares, with the same bytes out.
+by then; they hold an input up to 2H (L + 1) / L wide, and a stacked
+layer's is 2H.  Prediction runs the same step loop without a cache: it
+keeps each step's gates and cell state only until the next step, in
+scratch every layer shares, with the same bytes out.
 """
 
 from __future__ import annotations
@@ -72,13 +73,12 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
-def init_lstm_params(d_in: int, hidden: int, rng: np.random.Generator,
-                     dtype=np.float32) -> dict:
+def init_lstm_params(d_in: int, hidden: int, rng: np.random.Generator) -> dict:
     scale = 1.0 / np.sqrt(d_in + hidden)
     p = {
-        "wx": (rng.normal(size=(d_in, 4 * hidden)) * scale).astype(dtype),
-        "wh": (rng.normal(size=(hidden, 4 * hidden)) * scale).astype(dtype),
-        "b": np.zeros(4 * hidden, dtype=dtype),
+        "wx": (rng.normal(size=(d_in, 4 * hidden)) * scale).astype(np.float32),
+        "wh": (rng.normal(size=(hidden, 4 * hidden)) * scale).astype(np.float32),
+        "b": np.zeros(4 * hidden, dtype=np.float32),
     }
     p["b"][hidden:2 * hidden] = 1.0  # forget gate starts open
     return p
@@ -114,18 +114,17 @@ def lstm_cell_backward(d_h: np.ndarray, d_c: np.ndarray, cache):
     return d_gates @ p["wx"].T, d_gates @ p["wh"].T, dc * f, dp
 
 
-def init_bilstm_params(d_in: int, hidden: int, rng: np.random.Generator,
-                       dtype=np.float32) -> dict:
+def init_bilstm_params(d_in: int, hidden: int, rng: np.random.Generator) -> dict:
     """One trunk layer's ``wx``, ``wh`` and ``b`` (see the module docstring).
 
     Each direction is drawn by init_lstm_params, forward first, and its
-    gates reordered into the trunk's; the arrays are C-contiguous.
+    gates reordered into the trunk's; the arrays are C-contiguous float32.
     """
-    wx = np.empty((d_in, 2, 4, hidden), dtype=dtype)
-    wh = np.empty((2, 4, hidden, hidden), dtype=dtype)
-    b = np.empty((2, 4, hidden), dtype=dtype)
+    wx = np.empty((d_in, 2, 4, hidden), dtype=np.float32)
+    wh = np.empty((2, 4, hidden, hidden), dtype=np.float32)
+    b = np.empty((2, 4, hidden), dtype=np.float32)
     for k in range(2):
-        p = init_lstm_params(d_in, hidden, rng, dtype)
+        p = init_lstm_params(d_in, hidden, rng)
         wx[:, k] = p["wx"].reshape(d_in, 4, hidden)[:, TRUNK_GATES]
         wh[k] = p["wh"].reshape(hidden, 4, hidden)[:, TRUNK_GATES].transpose(1, 0, 2)
         b[k] = p["b"].reshape(4, hidden)[TRUNK_GATES]
@@ -274,15 +273,18 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace, need_dx: bool):
     direction and db one sum.  The gradients come back in the layout of
     the parameters (``wh``'s as a view).  Layer 0 of a stack has no use
     for dx: with ``need_dx`` False it is None.  Otherwise dx is written
-    over the cache's cell-state history, which only the step loop reads;
-    an input wider than the history holds (d > 2H (L + 1) / L, never a
-    stacked layer's 2H) takes workspace scratch instead.  Either way dx,
-    like the forward pass's output, is workspace memory, valid until the
-    workspace next serves a pass.
+    over the cache's cell-state history, which only the step loop reads,
+    so it is workspace memory like the forward pass's output, valid until
+    the workspace next serves a pass.  The history holds an input up to
+    2H (L + 1) / L wide, a stacked layer's 2H among them; asking dx of a
+    wider input raises ValueError.
     """
     xt, gates, cs, out, wx, wh = cache
     length, _, _, batch, hidden = gates.shape
     d_in = xt.shape[-1]
+    if need_dx and d_in * length > 2 * hidden * (length + 1):
+        raise ValueError(f"dx of width {d_in} does not fit the cell-state history, which "
+                         f"holds widths up to {2 * hidden * (length + 1) // length}")
     dtype = gates.dtype
     every_row = d_out.ndim == 3
     wh_t = ws.scratch("wh_t", wh.shape, dtype)
@@ -331,12 +333,8 @@ def bilstm_backward(d_out: np.ndarray, cache, ws: Workspace, need_dx: bool):
     dwx = np.zeros((d_in, 8 * hidden), dtype=dtype)
     dwh = np.zeros((2, hidden, 4 * hidden), dtype=dtype)
     db = np.zeros(8 * hidden, dtype=dtype)
-    dx = None
-    if need_dx:
-        # the step loop above was the cell-state history's last reader
-        size, history = length * batch * d_in, cs.reshape(-1)
-        dx = (history[:size] if size <= history.size
-              else ws.scratch("dx", (size,), dtype)).reshape(length, batch, d_in)
+    # the step loop above was the cell-state history's last reader
+    dx = cs.reshape(-1)[:length * batch * d_in].reshape(length, batch, d_in) if need_dx else None
     for t0, t1 in _time_blocks(length, batch):
         rows = (t1 - t0) * batch
         packed = ws.scratch("blocks", (rows, 8 * hidden), dtype)

@@ -108,23 +108,22 @@ class TrainSet:
             self.labels[task] = arr
 
 
-def init_classifier_params(variant: ModelVariant, d_in: int,
-                           rng: np.random.Generator, dtype=np.float32) -> dict:
+def init_classifier_params(variant: ModelVariant, d_in: int, rng: np.random.Generator) -> dict:
     params = {}
     width = d_in
     for i in range(variant.bilstm_layers):
-        for k, v in init_bilstm_params(width, variant.hidden, rng, dtype).items():
+        for k, v in init_bilstm_params(width, variant.hidden, rng).items():
             params[f"bilstm.{i}.{k}"] = v
         width = 2 * variant.hidden
     feat_dim = 2 * variant.hidden
     for task in TASKS:
         arity = HEAD_ARITY[task]
         params[f"head.{task}.w1"] = (rng.normal(size=(feat_dim, variant.head_hidden))
-                                     / np.sqrt(feat_dim)).astype(dtype)
-        params[f"head.{task}.b1"] = np.zeros(variant.head_hidden, dtype=dtype)
+                                     / np.sqrt(feat_dim)).astype(np.float32)
+        params[f"head.{task}.b1"] = np.zeros(variant.head_hidden, dtype=np.float32)
         params[f"head.{task}.w2"] = (rng.normal(size=(variant.head_hidden, arity))
-                                     / np.sqrt(variant.head_hidden)).astype(dtype)
-        params[f"head.{task}.b2"] = np.zeros(arity, dtype=dtype)
+                                     / np.sqrt(variant.head_hidden)).astype(np.float32)
+        params[f"head.{task}.b2"] = np.zeros(arity, dtype=np.float32)
     return params
 
 
@@ -333,7 +332,7 @@ def train(variant: ModelVariant, dataset: TrainSet, config: TrainConfig):
     if n == 0:
         raise ValueError("empty training set")
     init_rng = rng_for(config.seed, f"init.{variant.kind}")
-    params = init_classifier_params(variant, feats.shape[2], init_rng, dtype=feats.dtype)
+    params = init_classifier_params(variant, feats.shape[2], init_rng)
     shuffle_rng = rng_for(config.seed, f"shuffle.{variant.kind}")
     # one workspace for every step: the tail batch takes views of its buffers
     ws = Workspace()

@@ -321,9 +321,9 @@ def imported_blocks(ids: list, kind: str, seed: int, **mappings):
     sentence mappings map id -> one vector.  Every record is checked before
     the generator is returned, so a malformed mapping fails before any
     block is fused.  Width mismatches are aligned by a seeded projection to
-    the wider side.  Blocks hold IMAGE_BLOCK records within chunks of
-    ENCODE_CHUNK, as ``encoded_blocks``' do; shorter fused sequences end in
-    zero rows so every record has the row shape.
+    the wider side.  Blocks hold IMAGE_BLOCK records, the last one the
+    rest; shorter fused sequences end in zero rows so every record has
+    the row shape.
     """
     if not ids:
         raise ValueError("no record ids to assemble")
@@ -340,9 +340,5 @@ def imported_blocks(ids: list, kind: str, seed: int, **mappings):
 
 
 def _imported(parts: list, projection, shape: tuple):
-    n = len(parts[0])
-    for start in range(0, n, ENCODE_CHUNK):
-        stop = min(start + ENCODE_CHUNK, n)
-        for lo in range(start, stop, IMAGE_BLOCK):
-            block = slice(lo, min(lo + IMAGE_BLOCK, stop))
-            yield _fused(shape, [arrays[block] for arrays in parts], projection)
+    for lo in range(0, len(parts[0]), IMAGE_BLOCK):
+        yield _fused(shape, [arrays[lo:lo + IMAGE_BLOCK] for arrays in parts], projection)

@@ -6,6 +6,13 @@ STEP = 1e-5
 TOL = 1e-4
 
 
+def as_float64(params: dict) -> dict:
+    """Float64 copies of an initializer's float32 weights: the trunk, the
+    heads and the encoders compute in the dtype of their inputs, so these
+    give a float64 run of the same code."""
+    return {k: v.astype(np.float64) for k, v in params.items()}
+
+
 def numeric_grad(f, x, step=STEP):
     """d f() / d x by central differences, mutating x in place entry by entry.
 

@@ -20,7 +20,7 @@ from memefuse.model import ModelVariant, TrainConfig, TrainSet
 from memefuse.pipeline import assemble_variant_input
 from memefuse.textprep import PreprocessConfig, preprocess
 
-from fdcheck import check_grads
+from fdcheck import as_float64, check_grads
 from smote_oracle import verify_oversampled
 from test_textprep import GOLDEN, LEXICON, VOCAB
 
@@ -122,7 +122,7 @@ def test_gradient_checks_across_the_stack():
 
     check_grads(attention_loss, {"q": q, "k": k, "v": v})
 
-    block_p = encode.init_block_params(8, 2, rng, dtype=np.float64)
+    block_p = as_float64(encode.init_block_params(8, rng))
     xb = rng.normal(size=(4, 8))
     db = rng.normal(size=(4, 8))
 
@@ -133,7 +133,7 @@ def test_gradient_checks_across_the_stack():
 
     check_grads(block_loss, {"x": xb, **block_p})
 
-    cell_p = lstm.init_lstm_params(4, 3, rng, dtype=np.float64)
+    cell_p = as_float64(lstm.init_lstm_params(4, 3, rng))
     xc = rng.normal(size=(2, 4))
     h0 = rng.normal(size=(2, 3))
     c0 = rng.normal(size=(2, 3))
@@ -148,7 +148,7 @@ def test_gradient_checks_across_the_stack():
 
     check_grads(cell_loss, {"x": xc, "h0": h0, "c0": c0, **cell_p})
 
-    bi_p = lstm.init_bilstm_params(3, 2, rng, dtype=np.float64)
+    bi_p = as_float64(lstm.init_bilstm_params(3, 2, rng))
     xs = rng.normal(size=(2, 4, 3))
     ds = rng.normal(size=(2, 4, 4))
 
@@ -160,7 +160,7 @@ def test_gradient_checks_across_the_stack():
     check_grads(bilstm_loss, {"x": xs, **bi_p})
 
     variant = ModelVariant("imgtxt", bilstm_layers=2, hidden=3, head_hidden=3)
-    full_p = model.init_classifier_params(variant, 4, rng, dtype=np.float64)
+    full_p = as_float64(model.init_classifier_params(variant, 4, rng))
     xf = rng.normal(size=(3, 4, 4))
     labels = {
         "humor": np.array([0, 1, 0], dtype=np.int64),

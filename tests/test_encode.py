@@ -5,7 +5,7 @@ import pytest
 
 from memefuse import encode, nnops
 from memefuse.pipeline import build_feature_space
-from fdcheck import check_grads
+from fdcheck import as_float64, check_grads
 
 
 class TestPatchify:
@@ -47,7 +47,7 @@ class TestPatchify:
 class TestTransformerBlock:
     def test_shape_preserved(self):
         rng = np.random.default_rng(1)
-        p = encode.init_block_params(8, 2, rng, dtype=np.float64)
+        p = as_float64(encode.init_block_params(8, rng))
         x = rng.normal(size=(5, 8))
         y, _ = encode.transformer_block_forward(x, p, n_heads=2)
         assert y.shape == (5, 8)
@@ -55,7 +55,7 @@ class TestTransformerBlock:
     def test_zero_projections_give_identity(self):
         # with attn.wo and ffn.w2 zeroed both residual branches vanish
         rng = np.random.default_rng(2)
-        p = encode.init_block_params(8, 2, rng, dtype=np.float64)
+        p = as_float64(encode.init_block_params(8, rng))
         p["attn.wo"] = np.zeros_like(p["attn.wo"])
         p["ffn.w2"] = np.zeros_like(p["ffn.w2"])
         x = rng.normal(size=(4, 8))
@@ -64,7 +64,7 @@ class TestTransformerBlock:
 
     def test_grads(self):
         rng = np.random.default_rng(3)
-        p = encode.init_block_params(6, 2, rng, dtype=np.float64)
+        p = as_float64(encode.init_block_params(6, rng))
         x = rng.normal(size=(4, 6))
         d = rng.normal(size=(4, 6))
 
@@ -302,11 +302,10 @@ def _oracle_decode(feats, p, n_layers):
 def _float64_decoder(seed, n_layers):
     """A float64 captioner whose rows finish at different steps: random word
     embeddings and a raised end-token bias make captions diverge and stop."""
-    p = {k: v.astype(np.float64) for k, v in encode.init_caption_decoder_params(seed).items()}
+    p = as_float64(encode.init_caption_decoder_params(seed))
     rng = np.random.default_rng(seed)
     for i in range(1, n_layers):
-        for k, v in encode.init_block_params(encode.CAPTION_D_MODEL, encode.CAPTION_HEADS, rng,
-                                             dtype=np.float64).items():
+        for k, v in as_float64(encode.init_block_params(encode.CAPTION_D_MODEL, rng)).items():
             p[f"self.{i}.{k}"] = v
         for k, v in nnops.sub_params(p, "cross.0").items():
             p[f"cross.{i}.{k}"] = v + rng.normal(size=v.shape) * 0.1

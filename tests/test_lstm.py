@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memefuse import lstm
-from fdcheck import check_grads
+from fdcheck import as_float64, check_grads
 
 
 def _params(rng, d_in, hidden):
@@ -136,30 +136,47 @@ def test_bilstm_matches_cell_loop(rows, monkeypatch):
     _assert_matches_cell_loop(x, halves, d_out, out, dx, dp)
 
 
-# B=3, L=4, H=2: the (L + 1, 2, B, H) cell-state history holds L*B*d values
-# up to d = 2H (L + 1) / L = 5; a stacked layer's d is 2H = 4
-@pytest.mark.parametrize("d_in,in_history", [(4, True), (5, True), (6, False)],
-                         ids=["stacked-width", "fills-history", "wider-than-history"])
-def test_dx_takes_the_spent_cell_states_when_they_hold_it(d_in, in_history):
+def _spent_history_case(d_in):
+    """x, per-direction cell params, d_out, and a cached forward pass on
+    the workspace the backward pass is to use, as the classifier runs them.
+
+    B=3, L=4, H=2: the (L + 1, 2, B, H) cell-state history holds L*B*d
+    values up to d = 2H (L + 1) / L = 5; a stacked layer's d is 2H = 4."""
     rng = np.random.default_rng(37)
     batch, length, hidden = 3, 4, 2
     halves = {"fwd": _params(rng, d_in, hidden), "bwd": _params(rng, d_in, hidden)}
     x = rng.normal(size=(batch, length, d_in))
     d_out = rng.normal(size=(batch, length, 2 * hidden))
-    # one workspace for both passes, as the classifier runs them
     ws = lstm.Workspace()
     out, cache = lstm.bilstm_forward(x, _trunk(halves["fwd"], halves["bwd"]), ws, cache=True)
-    cs = cache[2]
+    return x, halves, d_out, out, cache, ws
+
+
+@pytest.mark.parametrize("d_in", [4, 5], ids=["stacked-width", "fills-history"])
+def test_dx_takes_the_spent_cell_states_when_they_hold_it(d_in):
+    x, halves, d_out, out, cache, ws = _spent_history_case(d_in)
     dx, dp = lstm.bilstm_backward(d_out, cache, ws, need_dx=True)
-    assert np.shares_memory(dx, cs) == in_history
+    assert np.shares_memory(dx, cache[2])
     _assert_matches_cell_loop(x, halves, d_out, out, dx, dp)
+
+
+def test_dx_wider_than_the_spent_cell_states_is_refused():
+    # d = 6 > 5, refused before the cache is written; layer 0, which
+    # takes no dx, may be that wide
+    _, _, d_out, _, cache, ws = _spent_history_case(6)
+    gates = cache[1].copy()
+    with pytest.raises(ValueError, match="dx of width 6 does not fit the cell-state history, "
+                                         "which holds widths up to 5"):
+        lstm.bilstm_backward(d_out, cache, ws, need_dx=True)
+    np.testing.assert_array_equal(cache[1], gates)
+    assert lstm.bilstm_backward(d_out, cache, ws, need_dx=False)[0] is None
 
 
 def test_bilstm_output_layout():
     rng = np.random.default_rng(13)
     d_in, hidden = 3, 2
-    fwd = lstm.init_lstm_params(d_in, hidden, rng, dtype=np.float64)
-    bwd = lstm.init_lstm_params(d_in, hidden, rng, dtype=np.float64)
+    fwd = as_float64(lstm.init_lstm_params(d_in, hidden, rng))
+    bwd = as_float64(lstm.init_lstm_params(d_in, hidden, rng))
     x = rng.normal(size=(1, 5, d_in))
     out, _ = lstm.bilstm_forward(x, _trunk(fwd, bwd), lstm.Workspace(), cache=True)
     assert out.shape == (1, 5, 2 * hidden)
@@ -172,26 +189,23 @@ def test_bilstm_output_layout():
     np.testing.assert_allclose(out[:, 0, hidden:], hs_b[:, -1, :], atol=1e-12)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_init_draws_cells_forward_first_in_trunk_layout(dtype):
+def test_init_draws_cells_forward_first_in_trunk_layout():
     # the random stream of two init_lstm_params draws, forward first, laid
     # out by the documented permutation; contiguous, so a finite-difference
     # check that perturbs entries through reshape(-1) perturbs the weights
-    params = lstm.init_bilstm_params(3, 2, np.random.default_rng(21), dtype=dtype)
+    params = lstm.init_bilstm_params(3, 2, np.random.default_rng(21))
     rng = np.random.default_rng(21)
-    fwd = lstm.init_lstm_params(3, 2, rng, dtype=dtype)
-    bwd = lstm.init_lstm_params(3, 2, rng, dtype=dtype)
-    want = _trunk(fwd, bwd)
+    want = _trunk(lstm.init_lstm_params(3, 2, rng), lstm.init_lstm_params(3, 2, rng))
     assert sorted(params) == sorted(want)
     for name, v in params.items():
-        assert v.dtype == dtype and v.flags.c_contiguous, name
-        np.testing.assert_array_equal(v, want[name].astype(dtype), err_msg=name)
+        assert v.dtype == np.float32 and v.flags.c_contiguous, name
+        np.testing.assert_array_equal(v, want[name].astype(np.float32), err_msg=name)
 
 
 def test_forward_multiplies_the_parameters_in_place():
     # the cache holds the weights themselves: no per-call copy or permutation
     rng = np.random.default_rng(25)
-    params = lstm.init_bilstm_params(3, 2, rng, dtype=np.float64)
+    params = as_float64(lstm.init_bilstm_params(3, 2, rng))
     _, (*_, wx, wh) = lstm.bilstm_forward(rng.normal(size=(2, 4, 3)), params, lstm.Workspace(),
                                           cache=True)
     assert np.shares_memory(wx, params["wx"]) and np.shares_memory(wh, params["wh"])
@@ -204,7 +218,7 @@ def _cached(x, params):
 
 def test_layer_zero_skips_dx():
     rng = np.random.default_rng(15)
-    params = lstm.init_bilstm_params(3, 2, rng, dtype=np.float64)
+    params = as_float64(lstm.init_bilstm_params(3, 2, rng))
     x = rng.normal(size=(2, 4, 3))
     d = rng.normal(size=(2, 4, 4))
     dx, dp = lstm.bilstm_backward(d, _cached(x, params), lstm.Workspace(), need_dx=True)
@@ -222,7 +236,7 @@ def test_final_state_gradient_matches_the_padded_form(dtype):
     # bytes of the (B, L, 2H) gradient that is zero elsewhere
     rng = np.random.default_rng(27)
     batch, length, d_in, hidden = 3, 5, 4, 2
-    params = lstm.init_bilstm_params(d_in, hidden, rng, dtype=dtype)
+    params = {k: v.astype(dtype) for k, v in lstm.init_bilstm_params(d_in, hidden, rng).items()}
     x = rng.normal(size=(batch, length, d_in)).astype(dtype)
     d_feat = rng.normal(size=(batch, 2 * hidden)).astype(dtype)
     padded = np.zeros((batch, length, 2 * hidden), dtype=dtype)
@@ -286,7 +300,7 @@ def test_cache_free_pass_holds_less_than_half():
 
 def test_bilstm_grads():
     rng = np.random.default_rng(17)
-    params = {k: v * 2.0 for k, v in lstm.init_bilstm_params(3, 2, rng, dtype=np.float64).items()}
+    params = {k: v * 2.0 for k, v in as_float64(lstm.init_bilstm_params(3, 2, rng)).items()}
     x = rng.normal(size=(2, 4, 3))
     d = rng.normal(size=(2, 4, 4))
 
@@ -302,7 +316,7 @@ def test_palindrome_symmetry_with_tied_directions():
     # same params both ways on a palindromic input: the forward state after
     # reading x[..t] equals the backward state after reading x[L-1-t..]
     rng = np.random.default_rng(31)
-    one = lstm.init_lstm_params(3, 2, rng, dtype=np.float64)
+    one = as_float64(lstm.init_lstm_params(3, 2, rng))
     x = rng.normal(size=(3, 3))
     pal = np.concatenate([x, x[::-1][1:]], axis=0)  # length 5 palindrome
     batched, _ = lstm.bilstm_forward(pal[None], _trunk(one, one), lstm.Workspace(), cache=True)

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from memefuse import TASKS, model
-from memefuse.lstm import Workspace, bilstm_forward, init_bilstm_params, lstm_cell_forward
+from memefuse import TASKS, encode, model
+from memefuse.lstm import (Workspace, bilstm_forward, init_bilstm_params, init_lstm_params,
+                           lstm_cell_forward)
 from memefuse.model import ModelVariant, NumericError, TrainConfig, TrainSet
-from fdcheck import check_grads
+from fdcheck import as_float64, check_grads
 
 
 def _labels(rng, n, missing=None):
@@ -69,6 +70,19 @@ class TestLstmCellContract:
         h, c, _ = lstm_cell_forward(np.ones(3), np.zeros(2), v, p)
         np.testing.assert_allclose(c, 0.5 * v, atol=1e-12)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * v), atol=1e-12)
+
+
+# every weight the program draws is float32; a float64 reference run
+# casts them (fdcheck.as_float64)
+@pytest.mark.parametrize("init", [
+    lambda rng: encode.init_block_params(8, rng),
+    lambda rng: init_lstm_params(3, 2, rng),
+    lambda rng: init_bilstm_params(3, 2, rng),
+    lambda rng: model.init_classifier_params(ModelVariant("capsen"), 6, rng),
+], ids=["init_block_params", "init_lstm_params", "init_bilstm_params", "init_classifier_params"])
+def test_initializers_draw_float32_only(init):
+    params = init(np.random.default_rng(0))
+    assert params and {v.dtype for v in params.values()} == {np.dtype(np.float32)}
 
 
 class TestForward:
@@ -183,7 +197,7 @@ class TestLossAndGrads:
     def test_full_gradient_check(self):
         variant = ModelVariant("imgtxt", bilstm_layers=2, hidden=3, head_hidden=3)
         rng = np.random.default_rng(21)
-        params = model.init_classifier_params(variant, 4, rng, dtype=np.float64)
+        params = as_float64(model.init_classifier_params(variant, 4, rng))
         x = rng.normal(size=(3, 4, 4))
         labels = _labels(rng, 3, missing={"sarcasm": [1]})
 
@@ -196,7 +210,7 @@ class TestLossAndGrads:
     def test_missing_labels_masked(self):
         variant = ModelVariant("imgtxt", bilstm_layers=1, hidden=3, head_hidden=3)
         rng = np.random.default_rng(23)
-        params = model.init_classifier_params(variant, 4, rng, dtype=np.float64)
+        params = as_float64(model.init_classifier_params(variant, 4, rng))
         x = rng.normal(size=(4, 3, 4))
         labels = _labels(rng, 4)
         # only the humor head counts, and the last two samples are masked out of it
@@ -210,7 +224,7 @@ class TestLossAndGrads:
     def test_heads_gradient_independent(self):
         variant = ModelVariant("imgtxt", bilstm_layers=1, hidden=3, head_hidden=3)
         rng = np.random.default_rng(25)
-        params = model.init_classifier_params(variant, 4, rng, dtype=np.float64)
+        params = as_float64(model.init_classifier_params(variant, 4, rng))
         x = rng.normal(size=(4, 3, 4))
         labels = _labels(rng, 4)
         _, g_all, _ = model.loss_and_grads(x, labels, variant, params, Workspace())

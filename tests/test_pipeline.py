@@ -664,13 +664,13 @@ def _imported_case(name, n=23):
 
 
 class TestFusedFromImported:
-    # ENCODE_CHUNK = 7 puts chunk boundaries inside every case's 23 records
+    # IMAGE_BLOCK = 7 puts block boundaries inside every case's 23 records
     @pytest.mark.parametrize("name, chunk", [
         pytest.param(name, chunk, id=name if chunk is None else f"{name}-chunk{chunk}")
         for chunk in (None, 7) for name in sorted(_IMPORTED_CASES)])
     def test_matches_recorded_digest(self, name, chunk, monkeypatch):
         if chunk is not None:
-            monkeypatch.setattr(pipeline, "ENCODE_CHUNK", chunk)
+            monkeypatch.setattr(pipeline, "IMAGE_BLOCK", chunk)
         ids, kind, mappings = _imported_case(name)
         out = _stacked(ids, imported_blocks(ids, kind, 3, **mappings))
         shape, digest = _GOLDEN_IMPORTED[name]
@@ -679,9 +679,9 @@ class TestFusedFromImported:
 
     @pytest.mark.parametrize("name", sorted(_IMPORTED_CASES))
     def test_spare_rows_follow_as_zeros(self, name, monkeypatch):
-        # in 7-record chunks the last chunk holds 2 records; with balancing
+        # in 7-record blocks the last block holds 2 records; with balancing
         # writing nothing, the synthetic rows' room follows it as allocated
-        monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 7)
         monkeypatch.setattr(pipeline, "smote_oversample", _no_synthetic_rows)
         ids, kind, mappings = _imported_case(name)
         shape, digest = _GOLDEN_IMPORTED[name]
@@ -740,8 +740,7 @@ class TestFusedFromImported:
 
 
 class TestFusionBatches:
-    """Both paths fuse through one function, at most ENCODE_CHUNK records per call
-    (the encoded path at most IMAGE_BLOCK)."""
+    """Both paths fuse through one function, at most IMAGE_BLOCK records per call."""
 
     @pytest.fixture
     def batch_sizes(self, monkeypatch):
@@ -753,7 +752,7 @@ class TestFusionBatches:
             return assemble(*parts, projection=projection)
 
         monkeypatch.setattr(pipeline, "assemble_variant_input", spying)
-        monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 7)
+        monkeypatch.setattr(pipeline, "IMAGE_BLOCK", 7)
         return sizes
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_FEATURES))
